@@ -155,10 +155,10 @@ class ErrorConformanceOracle(Oracle):
             sql=outcome.sql,
             message=outcome.message,
             query_index=index + 1,
-            flaw=find_logic_flaw(self.dbms, function, kind="strict"),
         )
         if finding.key in self._seen:
             return None
+        finding.flaw = find_logic_flaw(self.dbms, function, kind="strict")
         self._seen.add(finding.key)
         self._findings.append(finding)
         return finding

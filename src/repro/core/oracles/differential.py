@@ -243,10 +243,10 @@ class DifferentialOracle(Oracle):
             query_index=index + 1,
             own_digest=own_fp.digest,
             peer_digest=peer_fp.digest,
-            flaw=find_logic_flaw(self.dbms, function),
         )
         if finding.key in self._seen:
             return None
+        finding.flaw = find_logic_flaw(self.dbms, function)
         self._seen.add(finding.key)
         self._findings.append(finding)
         return finding
@@ -269,7 +269,8 @@ class DifferentialOracle(Oracle):
         # the peer history-independent no matter what ran before
         server.ctx.clear_sequence_state()
         try:
-            result = conn.execute(sql)
+            # rendering is inside: a result can be too large to render
+            return fingerprint_result(conn.execute(sql))
         except SQLError:
             return None
         except ServerCrashed:
@@ -280,7 +281,6 @@ class DifferentialOracle(Oracle):
         except RecursionError:
             del self._peers[name]
             return None
-        return fingerprint_result(result)
 
     # -- checkpoint/merge ---------------------------------------------------
     def export_state(self) -> Dict[str, Any]:

@@ -230,10 +230,11 @@ class _MetamorphicOracle(Oracle):
             query_index=index + 1,
             own_digest=own_fp.digest,
             variant_digest=variant_fp.digest,
-            flaw=find_predicate_flaw(self.dbms, self.oracle_kind),
         )
         if finding.key in self._seen:
             return None
+        # attribute only new findings: repeats of a broken law are common
+        finding.flaw = find_predicate_flaw(self.dbms, self.oracle_kind)
         self._seen.add(finding.key)
         self._findings.append(finding)
         return finding
@@ -272,7 +273,8 @@ class _MetamorphicOracle(Oracle):
             return None
         server.ctx.clear_sequence_state()
         try:
-            result = conn.execute(sql)
+            # rendering is inside: a result can be too large to render
+            return fingerprint_result(conn.execute(sql))
         except SQLError:
             # an erroring variant says nothing about the law — strictness
             # bugs are the conformance oracle's department
@@ -285,7 +287,6 @@ class _MetamorphicOracle(Oracle):
         except RecursionError:
             self._arms.pop(key, None)
             return None
-        return fingerprint_result(result)
 
     # -- checkpoint/merge ---------------------------------------------------
     def export_state(self) -> Dict[str, Any]:

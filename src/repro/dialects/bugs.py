@@ -112,7 +112,23 @@ def make_trigger(spec: Tuple) -> flaws.Trigger:
 # ---------------------------------------------------------------------------
 # global registry
 # ---------------------------------------------------------------------------
-_ALL_BUGS: List[InjectedBug] = []
+#: every declared bug by id, in declaration order
+_ALL_BUGS: Dict[str, InjectedBug] = {}
+_dialects_declared = False
+
+
+def _declare_all_dialects() -> None:
+    """Instantiate each dialect once per process: construction declares
+    its injected bugs and logic flaws, and repeats would only re-declare
+    the same rows."""
+    global _dialects_declared
+    if _dialects_declared:
+        return
+    from . import all_dialect_classes
+
+    for cls in all_dialect_classes():
+        cls()
+    _dialects_declared = True
 
 
 def register_bugs(
@@ -153,19 +169,13 @@ def register_bugs(
 def _register_global(bug: InjectedBug) -> None:
     # dialects may be instantiated repeatedly (fresh servers); keep one
     # registry entry per bug identity
-    for existing in _ALL_BUGS:
-        if existing.bug_id == bug.bug_id:
-            return
-    _ALL_BUGS.append(bug)
+    _ALL_BUGS.setdefault(bug.bug_id, bug)
 
 
 def all_bugs() -> List[InjectedBug]:
     """Every injected bug across all dialects (imports the dialects)."""
-    from . import all_dialect_classes
-
-    for cls in all_dialect_classes():
-        cls()  # instantiation registers the bugs
-    return list(_ALL_BUGS)
+    _declare_all_dialects()
+    return list(_ALL_BUGS.values())
 
 
 def bugs_for(dbms: str) -> List[InjectedBug]:
@@ -211,7 +221,8 @@ class LogicFlaw:
         return (self.dbms, self.function, self.kind)
 
 
-_ALL_LOGIC_FLAWS: List[LogicFlaw] = []
+#: every declared logic flaw by id, in declaration order
+_ALL_LOGIC_FLAWS: Dict[str, LogicFlaw] = {}
 
 
 def register_logic_flaws(dbms: str, rows: Sequence[Tuple]) -> List[LogicFlaw]:
@@ -238,18 +249,14 @@ def register_logic_flaws(dbms: str, rows: Sequence[Tuple]) -> List[LogicFlaw]:
             trigger_spec=tuple(trigger_spec),
         )
         declared.append(flaw)
-        if not any(f.flaw_id == flaw.flaw_id for f in _ALL_LOGIC_FLAWS):
-            _ALL_LOGIC_FLAWS.append(flaw)
+        _ALL_LOGIC_FLAWS.setdefault(flaw.flaw_id, flaw)
     return declared
 
 
 def all_logic_flaws() -> List[LogicFlaw]:
     """Every declared logic flaw across all dialects."""
-    from . import all_dialect_classes
-
-    for cls in all_dialect_classes():
-        cls()  # instantiation declares the flaws
-    return list(_ALL_LOGIC_FLAWS)
+    _declare_all_dialects()
+    return list(_ALL_LOGIC_FLAWS.values())
 
 
 def logic_flaws_for(dbms: str) -> List[LogicFlaw]:

@@ -13,6 +13,7 @@ systems differ (MySQL caps DECIMAL at 65 digits, MonetDB at 38, ...).
 from __future__ import annotations
 
 import decimal
+import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Optional
 
@@ -44,6 +45,9 @@ from .values import (
     SQLValue,
     SQLXml,
     days_in_month,
+    decimal_to_int,
+    digits_to_int,
+    int_text,
     is_numeric,
     numeric_as_decimal,
     validate_civil,
@@ -135,24 +139,24 @@ def cast_value(ctx: "ExecutionContext", value: SQLValue, type_name: TypeName) ->
 # ---------------------------------------------------------------------------
 # individual cast paths
 # ---------------------------------------------------------------------------
+#: optional sign and leading decimal digits (``\d`` matches exactly the
+#: characters ``int()`` accepts as digits)
+_INTEGER_PREFIX = re.compile(r"([+-]?)(\d*)")
+
+
 def _to_integer(ctx: "ExecutionContext", value: SQLValue, tn: TypeName) -> SQLValue:
     if isinstance(value, SQLInteger):
         result = value.value
     elif isinstance(value, (SQLDecimal, SQLDouble, SQLBoolean)):
-        result = int(numeric_as_decimal(value).to_integral_value(decimal.ROUND_DOWN))
+        result = decimal_to_int(
+            numeric_as_decimal(value).to_integral_value(decimal.ROUND_DOWN)
+        )
     elif isinstance(value, SQLString):
-        text = value.value.strip()
         # SQL-style prefix parse: '12abc' -> 12, 'abc' -> 0
-        sign = 1
-        idx = 0
-        if idx < len(text) and text[idx] in "+-":
-            sign = -1 if text[idx] == "-" else 1
-            idx += 1
-        digits = ""
-        while idx < len(text) and text[idx].isdigit():
-            digits += text[idx]
-            idx += 1
-        result = sign * int(digits) if digits else 0
+        sign, digits = _INTEGER_PREFIX.match(value.value.strip()).groups()
+        result = digits_to_int(digits) if digits else 0
+        if sign == "-":
+            result = -result
     elif isinstance(value, SQLDate):
         result = value.year * 10000 + value.month * 100 + value.day
     elif isinstance(value, SQLBytes):
@@ -160,7 +164,7 @@ def _to_integer(ctx: "ExecutionContext", value: SQLValue, tn: TypeName) -> SQLVa
     else:
         raise TypeError_(f"cannot cast {value.type_name} to integer")
     if not INT64_MIN <= result <= INT64_MAX:
-        raise ValueError_(f"integer value {result} out of 64-bit range")
+        raise ValueError_(f"integer value {int_text(result)} out of 64-bit range")
     return SQLInteger(result)
 
 
@@ -203,9 +207,12 @@ def _to_decimal(ctx: "ExecutionContext", value: SQLValue, tn: TypeName) -> SQLVa
         )
     if scale > precision:
         raise ValueError_(f"decimal scale {scale} exceeds precision {precision}")
-    quantized = dec.quantize(
-        decimal.Decimal(1).scaleb(-scale), context=DECIMAL_CONTEXT
-    )
+    try:
+        quantized = dec.quantize(
+            decimal.Decimal(1).scaleb(-scale), context=DECIMAL_CONTEXT
+        )
+    except decimal.InvalidOperation:  # more digits than the context holds
+        raise ValueError_(f"value does not fit DECIMAL({precision},{scale})") from None
     sign, digits, exponent = quantized.as_tuple()
     int_digits = max(len(digits) + exponent, 0)
     if int_digits > precision - scale:
@@ -315,7 +322,7 @@ def _to_date(ctx: "ExecutionContext", value: SQLValue, tn: TypeName) -> SQLValue
         return parse_date_text(value.value)
     if isinstance(value, SQLInteger):
         # YYYYMMDD integer form
-        text = str(value.value)
+        text = value.render()
         if len(text) == 8:
             year, month, day = int(text[:4]), int(text[4:6]), int(text[6:])
             validate_civil(year, month, day)
@@ -359,7 +366,7 @@ def _to_json(ctx: "ExecutionContext", value: SQLValue, tn: TypeName) -> SQLValue
         return SQLJson(document)
     if is_numeric(value):
         dec = numeric_as_decimal(value)
-        return SQLJson(int(dec) if dec == dec.to_integral_value() else float(dec))
+        return SQLJson(decimal_to_int(dec) if dec == dec.to_integral_value() else float(dec))
     if isinstance(value, SQLBoolean):
         return SQLJson(value.value)
     if isinstance(value, SQLArray):

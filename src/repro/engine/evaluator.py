@@ -47,8 +47,11 @@ from .values import (
     civil_from_days,
     days_from_civil,
     days_in_month,
+    decimal_to_int,
+    int_text,
     is_numeric,
     numeric_as_decimal,
+    numeric_as_int,
 )
 
 
@@ -433,7 +436,7 @@ class Evaluator:
         amount_value = self.eval(expr.value)
         if amount_value.is_null:
             return NULL
-        amount = int(numeric_as_decimal(amount_value))
+        amount = numeric_as_int(amount_value)
         unit = expr.unit.upper()
         if unit == "YEAR":
             return SQLInterval(months=amount * 12)
@@ -463,7 +466,7 @@ class Evaluator:
         if base.is_null or index.is_null:
             return NULL
         if isinstance(base, SQLArray):
-            position = int(numeric_as_decimal(index))
+            position = numeric_as_int(index)
             # SQL arrays are 1-based
             if 1 <= position <= len(base.items):
                 return base.items[position - 1]
@@ -474,7 +477,7 @@ class Evaluator:
         if isinstance(base, SQLJson):
             document = base.document
             if isinstance(document, list):
-                position = int(numeric_as_decimal(index))
+                position = numeric_as_int(index)
                 if 0 <= position < len(document):
                     return SQLJson(document[position])
                 return NULL
@@ -485,7 +488,7 @@ class Evaluator:
                 return NULL
             return NULL
         if isinstance(base, SQLString):
-            position = int(numeric_as_decimal(index))
+            position = numeric_as_int(index)
             if 1 <= position <= len(base.value):
                 return SQLString(base.value[position - 1])
             return NULL
@@ -498,7 +501,7 @@ class Evaluator:
 def cast_int_for_bitop(value: SQLValue) -> int:
     if not is_numeric(value):
         raise TypeError_(f"bit operation on {value.type_name}")
-    return int(numeric_as_decimal(value))
+    return numeric_as_int(value)
 
 
 def arith_negate(value: SQLValue) -> SQLValue:
@@ -567,8 +570,8 @@ def apply_binary(ctx: ExecutionContext, op: str, left: SQLValue, right: SQLValue
         if op in ("^", "#") and ctx.get_config("xor_is_pow") != "1":
             return SQLInteger(a ^ b)
         if op == "<<":
-            if b > 1024:
-                raise ValueError_(f"shift amount {b} out of range")
+            if not 0 <= b <= 1024:
+                raise ValueError_(f"shift amount {int_text(b)} out of range")
             return SQLInteger(a << b)
         if op == ">>":
             return SQLInteger(a >> max(b, 0)) if b < 1024 else SQLInteger(0)
@@ -585,7 +588,7 @@ def apply_binary(ctx: ExecutionContext, op: str, left: SQLValue, right: SQLValue
     if kind == "dec":
         a, b = numeric_as_decimal(left), numeric_as_decimal(right)
         return _decimal_arith(op, a, b)
-    a_i, b_i = int(numeric_as_decimal(left)), int(numeric_as_decimal(right))
+    a_i, b_i = numeric_as_int(left), numeric_as_int(right)
     return _integer_arith(op, a_i, b_i)
 
 
@@ -612,21 +615,27 @@ def _integer_arith(op: str, a: int, b: int) -> SQLValue:
         # SQL integer division differs per dialect; default to exact decimal
         quotient = DECIMAL_CONTEXT.divide(decimal.Decimal(a), decimal.Decimal(b))
         if quotient == quotient.to_integral_value():
-            return SQLInteger(int(quotient))
+            return SQLInteger(decimal_to_int(quotient))
         return SQLDecimal(quotient)
     elif op == "DIV":
         if b == 0:
             raise DivisionByZeroError_("division by zero")
-        result = int(a / b) if b != 0 else 0
+        result = _truncated_quotient(a, b)
     elif op in ("%", "MOD"):
         if b == 0:
             raise DivisionByZeroError_("modulo by zero")
-        result = a - b * int(a / b)  # C-style truncation semantics
+        result = a - b * _truncated_quotient(a, b)
     else:
         raise TypeError_(f"unsupported operator {op}")
     if not fits_int64(result):
-        raise ValueError_(f"BIGINT value out of range: {a} {op} {b}")
+        raise ValueError_(f"BIGINT value out of range: {int_text(a)} {op} {int_text(b)}")
     return SQLInteger(result)
+
+
+def _truncated_quotient(a: int, b: int) -> int:
+    """Exact integer quotient rounded toward zero (C semantics)."""
+    quotient = abs(a) // abs(b)
+    return quotient if (a < 0) == (b < 0) else -quotient
 
 
 def _decimal_arith(op: str, a: decimal.Decimal, b: decimal.Decimal) -> SQLValue:
@@ -644,7 +653,7 @@ def _decimal_arith(op: str, a: decimal.Decimal, b: decimal.Decimal) -> SQLValue:
         if op == "DIV":
             if b == 0:
                 raise DivisionByZeroError_("division by zero")
-            return SQLInteger(int(DECIMAL_CONTEXT.divide_int(a, b)))
+            return SQLInteger(decimal_to_int(DECIMAL_CONTEXT.divide_int(a, b)))
         if op in ("%", "MOD"):
             if b == 0:
                 raise DivisionByZeroError_("modulo by zero")

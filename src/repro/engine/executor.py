@@ -232,9 +232,9 @@ class Executor:
         value = Evaluator(self.ctx).eval(expr)
         if value.is_null:
             return MAX_RESULT_ROWS
-        from .values import numeric_as_decimal
+        from .values import numeric_as_int
 
-        amount = int(numeric_as_decimal(value))
+        amount = numeric_as_int(value)
         if amount < 0:
             raise ValueError_("LIMIT/OFFSET must be non-negative")
         return amount

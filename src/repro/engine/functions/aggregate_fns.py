@@ -24,6 +24,7 @@ from ..values import (
     SQLStarMarker,
     SQLString,
     SQLValue,
+    decimal_to_int,
     is_numeric,
     numeric_as_decimal,
 )
@@ -78,7 +79,7 @@ def register_aggregate(reg: FunctionRegistry) -> None:
         if total == total.to_integral_value() and all(
             v == v.to_integral_value() for v in values
         ):
-            return out_int(int(total))
+            return out_int(decimal_to_int(total))
         return out_decimal(total)
 
     @define("avg", "aggregate", min_args=1, max_args=1, is_aggregate=True,
@@ -187,7 +188,7 @@ def register_aggregate(reg: FunctionRegistry) -> None:
             return out_int((1 << 64) - 1)
         acc = (1 << 64) - 1
         for value in values:
-            acc &= int(value)
+            acc &= decimal_to_int(value)
         return out_int(acc)
 
     @define("bit_or", "aggregate", min_args=1, max_args=1, is_aggregate=True,
@@ -197,7 +198,7 @@ def register_aggregate(reg: FunctionRegistry) -> None:
         values = _numeric_column(columns[0], "bit_or")
         acc = 0
         for value in values:
-            acc |= int(value)
+            acc |= decimal_to_int(value)
         return out_int(acc)
 
     @define("bit_xor", "aggregate", min_args=1, max_args=1, is_aggregate=True,
@@ -207,7 +208,7 @@ def register_aggregate(reg: FunctionRegistry) -> None:
         values = _numeric_column(columns[0], "bit_xor")
         acc = 0
         for value in values:
-            acc ^= int(value)
+            acc ^= decimal_to_int(value)
         return out_int(acc)
 
     @define("bool_and", "aggregate", min_args=1, max_args=1, is_aggregate=True,

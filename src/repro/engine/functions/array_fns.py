@@ -162,7 +162,7 @@ def register_array(reg: FunctionRegistry) -> None:
     def fn_array_sum(ctx: ExecutionContext, args: List[SQLValue]) -> SQLValue:
         import decimal
 
-        from ..values import SQLDecimal, is_numeric, numeric_as_decimal
+        from ..values import SQLDecimal, decimal_to_int, is_numeric, numeric_as_decimal
 
         total = decimal.Decimal(0)
         for item in need_array(args[0], "array_sum").items:
@@ -172,7 +172,7 @@ def register_array(reg: FunctionRegistry) -> None:
                 raise TypeError_("ARRAY_SUM over non-numeric elements")
             total += numeric_as_decimal(item)
         if total == total.to_integral_value():
-            return SQLInteger(int(total))
+            return SQLInteger(decimal_to_int(total))
         return SQLDecimal(total)
 
     @define("array_min", "array", min_args=1, max_args=1,

@@ -35,6 +35,7 @@ from ..values import (
     SQLTime,
     SQLValue,
     SQLXml,
+    decimal_to_int,
     is_numeric,
     numeric_as_decimal,
 )
@@ -74,12 +75,14 @@ def need_int(value: SQLValue, name: str) -> int:
         raise TypeError_(f"{name.upper()}: NULL where an integer is expected")
     if isinstance(value, SQLString):
         try:
-            return int(decimal.Decimal(value.value.strip() or "0"))
+            return decimal_to_int(decimal.Decimal(value.value.strip() or "0"))
         except decimal.InvalidOperation:
             raise ValueError_(f"{name.upper()}: invalid integer {value.value!r}")
     if not is_numeric(value):
         raise TypeError_(f"{name.upper()}: {value.type_name} where an integer is expected")
-    return int(numeric_as_decimal(value).to_integral_value(decimal.ROUND_DOWN))
+    if isinstance(value, SQLInteger):
+        return int(value.value)
+    return decimal_to_int(numeric_as_decimal(value).to_integral_value(decimal.ROUND_DOWN))
 
 
 def need_decimal(value: SQLValue, name: str) -> decimal.Decimal:

@@ -8,7 +8,15 @@ from typing import List
 
 from ..context import ExecutionContext
 from ..errors import DivisionByZeroError_, TypeError_, ValueError_
-from ..values import NULL, SQLDecimal, SQLDouble, SQLInteger, SQLValue, is_numeric
+from ..values import (
+    NULL,
+    SQLDecimal,
+    SQLDouble,
+    SQLInteger,
+    SQLValue,
+    decimal_to_int,
+    is_numeric,
+)
 from .helpers import (
     need_decimal,
     need_double,
@@ -54,7 +62,7 @@ def register_math(reg: FunctionRegistry) -> None:
     @null_propagating("ceil")
     def fn_ceil(ctx: ExecutionContext, args: List[SQLValue]) -> SQLValue:
         value = need_decimal(args[0], "ceil")
-        return out_int(int(value.to_integral_value(decimal.ROUND_CEILING)))
+        return out_int(decimal_to_int(value.to_integral_value(decimal.ROUND_CEILING)))
 
     reg.alias("ceil", "ceiling")
 
@@ -63,7 +71,7 @@ def register_math(reg: FunctionRegistry) -> None:
     @null_propagating("floor")
     def fn_floor(ctx: ExecutionContext, args: List[SQLValue]) -> SQLValue:
         value = need_decimal(args[0], "floor")
-        return out_int(int(value.to_integral_value(decimal.ROUND_FLOOR)))
+        return out_int(decimal_to_int(value.to_integral_value(decimal.ROUND_FLOOR)))
 
     @define("round", "math", min_args=1, max_args=2, signature="ROUND(x[, d])",
             doc="Round to d decimal places.", examples=["ROUND(1.256, 2)"])
@@ -80,7 +88,7 @@ def register_math(reg: FunctionRegistry) -> None:
         except decimal.InvalidOperation:
             raise ValueError_("ROUND result out of range")
         if places <= 0:
-            return out_int(int(result))
+            return out_int(decimal_to_int(result))
         return out_decimal(result)
 
     @define("truncate", "math", min_args=2, max_args=2,
@@ -185,7 +193,7 @@ def register_math(reg: FunctionRegistry) -> None:
             raise DivisionByZeroError_("MOD by zero")
         result = a - b * (a / b).to_integral_value(decimal.ROUND_DOWN)
         if result == result.to_integral_value():
-            return out_int(int(result))
+            return out_int(decimal_to_int(result))
         return out_decimal(result)
 
     @define("pi", "math", min_args=0, max_args=0, signature="PI()",

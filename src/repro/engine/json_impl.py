@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Any, List, Optional, Tuple, Union
 
 from .errors import ValueError_
+from .values import render_int
 from .memory import CallStack
 
 #: depth guard used by dialects that *did* fix the recursion bug
@@ -231,7 +232,7 @@ def json_serialize(document: Any) -> str:
     if isinstance(document, (int, float)):
         if isinstance(document, float) and document == int(document) and abs(document) < 1e15:
             return str(document)
-        return repr(document) if isinstance(document, float) else str(document)
+        return repr(document) if isinstance(document, float) else render_int(document)
     if isinstance(document, str):
         out = ['"']
         for ch in document:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import decimal
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .errors import TypeError_, ValueError_
 
@@ -109,7 +109,7 @@ class SQLInteger(SQLValue):
         return self.value != 0
 
     def render(self) -> str:
-        return str(self.value)
+        return render_int(self.value)
 
     def sort_key(self) -> Tuple:
         return ("num", decimal.Decimal(self.value))
@@ -248,11 +248,11 @@ def days_in_month(year: int, month: int) -> int:
 
 def validate_civil(year: int, month: int, day: int) -> None:
     if not 1 <= month <= 12:
-        raise ValueError_(f"month {month} out of range")
+        raise ValueError_(f"month {int_text(month)} out of range")
     if not 1 <= day <= days_in_month(year, month):
-        raise ValueError_(f"day {day} out of range for {year}-{month:02d}")
+        raise ValueError_(f"day {int_text(day)} out of range for {int_text(year)}-{month:02d}")
     if not -9999 <= year <= 9999:
-        raise ValueError_(f"year {year} out of range")
+        raise ValueError_(f"year {int_text(year)} out of range")
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,7 +266,7 @@ class SQLDate(SQLValue):
     def from_days(cls, days: int) -> "SQLDate":
         y, m, d = civil_from_days(days)
         if not -9999 <= y <= 9999:
-            raise ValueError_(f"date out of range ({days} days from epoch)")
+            raise ValueError_(f"date out of range ({int_text(days)} days from epoch)")
         return cls(y, m, d)
 
     def to_days(self) -> int:
@@ -338,11 +338,15 @@ class SQLInterval(SQLValue):
     def render(self) -> str:
         parts = []
         if self.months:
-            parts.append(f"{self.months} mon")
+            parts.append(f"{render_int(self.months)} mon")
         if self.days:
-            parts.append(f"{self.days} day")
+            parts.append(f"{render_int(self.days)} day")
         if self.microseconds or not parts:
-            parts.append(f"{self.microseconds / 1_000_000:g} sec")
+            try:
+                seconds = self.microseconds / 1_000_000
+            except OverflowError:
+                raise ValueError_("interval seconds out of range") from None
+            parts.append(f"{seconds:g} sec")
         return " ".join(parts)
 
     def sort_key(self) -> Tuple:
@@ -536,6 +540,87 @@ def numeric_as_decimal(value: SQLValue) -> decimal.Decimal:
     if isinstance(value, SQLBoolean):
         return decimal.Decimal(1 if value.value else 0)
     raise TypeError_(f"{value.type_name} is not numeric")
+
+
+# ---------------------------------------------------------------------------
+# the big-number boundary: Decimal / digit text -> int
+#
+# The boundary patterns feed built-ins 10^5-digit numeric strings, and
+# CPython converts those to int in quadratic time: ``int(Decimal)`` takes
+# ~0.4 s at 10^5 digits, and ``int(str)`` refuses more than 4,300 digits.
+# Every engine site that turns a Decimal or a digit string into an int goes
+# through these two functions instead.  Both are exact; below a few
+# thousand digits they are the plain built-in call.
+# ---------------------------------------------------------------------------
+#: digit-text length that ``int()`` converts directly (under 4,300, the
+#: interpreter's default int<->str limit)
+_INT_CHUNK_DIGITS = 2000
+#: integer digits below which ``int(Decimal)`` is already cheap
+_INT_FAST_DIGITS = 3000
+
+
+def digits_to_int(text: str) -> int:
+    """Exactly ``int(text)`` for a string of decimal digits of any length.
+
+    Divide and conquer: the high half times ``10**k`` plus the low ``k``
+    digits, with ``10**k`` formed as ``5**k << k``.  With Karatsuba
+    multiplication this is subquadratic, and it never meets the
+    interpreter's int<->str digit limit.  The powers are memoized for this
+    call only.
+    """
+    if len(text) <= _INT_CHUNK_DIGITS:
+        return int(text)
+    fives: Dict[int, int] = {}
+
+    def convert(start: int, end: int) -> int:
+        if end - start <= _INT_CHUNK_DIGITS:
+            return int(text[start:end])
+        mid = (start + end + 1) // 2
+        width = end - mid
+        power = fives.get(width)
+        if power is None:
+            power = fives[width] = 5 ** width
+        return convert(mid, end) + ((convert(start, mid) * power) << width)
+
+    return convert(0, len(text))
+
+
+def decimal_to_int(value: decimal.Decimal) -> int:
+    """Exactly ``int(value)``: truncation toward zero, ``-0`` gives 0, and
+    NaN/Infinity raise the same ``ValueError``/``OverflowError``."""
+    if not value.is_finite() or value.adjusted() < _INT_FAST_DIGITS:
+        return int(value)
+    whole = format(value, "f").partition(".")[0]
+    if whole[0] == "-":
+        return -digits_to_int(whole[1:])
+    return digits_to_int(whole)
+
+
+def numeric_as_int(value: SQLValue) -> int:
+    """``int(numeric_as_decimal(value))`` without widening integers first
+    (``Decimal(int)`` is quadratic too)."""
+    if isinstance(value, SQLInteger):
+        return int(value.value)
+    return decimal_to_int(numeric_as_decimal(value))
+
+
+def render_int(value: int) -> str:
+    """``str(value)``; past the interpreter's int->str digit limit a
+    handled :class:`ValueError_` (a client would see an out-of-range error)."""
+    try:
+        return str(value)
+    except ValueError:
+        raise ValueError_(
+            f"integer of {value.bit_length()} bits is too large to render"
+        ) from None
+
+
+def int_text(value: int) -> str:
+    """``str(value)`` for messages, abbreviated past the int->str limit."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"integer of {value.bit_length()} bits"
 
 
 class SQLStarMarker(SQLValue):

@@ -1,11 +1,17 @@
 """Statement parse/plan cache for the execution hot path.
 
-Profiling a BUDGET_24H campaign shows roughly half of ``Connection.execute``
-is spent re-lexing/re-parsing/re-optimizing SQL text — yet the pattern
-streams are highly repetitive in *shape*: P1.x/P2.3/P3.1 emit the same seed
-skeleton with one literal swapped.  Only ~7-9% of statements repeat
-byte-for-byte, so (as in production DBMS plan caches) an exact-match cache
-alone buys little; the win comes from *parameterized* plan templates.
+The pattern streams are highly repetitive in *shape*: P1.x/P2.3/P3.1 emit
+the same seed skeleton with one literal swapped.  Only ~7-9% of statements
+repeat byte-for-byte, so (as in production DBMS plan caches) an exact-match
+cache alone buys little; the win comes from *parameterized* plan templates.
+
+What the front end costs end to end, from the traced ``expr-serial`` pass
+of ``benchmarks/e2e`` (duckdb, 20,000 statements, this cache on; medians
+of ten passes on a 2-vCPU machine): lexing, parsing and optimizing take
+4.7 s against 3.9 s of execution (interpreter plus compiled closures).
+Before the engine's big-number boundary the same passes measured 4.4 s
+against 23.3 s, a sixth of that work rather than the half once claimed
+here.
 
 Two LRU tiers, both keyed under the dialect name:
 
