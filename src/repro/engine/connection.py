@@ -207,8 +207,8 @@ class Connection:
                     cache.invalidate_all("non-select statement")
                 optimized = optimize_statement(ctx, stmt)
                 if cacheable:
-                    # insert *before* execution: an execute-stage crash must
-                    # leave the plan behind so reconfirmation replays it
+                    # insert *before* execution so statements whose
+                    # execution raises an SQL error are cached too
                     cache.insert(server.dialect.name, sql, stmt, optimized, ctx)
                 ctx.stage = "execute"
                 result = executor.execute(optimized)
@@ -231,9 +231,6 @@ class Connection:
             raise SyntaxError_(str(exc)) from None
         except RecursionError:
             raise SyntaxError_("statement too deeply nested") from None
-        hook = getattr(self.server.dialect, "parse_hook", None)
-        if hook is not None:
-            hook(ctx, sql, statements)
         return statements
 
     def close(self) -> None:  # symmetry with DB-API clients

@@ -68,7 +68,10 @@ def optimize_statement(ctx: ExecutionContext, stmt: n.Statement) -> n.Statement:
         return stmt
     previous_stage = ctx.stage
     ctx.stage = "optimize"
-    rewritten = transform(stmt, lambda node: _fold(ctx, node))
+    # read once per statement: no foldable (pure, non-aggregate) function
+    # writes the session config, so the knob cannot change mid-rewrite
+    fold_functions = ctx.get_config("fold_functions") == "1"
+    rewritten = transform(stmt, lambda node: _fold(ctx, node, fold_functions))
     # deliberately not a finally-block: when a CrashSignal unwinds through
     # here the stage must stay "optimize" so the crash is attributed to the
     # optimization stage (Finding 1's classification)
@@ -76,8 +79,9 @@ def optimize_statement(ctx: ExecutionContext, stmt: n.Statement) -> n.Statement:
     return rewritten  # type: ignore[return-value]
 
 
-def _fold(ctx: ExecutionContext, node: n.Node) -> Optional[n.Node]:
-    fold_functions = ctx.get_config("fold_functions") == "1"
+def _fold(
+    ctx: ExecutionContext, node: n.Node, fold_functions: bool
+) -> Optional[n.Node]:
     # constant-fold unary/binary arithmetic over literals
     if isinstance(node, n.BinaryOp) and _is_literal(node.left) and _is_literal(node.right):
         if node.op.upper() in ("AND", "OR"):

@@ -8,10 +8,10 @@ cache alone buys little; the win comes from *parameterized* plan templates.
 What the front end costs end to end, from the traced ``expr-serial`` pass
 of ``benchmarks/e2e`` (duckdb, 20,000 statements, this cache on; medians
 of ten passes on a 2-vCPU machine): lexing, parsing and optimizing take
-4.7 s against 3.9 s of execution (interpreter plus compiled closures).
-Before the engine's big-number boundary the same passes measured 4.4 s
-against 23.3 s, a sixth of that work rather than the half once claimed
-here.
+2.0 s against 3.5 s of execution (interpreter plus compiled closures).
+Before the front-end kernels were tuned (``repro.sqlast``) they took
+4.2 s against 3.4 s, and before the engine's big-number boundary 4.4 s
+against 23.3 s: never the half of execution once claimed here.
 
 Two LRU tiers, both keyed under the dialect name:
 
@@ -30,7 +30,7 @@ cold parse):
 
 * A statement only becomes a template if its literal *tokens* correspond
   1:1, in order and by kind and value, to the literal *nodes* of its parse
-  tree (``_template_slots``).  Statements where the parser consumes literal
+  tree (``_template_shape``).  Statements where the parser consumes literal
   tokens without producing literal nodes (e.g. ``CAST(x AS DECIMAL(30,28))``
   — the 30/28 land in ``TypeName.params``) fail the check and stay
   exact-tier only.  Since rebinding only changes literal values, never
@@ -44,10 +44,13 @@ cold parse):
   per hit on the rebound tree (its transform deep-rewrites into fresh
   nodes, leaving the template untouched).
 * Only single-statement SELECT/set-operation text is cached.  Entries are
-  inserted after parse+optimize succeed and *before* execution, so an
-  execute-stage crash leaves a plan behind and its reconfirmation replays
-  the identical plan, while parse/optimize-stage failures never populate
-  the cache.
+  inserted after parse+optimize succeed and *before* execution, so a
+  statement whose execution raises a handled SQL error (common on
+  boundary arguments) is cached like any other, while parse/optimize-stage
+  failures never populate the cache.  An execute-stage crash gains
+  nothing from the early insert: the runner restarts the server before
+  reconfirming, the restart invalidates the cache, and reconfirmation
+  parses cold.
 * Any non-SELECT statement (DDL, DML, ``SET`` — which can flip
   ``fold_functions``) and every server restart invalidate the whole cache.
 
@@ -72,7 +75,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 from ..sqlast import nodes as n
 from ..sqlast.lexer import LexError, tokenize
 from ..sqlast.tokens import Token, TokenKind
-from ..sqlast.visitor import walk
+from ..sqlast.visitor import clone, walk
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..engine.context import ExecutionContext
@@ -116,68 +119,73 @@ def _literal_tokens(tokens: Sequence[Token]) -> List[Token]:
     return [t for t in tokens if t.kind in _LITERAL_TOKENS]
 
 
-_SLOT_NODES = (n.IntegerLit, n.DecimalLit, n.StringLit)
+#: slot node type -> (literal token kind, attribute holding its value)
+_SLOT_NODES = {
+    n.IntegerLit: (TokenKind.INTEGER, "text"),
+    n.DecimalLit: (TokenKind.DECIMAL, "text"),
+    n.StringLit: (TokenKind.STRING, "value"),
+}
+
+_FOLDABLE_OPERANDS = (n.IntegerLit, n.DecimalLit, n.StringLit, n.NullLit, n.BooleanLit)
 
 
-def _template_slots(
-    stmt: n.Statement, lit_tokens: Sequence[Token]
-) -> Optional[List[n.Expr]]:
-    """The statement's literal nodes, iff they correspond 1:1 to the
-    literal tokens (same count, order, kind, and value); None otherwise.
+def _template_shape(
+    stmt: n.Statement, lit_tokens: Sequence[Token], ctx: "ExecutionContext"
+) -> Optional[Tuple[List[n.Expr], bool]]:
+    """``(slots, needs_optimize)`` for a parse template, from one walk.
 
-    Preorder tree walk yields literal leaves in source order (every node
-    type's children are stored in source order), and the value check makes
-    the correspondence self-verifying: any statement whose parse does not
-    line up — type parameters, lexer-normalized literals, anything
-    surprising — is simply not parameterizable.
-    """
-    slots = [node for node in walk(stmt) if isinstance(node, _SLOT_NODES)]
-    if len(slots) != len(lit_tokens):
-        return None
-    for node, token in zip(slots, lit_tokens):
-        if isinstance(node, n.IntegerLit):
-            if token.kind is not TokenKind.INTEGER or node.text != token.text:
-                return None
-        elif isinstance(node, n.DecimalLit):
-            if token.kind is not TokenKind.DECIMAL or node.text != token.text:
-                return None
-        else:  # StringLit
-            if token.kind is not TokenKind.STRING or node.value != token.text:
-                return None
-    return slots
+    *slots* are the statement's literal nodes.  They must correspond 1:1
+    to the literal tokens (same count, order, kind, and value), or the
+    statement is not parameterizable and the result is None.  A preorder
+    tree walk yields literal leaves in source order (every node type's
+    children are stored in source order), and the value check makes the
+    correspondence self-verifying: any statement whose parse does not line
+    up — type parameters, lexer-normalized literals, anything surprising —
+    is simply not parameterizable.
 
-
-def _has_fold_site(stmt: n.Statement, ctx: "ExecutionContext") -> bool:
-    """Whether the optimizer could rewrite any node of *stmt*.
-
-    Mirrors ``repro.engine.optimizer._fold``'s trigger conditions, which
+    *needs_optimize* is whether the optimizer could rewrite any node.  It
+    mirrors ``repro.engine.optimizer._fold``'s trigger conditions, which
     depend only on node types (and the registry / ``fold_functions``
-    config), never on literal values — so this answer is invariant under
-    literal rebinding.  Folding is bottom-up and can cascade, but a cascade
-    needs an initial site; zero sites means optimize is the identity.
+    config), never on literal values, so the answer is invariant under
+    literal rebinding.  Folding is bottom-up and can cascade, but a
+    cascade needs an initial site; zero sites means optimize is the
+    identity.
     """
     fold_functions = ctx.get_config("fold_functions") == "1"
-    literal = (n.IntegerLit, n.DecimalLit, n.StringLit, n.NullLit, n.BooleanLit)
+    literal = _FOLDABLE_OPERANDS
+    slots: List[n.Expr] = []
+    needs_optimize = False
     for node in walk(stmt):
-        if isinstance(node, n.BinaryOp):
+        cls = node.__class__
+        slot = _SLOT_NODES.get(cls)
+        if slot is not None:
+            index = len(slots)
+            if index >= len(lit_tokens):
+                return None
+            token = lit_tokens[index]
+            kind, attr = slot
+            if token.kind is not kind or getattr(node, attr) != token.text:
+                return None
+            slots.append(node)
+        elif needs_optimize:
+            continue
+        elif cls is n.BinaryOp:
             if isinstance(node.left, literal) and isinstance(node.right, literal):
-                if node.op.upper() not in ("AND", "OR"):
-                    return True
-        elif isinstance(node, n.UnaryOp):
-            if isinstance(node.operand, literal) and node.op != "NOT":
-                return True
-        elif isinstance(node, n.Select):
-            if isinstance(node.where, n.BooleanLit):
-                return True
-        elif fold_functions and isinstance(node, n.FuncCall):
+                needs_optimize = node.op.upper() not in ("AND", "OR")
+        elif cls is n.UnaryOp:
+            needs_optimize = isinstance(node.operand, literal) and node.op != "NOT"
+        elif cls is n.Select:
+            needs_optimize = isinstance(node.where, n.BooleanLit)
+        elif fold_functions and cls is n.FuncCall:
             if all(isinstance(a, literal) for a in node.args):
                 try:
                     definition = ctx.registry.lookup(node.name)
                 except Exception:
                     continue
-                if definition.pure and not definition.is_aggregate:
-                    return True
-    return False
+                needs_optimize = definition.pure and not definition.is_aggregate
+    if len(slots) != len(lit_tokens):
+        return None
+    return slots, needs_optimize
 
 
 #: sentinel marking an entry whose compilation has not been attempted yet
@@ -479,10 +487,17 @@ class StatementCache:
     ) -> None:
         """Cache a freshly parsed+optimized single SELECT statement.
 
-        Called between optimization and execution: an execute-stage crash
-        must leave the plan cached (reconfirmation replays it identically),
-        while parse/optimize failures never reach here.
+        Called between optimization and execution, so statements whose
+        execution raises an SQL error are cached too, while parse/optimize
+        failures never reach here.  *parsed* becomes the template and
+        *optimized* the exact-tier plan; they share no node (see
+        ``repro.sqlast.visitor.transform``), so rebinding the template's
+        literals leaves the exact-tier plan alone.
         """
+        if optimized is parsed:
+            # optimization suppressed (``optimizer_passes=none``) hands the
+            # parsed tree back as-is; the exact tier needs its own copy
+            optimized = clone(parsed)
         exact_key = (dialect, sql)
         self._exact[exact_key] = _ExactEntry(optimized)
         self._exact.move_to_end(exact_key)
@@ -495,10 +510,10 @@ class StatementCache:
         self._probe_sql = None
         self._probe_tokens = None
         self._probe_fingerprint = None
-        slots = _template_slots(parsed, _literal_tokens(tokens))
-        if slots is None:
+        shape = _template_shape(parsed, _literal_tokens(tokens), ctx)
+        if shape is None:
             return  # not parameterizable; exact tier still serves repeats
-        template = _Template(parsed, slots, _has_fold_site(parsed, ctx))
+        template = _Template(parsed, *shape)
         template_key = (dialect, fingerprint)
         self._templates[template_key] = template
         self._templates.move_to_end(template_key)

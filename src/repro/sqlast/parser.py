@@ -93,6 +93,19 @@ _INTERVAL_UNITS = {
     "MICROSECOND", "MILLISECOND",
 }
 
+#: Word-spelled binary operators (matched on the token's upper-cased ``kw``).
+_WORD_OPERATORS = frozenset(("AND", "OR", "XOR", "DIV", "MOD"))
+
+#: Keywords that can start a comparison-level suffix (IN, BETWEEN, LIKE
+#: family, IS, and NOT before the first three); any other token ends the
+#: suffix check at once.
+_SUFFIX_STARTERS = frozenset((
+    "NOT", "IN", "BETWEEN", "LIKE", "ILIKE", "REGEXP", "RLIKE", "SIMILAR", "IS",
+))
+
+#: Prefix operator symbols.
+_UNARY_OPERATORS = frozenset(("-", "+", "~", "!"))
+
 #: Keywords that terminate an expression when met at top level.
 _EXPR_TERMINATORS = {
     "FROM", "WHERE", "GROUP", "HAVING", "ORDER", "LIMIT", "OFFSET", "UNION",
@@ -127,8 +140,12 @@ class Parser:
         return tok
 
     def _accept_kw(self, *words: str) -> Optional[Token]:
-        if any(self._cur.is_keyword(w) for w in words):
-            return self._advance()
+        # *words* are upper-case; ``kw`` is None for anything but an
+        # unquoted identifier, so quoted names never match a keyword
+        tok = self._tokens[self._index]
+        if tok.kw in words:
+            self._index += 1
+            return tok
         return None
 
     def _expect_kw(self, word: str) -> Token:
@@ -138,8 +155,10 @@ class Parser:
         return tok
 
     def _accept_op(self, *symbols: str) -> Optional[Token]:
-        if any(self._cur.is_op(s) for s in symbols):
-            return self._advance()
+        tok = self._tokens[self._index]
+        if tok.kind is TokenKind.OPERATOR and tok.text in symbols:
+            self._index += 1
+            return tok
         return None
 
     def _expect_op(self, symbol: str) -> Token:
@@ -165,25 +184,26 @@ class Parser:
 
     def parse_statement(self) -> Statement:
         tok = self._cur
-        if tok.is_keyword("SELECT") or tok.is_op("("):
+        kw = tok.kw
+        if kw == "SELECT" or tok.is_op("("):
             stmt = self._parse_select_like()
             self._accept_op(";")
             return stmt
-        if tok.is_keyword("CREATE"):
+        if kw == "CREATE":
             return self._finish(self._parse_create())
-        if tok.is_keyword("INSERT"):
+        if kw == "INSERT":
             return self._finish(self._parse_insert())
-        if tok.is_keyword("DROP"):
+        if kw == "DROP":
             return self._finish(self._parse_drop())
-        if tok.is_keyword("SET"):
+        if kw == "SET":
             return self._finish(self._parse_set())
-        if tok.is_keyword("UPDATE"):
+        if kw == "UPDATE":
             return self._finish(self._parse_update())
-        if tok.is_keyword("DELETE"):
+        if kw == "DELETE":
             return self._finish(self._parse_delete())
-        if tok.is_keyword("VALUES"):
+        if kw == "VALUES":
             return self._finish(self._parse_values_select())
-        if tok.is_keyword("EXPLAIN"):
+        if kw == "EXPLAIN":
             self._advance()
             from .nodes import Explain
 
@@ -209,14 +229,14 @@ class Parser:
             all_flag = self._accept_kw("ALL") is not None
             self._accept_kw("DISTINCT")
             right = self._parse_select_atom()
-            left = SetOp(op_tok.text.upper(), left, right, all=all_flag)
+            left = SetOp(op_tok.kw, left, right, all=all_flag)
 
     def _parse_select_atom(self) -> SelectLike:
         if self._accept_op("("):
             inner = self._parse_select_like()
             self._expect_op(")")
             return inner
-        if self._cur.is_keyword("VALUES"):
+        if self._cur.kw == "VALUES":
             return self._parse_values_select()
         self._expect_kw("SELECT")
         select = Select()
@@ -310,7 +330,7 @@ class Parser:
             elif self._accept_kw("FULL"):
                 self._accept_kw("OUTER")
                 kind = "FULL"
-            elif self._cur.is_keyword("JOIN"):
+            elif self._cur.kw == "JOIN":
                 kind = "INNER"
             if kind is None:
                 return left
@@ -342,7 +362,7 @@ class Parser:
         if (
             self._cur.kind is TokenKind.IDENT
             and self._cur.text.upper() not in _EXPR_TERMINATORS
-            and not self._cur.is_keyword("SET")
+            and self._cur.kw != "SET"
         ):
             return self._advance().text
         return None
@@ -399,10 +419,10 @@ class Parser:
             raise ParseError("expected type name", tok)
         name = tok.text
         # Multi-word types: DOUBLE PRECISION, CHARACTER VARYING, etc.
-        if tok.text.upper() == "DOUBLE" and self._cur.is_keyword("PRECISION"):
+        if tok.text.upper() == "DOUBLE" and self._cur.kw == "PRECISION":
             self._advance()
             name = "DOUBLE PRECISION"
-        elif tok.text.upper() == "CHARACTER" and self._cur.is_keyword("VARYING"):
+        elif tok.text.upper() == "CHARACTER" and self._cur.kw == "VARYING":
             self._advance()
             name = "VARCHAR"
         params: List[int] = []
@@ -425,7 +445,7 @@ class Parser:
         self._expect_kw("INTO")
         table = self._advance().text
         columns: List[str] = []
-        if self._cur.is_op("(") and not self._peek().is_keyword("SELECT"):
+        if self._cur.is_op("(") and self._peek().kw != "SELECT":
             self._advance()
             while not self._cur.is_op(")"):
                 columns.append(self._advance().text)
@@ -507,25 +527,19 @@ class Parser:
             prec = _PRECEDENCE[op]
             if prec < min_prec:
                 return left
-            self._advance()
-            if op in ("DIV", "MOD", "AND", "OR", "XOR"):
-                op = op.upper()
+            self._index += 1
             right = self._parse_expr(prec + 1)
             left = BinaryOp(op, left, right)
 
     def _current_binary_op(self) -> Optional[str]:
-        tok = self._cur
-        if tok.kind is TokenKind.OPERATOR and tok.text in _PRECEDENCE:
-            return tok.text
-        if tok.kind is TokenKind.IDENT and not tok.quoted:
-            word = tok.text.upper()
-            if word in ("AND", "OR", "XOR", "DIV", "MOD"):
-                return word
-        return None
+        tok = self._tokens[self._index]
+        if tok.kind is TokenKind.OPERATOR:
+            return tok.text if tok.text in _PRECEDENCE else None
+        return tok.kw if tok.kw in _WORD_OPERATORS else None
 
     def _try_parse_suffix(self, left: Expr, min_prec: int) -> Optional[Expr]:
         """Parse comparison-level suffixes: IN, BETWEEN, LIKE, IS NULL."""
-        if min_prec > 3:
+        if min_prec > 3 or self._tokens[self._index].kw not in _SUFFIX_STARTERS:
             return None
         negated = False
         save = self._index
@@ -533,7 +547,7 @@ class Parser:
             negated = True
         if self._accept_kw("IN"):
             self._expect_op("(")
-            if self._cur.is_keyword("SELECT") or self._cur.is_keyword("VALUES"):
+            if self._cur.kw in ("SELECT", "VALUES"):
                 sub = self._parse_select_like()
                 self._expect_op(")")
                 return InExpr(left, [SubqueryExpr(sub)], negated)
@@ -549,7 +563,7 @@ class Parser:
             return BetweenExpr(left, low, high, negated)
         like_tok = self._accept_kw("LIKE", "ILIKE", "REGEXP", "RLIKE", "SIMILAR")
         if like_tok is not None:
-            op = like_tok.text.upper()
+            op = like_tok.kw
             if op == "SIMILAR":
                 self._expect_kw("TO")
                 op = "SIMILAR TO"
@@ -578,19 +592,23 @@ class Parser:
     def _parse_unary(self) -> Expr:
         if self._accept_kw("NOT"):
             return UnaryOp("NOT", self._parse_expr(3))
-        tok = self._cur
-        if tok.is_op("-") or tok.is_op("+") or tok.is_op("~") or tok.is_op("!"):
-            self._advance()
+        tok = self._tokens[self._index]
+        if tok.kind is TokenKind.OPERATOR and tok.text in _UNARY_OPERATORS:
+            self._index += 1
             return UnaryOp(tok.text, self._parse_unary())
         return self._parse_postfix()
 
     def _parse_postfix(self) -> Expr:
         expr = self._parse_primary()
         while True:
-            if self._accept_op("::"):
+            tok = self._tokens[self._index]
+            if tok.kind is not TokenKind.OPERATOR:
+                return expr
+            if tok.text == "::":
+                self._index += 1
                 expr = Cast(expr, self._parse_type_name(), style="colons")
-            elif self._cur.is_op("["):
-                self._advance()
+            elif tok.text == "[":
+                self._index += 1
                 index = self.parse_expression()
                 self._expect_op("]")
                 expr = IndexExpr(expr, index)
@@ -599,38 +617,41 @@ class Parser:
 
     # -- primary --------------------------------------------------------
     def _parse_primary(self) -> Expr:
-        tok = self._cur
-        if tok.kind is TokenKind.INTEGER:
-            self._advance()
-            return IntegerLit(tok.text)
-        if tok.kind is TokenKind.DECIMAL:
-            self._advance()
-            return DecimalLit(tok.text)
-        if tok.kind is TokenKind.STRING:
-            self._advance()
-            return StringLit(tok.text)
-        if tok.is_op("*"):
-            self._advance()
-            return Star()
-        if tok.is_op("?"):
-            self._advance()
-            return ParamRef(0)
-        if tok.is_op("$") and self._peek().kind is TokenKind.INTEGER:
-            self._advance()
-            return ParamRef(int(self._advance().text))
-        if tok.is_op("("):
-            return self._parse_parenthesised()
-        if tok.is_op("["):
-            return self._parse_bracket_array()
-        if tok.is_op("{"):
-            return self._parse_brace_map()
-        if tok.kind is TokenKind.IDENT:
+        tok = self._tokens[self._index]
+        kind = tok.kind
+        if kind is TokenKind.IDENT:
             return self._parse_ident_expr()
+        if kind is TokenKind.INTEGER:
+            self._index += 1
+            return IntegerLit(tok.text)
+        if kind is TokenKind.DECIMAL:
+            self._index += 1
+            return DecimalLit(tok.text)
+        if kind is TokenKind.STRING:
+            self._index += 1
+            return StringLit(tok.text)
+        if kind is TokenKind.OPERATOR:
+            text = tok.text
+            if text == "(":
+                return self._parse_parenthesised()
+            if text == "*":
+                self._index += 1
+                return Star()
+            if text == "?":
+                self._index += 1
+                return ParamRef(0)
+            if text == "$" and self._peek().kind is TokenKind.INTEGER:
+                self._index += 1
+                return ParamRef(int(self._advance().text))
+            if text == "[":
+                return self._parse_bracket_array()
+            if text == "{":
+                return self._parse_brace_map()
         raise ParseError("unexpected token in expression", tok)
 
     def _parse_parenthesised(self) -> Expr:
         self._expect_op("(")
-        if self._cur.is_keyword("SELECT") or self._cur.is_keyword("VALUES"):
+        if self._cur.kw in ("SELECT", "VALUES"):
             sub = self._parse_select_like()
             self._expect_op(")")
             return SubqueryExpr(sub)
@@ -668,7 +689,7 @@ class Parser:
 
     def _parse_ident_expr(self) -> Expr:
         tok = self._advance()
-        word = tok.text.upper() if not tok.quoted else None
+        word = tok.kw
         if word == "NULL":
             return NullLit()
         if word == "TRUE":
@@ -738,10 +759,10 @@ class Parser:
                 call.args.append(self._parse_func_arg())
         self._expect_op(")")
         # Swallow aggregate suffixes: FILTER (WHERE ...), OVER (...)
-        if self._cur.is_keyword("FILTER") and self._peek().is_op("("):
+        if self._cur.kw == "FILTER" and self._peek().is_op("("):
             self._advance()
             self._skip_balanced_parens()
-        if self._cur.is_keyword("OVER") and self._peek().is_op("("):
+        if self._cur.kw == "OVER" and self._peek().is_op("("):
             self._advance()
             self._skip_balanced_parens()
         return call
@@ -753,7 +774,7 @@ class Parser:
             if nxt.is_op(")") or nxt.is_op(","):
                 self._advance()
                 return Star()
-        if self._cur.is_keyword("SELECT"):
+        if self._cur.kw == "SELECT":
             return SubqueryExpr(self._parse_select_like())
         expr = self.parse_expression()
         # "expr AS type" inside CAST-like calls handled by caller;
@@ -800,7 +821,7 @@ class Parser:
 
     def _parse_case(self) -> CaseExpr:
         operand: Optional[Expr] = None
-        if not self._cur.is_keyword("WHEN"):
+        if self._cur.kw != "WHEN":
             operand = self.parse_expression()
         whens: List[Tuple[Expr, Expr]] = []
         while self._accept_kw("WHEN"):

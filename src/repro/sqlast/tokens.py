@@ -11,7 +11,7 @@ dialects' regression suites).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import Tuple
 
 
 class TokenKind(enum.Enum):
@@ -26,7 +26,6 @@ class TokenKind(enum.Enum):
     EOF = "eof"                # end of input sentinel
 
 
-@dataclass(frozen=True)
 class Token:
     """A single lexed token.
 
@@ -38,20 +37,41 @@ class Token:
         pos: byte offset of the first character in the source text.
         quoted: True when the token was written with quoting (string
             literals are always quoted; identifiers may be).
+        kw: the upper-cased text of an unquoted ``IDENT`` token, None for
+            every other token.  The parser matches keywords by membership
+            of ``kw`` in a set of upper-case words, so a quoted identifier
+            never matches one.
+
+    Tokens compare and hash by value.  A plain ``__slots__`` class rather
+    than a dataclass: the parser reads these attributes for every token it
+    looks at, and ``dataclass(slots=True)`` needs Python 3.10.
     """
 
-    kind: TokenKind
-    text: str
-    pos: int
-    quoted: bool = False
+    __slots__ = ("kind", "text", "pos", "quoted", "kw")
+
+    def __init__(
+        self, kind: TokenKind, text: str, pos: int, quoted: bool = False
+    ) -> None:
+        self.kind = kind
+        self.text = text
+        self.pos = pos
+        self.quoted = quoted
+        self.kw = text.upper() if kind is TokenKind.IDENT and not quoted else None
+
+    def _key(self) -> Tuple[TokenKind, str, int, bool]:
+        return (self.kind, self.text, self.pos, self.quoted)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Token:
+            return NotImplemented
+        return self._key() == other._key()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def is_keyword(self, word: str) -> bool:
         """Return True when this token is the (unquoted) keyword *word*."""
-        return (
-            self.kind is TokenKind.IDENT
-            and not self.quoted
-            and self.text.upper() == word.upper()
-        )
+        return self.kw is not None and self.kw == word.upper()
 
     def is_op(self, symbol: str) -> bool:
         """Return True when this token is the operator *symbol*."""
