@@ -1,8 +1,8 @@
 """Shared machinery for the reproduction benchmarks.
 
 Budgets model the paper's wall-clock windows (see DESIGN.md).  Expensive
-campaigns are cached at module level so the per-table benchmarks can share
-one run; every benchmark writes its paper-vs-measured table to
+campaigns are memoized in-process so the per-table benchmarks of one pytest
+run share them; every benchmark writes its paper-vs-measured table to
 ``benchmarks/results/`` (and stdout) so the numbers survive pytest's
 output capture.
 """
@@ -12,8 +12,7 @@ from __future__ import annotations
 import functools
 import os
 import pathlib
-import pickle
-from typing import Dict, List
+from typing import Dict
 
 from repro.analysis import ComparisonTable, run_comparison
 from repro.core.campaign import Campaign, CampaignResult
@@ -31,29 +30,6 @@ BUDGET_2W = max(int(150_000 * SCALE), 2_000)
 BUDGET_COMPARE = max(int(6_000 * SCALE), 300)
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-#: cross-process result cache for the heavyweight campaigns.  Keyed by
-#: (kind, budget, seed); delete the directory (or set REPRO_CACHE=0) to
-#: force fresh runs.  The cached artifacts *are* real runs — caching only
-#: lets the per-table benchmarks share them across pytest invocations.
-CACHE_DIR = RESULTS_DIR / ".cache"
-USE_CACHE = os.environ.get("REPRO_CACHE", "1") == "1"
-
-
-def _cached(key: str, compute):
-    if not USE_CACHE:
-        return compute()
-    CACHE_DIR.mkdir(parents=True, exist_ok=True)
-    path = CACHE_DIR / f"{key}.pkl"
-    if path.exists():
-        try:
-            with path.open("rb") as handle:
-                return pickle.load(handle)
-        except Exception:
-            path.unlink(missing_ok=True)
-    value = compute()
-    with path.open("wb") as handle:
-        pickle.dump(value, handle)
-    return value
 
 
 def emit(name: str, text: str) -> None:
@@ -70,22 +46,19 @@ def shape_line(label: str, paper, measured, ok: bool) -> str:
 
 
 # ---------------------------------------------------------------------------
-# cached heavyweight runs
+# heavyweight runs, shared within one process
 # ---------------------------------------------------------------------------
 @functools.lru_cache(maxsize=None)
 def two_week_campaign(dialect_name: str) -> CampaignResult:
     """The §7.3 discovery campaign for one dialect (stops at full recall)."""
 
-    def compute() -> CampaignResult:
-        dialect = dialect_by_name(dialect_name)
-        return Campaign(dialect, config=CampaignConfig(
-            dialect=dialect_name,
-            budget=BUDGET_2W,
-            stop_when_all_found=True,
-            seed=0,
-        )).run()
-
-    return _cached(f"campaign2w_{dialect_name}_{BUDGET_2W}_0", compute)
+    dialect = dialect_by_name(dialect_name)
+    return Campaign(dialect, config=CampaignConfig(
+        dialect=dialect_name,
+        budget=BUDGET_2W,
+        stop_when_all_found=True,
+        seed=0,
+    )).run()
 
 
 @functools.lru_cache(maxsize=None)
@@ -97,18 +70,12 @@ def all_two_week_campaigns() -> Dict[str, CampaignResult]:
 def day_campaign(dialect_name: str) -> CampaignResult:
     """A 24-hour-budget SOFT campaign (for §7.5's bug comparison)."""
 
-    def compute() -> CampaignResult:
-        dialect = dialect_by_name(dialect_name)
-        return Campaign(dialect, config=CampaignConfig(
-            dialect=dialect_name, budget=BUDGET_24H, seed=0)).run()
-
-    return _cached(f"campaign24h_{dialect_name}_{BUDGET_24H}_0", compute)
+    dialect = dialect_by_name(dialect_name)
+    return Campaign(dialect, config=CampaignConfig(
+        dialect=dialect_name, budget=BUDGET_24H, seed=0)).run()
 
 
 @functools.lru_cache(maxsize=None)
 def comparison_table() -> ComparisonTable:
     """The shared Tables 5/6 run: 4 tools × 5 DBMSs, coverage on."""
-    return _cached(
-        f"comparison_{BUDGET_COMPARE}_0",
-        lambda: run_comparison(budget=BUDGET_COMPARE, enable_coverage=True, seed=0),
-    )
+    return run_comparison(budget=BUDGET_COMPARE, enable_coverage=True, seed=0)

@@ -19,7 +19,7 @@ from repro.core.runner import Runner
 from repro.dialects import bugs_for, dialect_by_name
 from repro.sqlast import IntegerLit, StringLit
 
-from _shared import SCALE, _cached, emit, shape_line
+from _shared import SCALE, emit, shape_line
 
 ABLATION_BUDGET = max(int(25_000 * SCALE), 1_000)
 DIALECT = "mariadb"   # the densest bug population among the studied DBMSs
@@ -91,9 +91,7 @@ def test_ablation_d1_boundary_pool(benchmark):
         gutted, _ = run_variant(configure=neuter_pool, patterns=["p1_2"])
         return full, gutted
 
-    full, gutted = benchmark.pedantic(
-        lambda: _cached(f"ablation_d1_{ABLATION_BUDGET}", run_both),
-        rounds=1, iterations=1)
+    full, gutted = benchmark.pedantic(run_both, rounds=1, iterations=1)
     lines = ["Ablation D1 — boundary literal pool vs uniform random literals "
              "(P1 patterns only)",
              shape_line("P1 bugs with boundary pool", "(more)", full, True),
@@ -113,9 +111,7 @@ def test_ablation_d2_nesting_cap(benchmark):
         )
         return full, no_nesting
 
-    full, no_nesting = benchmark.pedantic(
-        lambda: _cached(f"ablation_d2_{ABLATION_BUDGET}", run_both),
-        rounds=1, iterations=1)
+    full, no_nesting = benchmark.pedantic(run_both, rounds=1, iterations=1)
     p3_bugs = sum(1 for b in bugs_for(DIALECT) if b.pattern.startswith("P3"))
     lines = ["Ablation D2 — nesting patterns disabled (Finding 3 cap = 1)",
              shape_line("bugs with all patterns", "(more)", full, True),
@@ -150,7 +146,7 @@ def test_ablation_d3_seed_sources(benchmark):
         return full, docs_only, full_ids, docs_ids
 
     full, docs_only, full_ids, docs_ids = benchmark.pedantic(
-        lambda: _cached(f"ablation_d3_{ABLATION_BUDGET}", run_both),
+        run_both,
         rounds=1, iterations=1,
     )
     # the suite-derived corpus carries format-rich arguments (JSON paths,
@@ -184,9 +180,7 @@ def test_ablation_d4_pattern_families(benchmark):
         out["P3"], o3 = run_variant(patterns=["p3_1", "p3_2", "p3_3"])
         return out
 
-    counts = benchmark.pedantic(
-        lambda: _cached(f"ablation_d4_{ABLATION_BUDGET}", run_families),
-        rounds=1, iterations=1)
+    counts = benchmark.pedantic(run_families, rounds=1, iterations=1)
     expected = {
         fam: sum(1 for b in bugs_for(DIALECT) if b.pattern.startswith(fam))
         for fam in ("P1", "P2", "P3")
@@ -221,9 +215,7 @@ def test_ablation_d5_partner_ordering(benchmark):
         dumb, _ = run_variant(configure=naive, budget=small)
         return smart, dumb
 
-    smart, dumb = benchmark.pedantic(
-        lambda: _cached(f"ablation_d5_{ABLATION_BUDGET}", run_both),
-        rounds=1, iterations=1)
+    smart, dumb = benchmark.pedantic(run_both, rounds=1, iterations=1)
     lines = ["Ablation D5 — result-type-aware partner ordering",
              shape_line("bugs with type-aware ordering", "(more)", smart, True),
              shape_line("bugs with alphabetical ordering", "(fewer or equal)",

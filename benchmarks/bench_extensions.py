@@ -1,18 +1,22 @@
 """Benchmarks for the post-paper extensions (§8 discussion items):
 
 * PoC minimisation quality across the full injected-bug population;
-* the correctness oracles' soundness on all seven engines (and their
-  sensitivity to an injected planner defect).
+* the metamorphic oracles' soundness on all seven engines (and their
+  recall of the seeded predicate flaws, with attribution).
 """
 
-import pytest
-
-from repro.core.logic import LogicOracle
+from repro.core.campaign import run_campaign
 from repro.core.minimize import minimize_poc
-from repro.dialects import all_bugs, all_dialect_classes, dialect_by_name
-from repro.dialects.base import Dialect
+from repro.dialects import all_bugs, all_dialect_classes, dialect_names
+from repro.dialects.bugs import find_predicate_flaw
 
-from _shared import _cached, emit, shape_line
+from _shared import emit, shape_line
+
+#: a short predicate-family campaign with both metamorphic oracles on
+METAMORPHIC = dict(
+    budget=1_500, seed=3, statement_family="predicate",
+    oracles=("crash", "tlp", "norec"),
+)
 
 
 def test_minimization_quality(benchmark):
@@ -32,8 +36,7 @@ def test_minimization_quality(benchmark):
         return total_before, total_after, worst
 
     before, after, worst = benchmark.pedantic(
-        lambda: _cached("extension_minimize_all", minimize_all),
-        rounds=1, iterations=1)
+        minimize_all, rounds=1, iterations=1)
     reduction = 1 - after / before
     lines = ["Extension — PoC minimisation over all 132 injected bugs",
              shape_line("total PoC characters before", "-", before, True),
@@ -47,36 +50,25 @@ def test_minimization_quality(benchmark):
 
 
 def test_logic_oracles_on_all_engines(benchmark):
-    """NoREC + TLP are silent on every simulated DBMS and catch the
-    injected 'UNKNOWN is TRUE' planner defect immediately."""
-    safe_predicates = ["c0 > 0", "c2 < 1", "c1 IS NULL",
-                       "c0 BETWEEN -1 AND 2", "c0 IN (1, NULL)"]
-
-    class FaultyDialect(Dialect):
-        name = "faulty-demo"
-
-        def make_config(self):
-            config = super().make_config()
-            config["faulty_where_null_as_true"] = "1"
-            return config
+    """TLP + NoREC are silent on every engine without seeded predicate
+    flaws, and find and attribute each seeded flaw where there is one."""
 
     def run_all():
-        clean = {}
-        for cls in all_dialect_classes():
-            result = LogicOracle(cls()).run(predicates=safe_predicates)
-            clean[cls.name] = len(result.violations)
-        faulty = LogicOracle(FaultyDialect()).run(predicates=safe_predicates)
-        return clean, len(faulty.violations)
+        return {name: run_campaign(name, **METAMORPHIC).findings
+                for name in dialect_names()}
 
-    clean, faulty_violations = benchmark.pedantic(
-        lambda: _cached("extension_logic_all", run_all),
-        rounds=1, iterations=1)
-    lines = ["Extension — correctness oracles (NoREC + TLP, §8 discussion)"]
-    for name, violations in clean.items():
-        lines.append(shape_line(f"{name} logic violations", 0, violations,
-                                violations == 0))
-    lines.append(shape_line("injected planner defect caught", ">= 1",
-                            faulty_violations, faulty_violations >= 1))
+    findings = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    lines = ["Extension — metamorphic oracles (TLP + NoREC, §8 discussion)"]
+    ok = True
+    for name, found in findings.items():
+        seeded = {kind for kind in ("tlp", "norec")
+                  if find_predicate_flaw(name, kind) is not None}
+        attributed = {f.oracle for f in found if f.attribution is not None}
+        expected = ",".join(sorted(seeded)) or "none"
+        measured = ",".join(sorted({f.oracle for f in found})) or "none"
+        row_ok = attributed == seeded and len(found) == len(seeded)
+        ok = ok and row_ok
+        lines.append(shape_line(f"{name} laws broken", expected, measured,
+                                row_ok))
     emit("extension_logic_oracles", "\n".join(lines))
-    assert all(v == 0 for v in clean.values())
-    assert faulty_violations >= 1
+    assert ok

@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.campaign import run_campaign
 
-from _shared import BUDGET_24H, _cached, emit, shape_line
+from _shared import BUDGET_24H, emit, shape_line
 
 DIALECTS = ("duckdb", "mariadb", "monetdb")
 FAULTS = "hang=0.01,slow=0.02,drop=0.01,flaky=0.01,restart_fail=0.1"
@@ -23,16 +23,10 @@ SEED = 0
 
 
 def _pair(dialect: str):
-    base = _cached(
-        f"resilience_base_{dialect}_{BUDGET_24H}_{SEED}",
-        lambda: run_campaign(dialect, budget=BUDGET_24H, seed=SEED),
-    )
-    faulted = _cached(
-        f"resilience_faulted_{dialect}_{BUDGET_24H}_{SEED}_{FAULT_SEED}",
-        lambda: run_campaign(
-            dialect, budget=BUDGET_24H, seed=SEED,
-            faults=FAULTS, fault_seed=FAULT_SEED,
-        ),
+    base = run_campaign(dialect, budget=BUDGET_24H, seed=SEED)
+    faulted = run_campaign(
+        dialect, budget=BUDGET_24H, seed=SEED,
+        faults=FAULTS, fault_seed=FAULT_SEED,
     )
     return base, faulted
 

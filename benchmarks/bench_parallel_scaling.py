@@ -45,7 +45,7 @@ from repro.perf import StatementCache
 from repro.perf.parallel import ParallelCampaign
 from repro.sqlast.parser import Parser
 
-from _shared import BUDGET_24H, RESULTS_DIR, _cached, emit, shape_line
+from _shared import BUDGET_24H, RESULTS_DIR, emit, shape_line
 
 DIALECT = "duckdb"
 SEED = 0
@@ -55,50 +55,36 @@ WARM_STREAM_PASSES = 3
 
 
 def _serial(cached: bool = True, compiled: bool = True):
-    label = (
-        f"{'cached' if cached else 'uncached'}_"
-        f"{'compiled' if compiled else 'interpreted'}"
-    )
-    return _cached(
-        f"scaling_serial_{label}_{DIALECT}_{BUDGET_24H}_{SEED}",
-        lambda: run_campaign(
-            DIALECT,
-            config=CampaignConfig(
-                dialect=DIALECT,
-                budget=BUDGET_24H,
-                seed=SEED,
-                statement_cache=cached,
-                compile=compiled,
-            ),
+    return run_campaign(
+        config=CampaignConfig(
+            dialect=DIALECT,
+            budget=BUDGET_24H,
+            seed=SEED,
+            statement_cache=cached,
+            compile=compiled,
         ),
     )
 
 
 def _parallel(jobs: int):
     """One sharded run; returns (result, transport stats dict or None)."""
-
-    def compute():
-        campaign = ParallelCampaign(
-            config=CampaignConfig(
-                dialect=DIALECT, jobs=jobs, budget=BUDGET_24H, seed=SEED
-            )
+    campaign = ParallelCampaign(
+        config=CampaignConfig(
+            dialect=DIALECT, jobs=jobs, budget=BUDGET_24H, seed=SEED
         )
-        result = campaign.run()
-        handoff = campaign.last_transport
-        transport = None
-        if handoff is not None:
-            transport = {
-                "statements": handoff.statements,
-                "warm_bytes_per_statement": handoff.warm_per_statement,
-                "cold_bytes_per_statement": handoff.cold_per_statement,
-                "pickle_bytes_per_statement": handoff.pickle_per_statement,
-                "warm_reduction_vs_pickle": handoff.warm_reduction,
-            }
-        return result, transport
-
-    return _cached(
-        f"scaling_jobs{jobs}_compiled_{DIALECT}_{BUDGET_24H}_{SEED}", compute
     )
+    result = campaign.run()
+    handoff = campaign.last_transport
+    transport = None
+    if handoff is not None:
+        transport = {
+            "statements": handoff.statements,
+            "warm_bytes_per_statement": handoff.warm_per_statement,
+            "cold_bytes_per_statement": handoff.cold_per_statement,
+            "pickle_bytes_per_statement": handoff.pickle_per_statement,
+            "warm_reduction_vs_pickle": handoff.warm_reduction,
+        }
+    return result, transport
 
 
 def _predicate_serial():
@@ -113,17 +99,13 @@ def _predicate_serial():
     the compiler hit FROM/WHERE shapes it declines, counted per execution
     in ``compile_fallbacks``.
     """
-    return _cached(
-        f"scaling_predicate_{DIALECT}_{BUDGET_24H}_{SEED}",
-        lambda: run_campaign(
-            DIALECT,
-            config=CampaignConfig(
-                dialect=DIALECT,
-                budget=BUDGET_24H,
-                seed=SEED,
-                oracles=("crash", "tlp", "norec"),
-                statement_family="predicate",
-            ),
+    return run_campaign(
+        config=CampaignConfig(
+            dialect=DIALECT,
+            budget=BUDGET_24H,
+            seed=SEED,
+            oracles=("crash", "tlp", "norec"),
+            statement_family="predicate",
         ),
     )
 
@@ -225,7 +207,7 @@ def test_parallel_scaling(benchmark):
             _serial(cached=True, compiled=False),
             _predicate_serial(),
             {jobs: _parallel(jobs) for jobs in JOBS},
-            _cached(f"scaling_stream_{DIALECT}_{SEED}", _stream_hit_rate),
+            _stream_hit_rate(),
             _warm_stream(True),
             _warm_stream(False),
         )

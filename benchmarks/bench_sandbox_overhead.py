@@ -18,7 +18,7 @@ import os
 from repro.core.campaign import run_campaign
 from repro.perf import run_parallel_campaign
 
-from _shared import BUDGET_24H, RESULTS_DIR, _cached, emit, shape_line
+from _shared import BUDGET_24H, RESULTS_DIR, emit, shape_line
 
 DIALECT = "duckdb"
 SEED = 0
@@ -26,15 +26,13 @@ JOBS = 4
 
 
 def _run(sandbox: bool, jobs: int):
-    label = "sandboxed" if sandbox else "inprocess"
-    key = f"sandbox_overhead_{label}_jobs{jobs}_{DIALECT}_{BUDGET_24H}_{SEED}"
     if jobs == 1:
-        return _cached(key, lambda: run_campaign(
+        return run_campaign(
             DIALECT, budget=BUDGET_24H, seed=SEED, sandbox=sandbox
-        ))
-    return _cached(key, lambda: run_parallel_campaign(
+        )
+    return run_parallel_campaign(
         DIALECT, jobs=jobs, budget=BUDGET_24H, seed=SEED, sandbox=sandbox
-    ))
+    )
 
 
 def _stats(result):

@@ -13,7 +13,6 @@ from repro.core.report import feedback_summary
 
 from _shared import (
     BUDGET_24H,
-    _cached,
     all_two_week_campaigns,
     day_campaign,
     emit,
@@ -38,15 +37,7 @@ def test_section75_bugs_in_24_hours(benchmark):
                 )
         return soft, baselines
 
-    def run_all_cached():
-        soft = {name: day_campaign(name) for name in DIALECTS_24H}
-        baselines = _cached(
-            f"section75_baselines_{BUDGET_24H}",
-            lambda: run_all()[1],
-        )
-        return soft, baselines
-
-    soft, baselines = benchmark.pedantic(run_all_cached, rounds=1, iterations=1)
+    soft, baselines = benchmark.pedantic(run_all, rounds=1, iterations=1)
     lines = ["Section 7.5 — unique SQL function bugs within the 24-hour budget"]
     total = 0
     for name in DIALECTS_24H:

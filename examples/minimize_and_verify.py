@@ -4,16 +4,22 @@
 1. Run a short SOFT campaign against MariaDB.
 2. Delta-debug every discovered PoC to its minimal form (the shape the
    paper's listings have).
-3. Run the §8 correctness oracles (NoREC + TLP) to confirm the simulated
-   engine has no *logic* bugs on top of its crash bugs — and demonstrate
-   the oracles catching an injected "UNKNOWN is TRUE" planner defect.
+3. Run the §8 metamorphic oracles (TLP + NoREC) over the predicate
+   statement family to confirm MariaDB has no *logic* bugs on top of its
+   crash bugs — and demonstrate the oracles catching, and attributing,
+   DuckDB's seeded partition and constant-folding defects.
 
     python examples/minimize_and_verify.py
 """
 
-from repro.core import Campaign, CampaignConfig, LogicOracle, minimize_poc
+from repro.core import Campaign, CampaignConfig, minimize_poc, run_campaign
 from repro.dialects import dialect_by_name
-from repro.dialects.base import Dialect
+
+#: a short predicate-family campaign with both metamorphic oracles on
+METAMORPHIC = dict(
+    budget=1_500, seed=3, statement_family="predicate",
+    oracles=("crash", "tlp", "norec"),
+)
 
 
 def main() -> int:
@@ -30,30 +36,18 @@ def main() -> int:
         print(f"     before ({len(minimized.original):>3} chars): {minimized.original}")
         print(f"     after  ({len(minimized.minimized):>3} chars): {minimized.minimized}")
 
-    print("\nStep 3 — correctness oracles (NoREC + TLP):")
-    clean = LogicOracle(dialect).run(
-        predicates=["c0 > 0", "c1 IS NULL", "c2 BETWEEN -1 AND 1",
-                    "c0 IN (1, NULL)"]
-    )
-    print(f"  mariadb: {clean.checks} checks, "
-          f"{len(clean.violations)} violations (expected 0)")
-
-    class FaultyDialect(Dialect):
-        name = "faulty-demo"
-
-        def make_config(self):
-            config = super().make_config()
-            config["faulty_where_null_as_true"] = "1"
-            return config
-
-    buggy = LogicOracle(FaultyDialect()).run(
-        predicates=["c0 > 0", "c0 IN (1, NULL)"]
-    )
-    print(f"  faulty-demo: {len(buggy.violations)} violations (injected "
-          "'UNKNOWN treated as TRUE' planner defect)")
-    for violation in buggy.violations[:3]:
-        print(f"     {violation}")
-    assert clean.ok and not buggy.ok
+    print("\nStep 3 — metamorphic oracles (TLP + NoREC) on the predicate family:")
+    clean = run_campaign("mariadb", **METAMORPHIC)
+    print(f"  mariadb: {clean.queries_executed} statements, "
+          f"{len(clean.findings)} findings (expected 0)")
+    seeded = run_campaign("duckdb", **METAMORPHIC)
+    print(f"  duckdb: {len(seeded.findings)} findings (seeded predicate flaws)")
+    for finding in seeded.findings:
+        print(f"     {finding.one_liner()}")
+        print(f"       attributed to {finding.attribution.flaw_id}")
+    assert not clean.findings
+    assert {f.oracle for f in seeded.findings} == {"tlp", "norec"}
+    assert all(f.attribution is not None for f in seeded.findings)
     print("\nPipeline complete.")
     return 0
 

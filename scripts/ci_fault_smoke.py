@@ -70,7 +70,7 @@ def main() -> None:
         path = os.path.join(tmp, "cp.json")
         full = run_campaign(
             DIALECT, budget=BUDGET, seed=SEED, faults=FAULTS,
-            fault_seed=FAULT_SEED, checkpoint=path, checkpoint_every=700,
+            fault_seed=FAULT_SEED, checkpoint_path=path, checkpoint_every=700,
         )
         resumed = run_campaign(
             DIALECT, budget=BUDGET, seed=SEED, faults=FAULTS,

@@ -149,7 +149,7 @@ def check_parallel_and_resume(serial) -> None:
         fail(f"--jobs {JOBS} signature diverged from serial")
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "sandbox.ckpt")
-        full = run_campaign(DIALECT, checkpoint=path, checkpoint_every=150,
+        full = run_campaign(DIALECT, checkpoint_path=path, checkpoint_every=150,
                             **pathological_campaign())
         resumed = run_campaign(DIALECT, resume=path,
                                **pathological_campaign())

@@ -1,4 +1,4 @@
-"""Command-line interface: ``repro <command>`` (also installed as ``soft``).
+"""Command-line interface: ``repro <command>``.
 
 Commands:
 
@@ -9,7 +9,7 @@ Commands:
   checkpoints, sharded across N worker processes, with extra logic-bug
   oracles, inside a subprocess execution sandbox, and/or under
   per-statement resource budgets) and print the discovered bugs as
-  disclosure-ready reports.  ``fuzz`` is the historical alias.
+  disclosure-ready reports.
 * ``repro serve [--port N] [--data-dir DIR]`` — campaign-as-a-service:
   the HTTP/JSON scheduler plus persistent bug repository.
 * ``repro bugs list|show|replay|triage`` — browse, replay, and triage
@@ -21,6 +21,7 @@ Commands:
 * ``repro study`` — print the bug-study summary (Findings 1-4).
 * ``repro compare [--budget N]`` — the Tables 5/6 tool comparison.
 * ``repro poc <dialect>`` — print every injected bug's PoC statement.
+* ``repro minimize <dialect> <sql>`` — delta-debug a crashing statement.
 
 The library's option validation speaks :class:`~repro.core.CampaignConfig`
 field names ('sandbox', 'faults', 'enable_coverage', ...); this module
@@ -76,9 +77,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser(
-        "run", aliases=["fuzz"], help="run a SOFT campaign (alias: fuzz)"
-    )
+    p_run = sub.add_parser("run", help="run a SOFT campaign")
     p_run.add_argument("dialect", help="target dialect name")
     p_run.add_argument("--budget", type=int, default=20_000,
                        help="query budget (default: 20000 ≈ '24 hours')")
@@ -219,12 +218,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_min.add_argument("dialect", help="target dialect name")
     p_min.add_argument("sql", help="the crashing SQL statement")
 
-    p_logic = sub.add_parser("logic", help="run the NoREC/TLP logic oracles")
-    p_logic.add_argument("dialect", help="target dialect name")
-    p_logic.add_argument("--rounds", type=int, default=40)
-
     args = parser.parse_args(argv)
-    if args.command in ("run", "fuzz"):
+    if args.command == "run":
         return _cmd_run(args)
     if args.command == "serve":
         return _cmd_serve(args)
@@ -242,8 +237,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_poc(args)
     if args.command == "minimize":
         return _cmd_minimize(args)
-    if args.command == "logic":
-        return _cmd_logic(args)
     return 2  # pragma: no cover
 
 
@@ -523,20 +516,6 @@ def _cmd_minimize(args) -> int:
     print(f"({result.attempts} candidate executions, "
           f"{result.reduction:.0%} smaller)")
     return 0
-
-
-def _cmd_logic(args) -> int:
-    from .core import LogicOracle
-    from .dialects import dialect_by_name
-
-    oracle = LogicOracle(dialect_by_name(args.dialect))
-    result = oracle.run(rounds=args.rounds)
-    print(f"{args.dialect}: {result.checks} oracle checks, "
-          f"{result.errors} rejected predicates, "
-          f"{len(result.violations)} violations")
-    for violation in result.violations:
-        print(f"  {violation}")
-    return 0 if result.ok else 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -19,7 +19,6 @@ from .clauses import ClauseBoundaryGenerator
 from .collect import Seed, SeedCollector
 from .config import CampaignConfig, fault_spec
 from .literals import boundary_literals, boundary_repeat_counts
-from .logic import LogicCheckResult, LogicOracle, LogicViolation, check_norec, check_tlp
 from .minimize import (
     CrashProbe,
     DivergenceProbe,
@@ -64,13 +63,12 @@ __all__ = [
     "ConformanceFinding", "fault_spec",
     "CrashOracle", "CrashProbe", "DEFAULT_CHECKPOINT_EVERY",
     "DiscoveredBug", "DivergenceFinding", "DivergenceProbe", "Finding",
-    "GeneratedCase", "LogicCheckResult", "LogicOracle", "LogicViolation",
-    "MetamorphicFinding", "MetamorphicProbe", "MinimizationResult",
+    "GeneratedCase", "MetamorphicFinding", "MetamorphicProbe", "MinimizationResult",
     "Minimizer", "NoRECOracle", "OraclePipeline", "OracleStateError",
     "Outcome", "PREDICATE_PREFIX", "PatternEngine", "Probe", "Runner",
     "Seed", "SeedCollector", "TABLE_NAME", "TABLE_SETUP", "TLPOracle",
     "Table4Row", "boundary_literals", "boundary_repeat_counts",
-    "build_pipeline", "check_norec", "check_tlp", "feedback_summary",
+    "build_pipeline", "feedback_summary",
     "format_findings", "format_resilience", "format_table4", "minimize_poc",
     "parse_oracle_names", "render_bug_report", "render_finding",
     "resilience_summary", "run_campaign", "run_campaigns", "table4_rows",

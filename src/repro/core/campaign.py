@@ -62,9 +62,7 @@ from .config import (
     BUDGET_24_HOURS,
     BUDGET_TWO_WEEKS,
     DEFAULT_CHECKPOINT_EVERY,
-    _UNSET,
     CampaignConfig,
-    resolve_config,
 )
 from .oracles import (
     CaseInfo,
@@ -73,7 +71,6 @@ from .oracles import (
     OracleStateError,
     build_pipeline,
 )
-from .oracles.base import OracleSpec
 from .oracles.crash import DiscoveredBug
 from .patterns import GeneratedCase, PatternEngine
 from .runner import Outcome, Runner
@@ -196,55 +193,27 @@ class Campaign:
     """One SOFT campaign over one dialect.
 
     The campaign options live in a :class:`~repro.core.config.CampaignConfig`
-    passed as ``config=``; the historical keyword arguments still work
-    through a shim that emits a :class:`DeprecationWarning`.  The
-    ``clock``/``rng``/``retry_policy`` runtime objects are not
-    configuration and remain ordinary constructor arguments.
+    passed as ``config=`` (an empty ``config.dialect`` is filled from
+    *dialect*).  The ``clock``/``rng``/``retry_policy`` runtime objects are
+    not configuration and remain ordinary constructor arguments.
     """
 
     def __init__(
         self,
         dialect: Dialect,
-        budget: Any = _UNSET,
-        enable_coverage: Any = _UNSET,
-        seed: Any = _UNSET,
-        max_partners: Any = _UNSET,
-        stop_when_all_found: Any = _UNSET,
-        faults: Any = _UNSET,
-        fault_seed: Any = _UNSET,
-        checkpoint_path: Any = _UNSET,
-        checkpoint_every: Any = _UNSET,
+        config: Optional[CampaignConfig] = None,
         clock: Optional[Clock] = None,
         rng: Optional[random.Random] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        statement_deadline: Any = _UNSET,
-        statement_cache: Any = _UNSET,
-        oracles: Any = _UNSET,
-        budgets: Any = _UNSET,
-        sandbox: Any = _UNSET,
-        config: Optional[CampaignConfig] = None,
     ) -> None:
-        config = resolve_config(
-            "Campaign",
-            config,
-            {
-                "budget": budget,
-                "enable_coverage": enable_coverage,
-                "seed": seed,
-                "max_partners": max_partners,
-                "stop_when_all_found": stop_when_all_found,
-                "faults": faults,
-                "fault_seed": fault_seed,
-                "checkpoint_path": checkpoint_path,
-                "checkpoint_every": checkpoint_every,
-                "statement_deadline": statement_deadline,
-                "statement_cache": statement_cache,
-                "oracles": oracles,
-                "budgets": budgets,
-                "sandbox": sandbox,
-            },
-            dialect=dialect.name,
-        )
+        if config is None:
+            config = CampaignConfig(dialect=dialect.name)
+        elif not isinstance(config, CampaignConfig):
+            raise TypeError(
+                f"Campaign config= expects a CampaignConfig, got {config!r}"
+            )
+        elif not config.dialect:
+            config = config.replace(dialect=dialect.name)
         self.config = config
         self.dialect = dialect
         self.budget = config.budget
@@ -633,53 +602,29 @@ class Campaign:
 
 def run_campaign(
     dialect_name: Optional[str] = None,
-    budget: Any = _UNSET,
-    enable_coverage: Any = _UNSET,
-    seed: Any = _UNSET,
-    stop_when_all_found: Any = _UNSET,
-    faults: Any = _UNSET,
-    fault_seed: Any = _UNSET,
-    checkpoint: Any = _UNSET,
-    checkpoint_every: Any = _UNSET,
+    *,
     resume: Union[None, str, CampaignCheckpoint] = None,
-    statement_cache: Any = _UNSET,
-    oracles: OracleSpec = _UNSET,
-    budgets: Any = _UNSET,
-    sandbox: Any = _UNSET,
     config: Optional[CampaignConfig] = None,
+    **options: Any,
 ) -> CampaignResult:
     """Convenience wrapper: run SOFT against a dialect by name.
 
-    This is the compatibility surface — the historical keyword arguments
-    keep working here without a deprecation warning (they are folded into
-    a :class:`CampaignConfig` internally).  New code should build the
-    config itself and pass ``config=`` (``dialect_name`` may then be
-    omitted in favour of ``config.dialect``).
+    *options* are :class:`CampaignConfig` fields, folded into
+    ``CampaignConfig(dialect=dialect_name, **options)``.  Alternatively
+    pass a ready-made ``config=`` (``dialect_name`` may then be omitted in
+    favour of ``config.dialect``), but not both.
     """
-    config = resolve_config(
-        "run_campaign",
-        config,
-        {
-            "budget": budget,
-            "enable_coverage": enable_coverage,
-            "seed": seed,
-            "stop_when_all_found": stop_when_all_found,
-            "faults": faults,
-            "fault_seed": fault_seed,
-            "checkpoint_path": checkpoint,
-            "checkpoint_every": checkpoint_every,
-            "statement_cache": statement_cache,
-            "oracles": oracles,
-            "budgets": budgets,
-            "sandbox": sandbox,
-        },
-        dialect=dialect_name or "",
-        warn=False,
-    )
-    if not config.dialect:
+    if config is None:
+        config = CampaignConfig(dialect=dialect_name or "", **options)
+    elif options:
+        raise TypeError(
+            f"run_campaign accepts either config= or campaign options, not "
+            f"both (got config= plus {sorted(options)})"
+        )
+    name = config.dialect or dialect_name
+    if not name:
         raise ValueError("run_campaign needs a dialect name (or config.dialect)")
-    dialect = dialect_by_name(config.dialect)
-    return Campaign(dialect, config=config).run(resume=resume)
+    return Campaign(dialect_by_name(name), config=config).run(resume=resume)
 
 
 def run_campaigns(

@@ -2,9 +2,9 @@
 
 Every way of running a campaign — :class:`~repro.core.campaign.Campaign`,
 :class:`~repro.perf.parallel.ParallelCampaign`, the ``run_campaign(s)``
-convenience wrappers, the CLI, and the :mod:`repro.service` job scheduler —
-historically grew its own copy of the same ~15 keyword arguments.  This
-module collapses that sprawl into one **frozen** dataclass that is:
+convenience wrappers (which fold their keyword options into one), the
+CLI, and the :mod:`repro.service` job scheduler — takes its options as one
+**frozen** dataclass that is:
 
 * **normalized** — oracle specs, budget specs, and sandbox switches are
   parsed once, at construction, into their canonical forms
@@ -17,17 +17,11 @@ module collapses that sprawl into one **frozen** dataclass that is:
 * **serializable** — :meth:`CampaignConfig.to_dict` /
   :meth:`CampaignConfig.from_dict` round-trip through JSON, which is what
   the campaign service's HTTP API submits.
-
-Legacy keyword arguments on the constructors keep working through a shim
-(:func:`resolve_config`) that emits a :class:`DeprecationWarning`,
-mirroring the ``repro.core.oracle`` import-shim pattern from the oracle
-pipeline refactor.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
@@ -44,10 +38,6 @@ BUDGET_TWO_WEEKS = 300_000
 
 #: default checkpoint cadence (statements between snapshots)
 DEFAULT_CHECKPOINT_EVERY = 1_000
-
-#: sentinel distinguishing "not passed" from "passed None" in the legacy
-#: keyword shims
-_UNSET = object()
 
 
 def fault_spec(faults: Any) -> Optional[str]:
@@ -275,51 +265,3 @@ class CampaignConfig:
         if isinstance(oracles, list):
             kwargs["oracles"] = tuple(oracles)
         return cls(**kwargs)
-
-
-# ---------------------------------------------------------------------------
-# the legacy-keyword shim
-# ---------------------------------------------------------------------------
-def resolve_config(
-    owner: str,
-    config: Optional[CampaignConfig],
-    legacy: Dict[str, Any],
-    dialect: str = "",
-    defaults: Optional[Dict[str, Any]] = None,
-    warn: bool = True,
-) -> CampaignConfig:
-    """Coalesce ``config=`` and legacy keyword arguments into one config.
-
-    *legacy* maps config field names to values, with :data:`_UNSET` marking
-    arguments the caller did not pass.  Passing both a config and explicit
-    legacy keywords is an error; passing legacy keywords alone still works
-    but (when *warn*) emits a :class:`DeprecationWarning` naming *owner* —
-    the migration path is ``owner(config=CampaignConfig(...))``.
-    """
-    supplied = {k: v for k, v in legacy.items() if v is not _UNSET}
-    if config is not None:
-        if supplied:
-            raise TypeError(
-                f"{owner} accepts either config= or legacy keyword "
-                f"arguments, not both (got config= plus "
-                f"{sorted(supplied)})"
-            )
-        if not isinstance(config, CampaignConfig):
-            raise TypeError(
-                f"{owner} config= expects a CampaignConfig, got {config!r}"
-            )
-        if dialect and not config.dialect:
-            config = config.replace(dialect=dialect)
-        return config
-    if supplied and warn:
-        warnings.warn(
-            f"passing campaign options to {owner} as keyword arguments is "
-            f"deprecated; build a repro.core.CampaignConfig and pass "
-            f"config= instead (got {sorted(supplied)})",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    merged = dict(defaults or {})
-    merged.update(supplied)
-    merged.setdefault("dialect", dialect)
-    return CampaignConfig(**merged)

@@ -83,6 +83,12 @@ class Outcome:
         return self.kind == "crash"
 
 
+#: the exceptions one execution attempt may raise, classified by
+#: :meth:`Runner._classify`; anything else propagates to the campaign
+_ATTEMPT_ERRORS = (SQLError, StatementTimeout, WorkerCrashed, ConnectionClosed,
+                   ServerCrashed, RecursionError)
+
+
 class Runner:
     """Executes statements against one dialect with restart-on-crash.
 
@@ -179,6 +185,8 @@ class Runner:
         self.flaky_crashes = 0
         #: runner-level resilience event counts (injector keeps its own)
         self.fault_counters: Dict[str, int] = {}
+        self._timed_out = False
+        self._reconnects = 0
         self._apply_bootstrap()
 
     # ------------------------------------------------------------------
@@ -214,48 +222,21 @@ class Runner:
             self.injector.set_position(
                 self.executed - 1 if position is None else position
             )
-        reconnects = 0
+        # the statement's retry state, advanced by _classify
+        self._timed_out = False
+        self._reconnects = 0
         while True:
             try:
                 # retries of the same statement run with faults suppressed:
                 # infrastructure noise is independent across attempts
-                result = self._execute(sql, quiet=reconnects > 0)
+                result = self._execute(
+                    sql, quiet=self._timed_out or self._reconnects > 0
+                )
                 return self._ok(sql, result)
-            except ResourceExhausted as exc:
-                self._count(f"governor.{exc.budget}")
-                return Outcome("resource_exhausted", sql, message=exc.message)
-            except ResourceError as exc:
-                return Outcome("resource_kill", sql, message=exc.message)
-            except SQLError as exc:
-                return Outcome("error", sql, message=exc.message)
-            except StatementTimeout:
-                return self._handle_timeout(sql)
-            except WorkerHung as exc:
-                self.timeouts += 1
-                self._count("sandbox.hang_kills")
-                self._count("sandbox.respawns")
-                return Outcome("timeout", sql, message=str(exc))
-            except WorkerCrashed as exc:
-                self._count("sandbox.worker_deaths")
-                self._count("sandbox.respawns")
-                return Outcome("harness_crash", sql, message=str(exc))
-            except ConnectionClosed as exc:
-                reconnects += 1
-                self._count("reconnects")
-                if not self.retry_policy.allows(reconnects):
-                    return Outcome(
-                        "error",
-                        sql,
-                        message=f"connection lost after {reconnects} attempts: {exc}",
-                    )
-                self.clock.advance(self.retry_policy.delay(reconnects))
-                self._reconnect()
-            except ServerCrashed as exc:
-                return self._handle_crash(sql, exc)
-            except RecursionError:
-                # treat interpreter-level recursion like a resource kill
-                self._restart()
-                return Outcome("resource_kill", sql, message="interpreter recursion limit")
+            except _ATTEMPT_ERRORS as exc:
+                outcome = self._classify(sql, exc)
+            if outcome is not None:
+                return outcome
 
     # ------------------------------------------------------------------
     def _execute(self, sql: str, quiet: bool = False):
@@ -289,59 +270,61 @@ class Runner:
         self.fault_counters[kind] = self.fault_counters.get(kind, 0) + 1
 
     # ------------------------------------------------------------------
-    def _handle_timeout(self, sql: str) -> Outcome:
-        """The watchdog killed the statement; retry once without noise.
+    def _classify(self, sql: str, exc: BaseException) -> Optional[Outcome]:
+        """Map a failed attempt's exception to its outcome, or ``None`` to
+        retry the statement with faults suppressed.
 
-        A transient infrastructure hang recovers on the quiet retry; a
+        Subclasses come before their bases: ``ResourceExhausted`` and
+        ``ResourceError`` subclass ``SQLError``, and ``WorkerHung``
+        subclasses ``WorkerCrashed``.  The first watchdog kill earns one
+        quiet retry, on which a transient infrastructure hang recovers; a
         statement that *genuinely* overruns its deadline times out again
-        and is reported as the ``timeout`` outcome.
+        and becomes the ``timeout`` outcome.
         """
-        self.timeouts += 1
-        self._count("statement_kills")
-        reconnects = 0
-        while True:
-            try:
-                return self._ok(sql, self._execute(sql, quiet=True))
-            except ResourceExhausted as exc:
-                self._count(f"governor.{exc.budget}")
-                return Outcome("resource_exhausted", sql, message=exc.message)
-            except ResourceError as exc:
-                return Outcome("resource_kill", sql, message=exc.message)
-            except SQLError as exc:
-                return Outcome("error", sql, message=exc.message)
-            except StatementTimeout as exc:
+        if isinstance(exc, ResourceExhausted):
+            self._count(f"governor.{exc.budget}")
+            return Outcome("resource_exhausted", sql, message=exc.message)
+        if isinstance(exc, ResourceError):
+            return Outcome("resource_kill", sql, message=exc.message)
+        if isinstance(exc, SQLError):
+            return Outcome("error", sql, message=exc.message)
+        if isinstance(exc, StatementTimeout):
+            if self._timed_out:
                 return Outcome("timeout", sql, message=str(exc))
-            except WorkerHung as exc:
-                # already counted as one timeout on the first kill; the
-                # quiet retry hanging again confirms it
-                self._count("sandbox.hang_kills")
-                self._count("sandbox.respawns")
-                return Outcome("timeout", sql, message=str(exc))
-            except WorkerCrashed as exc:
-                self._count("sandbox.worker_deaths")
-                self._count("sandbox.respawns")
-                return Outcome("harness_crash", sql, message=str(exc))
-            except ConnectionClosed as exc:
-                # same backoff contract as the main loop: a lost connection
-                # during the quiet retry is still transient infra noise, not
-                # grounds to give up on the statement after one attempt
-                reconnects += 1
-                self._count("reconnects")
-                if not self.retry_policy.allows(reconnects):
-                    return Outcome(
-                        "error",
-                        sql,
-                        message=f"connection lost after {reconnects} attempts: {exc}",
-                    )
-                self.clock.advance(self.retry_policy.delay(reconnects))
-                self._reconnect()
-            except ServerCrashed as exc:
-                return self._handle_crash(sql, exc)
-            except RecursionError:
-                self._restart()
-                return Outcome(
-                    "resource_kill", sql, message="interpreter recursion limit"
-                )
+            self._timed_out = True
+            self._reconnects = 0
+            self.timeouts += 1
+            self._count("statement_kills")
+            return None
+        if isinstance(exc, WorkerHung):
+            # a hang on the quiet retry was already counted as one timeout
+            # on the first kill; hanging again confirms it
+            if not self._timed_out:
+                self.timeouts += 1
+            self._count("sandbox.hang_kills")
+            self._count("sandbox.respawns")
+            return Outcome("timeout", sql, message=str(exc))
+        if isinstance(exc, WorkerCrashed):
+            self._count("sandbox.worker_deaths")
+            self._count("sandbox.respawns")
+            return Outcome("harness_crash", sql, message=str(exc))
+        if isinstance(exc, ConnectionClosed):
+            # the same backoff contract before and after a watchdog kill: a
+            # lost connection is transient infra noise, not grounds to give
+            # up on the statement after one attempt
+            self._reconnects += 1
+            self._count("reconnects")
+            if not self.retry_policy.allows(self._reconnects):
+                message = f"connection lost after {self._reconnects} attempts: {exc}"
+                return Outcome("error", sql, message=message)
+            self.clock.advance(self.retry_policy.delay(self._reconnects))
+            self._reconnect()
+            return None
+        if isinstance(exc, ServerCrashed):
+            return self._handle_crash(sql, exc)
+        # RecursionError: treat interpreter-level recursion like a resource kill
+        self._restart()
+        return Outcome("resource_kill", sql, message="interpreter recursion limit")
 
     def _handle_crash(self, sql: str, exc: ServerCrashed) -> Outcome:
         """Restart and, when reconfirmation is on, re-check reproducibility."""

@@ -164,18 +164,10 @@ class Executor:
     ) -> Tuple[List[str], List[List[SQLValue]]]:
         scopes = self._resolve_from(stmt.from_, outer_scope)
         if stmt.where is not None:
-            # fault-injection hook used by the logic-bug oracles
-            # (repro.core.logic): a classic optimizer defect treats an
-            # UNKNOWN predicate as TRUE
-            null_as_true = self.ctx.get_config("faulty_where_null_as_true") == "1"
             filtered = []
             for scope in scopes:
                 value = Evaluator(self.ctx, scope).eval(stmt.where)
-                if value.is_null:
-                    if null_as_true:
-                        filtered.append(scope)
-                    continue
-                if value.as_bool():
+                if not value.is_null and value.as_bool():
                     filtered.append(scope)
             scopes = filtered
 

@@ -64,10 +64,9 @@ import time
 from typing import Any, Dict, List, Optional, Union
 
 from ..core.campaign import CampaignResult
-from ..core.config import _UNSET, CampaignConfig, fault_spec, resolve_config
+from ..core.config import CampaignConfig, fault_spec
 from ..core.collect import SeedCollector
 from ..core.oracles import CaseInfo, OraclePipeline, OracleStateError, build_pipeline
-from ..core.oracles.base import OracleSpec
 from ..core.patterns import PatternEngine
 from ..core.runner import Outcome, Runner
 from ..core.tables import TABLE_SETUP
@@ -462,8 +461,9 @@ def _load_shard_checkpoint(
 class ParallelCampaign:
     """Shards one campaign's generated stream across worker processes.
 
-    Constructor mirrors :class:`~repro.core.campaign.Campaign` where the
-    options make sense for a sharded run.  ``faults`` must be ``None`` or a
+    Takes a :class:`~repro.core.config.CampaignConfig` like
+    :class:`~repro.core.campaign.Campaign`; without one it runs two
+    workers with default options.  ``faults`` must be ``None`` or a
     CLI spec string (injectors don't cross process boundaries);
     ``stop_when_all_found`` is unsupported (its early exit depends on
     cross-shard execution order).
@@ -472,46 +472,19 @@ class ParallelCampaign:
     def __init__(
         self,
         dialect: Union[Dialect, str, None] = None,
-        jobs: Any = _UNSET,
-        budget: Any = _UNSET,
-        enable_coverage: Any = _UNSET,
-        seed: Any = _UNSET,
-        max_partners: Any = _UNSET,
-        faults: Any = _UNSET,
-        fault_seed: Any = _UNSET,
-        checkpoint_path: Any = _UNSET,
-        checkpoint_every: Any = _UNSET,
-        statement_deadline: Any = _UNSET,
-        statement_cache: Any = _UNSET,
-        oracles: Any = _UNSET,
-        budgets: Any = _UNSET,
-        sandbox: Any = _UNSET,
         config: Optional[CampaignConfig] = None,
     ) -> None:
         dialect_name = dialect.name if isinstance(dialect, Dialect) else (dialect or "")
-        config = resolve_config(
-            "ParallelCampaign",
-            config,
-            {
-                "jobs": jobs,
-                "budget": budget,
-                "enable_coverage": enable_coverage,
-                "seed": seed,
-                "max_partners": max_partners,
-                "faults": faults,
-                "fault_seed": fault_seed,
-                "checkpoint_path": checkpoint_path,
-                "checkpoint_every": checkpoint_every,
-                "statement_deadline": statement_deadline,
-                "statement_cache": statement_cache,
-                "oracles": oracles,
-                "budgets": budgets,
-                "sandbox": sandbox,
-            },
-            dialect=dialect_name,
-            # the historical ParallelCampaign default was two workers
-            defaults={"jobs": 2},
-        )
+        if config is None:
+            # a sharded campaign defaults to two workers
+            config = CampaignConfig(dialect=dialect_name, jobs=2)
+        elif not isinstance(config, CampaignConfig):
+            raise TypeError(
+                f"ParallelCampaign config= expects a CampaignConfig, "
+                f"got {config!r}"
+            )
+        elif dialect_name and not config.dialect:
+            config = config.replace(dialect=dialect_name)
         if isinstance(config.faults, FaultInjector):
             raise TypeError(
                 "ParallelCampaign needs a fault *spec* (string/FaultPlan), "
@@ -812,45 +785,22 @@ class ParallelCampaign:
 
 def run_parallel_campaign(
     dialect_name: Optional[str] = None,
-    jobs: Any = _UNSET,
-    budget: Any = _UNSET,
-    enable_coverage: Any = _UNSET,
-    seed: Any = _UNSET,
-    faults: Any = _UNSET,
-    fault_seed: Any = _UNSET,
-    checkpoint: Any = _UNSET,
-    checkpoint_every: Any = _UNSET,
+    *,
     resume: bool = False,
-    statement_cache: Any = _UNSET,
-    oracles: OracleSpec = _UNSET,
-    budgets: Any = _UNSET,
-    sandbox: Any = _UNSET,
     config: Optional[CampaignConfig] = None,
+    **options: Any,
 ) -> CampaignResult:
     """Convenience wrapper mirroring :func:`repro.core.run_campaign`.
 
-    Like ``run_campaign`` this is the compatibility surface: legacy
-    keywords fold into a :class:`CampaignConfig` without a warning.
+    *options* fold into ``CampaignConfig(dialect=dialect_name, jobs=2,
+    **options)``; alternatively pass a ready-made ``config=``, but not both.
     """
-    config = resolve_config(
-        "run_parallel_campaign",
-        config,
-        {
-            "jobs": jobs,
-            "budget": budget,
-            "enable_coverage": enable_coverage,
-            "seed": seed,
-            "faults": faults,
-            "fault_seed": fault_seed,
-            "checkpoint_path": checkpoint,
-            "checkpoint_every": checkpoint_every,
-            "statement_cache": statement_cache,
-            "oracles": oracles,
-            "budgets": budgets,
-            "sandbox": sandbox,
-        },
-        dialect=dialect_name or "",
-        defaults={"jobs": 2},
-        warn=False,
-    )
-    return ParallelCampaign(config=config).run(resume=resume)
+    if config is None:
+        options.setdefault("jobs", 2)
+        config = CampaignConfig(dialect=dialect_name or "", **options)
+    elif options:
+        raise TypeError(
+            f"run_parallel_campaign accepts either config= or campaign "
+            f"options, not both (got config= plus {sorted(options)})"
+        )
+    return ParallelCampaign(dialect_name, config=config).run(resume=resume)

@@ -1,19 +1,18 @@
-"""The CampaignConfig object API and the legacy-kwarg deprecation shim.
+"""The CampaignConfig object API.
 
 Covers: frozen-ness, __post_init__ normalization (oracle names, budget
 specs, sandbox coercion), validation errors that speak config *field*
 names (flag spellings are the CLI's job), to_dict/from_dict round-trips,
-DeprecationWarning on legacy keyword arguments (and silence on config=),
-and bug-set/signature parity between the two calling conventions.
+the one-spelling rule (``config=`` or keyword options, never both), and
+bug-set/signature parity between the two calling forms.
 """
 
 import dataclasses
-import warnings
 
 import pytest
 
 from repro.core import Campaign, CampaignConfig, run_campaign
-from repro.core.config import fault_spec, resolve_config
+from repro.core.config import fault_spec
 from repro.dialects import dialect_by_name
 from repro.perf.parallel import ParallelCampaign, run_parallel_campaign
 from repro.robustness import FaultPlan
@@ -116,34 +115,28 @@ class TestRoundTrip:
             CampaignConfig(dialect="duckdb", priority="high")
 
 
-class TestDeprecationShim:
-    def test_campaign_legacy_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning, match="CampaignConfig"):
-            Campaign(dialect_by_name("duckdb"), budget=50)
-
-    def test_campaign_config_object_is_silent(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            Campaign(
-                dialect_by_name("duckdb"),
-                config=CampaignConfig(dialect="duckdb", budget=50),
-            )
-
-    def test_parallel_campaign_legacy_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning, match="CampaignConfig"):
-            ParallelCampaign(dialect="duckdb", jobs=2, budget=50)
-
+class TestOneSpelling:
     def test_both_conventions_at_once_is_an_error(self):
         config = CampaignConfig(dialect="duckdb", budget=50)
         with pytest.raises(TypeError, match="config"):
-            Campaign(dialect_by_name("duckdb"), budget=50, config=config)
+            run_campaign("duckdb", budget=50, config=config)
+        with pytest.raises(TypeError, match="config"):
+            run_parallel_campaign("duckdb", budget=50, config=config)
 
-    def test_run_campaign_legacy_kwargs_stay_silent(self):
-        # the module-level helpers are the compatibility surface: no
-        # warning, so the seed scripts and CI keep running untouched
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            run_campaign("duckdb", budget=50)
+    def test_constructors_take_only_a_config(self):
+        with pytest.raises(TypeError):
+            Campaign(dialect_by_name("duckdb"), budget=50)
+        with pytest.raises(TypeError, match="CampaignConfig"):
+            Campaign(dialect_by_name("duckdb"), 50)
+        with pytest.raises(TypeError):
+            ParallelCampaign(dialect="duckdb", jobs=2, budget=50)
+
+    def test_dialect_fills_an_empty_config_dialect(self):
+        campaign = Campaign(
+            dialect_by_name("duckdb"), config=CampaignConfig(budget=50)
+        )
+        assert campaign.config.dialect == "duckdb"
+        assert ParallelCampaign("duckdb").config.jobs == 2
 
 
 class TestParity:

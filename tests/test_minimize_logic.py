@@ -1,16 +1,10 @@
-"""Tests for the PoC minimiser and the §8 logic-bug oracles."""
+"""Tests for the PoC minimiser (the metamorphic logic-bug oracles are
+covered by ``tests/test_metamorphic.py``)."""
 
 import pytest
 
-from repro.core.logic import (
-    LogicOracle,
-    check_norec,
-    check_tlp,
-    default_predicates,
-)
 from repro.core.minimize import Minimizer, minimize_poc
 from repro.dialects import all_bugs, dialect_by_name
-from repro.dialects.base import Dialect
 
 
 class TestMinimizer:
@@ -90,73 +84,3 @@ class TestMinimizer:
         )
         assert 0 < result.reduction < 1
         assert result.attempts >= result.successes
-
-
-class FaultyWhereDialect(Dialect):
-    """Reference engine with the classic 'UNKNOWN is TRUE' planner defect."""
-
-    name = "faulty-where"
-
-    def make_config(self):
-        config = super().make_config()
-        config["faulty_where_null_as_true"] = "1"
-        return config
-
-
-class TestLogicOracles:
-    def test_reference_engine_is_clean(self):
-        result = LogicOracle(Dialect(), seed=1).run(rounds=30)
-        assert result.checks > 0
-        assert result.ok, [str(v) for v in result.violations]
-
-    def test_faulty_engine_caught_by_both_oracles(self):
-        result = LogicOracle(FaultyWhereDialect(), seed=1).run(rounds=30)
-        oracles = {v.oracle for v in result.violations}
-        assert "norec" in oracles
-        assert "tlp" in oracles
-
-    def test_norec_direct(self):
-        connection = FaultyWhereDialect().create_server().connect()
-        for statement in LogicOracle.TABLE_SETUP:
-            connection.execute(statement)
-        violation = check_norec(connection, "logic_t", "c0 > 0")
-        assert violation is not None
-        assert violation.oracle == "norec"
-
-    def test_tlp_direct_on_reference(self):
-        connection = Dialect().create_server().connect()
-        for statement in LogicOracle.TABLE_SETUP:
-            connection.execute(statement)
-        assert check_tlp(connection, "logic_t", "c0 > 0") is None
-
-    def test_tlp_counts_partition_sizes(self):
-        connection = FaultyWhereDialect().create_server().connect()
-        for statement in LogicOracle.TABLE_SETUP:
-            connection.execute(statement)
-        violation = check_tlp(connection, "logic_t", "c0 > 0")
-        assert violation is not None
-        assert violation.observed > violation.expected
-
-    def test_predicates_include_null_producers(self):
-        import random
-
-        predicates = default_predicates(random.Random(0), count=50)
-        assert any("IS NULL" in p for p in predicates)
-        assert any("NULL" in p and "IN" in p for p in predicates)
-
-    def test_bad_predicates_counted_as_errors_not_violations(self):
-        result = LogicOracle(Dialect()).run(
-            predicates=["NO_SUCH_FN(c0) = 1", "c0 > 0"]
-        )
-        assert result.errors >= 2  # both oracles reject the bad predicate
-        assert result.ok
-
-    def test_seven_dialects_have_no_logic_bugs(self):
-        """The injected bugs are crash bugs; the logic oracles stay silent
-        on every simulated DBMS (predicates avoiding the crash triggers)."""
-        from repro.dialects import all_dialect_classes
-
-        safe = ["c0 > 0", "c2 < 1", "c1 IS NULL", "c0 BETWEEN -1 AND 2"]
-        for cls in all_dialect_classes():
-            result = LogicOracle(cls()).run(predicates=safe)
-            assert result.ok, (cls.name, [str(v) for v in result.violations])

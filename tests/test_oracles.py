@@ -279,7 +279,7 @@ class TestLogicFlawDiscovery:
     def test_checkpoint_resume_reproduces_findings(self, tmp_path):
         path = str(tmp_path / "cp.json")
         kwargs = dict(budget=2_000, seed=3, oracles=ALL_ORACLES)
-        full = run_campaign("duckdb", checkpoint=path, checkpoint_every=500,
+        full = run_campaign("duckdb", checkpoint_path=path, checkpoint_every=500,
                             **kwargs)
         resumed = run_campaign("duckdb", resume=path, **kwargs)
         assert resumed.signature() == full.signature()

@@ -253,7 +253,8 @@ class TestParallelResume:
 
 
 # ---------------------------------------------------------------------------
-# satellite: _handle_timeout routes ConnectionClosed through RetryPolicy
+# satellite: the quiet retry after a timeout routes ConnectionClosed through
+# RetryPolicy
 # ---------------------------------------------------------------------------
 class TestTimeoutRetryBackoff:
     def _runner_with_script(self, script):

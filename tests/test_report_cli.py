@@ -119,12 +119,12 @@ class TestCLI:
         assert "JSONB_OBJECT_AGG" in out
 
     def test_fuzz_command(self, capsys):
-        assert main(["fuzz", "monetdb", "--budget", "2500"]) == 0
+        assert main(["run", "monetdb", "--budget", "2500"]) == 0
         out = capsys.readouterr().out
         assert "monetdb: 2500 queries" in out
 
     def test_fuzz_with_reports(self, capsys):
-        assert main(["fuzz", "duckdb", "--budget", "4000", "--reports"]) == 0
+        assert main(["run", "duckdb", "--budget", "4000", "--reports"]) == 0
         out = capsys.readouterr().out
         assert "Proof of concept" in out
 

@@ -373,7 +373,7 @@ class TestCheckpointResume:
 
     def test_resume_refuses_mismatched_campaign(self, tmp_path):
         path = str(tmp_path / "cp.json")
-        run_campaign("duckdb", budget=600, seed=3, checkpoint=path,
+        run_campaign("duckdb", budget=600, seed=3, checkpoint_path=path,
                      checkpoint_every=200)
         with pytest.raises(CheckpointError):
             run_campaign("duckdb", budget=600, seed=4, resume=path)
@@ -383,7 +383,7 @@ class TestCheckpointResume:
     def test_resume_is_identical_to_uninterrupted_run(self, tmp_path):
         path = str(tmp_path / "cp.json")
         kwargs = dict(budget=2000, seed=3, faults=FAULT_SPEC, fault_seed=5)
-        full = run_campaign("duckdb", checkpoint=path, checkpoint_every=700, **kwargs)
+        full = run_campaign("duckdb", checkpoint_path=path, checkpoint_every=700, **kwargs)
         cp = CampaignCheckpoint.load(path)
         assert 0 < cp.executed < 2000
         resumed = run_campaign("duckdb", resume=path, **kwargs)
@@ -395,7 +395,7 @@ class TestCheckpointResume:
         # checkpoint every 100 leaves the last snapshot inside the seed phase
         path = str(tmp_path / "cp.json")
         kwargs = dict(budget=280, seed=3, faults=FAULT_SPEC, fault_seed=5)
-        full = run_campaign("duckdb", checkpoint=path, checkpoint_every=100, **kwargs)
+        full = run_campaign("duckdb", checkpoint_path=path, checkpoint_every=100, **kwargs)
         cp = CampaignCheckpoint.load(path)
         assert cp.executed < full.seeds_collected
         resumed = run_campaign("duckdb", resume=path, **kwargs)
@@ -404,14 +404,14 @@ class TestCheckpointResume:
     def test_resume_with_coverage_restores_metrics(self, tmp_path):
         path = str(tmp_path / "cp.json")
         kwargs = dict(budget=800, seed=2, enable_coverage=True)
-        full = run_campaign("monetdb", checkpoint=path, checkpoint_every=300, **kwargs)
+        full = run_campaign("monetdb", checkpoint_path=path, checkpoint_every=300, **kwargs)
         resumed = run_campaign("monetdb", resume=path, **kwargs)
         assert resumed.branch_coverage == full.branch_coverage
         assert resumed.triggered_functions == full.triggered_functions
 
     def test_checkpoint_write_is_atomic(self, tmp_path):
         path = str(tmp_path / "cp.json")
-        run_campaign("duckdb", budget=600, seed=3, checkpoint=path,
+        run_campaign("duckdb", budget=600, seed=3, checkpoint_path=path,
                      checkpoint_every=200)
         assert not os.path.exists(path + ".tmp")
         CampaignCheckpoint.load(path)  # parses cleanly
@@ -440,7 +440,7 @@ class TestCLIFlags:
     def test_fuzz_with_faults(self, capsys):
         from repro.cli import main
 
-        code = main(["fuzz", "duckdb", "--budget", "400",
+        code = main(["run", "duckdb", "--budget", "400",
                      "--faults", "default", "--fault-seed", "1"])
         out = capsys.readouterr().out
         assert code == 0
@@ -450,16 +450,16 @@ class TestCLIFlags:
         from repro.cli import main
 
         path = str(tmp_path / "cp.json")
-        assert main(["fuzz", "duckdb", "--budget", "600", "--seed", "3",
+        assert main(["run", "duckdb", "--budget", "600", "--seed", "3",
                      "--checkpoint", path, "--checkpoint-every", "200"]) == 0
         assert os.path.exists(path)
-        assert main(["fuzz", "duckdb", "--budget", "600", "--seed", "3",
+        assert main(["run", "duckdb", "--budget", "600", "--seed", "3",
                      "--resume", path]) == 0
 
     def test_fuzz_bad_fault_spec_is_reported(self, capsys):
         from repro.cli import main
 
-        code = main(["fuzz", "duckdb", "--budget", "100",
+        code = main(["run", "duckdb", "--budget", "100",
                      "--faults", "gremlins=1"])
         assert code == 1
         assert "error:" in capsys.readouterr().out

@@ -8,7 +8,14 @@ from repro.core.oracles import CrashOracle
 from repro.core.runner import Runner
 from repro.dialects import bugs_for, dialect_by_name
 from repro.engine.connection import ConnectionClosed, ServerCrashed
-from repro.engine.errors import NullPointerDereference
+from repro.engine.errors import (
+    NullPointerDereference,
+    ResourceError,
+    ResourceExhausted,
+    SQLError,
+)
+from repro.robustness.sandbox import WorkerCrashed, WorkerHung
+from repro.robustness.watchdog import StatementTimeout
 
 
 class TestRunner:
@@ -65,6 +72,98 @@ class TestRunner:
         assert runner.branch_coverage >= before > 0
         runner.run("SELECT JSON_LENGTH('[1, 2]');")
         assert runner.branch_coverage > before
+
+
+def _timeout():
+    return StatementTimeout(30.0, 31.0)
+
+
+#: (exception factory, outcome kind, fault counters) when the exception is
+#: raised by the first attempt; the timeout count is 1 only for the classes
+#: that count one (a first kill, or a sandbox hang)
+FIRST_ATTEMPT = [
+    (lambda: ResourceExhausted("depth", 9, 2), "resource_exhausted", 0,
+     {"governor.depth": 1}),
+    (lambda: ResourceError("too big"), "resource_kill", 0, {}),
+    (lambda: SQLError("no such function"), "error", 0, {}),
+    (_timeout, "ok", 1, {"statement_kills": 1}),
+    (lambda: WorkerHung("hung"), "timeout", 1,
+     {"sandbox.hang_kills": 1, "sandbox.respawns": 1}),
+    (lambda: WorkerCrashed("died"), "harness_crash", 0,
+     {"sandbox.worker_deaths": 1, "sandbox.respawns": 1}),
+    (lambda: ConnectionClosed("reset"), "ok", 0, {"reconnects": 1}),
+    (lambda: ServerCrashed(NullPointerDereference("boom"), "SELECT 1;"),
+     "crash", 0, {}),
+    (RecursionError, "resource_kill", 0, {}),
+]
+
+#: the same classes raised by the quiet retry after a first-attempt
+#: timeout: the first kill is counted once, and a second timeout (or a
+#: sandbox hang) is the ``timeout`` outcome without a second count
+QUIET_RETRY = [
+    (lambda: ResourceExhausted("depth", 9, 2), "resource_exhausted", 1,
+     {"statement_kills": 1, "governor.depth": 1}),
+    (lambda: ResourceError("too big"), "resource_kill", 1,
+     {"statement_kills": 1}),
+    (lambda: SQLError("no such function"), "error", 1, {"statement_kills": 1}),
+    (_timeout, "timeout", 1, {"statement_kills": 1}),
+    (lambda: WorkerHung("hung"), "timeout", 1,
+     {"statement_kills": 1, "sandbox.hang_kills": 1, "sandbox.respawns": 1}),
+    (lambda: WorkerCrashed("died"), "harness_crash", 1,
+     {"statement_kills": 1, "sandbox.worker_deaths": 1,
+      "sandbox.respawns": 1}),
+    (lambda: ConnectionClosed("reset"), "ok", 1,
+     {"statement_kills": 1, "reconnects": 1}),
+    (lambda: ServerCrashed(NullPointerDereference("boom"), "SELECT 1;"),
+     "crash", 1, {"statement_kills": 1}),
+    (RecursionError, "resource_kill", 1, {"statement_kills": 1}),
+]
+
+
+class TestOutcomeClassification:
+    """Each exception class an attempt can raise maps to one outcome, with
+    the same timeout and fault-counter accounting on the first attempt and
+    on the quiet retry after a watchdog kill."""
+
+    def _run(self, script):
+        runner = Runner(dialect_by_name("duckdb"))
+        real_execute = runner._execute
+        quiet_flags = []
+
+        def fake_execute(sql, quiet=False):
+            quiet_flags.append(quiet)
+            if len(quiet_flags) <= len(script):
+                raise script[len(quiet_flags) - 1]()
+            return real_execute(sql, quiet=quiet)
+
+        runner._execute = fake_execute
+        return runner, runner.run("SELECT 1;"), quiet_flags
+
+    @pytest.mark.parametrize("make, kind, timeouts, counters", FIRST_ATTEMPT)
+    def test_first_attempt(self, make, kind, timeouts, counters):
+        runner, outcome, quiet_flags = self._run([make])
+        assert outcome.kind == kind
+        assert runner.timeouts == timeouts
+        assert runner.fault_counters == counters
+        # only the first attempt may run with faults enabled
+        assert quiet_flags[0] is False
+        assert all(quiet_flags[1:])
+
+    @pytest.mark.parametrize("make, kind, timeouts, counters", QUIET_RETRY)
+    def test_quiet_retry_after_timeout(self, make, kind, timeouts, counters):
+        runner, outcome, quiet_flags = self._run([_timeout, make])
+        assert outcome.kind == kind
+        assert runner.timeouts == timeouts
+        assert runner.fault_counters == counters
+        assert quiet_flags[:2] == [False, True]
+        assert all(quiet_flags[1:])
+
+    def test_crash_restarts_and_recursion_restarts(self):
+        for script in ([lambda: ServerCrashed(NullPointerDereference("boom"),
+                                              "SELECT 1;")],
+                       [RecursionError], [_timeout, RecursionError]):
+            runner, _, _ = self._run(script)
+            assert runner.restarts == 1
 
 
 class TestServerLifecycle:
@@ -195,26 +294,3 @@ class TestCampaign:
                      rng=random.Random(99), clock=SimulatedClock()).run()
         assert a.signature() == b.signature()
         assert a.elapsed_seconds == b.elapsed_seconds
-
-
-class TestOracleShimDeprecation:
-    def test_legacy_import_path_warns_and_reexports(self):
-        import importlib
-        import sys
-        import warnings
-
-        sys.modules.pop("repro.core.oracle", None)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            module = importlib.import_module("repro.core.oracle")
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert deprecations, "importing repro.core.oracle must warn"
-        assert "repro.core.oracles" in str(deprecations[0].message)
-
-        from repro.core.oracles import CrashOracle as canonical_oracle
-        from repro.core.oracles import DiscoveredBug as canonical_bug
-
-        assert module.CrashOracle is canonical_oracle
-        assert module.DiscoveredBug is canonical_bug

@@ -325,7 +325,7 @@ class TestSandboxCampaign:
         path = str(tmp_path / "sandbox.ckpt")
         kwargs = dict(budget=400, seed=3,
                       sandbox=SandboxConfig(quarantine=(sql0,)))
-        full = run_campaign("duckdb", checkpoint=path, checkpoint_every=150,
+        full = run_campaign("duckdb", checkpoint_path=path, checkpoint_every=150,
                             **kwargs)
         resumed = run_campaign("duckdb", resume=path, **kwargs)
         assert resumed.signature() == full.signature()
