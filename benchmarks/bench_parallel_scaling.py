@@ -5,8 +5,7 @@ hardware allows").  Measures the BUDGET_24H campaign serial vs sharded
 across 2/4/8 workers, cached vs uncached, **compiled vs interpreted**
 (the ``--compiled/--interpreted`` A/B axis), the statement cache's hit
 rate over the *entire* pattern-generated stream, the warm-stream replay
-throughput both ways, the byte cost of the pickle-free shard transport,
-and the predicate-family axis (the seeded table workload under the
+throughput both ways, and the predicate-family axis (the seeded table workload under the
 TLP/NoREC metamorphic oracles: table-workload qps plus the
 compiled-vs-fallback execution share) — persisting everything to
 ``benchmarks/results/BENCH_throughput.json``.
@@ -15,9 +14,7 @@ Two caveats are encoded rather than hidden:
 
 * wall-clock speedup from sharding needs real cores — the ≥1.5× @ 4
   workers assertion only fires when ``os.cpu_count() >= 4`` (a 1-CPU
-  container *slows down* under multiprocessing, deterministically so).
-  On a 1-CPU box the transport guard substitutes: warm bytes/statement
-  must be ≥5× below pickling the same stream;
+  container *slows down* under multiprocessing, deterministically so);
 * campaign-level cache hit rate is depressed by crash→restart
   invalidation (every discovered bug wipes the cache, by design), so the
   >50% hit-rate criterion is measured on the pure parse/optimize replay of
@@ -67,24 +64,11 @@ def _serial(cached: bool = True, compiled: bool = True):
 
 
 def _parallel(jobs: int):
-    """One sharded run; returns (result, transport stats dict or None)."""
-    campaign = ParallelCampaign(
+    return ParallelCampaign(
         config=CampaignConfig(
             dialect=DIALECT, jobs=jobs, budget=BUDGET_24H, seed=SEED
         )
-    )
-    result = campaign.run()
-    handoff = campaign.last_transport
-    transport = None
-    if handoff is not None:
-        transport = {
-            "statements": handoff.statements,
-            "warm_bytes_per_statement": handoff.warm_per_statement,
-            "cold_bytes_per_statement": handoff.cold_per_statement,
-            "pickle_bytes_per_statement": handoff.pickle_per_statement,
-            "warm_reduction_vs_pickle": handoff.warm_reduction,
-        }
-    return result, transport
+    ).run()
 
 
 def _predicate_serial():
@@ -282,9 +266,8 @@ def test_parallel_scaling(benchmark):
                 ),
                 "signature_matches_serial": result.signature() == serial.signature(),
                 "compiled_executions": result.compiled_executions,
-                "transport": transport,
             }
-            for jobs, (result, transport) in parallel.items()
+            for jobs, result in parallel.items()
         },
         "pattern_stream_cache": stream,
     }
@@ -319,7 +302,7 @@ def test_parallel_scaling(benchmark):
         f"{payload['warm_stream']['compiled_vs_interpreted']:.2f}x",
         warm_compiled_qps >= warm_interpreted_qps,
     ))
-    for jobs, (result, transport) in parallel.items():
+    for jobs, result in parallel.items():
         speedup = payload["parallel"][str(jobs)]["speedup_vs_serial"]
         lines.append(shape_line(
             f"jobs={jobs}: speedup / signature parity",
@@ -327,15 +310,6 @@ def test_parallel_scaling(benchmark):
             f"{speedup:.2f}x, parity={result.signature() == serial.signature()}",
             result.signature() == serial.signature(),
         ))
-        if transport is not None:
-            lines.append(shape_line(
-                f"jobs={jobs}: transport bytes/stmt vs pickle",
-                "≥5x smaller",
-                f"{transport['warm_bytes_per_statement']:.1f} B vs "
-                f"{transport['pickle_bytes_per_statement']:.1f} B "
-                f"({transport['warm_reduction_vs_pickle']:.1f}x)",
-                transport["warm_reduction_vs_pickle"] >= 5.0,
-            ))
     pred = payload["predicate_family"]
     lines.append(shape_line(
         "predicate family (table workload + TLP/NoREC)",
@@ -359,7 +333,7 @@ def test_parallel_scaling(benchmark):
     assert compiled_outcomes == interpreted_outcomes, "warm stream diverged"
     assert serial.compiled_executions > 0
     # hard acceptance: identical bug sets + signatures at every width
-    for jobs, (result, _transport) in parallel.items():
+    for jobs, result in parallel.items():
         assert result.signature() == serial.signature(), f"jobs={jobs} diverged"
     # hard acceptance: warm-stream compiled replay ≥3× the serial campaign
     assert warm_vs_campaign >= 3.0
@@ -371,13 +345,8 @@ def test_parallel_scaling(benchmark):
     assert predicate.findings, "predicate campaign found no seeded flaws"
     assert predicate.queries_executed > 0
     assert pred["compiled_share"] < 0.5
-    # speedup needs physical parallelism; a 1-CPU container cannot show it —
-    # there the transport byte guard substitutes (bytes don't need cores)
+    # speedup needs physical parallelism; a 1-CPU container cannot show it
     if cores >= 4:
         assert payload["parallel"]["4"]["speedup_vs_serial"] >= 1.5
     else:
         print(f"(speedup assertion skipped: only {cores} CPU core(s))")
-        transports = [t for _, t in parallel.values() if t is not None]
-        assert transports, "no shard run recorded transport stats"
-        for transport in transports:
-            assert transport["warm_reduction_vs_pickle"] >= 5.0

@@ -1,26 +1,21 @@
 #!/usr/bin/env python
-"""CI smoke test: plan->closure compilation and the shard transport must
-be invisible to the fuzzing results and actually pay for themselves.
+"""CI smoke test: plan->closure compilation must be invisible to the
+fuzzing results and actually pay for itself.
 
 1. compiled-vs-interpreted signature parity: a default (compiled) serial
    campaign, a ``--no-compile`` serial campaign, and a compiled
    ``--jobs 2`` campaign all report the same
-   ``CampaignResult.signature()``;
-2. the ``--jobs 2`` run round-trips the byte-level shard transport (warm
-   corpus in, packed reports out) and merges nonzero compile counters;
-3. throughput guard: on a warm dispatch-bound workload (cheap scalar
+   ``CampaignResult.signature()``, and the ``--jobs 2`` run merges
+   nonzero compile counters from its shards;
+2. throughput guard: on a warm dispatch-bound workload (cheap scalar
    functions, every template already cached and compiled) compiled
-   execution must run at >= 2x the interpreted qps;
-4. transport guard: shipping the generated stream through the stateful
-   statement transport must cost >= 5x fewer bytes per statement than
-   pickling it once the dictionary is warm.
+   execution must run at >= 2x the interpreted qps.
 
 Usage: ``PYTHONPATH=src python scripts/ci_compile_smoke.py``
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 import random
 import sys
@@ -29,12 +24,9 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.core.campaign import run_campaign  # noqa: E402
-from repro.core.collect import SeedCollector  # noqa: E402
 from repro.core.config import CampaignConfig  # noqa: E402
-from repro.core.patterns import PatternEngine  # noqa: E402
 from repro.dialects import dialect_by_name  # noqa: E402
 from repro.perf.parallel import ParallelCampaign  # noqa: E402
-from repro.perf.transport import transport_stats  # noqa: E402
 
 DIALECT = "duckdb"
 BUDGET = 2_000
@@ -43,7 +35,6 @@ JOBS = 2
 MICRO_STATEMENTS = 400
 MICRO_PASSES = 6
 MIN_COMPILE_SPEEDUP = 2.0
-MIN_TRANSPORT_REDUCTION = 5.0
 #: dispatch-bound scalar functions for the throughput probe — cheap
 #: bodies, so the measured delta is the dispatch overhead the compiler
 #: exists to remove (heavier statements are impl-bound on both paths and
@@ -84,7 +75,7 @@ def micro_qps(compile_plans: bool, statements) -> float:
 
 
 def main() -> None:
-    print(f"[1/3] compiled/interpreted/--jobs {JOBS} signature parity: "
+    print(f"[1/2] compiled/interpreted/--jobs {JOBS} signature parity: "
           f"{DIALECT}, budget {BUDGET}, seed {SEED}")
     compiled = run_campaign(DIALECT, budget=BUDGET, seed=SEED)
     interpreted = run_campaign(
@@ -96,27 +87,18 @@ def main() -> None:
         fail("compiled campaign never executed a compiled plan")
     if interpreted.compiled_executions != 0:
         fail("--no-compile campaign still executed compiled plans")
-    parallel_campaign = ParallelCampaign(
+    parallel = ParallelCampaign(
         config=CampaignConfig(dialect=DIALECT, budget=BUDGET, seed=SEED, jobs=JOBS)
-    )
-    parallel = parallel_campaign.run()
+    ).run()
     if parallel.signature() != compiled.signature():
         fail(f"--jobs {JOBS} signature differs from serial")
+    if parallel.compiled_executions == 0:
+        fail("parallel run merged zero compiled executions")
     print(f"      identical signatures; serial compiled "
           f"{compiled.compiled_executions:,} plans, "
           f"--jobs {JOBS} compiled {parallel.compiled_executions:,}")
 
-    print(f"[2/3] shard transport round trip (--jobs {JOBS})")
-    if parallel.compiled_executions == 0:
-        fail("parallel run merged zero compiled executions")
-    handoff = parallel_campaign.last_transport
-    if handoff is None or handoff.statements == 0:
-        fail("parallel run shipped no warm corpus through the transport")
-    print(f"      warm corpus: {handoff.statements} statements in "
-          f"{handoff.cold_bytes:,} packed bytes "
-          f"(pickle baseline {handoff.pickle_bytes:,})")
-
-    print(f"[3/3] throughput + transport guards: warm dispatch-bound "
+    print(f"[2/2] throughput guard: warm dispatch-bound "
           f"workload, {MICRO_STATEMENTS} statements x {MICRO_PASSES} passes")
     rng = random.Random(SEED)
     statements = [
@@ -132,23 +114,8 @@ def main() -> None:
         fail(f"compiled qps only {ratio:.2f}x interpreted "
              f"(need >= {MIN_COMPILE_SPEEDUP}x)")
 
-    dialect = dialect_by_name(DIALECT)
-    engine = PatternEngine(
-        SeedCollector(dialect).collect(), rng=random.Random(SEED)
-    )
-    stream = [
-        case.sql for case in itertools.islice(engine.generate_all(), 800)
-    ]
-    stats = transport_stats(stream)
-    print(f"      transport: warm {stats.warm_per_statement:.1f} B/stmt vs "
-          f"pickle {stats.pickle_per_statement:.1f} B/stmt "
-          f"({stats.warm_reduction:.1f}x)")
-    if stats.warm_reduction < MIN_TRANSPORT_REDUCTION:
-        fail(f"transport only {stats.warm_reduction:.1f}x below pickle "
-             f"(need >= {MIN_TRANSPORT_REDUCTION}x)")
-
     print(f"OK: compiled execution invisible to results; {ratio:.2f}x faster "
-          f"warm, transport {stats.warm_reduction:.1f}x smaller than pickle")
+          f"warm")
 
 
 if __name__ == "__main__":

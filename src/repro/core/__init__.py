@@ -6,18 +6,16 @@ oracle pipeline (crash, differential, error-conformance, and the
 metamorphic TLP/NoREC pair), and campaign orchestration.
 """
 
-from .campaign import (
+from .campaign import Campaign, CampaignResult, run_campaign, run_campaigns
+from .clauses import ClauseBoundaryGenerator
+from .collect import Seed, SeedCollector
+from .config import (
     BUDGET_24_HOURS,
     BUDGET_TWO_WEEKS,
     DEFAULT_CHECKPOINT_EVERY,
-    Campaign,
-    CampaignResult,
-    run_campaign,
-    run_campaigns,
+    CampaignConfig,
+    fault_spec,
 )
-from .clauses import ClauseBoundaryGenerator
-from .collect import Seed, SeedCollector
-from .config import CampaignConfig, fault_spec
 from .literals import boundary_literals, boundary_repeat_counts
 from .minimize import (
     CrashProbe,

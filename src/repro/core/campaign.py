@@ -47,23 +47,12 @@ from ..robustness.checkpoint import (
     rng_state_from_json,
     rng_state_to_json,
 )
-from ..robustness.faults import make_fault_injector
+from ..robustness.faults import FaultInjector, make_fault_injector
 from ..robustness.policy import RetryPolicy, ServerQuarantined
 from ..robustness.sandbox import ContainmentState
-from ..robustness.watchdog import (
-    DEFAULT_DEADLINE_SECONDS,
-    Clock,
-    SimulatedClock,
-    WallClock,
-    Watchdog,
-)
-from .collect import Seed, SeedCollector
-from .config import (
-    BUDGET_24_HOURS,
-    BUDGET_TWO_WEEKS,
-    DEFAULT_CHECKPOINT_EVERY,
-    CampaignConfig,
-)
+from ..robustness.watchdog import Clock, SimulatedClock, WallClock, Watchdog
+from .collect import SeedCollector
+from .config import CampaignConfig
 from .oracles import (
     CaseInfo,
     Finding,
@@ -72,12 +61,9 @@ from .oracles import (
     build_pipeline,
 )
 from .oracles.crash import DiscoveredBug
-from .patterns import GeneratedCase, PatternEngine
+from .patterns import PatternEngine
 from .runner import Outcome, Runner
 from .tables import TABLE_SETUP
-
-# BUDGET_24_HOURS / BUDGET_TWO_WEEKS / DEFAULT_CHECKPOINT_EVERY now live in
-# :mod:`repro.core.config`; re-imported above for their historical home here.
 
 
 @dataclass
@@ -189,6 +175,91 @@ class CampaignResult:
         return base
 
 
+# ----------------------------------------------------------------------
+# the steps serial and sharded campaigns share
+# ----------------------------------------------------------------------
+def build_runner(
+    dialect: Dialect,
+    config: CampaignConfig,
+    pipeline: OraclePipeline,
+    injector: Optional[FaultInjector],
+    clock: Clock,
+    retry_policy: Optional[RetryPolicy] = None,
+) -> Runner:
+    """The runner *config* asks for.  Build *pipeline* first: non-crash
+    oracles install the dialect's logic flaws, which must be patched in
+    before the server is built."""
+    runner = Runner(
+        dialect,
+        enable_coverage=config.enable_coverage,
+        faults=injector,
+        retry_policy=retry_policy,
+        clock=clock,
+        watchdog=Watchdog(clock, deadline_seconds=config.statement_deadline),
+        statement_cache=config.statement_cache,
+        compile_plans=config.compile,
+        budgets=config.budgets,
+        sandbox=config.sandbox,
+        bootstrap_sql=TABLE_SETUP if config.statement_family == "predicate" else (),
+    )
+    runner.capture_fingerprints = pipeline.needs_fingerprints
+    return runner
+
+
+def run_contained(
+    runner: Runner,
+    containment: Optional[ContainmentState],
+    sql: str,
+    family: str,
+    position: int,
+) -> Outcome:
+    """Run one statement through the crash-loop containment layer.
+
+    A statement that is quarantined (it killed a worker before) or whose
+    function family's circuit breaker is open is *skipped*: it produces
+    exactly one ``skipped`` outcome and never reaches the runner.
+    Everything else executes normally and feeds the containment state.
+    """
+    if containment is None:
+        return runner.run(sql, position=position)
+    reason = containment.should_skip(sql, family)
+    if reason is not None:
+        containment.note_skip()
+        return Outcome("skipped", sql, message=reason)
+    outcome = runner.run(sql, position=position)
+    containment.observe(outcome.kind, sql, family, outcome.message)
+    return outcome
+
+
+def add_counts(into: Dict[str, int], counts: Dict[str, int]) -> None:
+    for kind, count in counts.items():
+        into[kind] = into.get(kind, 0) + count
+
+
+def fill_result(
+    result: CampaignResult,
+    pipeline: OraclePipeline,
+    fault_counters: Dict[str, int],
+    containment: Optional[ContainmentState],
+) -> None:
+    """Copy the oracle verdicts, the fault counters (also as ``fault.*``
+    outcomes) and the containment summary into *result*."""
+    crash = pipeline.get("crash")
+    if crash is not None:
+        result.bugs = list(crash.bugs)
+        result.false_positives = list(crash.false_positives)
+        result.flaky_signals = list(crash.flaky_signals)
+    result.findings = pipeline.extra_findings()
+    result.fault_counters = fault_counters
+    for kind, count in sorted(fault_counters.items()):
+        result.outcomes[f"fault.{kind}"] = count
+    if containment is not None:
+        result.sandbox_active = True
+        result.open_breakers = containment.open_breakers
+        result.quarantined_statements = len(containment.quarantine)
+        result.skipped_statements = containment.skipped
+
+
 class Campaign:
     """One SOFT campaign over one dialect.
 
@@ -216,25 +287,13 @@ class Campaign:
             config = config.replace(dialect=dialect.name)
         self.config = config
         self.dialect = dialect
-        self.budget = config.budget
-        self.oracle_names = config.oracles
-        self.budgets = config.budgets
-        self.sandbox_config = config.sandbox
         self.containment: Optional[ContainmentState] = (
-            ContainmentState.from_config(self.sandbox_config)
-            if self.sandbox_config is not None
+            ContainmentState.from_config(config.sandbox)
+            if config.sandbox is not None
             else None
         )
-        self.enable_coverage = config.enable_coverage
-        self.seed = config.seed
-        self.statement_cache = config.statement_cache
         self.rng = rng if rng is not None else random.Random(config.seed)
-        self.max_partners = config.max_partners
-        self.stop_when_all_found = config.stop_when_all_found
-        self.checkpoint_path = config.checkpoint_path
-        self.checkpoint_every = config.checkpoint_every
         self.retry_policy = retry_policy
-        self.statement_deadline = config.statement_deadline
         if clock is None:
             # faulted or checkpointed campaigns need steerable, restorable
             # time; plain campaigns keep reporting real elapsed seconds
@@ -260,6 +319,7 @@ class Campaign:
     def run(
         self, resume: Union[None, str, CampaignCheckpoint] = None
     ) -> CampaignResult:
+        config = self.config
         cp: Optional[CampaignCheckpoint] = None
         if resume is not None:
             cp = (
@@ -269,35 +329,20 @@ class Campaign:
             )
             cp.validate_for(
                 self.dialect.name,
-                self.seed,
-                self.budget,
-                self.max_partners,
-                self.enable_coverage,
+                config.seed,
+                config.budget,
+                config.max_partners,
+                config.enable_coverage,
             )
         self._started = self.clock.now()
         self._elapsed_offset = 0.0
         self._wall_started = time.monotonic()
         result = CampaignResult(dialect=self.dialect.name)
-        # the pipeline comes first: non-crash oracles install the dialect's
-        # logic flaws, which must be patched in before the server is built
-        pipeline = build_pipeline(self.dialect, self.oracle_names)
-        bootstrap_sql: Tuple[str, ...] = ()
-        if self.config.statement_family == "predicate":
-            bootstrap_sql = TABLE_SETUP
-        runner = Runner(
-            self.dialect,
-            enable_coverage=self.enable_coverage,
-            faults=self.injector,
-            retry_policy=self.retry_policy,
-            clock=self.clock,
-            watchdog=Watchdog(self.clock, deadline_seconds=self.statement_deadline),
-            statement_cache=self.statement_cache,
-            compile_plans=self.config.compile,
-            budgets=self.budgets,
-            sandbox=self.sandbox_config,
-            bootstrap_sql=bootstrap_sql,
+        pipeline = build_pipeline(self.dialect, config.oracles)
+        runner = build_runner(
+            self.dialect, config, pipeline, self.injector, self.clock,
+            self.retry_policy,
         )
-        runner.capture_fingerprints = pipeline.needs_fingerprints
         crash_oracle = pipeline.get("crash")
         expected = getattr(self.dialect, "bugs", [])
 
@@ -327,11 +372,13 @@ class Campaign:
                 if position < skip:
                     position += 1  # executed before the checkpoint
                     continue
-                if self._processed(runner) >= self.budget:
+                if self._processed(runner) >= config.budget:
                     break
                 sql = f"SELECT {seed_obj.sql};"
                 case = CaseInfo("seed", seed_obj.function, seed_obj.family)
-                outcome = self._contained_run(runner, sql, case, position)
+                outcome = run_contained(
+                    runner, self.containment, sql, seed_obj.family, position
+                )
                 self._record(result, pipeline, outcome, case, position)
                 if outcome.result_type and seed_obj.function not in return_types:
                     return_types[seed_obj.function] = outcome.result_type
@@ -349,9 +396,9 @@ class Campaign:
             engine = PatternEngine(
                 seeds,
                 rng=self.rng,
-                max_partners=self.max_partners,
+                max_partners=config.max_partners,
                 return_types=return_types,
-                statement_family=self.config.statement_family,
+                statement_family=config.statement_family,
             )
             for case in engine.generate_all():
                 if position < skip:
@@ -360,14 +407,16 @@ class Campaign:
                 if not rng_verified:
                     self._verify_rng(cp)
                     rng_verified = True
-                if self._processed(runner) >= self.budget:
+                if self._processed(runner) >= config.budget:
                     break
                 info = CaseInfo(case.pattern, case.seed_function, case.seed_family)
-                outcome = self._contained_run(runner, case.sql, info, position)
+                outcome = run_contained(
+                    runner, self.containment, case.sql, case.seed_family, position
+                )
                 self._record(result, pipeline, outcome, info, position)
                 position += 1
                 if (
-                    self.stop_when_all_found
+                    config.stop_when_all_found
                     and expected
                     and crash_oracle is not None
                     and crash_oracle.recall_against(expected) >= 1.0
@@ -397,28 +446,6 @@ class Campaign:
         skipped = self.containment.skipped if self.containment is not None else 0
         return runner.executed + skipped
 
-    def _contained_run(
-        self, runner: Runner, sql: str, case: CaseInfo, position: int
-    ) -> Outcome:
-        """Run one statement through the crash-loop containment layer.
-
-        A statement that is quarantined (it killed a worker before) or
-        whose function family's circuit breaker is open is *skipped*: it
-        produces exactly one ``skipped`` outcome and never reaches the
-        runner.  Everything else executes normally and feeds the
-        containment state.
-        """
-        containment = self.containment
-        if containment is None:
-            return runner.run(sql, position=position)
-        reason = containment.should_skip(sql, case.family)
-        if reason is not None:
-            containment.note_skip()
-            return Outcome("skipped", sql, message=reason)
-        outcome = runner.run(sql, position=position)
-        containment.observe(outcome.kind, sql, case.family, outcome.message)
-        return outcome
-
     # ------------------------------------------------------------------
     def _record(
         self,
@@ -441,7 +468,7 @@ class Campaign:
             self.on_progress(
                 {
                     "position": position + 1,
-                    "budget": self.budget,
+                    "budget": self.config.budget,
                     "outcomes": dict(result.outcomes),
                 }
             )
@@ -450,21 +477,12 @@ class Campaign:
         self, result: CampaignResult, runner: Runner, pipeline: OraclePipeline
     ) -> CampaignResult:
         result.queries_executed = runner.executed
-        crash = pipeline.get("crash")
-        if crash is not None:
-            result.bugs = list(crash.bugs)
-            result.false_positives = list(crash.false_positives)
-            result.flaky_signals = list(crash.flaky_signals)
-        result.findings = pipeline.extra_findings()
         result.triggered_functions = runner.triggered_functions
         result.branch_coverage = runner.branch_coverage
-        merged: Dict[str, int] = dict(runner.fault_counters)
+        fault_counters: Dict[str, int] = dict(runner.fault_counters)
         if self.injector is not None:
-            for kind, count in self.injector.counters.items():
-                merged[kind] = merged.get(kind, 0) + count
-        result.fault_counters = merged
-        for kind, count in sorted(merged.items()):
-            result.outcomes[f"fault.{kind}"] = count
+            add_counts(fault_counters, self.injector.counters)
+        fill_result(result, pipeline, fault_counters, self.containment)
         result.elapsed_seconds = (
             self.clock.now() - self._started
         ) + self._elapsed_offset
@@ -473,15 +491,10 @@ class Campaign:
         result.cache_misses = runner.cache_misses
         result.compiled_executions = runner.compiled_executions
         result.compile_fallbacks = runner.compile_fallbacks
-        if self.containment is not None:
-            result.sandbox_active = True
-            result.open_breakers = self.containment.open_breakers
-            result.quarantined_statements = len(self.containment.quarantine)
-            result.skipped_statements = self.containment.skipped
-            if runner.sandbox is not None:
-                result.sandbox_kills = runner.sandbox.kills
-                result.sandbox_worker_deaths = runner.sandbox.worker_deaths
-                result.sandbox_respawns = runner.sandbox.respawns
+        if self.containment is not None and runner.sandbox is not None:
+            result.sandbox_kills = runner.sandbox.kills
+            result.sandbox_worker_deaths = runner.sandbox.worker_deaths
+            result.sandbox_respawns = runner.sandbox.respawns
         runner.close()
         return result
 
@@ -495,13 +508,12 @@ class Campaign:
         return_types: Dict[str, str],
         position: int,
     ) -> None:
-        if self.checkpoint_path is None or self.checkpoint_every <= 0:
+        path, every = self.config.checkpoint_path, self.config.checkpoint_every
+        if path is None or every <= 0:
             return
-        if runner.executed == 0 or runner.executed % self.checkpoint_every:
+        if runner.executed == 0 or runner.executed % every:
             return
-        self._capture(runner, pipeline, result, return_types, position).save(
-            self.checkpoint_path
-        )
+        self._capture(runner, pipeline, result, return_types, position).save(path)
 
     def _capture(
         self,
@@ -526,10 +538,10 @@ class Campaign:
             }
         return CampaignCheckpoint(
             dialect=self.dialect.name,
-            seed=self.seed,
-            budget=self.budget,
-            max_partners=self.max_partners,
-            enable_coverage=self.enable_coverage,
+            seed=self.config.seed,
+            budget=self.config.budget,
+            max_partners=self.config.max_partners,
+            enable_coverage=self.config.enable_coverage,
             executed=runner.executed,
             restarts=runner.restarts,
             timeouts=runner.timeouts,

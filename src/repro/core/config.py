@@ -31,8 +31,7 @@ from ..robustness.sandbox import SandboxConfig, make_sandbox_config
 from ..robustness.watchdog import DEFAULT_DEADLINE_SECONDS
 from .oracles.base import parse_oracle_names
 
-#: query budgets standing in for the paper's time budgets (the historical
-#: home of these constants, ``repro.core.campaign``, re-exports them)
+#: query budgets standing in for the paper's time budgets
 BUDGET_24_HOURS = 20_000
 BUDGET_TWO_WEEKS = 300_000
 

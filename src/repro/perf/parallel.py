@@ -29,12 +29,13 @@ Architecture (see DESIGN.md for the full determinism argument):
   oracle's kept records by global stream position and re-deduplicates —
   the same first-occurrence order as the serial loop, so the merged
   findings match a serial run record for record.
-* **Bulky payloads never ride the pickle channel.**  The parent exports
-  its seed-phase statement cache as a template-factored warm corpus that
-  every worker imports before touching its stream, and each worker
-  returns its shard report as a packed value tree on disk — the
-  multiprocessing channel carries scalar arguments and fixed-size path
-  envelopes only (:mod:`repro.perf.transport`).
+* **Bulk data crosses the process boundary as pickle files.**  The parent
+  exports its seed-phase statement cache as a warm corpus that every
+  worker imports before touching its stream, and each worker writes its
+  shard report to a file whose path is all it returns.  Both files live in
+  the parent's private temporary directory and only its own children
+  write them — the same trust level as the multiprocessing channel, which
+  pickles its arguments anyway.
 
 Checkpoint/resume: each worker writes its own sidecar checkpoint
 (``<path>.shard<w>``) carrying its pipeline state.  On resume the parent
@@ -55,36 +56,38 @@ probability is negligible, and the merged report still flags
 from __future__ import annotations
 
 import concurrent.futures
-import json
 import multiprocessing
 import os
+import pickle
 import random
 import tempfile
 import time
 from typing import Any, Dict, List, Optional, Union
 
-from ..core.campaign import CampaignResult
-from ..core.config import CampaignConfig, fault_spec
+from ..core.campaign import (
+    CampaignResult,
+    add_counts,
+    build_runner,
+    fill_result,
+    run_contained,
+)
+from ..core.config import CampaignConfig
 from ..core.collect import SeedCollector
 from ..core.oracles import CaseInfo, OraclePipeline, OracleStateError, build_pipeline
 from ..core.patterns import PatternEngine
-from ..core.runner import Outcome, Runner
-from ..core.tables import TABLE_SETUP
+from ..core.runner import Runner
 from ..dialects import dialect_by_name
 from ..dialects.base import Dialect
-from ..robustness.checkpoint import CHECKPOINT_VERSION, CheckpointError
+from ..robustness.checkpoint import (
+    CHECKPOINT_VERSION,
+    CheckpointError,
+    read_json,
+    write_json_atomic,
+)
 from ..robustness.faults import FaultInjector, make_fault_injector
 from ..robustness.policy import ServerQuarantined
-from ..robustness.sandbox import ContainmentState, SandboxConfig
-from ..robustness.watchdog import SimulatedClock, Watchdog
-from .transport import (
-    TransportStats,
-    pack_statements,
-    read_packed,
-    transport_stats,
-    unpack_statements,
-    write_packed,
-)
+from ..robustness.sandbox import ContainmentState
+from ..robustness.watchdog import SimulatedClock
 
 
 #: sidecar layout version: bumped when the shard report/checkpoint schema
@@ -93,67 +96,60 @@ from .transport import (
 SHARD_FORMAT_VERSION = 2
 
 
-def _shard_checkpoint_path(path: str, worker: int) -> str:
-    return f"{path}.shard{worker}"
+# ----------------------------------------------------------------------
+# the files the parent and its shards exchange (plain pickles)
+# ----------------------------------------------------------------------
+def pack_statements(statements: List[str]) -> bytes:
+    """Serialize the warm statement corpus."""
+    return pickle.dumps(statements, protocol=pickle.HIGHEST_PROTOCOL)
 
 
+def unpack_statements(data: bytes) -> List[str]:
+    return pickle.loads(data)
+
+
+def write_packed(path: str, value: Any) -> int:
+    """Pickle a shard report to *path*; returns the byte count."""
+    data = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return len(data)
+
+
+def read_packed(path: str) -> Any:
+    with open(path, "rb") as fh:
+        return pickle.load(fh)
+
+
+# ----------------------------------------------------------------------
+# one shard
+# ----------------------------------------------------------------------
 def _run_shard(
-    dialect_name: str,
+    config: CampaignConfig,
     worker: int,
-    jobs: int,
-    seed: int,
-    budget: int,
     seed_count: int,
     return_types: Dict[str, str],
-    max_partners: int,
-    enable_coverage: bool,
-    faults_spec: Optional[str],
-    fault_seed: int,
-    statement_deadline: float,
-    statement_cache: bool,
-    checkpoint_path: Optional[str],
-    checkpoint_every: int,
     resume: bool,
-    oracle_names: tuple = ("crash",),
-    stop_after: Optional[int] = None,
-    budgets_spec: Optional[str] = None,
-    sandbox_config: Optional[SandboxConfig] = None,
-    containment_seed: Optional[Dict[str, Any]] = None,
-    compile_plans: bool = True,
-    warm_corpus_path: Optional[str] = None,
-    transport_dir: Optional[str] = None,
-    statement_family: str = "expression",
+    containment_seed: Optional[Dict[str, Any]],
+    warm_corpus_path: Optional[str],
+    transport_dir: str,
+    stop_after: Optional[int],
 ) -> Dict[str, Any]:
     """Execute one worker's share of the generated stream.
 
-    Runs in a child process (or inline for ``jobs=1``).  The pickle
-    channel carries only this call's scalar arguments and a tiny path
-    envelope back: the warm statement corpus arrives template-factored at
-    ``warm_corpus_path`` and, when ``transport_dir`` is set, the shard
-    report leaves as a packed value tree on disk (see
-    :mod:`repro.perf.transport`).  ``stop_after`` caps how many
-    statements this shard executes before returning early — a test hook
-    that simulates a mid-campaign kill for resume testing.
+    Runs in a child process (or inline for ``jobs=1``).  The warm
+    statement corpus arrives as a pickle at ``warm_corpus_path``; the
+    shard report is pickled into ``transport_dir`` and only its path goes
+    back through the multiprocessing channel.
+    ``stop_after`` caps how many statements this shard executes before
+    returning early — a test hook that simulates a mid-campaign kill for
+    resume testing.
     """
-    dialect = dialect_by_name(dialect_name)
-    # pipeline before runner: logic-flaw installation must precede server
-    # construction, exactly as in the serial campaign
-    pipeline = build_pipeline(dialect, oracle_names)
+    dialect = dialect_by_name(config.dialect)
+    pipeline = build_pipeline(dialect, config.oracles)
     clock = SimulatedClock()
-    injector = make_fault_injector(faults_spec, seed=fault_seed, clock=clock)
-    runner = Runner(
-        dialect,
-        enable_coverage=enable_coverage,
-        faults=injector,
-        clock=clock,
-        watchdog=Watchdog(clock, deadline_seconds=statement_deadline),
-        statement_cache=statement_cache,
-        budgets=budgets_spec,
-        sandbox=sandbox_config,
-        compile_plans=compile_plans,
-        bootstrap_sql=TABLE_SETUP if statement_family == "predicate" else (),
-    )
-    runner.capture_fingerprints = pipeline.needs_fingerprints
+    injector = make_fault_injector(config.faults, seed=config.fault_seed, clock=clock)
+    runner = build_runner(dialect, config, pipeline, injector, clock)
     cache = runner.server.stmt_cache
     if warm_corpus_path is not None and cache is not None and runner.sandbox is None:
         # inherit the parent's warmed template cache: every statement the
@@ -166,8 +162,8 @@ def _run_shard(
         for sql in warm_sql:
             cache.warm(dialect.name, sql, runner.server.ctx)
     containment: Optional[ContainmentState] = None
-    if sandbox_config is not None:
-        containment = ContainmentState.from_config(sandbox_config)
+    if config.sandbox is not None:
+        containment = ContainmentState.from_config(config.sandbox)
         if containment_seed is not None:
             # containment built up during the parent's seed phase carries
             # over: a seed statement that killed a worker stays quarantined
@@ -180,77 +176,51 @@ def _run_shard(
     # fresh Random(seed) in every process keeps the constructor contract
     engine = PatternEngine(
         SeedCollector(dialect).collect(),
-        rng=random.Random(seed),
-        max_partners=max_partners,
+        rng=random.Random(config.seed),
+        max_partners=config.max_partners,
         return_types=dict(return_types),
-        statement_family=statement_family,
+        statement_family=config.statement_family,
     )
 
     skip_in_shard = 0
     shard_executed = 0
     outcome_counts: Dict[str, int] = {}
-    if resume and checkpoint_path is not None:
-        state = _load_shard_checkpoint(
-            _shard_checkpoint_path(checkpoint_path, worker),
-            dialect_name, seed, budget, max_partners,
-            enable_coverage, jobs, worker, oracle_names,
-            budgets_spec, sandbox_config,
-            compile_plans=compile_plans,
-            statement_family=statement_family,
-        )
-        if state is not None:
-            # processed counts containment skips too; sidecars written
-            # before the sandbox existed only have the executed count
-            skip_in_shard = state.get("shard_processed", state["shard_executed"])
-            shard_executed = state["shard_executed"]
-            outcome_counts = dict(state["outcomes"])
-            try:
-                pipeline.restore_state(state["oracle_state"])
-            except OracleStateError as exc:
-                raise CheckpointError(str(exc)) from exc
-            runner.fault_counters = dict(state["fault_counters"])
-            runner.server.ctx.triggered_functions |= set(state["triggered"])
-            if runner.coverage is not None:
-                runner.coverage.arcs |= {tuple(a) for a in state["coverage_arcs"]}
-                runner.coverage.lines |= {tuple(l) for l in state["coverage_lines"]}
-            sandbox_state = state.get("sandbox")
-            if sandbox_state is not None and containment is not None:
-                containment.restore_state(sandbox_state["containment"])
-                if runner.sandbox is not None:
-                    runner.sandbox.kills = sandbox_state["kills"]
-                    runner.sandbox.worker_deaths = sandbox_state["worker_deaths"]
-                    runner.sandbox.respawns = sandbox_state["respawns"]
+    state = _load_shard_checkpoint(config, worker) if resume else None
+    if state is not None:
+        # processed counts containment skips too; sidecars written
+        # before the sandbox existed only have the executed count
+        skip_in_shard = state.get("shard_processed", state["shard_executed"])
+        shard_executed = state["shard_executed"]
+        outcome_counts = dict(state["outcomes"])
+        try:
+            pipeline.restore_state(state["oracle_state"])
+        except OracleStateError as exc:
+            raise CheckpointError(str(exc)) from exc
+        runner.fault_counters = dict(state["fault_counters"])
+        runner.server.ctx.triggered_functions |= set(state["triggered"])
+        if runner.coverage is not None:
+            runner.coverage.arcs |= {tuple(a) for a in state["coverage_arcs"]}
+            runner.coverage.lines |= {tuple(l) for l in state["coverage_lines"]}
+        sandbox_state = state.get("sandbox")
+        if sandbox_state is not None and containment is not None:
+            containment.restore_state(sandbox_state["containment"])
+            if runner.sandbox is not None:
+                runner.sandbox.kills = sandbox_state["kills"]
+                runner.sandbox.worker_deaths = sandbox_state["worker_deaths"]
+                runner.sandbox.respawns = sandbox_state["respawns"]
 
-    generated_budget = max(budget - seed_count, 0)
+    jobs = config.jobs
+    generated_budget = max(config.budget - seed_count, 0)
+    every = config.checkpoint_every if config.checkpoint_path is not None else 0
     shard_processed = 0
     executed_this_run = 0
     quarantined = False
     quarantine_reason = ""
-    wall_started = time.monotonic()
 
-    def sandbox_report() -> Optional[Dict[str, Any]]:
-        if containment is None:
-            return None
-        return {
-            "containment": containment.export_state(),
-            "kills": runner.sandbox.kills if runner.sandbox else 0,
-            "worker_deaths": runner.sandbox.worker_deaths if runner.sandbox else 0,
-            "respawns": runner.sandbox.respawns if runner.sandbox else 0,
-        }
-
-    def maybe_checkpoint() -> None:
-        if checkpoint_path is None or checkpoint_every <= 0:
-            return
-        if shard_processed == 0 or shard_processed % checkpoint_every:
-            return
-        _save_shard_checkpoint(
-            _shard_checkpoint_path(checkpoint_path, worker),
-            dialect_name, seed, budget, max_partners, enable_coverage,
-            jobs, worker, oracle_names, shard_executed, pipeline,
-            outcome_counts, runner, shard_processed, sandbox_report(),
-            budgets_spec, sandbox_config,
-            compile_plans=compile_plans,
-            statement_family=statement_family,
+    def shard_state() -> Dict[str, Any]:
+        return _shard_state(
+            runner, pipeline, outcome_counts, shard_executed, shard_processed,
+            containment,
         )
 
     try:
@@ -263,31 +233,23 @@ def _run_shard(
                 shard_processed += 1
                 continue
             position = seed_count + index
-            info = CaseInfo(case.pattern, case.seed_function, case.seed_family)
-            if containment is not None:
-                reason = containment.should_skip(case.sql, case.seed_family)
-                if reason is not None:
-                    containment.note_skip()
-                    outcome_counts["skipped"] = outcome_counts.get("skipped", 0) + 1
-                    pipeline.observe(
-                        Outcome("skipped", case.sql, message=reason),
-                        info, position,
-                    )
-                    shard_processed += 1
-                    maybe_checkpoint()
-                    continue
-            outcome = runner.run(case.sql, position=position)
-            if containment is not None:
-                containment.observe(
-                    outcome.kind, case.sql, case.seed_family, outcome.message
-                )
+            outcome = run_contained(
+                runner, containment, case.sql, case.seed_family, position
+            )
             outcome_counts[outcome.kind] = outcome_counts.get(outcome.kind, 0) + 1
-            pipeline.observe(outcome, info, position)
+            pipeline.observe(
+                outcome,
+                CaseInfo(case.pattern, case.seed_function, case.seed_family),
+                position,
+            )
             shard_processed += 1
-            shard_executed += 1
-            executed_this_run += 1
-            maybe_checkpoint()
-            if stop_after is not None and executed_this_run >= stop_after:
+            executed = outcome.kind != "skipped"
+            if executed:
+                shard_executed += 1
+                executed_this_run += 1
+            if every > 0 and shard_processed % every == 0:
+                _save_shard_checkpoint(config, worker, shard_state())
+            if executed and stop_after is not None and executed_this_run >= stop_after:
                 break
     except ServerQuarantined as exc:
         shard_processed = max(shard_processed - 1, 0)
@@ -295,162 +257,126 @@ def _run_shard(
         quarantined = True
         quarantine_reason = str(exc)
 
+    state = shard_state()
+    if config.checkpoint_path is not None:
+        _save_shard_checkpoint(config, worker, state)
     report: Dict[str, Any] = {
-        "worker": worker,
-        "shard_executed": shard_executed,
-        "outcomes": outcome_counts,
-        "oracle_state": pipeline.export_state(),
-        "fault_counters": dict(runner.fault_counters),
+        **state,
         "injector_counters": dict(injector.counters) if injector is not None else {},
-        "triggered": sorted(runner.server.ctx.triggered_functions),
-        "coverage_arcs": [list(a) for a in runner.coverage.arcs]
-        if runner.coverage is not None
-        else [],
-        "coverage_lines": [list(l) for l in runner.coverage.lines]
-        if runner.coverage is not None
-        else [],
         "cache_hits": runner.cache_hits,
         "cache_misses": runner.cache_misses,
         "compiled_executions": runner.compiled_executions,
         "compile_fallbacks": runner.compile_fallbacks,
-        "restarts": runner.restarts,
-        "timeouts": runner.timeouts,
-        "flaky_crashes": runner.flaky_crashes,
         "quarantined": quarantined,
         "quarantine_reason": quarantine_reason,
-        "wall_seconds": time.monotonic() - wall_started,
-        "shard_processed": shard_processed,
-        "sandbox": sandbox_report(),
     }
-    if checkpoint_path is not None:
-        _save_shard_checkpoint(
-            _shard_checkpoint_path(checkpoint_path, worker),
-            dialect_name, seed, budget, max_partners, enable_coverage,
-            jobs, worker, oracle_names, shard_executed, pipeline,
-            outcome_counts, runner, shard_processed, sandbox_report(),
-            budgets_spec, sandbox_config,
-            compile_plans=compile_plans,
-            statement_family=statement_family,
-        )
     runner.close()
-    if transport_dir is not None:
-        # ship the report as a packed value tree; the pickle channel only
-        # ever carries this fixed-size envelope
-        packed_path = os.path.join(transport_dir, f"shard{worker}.report")
-        write_packed(packed_path, report)
-        return {"worker": worker, "packed_path": packed_path}
-    return report
+    packed_path = os.path.join(transport_dir, f"shard{worker}.report")
+    write_packed(packed_path, report)
+    return {"worker": worker, "packed_path": packed_path}
+
+
+def _shard_state(
+    runner: Runner,
+    pipeline: OraclePipeline,
+    outcomes: Dict[str, int],
+    shard_executed: int,
+    shard_processed: int,
+    containment: Optional[ContainmentState],
+) -> Dict[str, Any]:
+    """A shard's progress: the body of both its sidecar and its report."""
+    sandbox = None
+    if containment is not None:
+        supervisor = runner.sandbox
+        sandbox = {
+            "containment": containment.export_state(),
+            "kills": supervisor.kills if supervisor else 0,
+            "worker_deaths": supervisor.worker_deaths if supervisor else 0,
+            "respawns": supervisor.respawns if supervisor else 0,
+        }
+    coverage = runner.coverage
+    return {
+        "shard_executed": shard_executed,
+        "shard_processed": shard_processed,
+        "sandbox": sandbox,
+        "oracle_state": pipeline.export_state(),
+        "outcomes": outcomes,
+        "fault_counters": dict(runner.fault_counters),
+        "triggered": sorted(runner.server.ctx.triggered_functions),
+        "coverage_arcs": (
+            [list(a) for a in coverage.arcs] if coverage is not None else []
+        ),
+        "coverage_lines": (
+            [list(l) for l in coverage.lines] if coverage is not None else []
+        ),
+    }
 
 
 # ----------------------------------------------------------------------
 # per-shard sidecar checkpoints
 # ----------------------------------------------------------------------
-def _shard_spec(
-    dialect: str, seed: int, budget: int, max_partners: int,
-    enable_coverage: bool, jobs: int, worker: int,
-    oracle_names: tuple,
-    budgets_spec: Optional[str] = None,
-    sandbox_config: Optional[SandboxConfig] = None,
-    compile_plans: bool = True,
-    statement_family: str = "expression",
-) -> Dict[str, Any]:
+def _shard_checkpoint_path(path: str, worker: int) -> str:
+    return f"{path}.shard{worker}"
+
+
+def _shard_spec(config: CampaignConfig, worker: int) -> Dict[str, Any]:
+    """The campaign identity a sidecar must match to be resumed."""
     spec = {
         "version": CHECKPOINT_VERSION,
         "shard_format": SHARD_FORMAT_VERSION,
-        "dialect": dialect,
-        "seed": seed,
-        "budget": budget,
-        "max_partners": max_partners,
-        "enable_coverage": enable_coverage,
-        "jobs": jobs,
+        "dialect": config.dialect,
+        "seed": config.seed,
+        "budget": config.budget,
+        "max_partners": config.max_partners,
+        "enable_coverage": config.enable_coverage,
+        "jobs": config.jobs,
         "worker": worker,
-        "oracles": list(oracle_names),
+        "oracles": list(config.oracles),
     }
     # only non-default governance/sandbox settings enter the spec, so
     # sidecars written before this layer existed still match default runs
-    if budgets_spec:
-        spec["budgets"] = budgets_spec
-    if sandbox_config is not None:
+    budgets = config.budgets
+    if budgets is not None and budgets.enabled:
+        spec["budgets"] = budgets.to_spec()
+    sandbox = config.sandbox
+    if sandbox is not None:
         spec["sandbox"] = {
-            "wall_deadline_seconds": sandbox_config.wall_deadline_seconds,
-            "breaker_threshold": sandbox_config.breaker_threshold,
-            "quarantine": list(sandbox_config.quarantine),
-            "max_message_bytes": sandbox_config.max_message_bytes,
+            "wall_deadline_seconds": sandbox.wall_deadline_seconds,
+            "breaker_threshold": sandbox.breaker_threshold,
+            "quarantine": list(sandbox.quarantine),
+            "max_message_bytes": sandbox.max_message_bytes,
         }
-    if not compile_plans:
+    if not config.compile:
         spec["compile"] = False
-    if statement_family != "expression":
-        spec["statement_family"] = statement_family
+    if config.statement_family != "expression":
+        spec["statement_family"] = config.statement_family
     return spec
 
 
 def _save_shard_checkpoint(
-    path: str,
-    dialect: str, seed: int, budget: int, max_partners: int,
-    enable_coverage: bool, jobs: int, worker: int,
-    oracle_names: tuple,
-    shard_executed: int,
-    pipeline: OraclePipeline,
-    outcomes: Dict[str, int],
-    runner: Runner,
-    shard_processed: Optional[int] = None,
-    sandbox_state: Optional[Dict[str, Any]] = None,
-    budgets_spec: Optional[str] = None,
-    sandbox_config: Optional[SandboxConfig] = None,
-    compile_plans: bool = True,
-    statement_family: str = "expression",
+    config: CampaignConfig, worker: int, state: Dict[str, Any]
 ) -> None:
-    payload = {
-        "spec": _shard_spec(
-            dialect, seed, budget, max_partners, enable_coverage, jobs,
-            worker, oracle_names, budgets_spec, sandbox_config,
-            compile_plans, statement_family,
-        ),
-        "shard_executed": shard_executed,
-        "shard_processed": (
-            shard_processed if shard_processed is not None else shard_executed
-        ),
-        "sandbox": sandbox_state,
-        "oracle_state": pipeline.export_state(),
-        "outcomes": outcomes,
-        "fault_counters": dict(runner.fault_counters),
-        "triggered": sorted(runner.server.ctx.triggered_functions),
-        "coverage_arcs": [list(a) for a in runner.coverage.arcs]
-        if runner.coverage is not None
-        else [],
-        "coverage_lines": [list(l) for l in runner.coverage.lines]
-        if runner.coverage is not None
-        else [],
-    }
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-    os.replace(tmp, path)
+    write_json_atomic(
+        _shard_checkpoint_path(config.checkpoint_path, worker),
+        {"spec": _shard_spec(config, worker), **state},
+    )
 
 
 def _load_shard_checkpoint(
-    path: str,
-    dialect: str, seed: int, budget: int, max_partners: int,
-    enable_coverage: bool, jobs: int, worker: int,
-    oracle_names: tuple,
-    budgets_spec: Optional[str] = None,
-    sandbox_config: Optional[SandboxConfig] = None,
-    compile_plans: bool = True,
-    statement_family: str = "expression",
+    config: CampaignConfig, worker: int
 ) -> Optional[Dict[str, Any]]:
+    if config.checkpoint_path is None:
+        return None
+    path = _shard_checkpoint_path(config.checkpoint_path, worker)
     if not os.path.exists(path):
         return None
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    expected = _shard_spec(
-        dialect, seed, budget, max_partners, enable_coverage, jobs, worker,
-        oracle_names, budgets_spec, sandbox_config, compile_plans,
-        statement_family,
-    )
-    if payload.get("spec") != expected:
+    payload = read_json(path)
+    spec = payload.get("spec") if isinstance(payload, dict) else None
+    expected = _shard_spec(config, worker)
+    if spec != expected:
         raise CheckpointError(
             f"shard checkpoint {path!r} was written for a different campaign "
-            f"configuration ({payload.get('spec')!r} != {expected!r})"
+            f"configuration ({spec!r} != {expected!r})"
         )
     return payload
 
@@ -463,10 +389,11 @@ class ParallelCampaign:
 
     Takes a :class:`~repro.core.config.CampaignConfig` like
     :class:`~repro.core.campaign.Campaign`; without one it runs two
-    workers with default options.  ``faults`` must be ``None`` or a
-    CLI spec string (injectors don't cross process boundaries);
-    ``stop_when_all_found`` is unsupported (its early exit depends on
-    cross-shard execution order).
+    workers with default options.  ``faults`` must be ``None``, a CLI
+    spec string or a :class:`~repro.robustness.faults.FaultPlan`
+    (injectors don't cross process boundaries); ``stop_when_all_found``
+    is unsupported (its early exit depends on cross-shard execution
+    order).
     """
 
     def __init__(
@@ -490,70 +417,33 @@ class ParallelCampaign:
                 "ParallelCampaign needs a fault *spec* (string/FaultPlan), "
                 "not a FaultInjector: each worker builds its own injector"
             )
-        self.config = config
-        self.sandbox_config = config.sandbox
-        self.budgets_spec = (
-            config.budgets.to_spec()
-            if config.budgets is not None and config.budgets.enabled
-            else None
-        )
         if isinstance(dialect, Dialect):
             self.dialect = dialect
+        elif not config.dialect:
+            raise ValueError("ParallelCampaign needs a dialect (or config.dialect)")
         else:
-            if not config.dialect:
-                raise ValueError(
-                    "ParallelCampaign needs a dialect (or config.dialect)"
-                )
             self.dialect = dialect_by_name(config.dialect)
-        self.jobs = config.jobs
-        self.budget = config.budget
-        self.enable_coverage = config.enable_coverage
-        self.seed = config.seed
-        self.max_partners = config.max_partners
-        self.faults_spec = fault_spec(config.faults)
-        self.fault_seed = config.fault_seed
-        self.checkpoint_path = config.checkpoint_path
-        self.checkpoint_every = config.checkpoint_every
-        self.statement_deadline = config.statement_deadline
-        self.statement_cache = config.statement_cache
-        self.compile_plans = config.compile
-        self.oracle_names = config.oracles
-        self.statement_family = config.statement_family
-        #: statement-transport measurement from the last run's warm-corpus
-        #: handoff (None when nothing was shipped)
-        self.last_transport: Optional[TransportStats] = None
+        if config.dialect != self.dialect.name:
+            # shards rebuild the dialect from the config by this name
+            config = config.replace(dialect=self.dialect.name)
+        self.config = config
         #: test hook — see ``_run_shard``'s ``stop_after``
         self._stop_after: Optional[int] = None
 
     # ------------------------------------------------------------------
     def run(self, resume: bool = False) -> CampaignResult:
+        config = self.config
         wall_started = time.monotonic()
         # ---- parent: seed phase (positions 0..S-1) -------------------
-        # pipeline before runner: logic-flaw installation must precede
-        # server construction, exactly as in the serial campaign
-        pipeline = build_pipeline(self.dialect, self.oracle_names)
+        pipeline = build_pipeline(self.dialect, config.oracles)
         clock = SimulatedClock()
         injector = make_fault_injector(
-            self.faults_spec, seed=self.fault_seed, clock=clock
+            config.faults, seed=config.fault_seed, clock=clock
         )
-        runner = Runner(
-            self.dialect,
-            enable_coverage=self.enable_coverage,
-            faults=injector,
-            clock=clock,
-            watchdog=Watchdog(clock, deadline_seconds=self.statement_deadline),
-            statement_cache=self.statement_cache,
-            budgets=self.budgets_spec,
-            sandbox=self.sandbox_config,
-            compile_plans=self.compile_plans,
-            bootstrap_sql=(
-                TABLE_SETUP if self.statement_family == "predicate" else ()
-            ),
-        )
-        runner.capture_fingerprints = pipeline.needs_fingerprints
+        runner = build_runner(self.dialect, config, pipeline, injector, clock)
         containment: Optional[ContainmentState] = (
-            ContainmentState.from_config(self.sandbox_config)
-            if self.sandbox_config is not None
+            ContainmentState.from_config(config.sandbox)
+            if config.sandbox is not None
             else None
         )
         result = CampaignResult(dialect=self.dialect.name)
@@ -566,32 +456,20 @@ class ParallelCampaign:
         quarantine_reason = ""
         try:
             for seed_obj in seeds:
-                if position >= self.budget:
+                if position >= config.budget:
                     break
                 sql = f"SELECT {seed_obj.sql};"
-                info = CaseInfo("seed", seed_obj.function, seed_obj.family)
-                if containment is not None:
-                    reason = containment.should_skip(sql, seed_obj.family)
-                    if reason is not None:
-                        containment.note_skip()
-                        result.outcomes["skipped"] = (
-                            result.outcomes.get("skipped", 0) + 1
-                        )
-                        pipeline.observe(
-                            Outcome("skipped", sql, message=reason),
-                            info, position,
-                        )
-                        position += 1
-                        continue
-                outcome = runner.run(sql, position=position)
-                if containment is not None:
-                    containment.observe(
-                        outcome.kind, sql, seed_obj.family, outcome.message
-                    )
+                outcome = run_contained(
+                    runner, containment, sql, seed_obj.family, position
+                )
                 result.outcomes[outcome.kind] = (
                     result.outcomes.get(outcome.kind, 0) + 1
                 )
-                pipeline.observe(outcome, info, position)
+                pipeline.observe(
+                    outcome,
+                    CaseInfo("seed", seed_obj.function, seed_obj.family),
+                    position,
+                )
                 if outcome.result_type and seed_obj.function not in return_types:
                     return_types[seed_obj.function] = outcome.result_type
                 position += 1
@@ -605,14 +483,12 @@ class ParallelCampaign:
 
         # ---- fan out the generated stream ----------------------------
         reports: List[Dict[str, Any]] = []
-        self.last_transport = None
-        if not quarantined and seed_count < self.budget:
+        if not quarantined and seed_count < config.budget:
             containment_seed = (
                 containment.export_state() if containment is not None else None
             )
-            # everything bulky crosses the process boundary through the
-            # byte-level transport in this directory: the warm corpus in,
-            # the packed shard reports out (see repro.perf.transport)
+            # the warm corpus goes in and the shard reports come out as
+            # pickle files in this private directory
             with tempfile.TemporaryDirectory(prefix="repro-shards-") as tdir:
                 warm_corpus_path: Optional[str] = None
                 parent_cache = runner.server.stmt_cache
@@ -622,34 +498,27 @@ class ParallelCampaign:
                         warm_corpus_path = os.path.join(tdir, "warm.stmt")
                         with open(warm_corpus_path, "wb") as fh:
                             fh.write(pack_statements(warm_sql))
-                        self.last_transport = transport_stats(warm_sql)
                 shard_args = [
                     (
-                        self.dialect.name, worker, self.jobs, self.seed,
-                        self.budget, seed_count, return_types, self.max_partners,
-                        self.enable_coverage, self.faults_spec, self.fault_seed,
-                        self.statement_deadline, self.statement_cache,
-                        self.checkpoint_path, self.checkpoint_every, resume,
-                        self.oracle_names, self._stop_after,
-                        self.budgets_spec, self.sandbox_config, containment_seed,
-                        self.compile_plans, warm_corpus_path, tdir,
-                        self.statement_family,
+                        config, worker, seed_count, return_types, resume,
+                        containment_seed, warm_corpus_path, tdir,
+                        self._stop_after,
                     )
-                    for worker in range(self.jobs)
+                    for worker in range(config.jobs)
                 ]
-                if self.jobs == 1:
+                if config.jobs == 1:
                     reports = [_run_shard(*shard_args[0])]
                 else:
                     ctx = multiprocessing.get_context(
                         "fork" if "fork" in multiprocessing.get_all_start_methods()
                         else "spawn"
                     )
-                    if self.sandbox_config is not None:
+                    if config.sandbox is not None:
                         # Pool workers are daemonic and may not spawn the
                         # sandbox's own subprocess children; ProcessPoolExecutor
                         # workers are not, so sandboxed shards go through it.
                         with concurrent.futures.ProcessPoolExecutor(
-                            max_workers=self.jobs, mp_context=ctx
+                            max_workers=config.jobs, mp_context=ctx
                         ) as executor:
                             futures = [
                                 executor.submit(_run_shard, *spec)
@@ -657,21 +526,15 @@ class ParallelCampaign:
                             ]
                             reports = [future.result() for future in futures]
                     else:
-                        with ctx.Pool(processes=self.jobs) as pool:
+                        with ctx.Pool(processes=config.jobs) as pool:
                             reports = pool.starmap(_run_shard, shard_args)
-                # inflate the path envelopes while the directory still exists
-                reports = [
-                    read_packed(report["packed_path"])
-                    if "packed_path" in report
-                    else report
-                    for report in reports
-                ]
+                # read the reports while the directory still exists
+                reports = [read_packed(report["packed_path"]) for report in reports]
 
         # ---- merge ----------------------------------------------------
         merged = self._merge(
-            result, runner, pipeline, injector, seed_count,
-            reports, quarantined, quarantine_reason, wall_started,
-            containment,
+            result, runner, pipeline, injector, reports, quarantined,
+            quarantine_reason, wall_started, containment,
         )
         runner.close()
         return merged
@@ -683,12 +546,11 @@ class ParallelCampaign:
         seed_runner: Runner,
         pipeline: OraclePipeline,
         seed_injector: Optional[FaultInjector],
-        seed_count: int,
         reports: List[Dict[str, Any]],
         quarantined: bool,
         quarantine_reason: str,
         wall_started: float,
-        containment: Optional[ContainmentState] = None,
+        containment: Optional[ContainmentState],
     ) -> CampaignResult:
         # fold every shard's oracle state into the parent pipeline; each
         # oracle re-sorts its kept records by global stream position and
@@ -704,80 +566,57 @@ class ParallelCampaign:
         executed = seed_runner.executed
         triggered = set(seed_runner.server.ctx.triggered_functions)
         arcs = set(seed_runner.coverage.arcs) if seed_runner.coverage else set()
-        lines = set(seed_runner.coverage.lines) if seed_runner.coverage else set()
         fault_counters: Dict[str, int] = dict(seed_runner.fault_counters)
         if seed_injector is not None:
-            for kind, count in seed_injector.counters.items():
-                fault_counters[kind] = fault_counters.get(kind, 0) + count
-        cache_hits = seed_runner.cache_hits
-        cache_misses = seed_runner.cache_misses
-        compiled_executions = seed_runner.compiled_executions
-        compile_fallbacks = seed_runner.compile_fallbacks
+            add_counts(fault_counters, seed_injector.counters)
         for report in reports:
             executed += report["shard_executed"]
             triggered |= set(report["triggered"])
             arcs |= {tuple(a) for a in report["coverage_arcs"]}
-            lines |= {tuple(l) for l in report["coverage_lines"]}
-            for kind, count in report["outcomes"].items():
-                result.outcomes[kind] = result.outcomes.get(kind, 0) + count
-            for kind, count in report["fault_counters"].items():
-                fault_counters[kind] = fault_counters.get(kind, 0) + count
-            for kind, count in report["injector_counters"].items():
-                fault_counters[kind] = fault_counters.get(kind, 0) + count
-            cache_hits += report["cache_hits"]
-            cache_misses += report["cache_misses"]
-            compiled_executions += report.get("compiled_executions", 0)
-            compile_fallbacks += report.get("compile_fallbacks", 0)
+            add_counts(result.outcomes, report["outcomes"])
+            add_counts(fault_counters, report["fault_counters"])
+            add_counts(fault_counters, report["injector_counters"])
             if report["quarantined"]:
                 quarantined = True
                 quarantine_reason = quarantine_reason or report["quarantine_reason"]
-
+        result.cache_hits = seed_runner.cache_hits + sum(
+            report["cache_hits"] for report in reports
+        )
+        result.cache_misses = seed_runner.cache_misses + sum(
+            report["cache_misses"] for report in reports
+        )
+        result.compiled_executions = seed_runner.compiled_executions + sum(
+            report["compiled_executions"] for report in reports
+        )
+        result.compile_fallbacks = seed_runner.compile_fallbacks + sum(
+            report["compile_fallbacks"] for report in reports
+        )
         result.queries_executed = executed
-        crash = pipeline.get("crash")
-        if crash is not None:
-            result.bugs = list(crash.bugs)
-            result.false_positives = list(crash.false_positives)
-            result.flaky_signals = list(crash.flaky_signals)
-        result.findings = pipeline.extra_findings()
         result.triggered_functions = triggered
         result.branch_coverage = len(arcs)
-        result.fault_counters = fault_counters
-        for kind, count in sorted(fault_counters.items()):
-            result.outcomes[f"fault.{kind}"] = count
         result.quarantined = quarantined
         result.quarantine_reason = quarantine_reason
-        result.cache_hits = cache_hits
-        result.cache_misses = cache_misses
-        result.compiled_executions = compiled_executions
-        result.compile_fallbacks = compile_fallbacks
         if containment is not None:
             # fold the shards' containment outcomes into the parent's
             # seed-phase state for the supervisor summary
-            containment.merge(
-                [
-                    report["sandbox"]["containment"]
-                    for report in reports
-                    if report.get("sandbox") is not None
-                ]
+            shard_sandboxes = [
+                report["sandbox"] for report in reports
+                if report["sandbox"] is not None
+            ]
+            containment.merge([state["containment"] for state in shard_sandboxes])
+            supervisor = seed_runner.sandbox
+            result.sandbox_kills = sum(state["kills"] for state in shard_sandboxes)
+            result.sandbox_worker_deaths = sum(
+                state["worker_deaths"] for state in shard_sandboxes
             )
-            result.sandbox_active = True
-            result.open_breakers = containment.open_breakers
-            result.quarantined_statements = len(containment.quarantine)
-            result.skipped_statements = containment.skipped
-            kills = seed_runner.sandbox.kills if seed_runner.sandbox else 0
-            deaths = (
-                seed_runner.sandbox.worker_deaths if seed_runner.sandbox else 0
+            result.sandbox_respawns = sum(
+                state["respawns"] for state in shard_sandboxes
             )
-            respawns = seed_runner.sandbox.respawns if seed_runner.sandbox else 0
-            for report in reports:
-                sandbox_state = report.get("sandbox")
-                if sandbox_state is not None:
-                    kills += sandbox_state["kills"]
-                    deaths += sandbox_state["worker_deaths"]
-                    respawns += sandbox_state["respawns"]
-            result.sandbox_kills = kills
-            result.sandbox_worker_deaths = deaths
-            result.sandbox_respawns = respawns
+            if supervisor is not None:
+                result.sandbox_kills += supervisor.kills
+                result.sandbox_worker_deaths += supervisor.worker_deaths
+                result.sandbox_respawns += supervisor.respawns
+        fill_result(result, pipeline, fault_counters, containment)
         result.wall_seconds = time.monotonic() - wall_started
         result.elapsed_seconds = result.wall_seconds
         return result

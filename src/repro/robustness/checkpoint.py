@@ -23,8 +23,9 @@ executing anything new.  This avoids pickling live generators while keeping
 byte-identical results.
 
 Checkpoints are JSON (inspectable, diffable) and written atomically
-(tmp file + ``os.replace``) so a kill mid-write never corrupts the resume
-point.
+(fsync'd tmp file + ``os.replace``, :func:`write_json_atomic`) so a kill
+mid-write never corrupts the resume point.  The sharded campaign's
+per-worker sidecars go through the same two helpers.
 """
 
 from __future__ import annotations
@@ -43,6 +44,34 @@ CHECKPOINT_VERSION = 2
 
 class CheckpointError(Exception):
     """The checkpoint is unreadable or inconsistent with the campaign."""
+
+
+def write_json_atomic(path: str, data: Any, sort_keys: bool = False) -> None:
+    """Write *data* to *path* as JSON, atomically and durably.
+
+    The text goes to ``<path>.tmp``, is flushed and fsync'd, and only then
+    replaces *path*, so a kill mid-write leaves the previous file intact.
+    """
+    payload = json.dumps(data, sort_keys=sort_keys)
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", encoding="utf-8") as handle:
+        handle.write(payload)
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(tmp, path)
+
+
+def read_json(path: str) -> Any:
+    """Load a JSON checkpoint file; unreadable or corrupt files raise a
+    :class:`CheckpointError` naming *path*."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint {path!r}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise CheckpointError(f"corrupt checkpoint {path!r}: {exc}") from None
 
 
 def rng_state_to_json(state: Any) -> Any:
@@ -102,25 +131,11 @@ class CampaignCheckpoint:
     # ------------------------------------------------------------------
     def save(self, path: str) -> None:
         """Atomically persist the checkpoint as JSON."""
-        payload = json.dumps(asdict(self), sort_keys=True)
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-        tmp = f"{path}.tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(payload)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
+        write_json_atomic(path, asdict(self), sort_keys=True)
 
     @classmethod
     def load(cls, path: str) -> "CampaignCheckpoint":
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except OSError as exc:
-            raise CheckpointError(f"cannot read checkpoint {path!r}: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise CheckpointError(f"corrupt checkpoint {path!r}: {exc}") from None
+        data = read_json(path)
         version = data.get("version")
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(

@@ -1,13 +1,11 @@
-"""Differential tests for the plan→closure compiler and shard transport.
+"""Differential tests for the plan→closure compiler.
 
 The compiler (``repro.perf.compiler``) is a *transparent* optimization:
 every statement must produce byte-identical observable behaviour whether
 it runs through a compiled closure or the tree-walking interpreter —
 same result values (checked via result-set fingerprints), same outcome
 classification, same error messages, and the same campaign signature
-serial or sharded.  The transport (``repro.perf.transport``) must
-reconstruct statement streams byte-for-byte and round-trip shard report
-value trees exactly.
+serial or sharded.
 """
 
 import itertools
@@ -21,17 +19,6 @@ from repro.core.runner import Runner
 from repro.dialects import all_dialect_classes, bugs_for, dialect_by_name
 from repro.perf.parallel import ParallelCampaign
 from repro.perf.stmtcache import StatementCache
-from repro.perf.transport import (
-    StatementDecoder,
-    StatementEncoder,
-    TransportError,
-    decode_value,
-    encode_value,
-    pack_statements,
-    split_literals,
-    transport_stats,
-    unpack_statements,
-)
 
 FAULT_SPEC = "hang=0.01,slow=0.02,drop=0.01,flaky=0.01,restart_fail=0.1"
 ALL_ORACLES = ("crash", "differential", "conformance")
@@ -177,82 +164,3 @@ class TestWarmCorpus:
         assert out.kind == "ok"
         assert cache.hits == before + 1
 
-    def test_parallel_run_records_transport_stats(self):
-        campaign = ParallelCampaign(
-            config=CampaignConfig(dialect="duckdb", budget=400, seed=3, jobs=2)
-        )
-        campaign.run()
-        stats = campaign.last_transport
-        assert stats is not None
-        assert stats.statements > 0
-        # the dictionary transport must beat pickling the same stream
-        assert stats.warm_bytes < stats.pickle_bytes
-
-
-# ---------------------------------------------------------------------------
-# the shard transport
-# ---------------------------------------------------------------------------
-class TestTransport:
-    def test_value_codec_round_trips(self):
-        values = [
-            None, True, False, 0, 1, -1, 63, 64, -64, 2**70, -(2**70),
-            3.14, float("inf"), "", "abc", "qu'ote", b"", b"\x00\xff",
-            [1, [2, "x"], None], {"a": 1, "b": [True, {"c": 0.5}]},
-        ]
-        for value in values:
-            assert decode_value(encode_value(value)) == value
-        assert decode_value(encode_value((1, 2))) == [1, 2]
-
-    def test_value_codec_rejects_garbage(self):
-        with pytest.raises(TransportError):
-            decode_value(b"Z")
-        with pytest.raises(TransportError):
-            decode_value(encode_value([1, 2]) + b"x")
-        with pytest.raises(TransportError):
-            encode_value(object())
-
-    def test_split_literals_is_byte_exact(self):
-        for sql in (
-            "SELECT ABS(-9223372036854775808);",
-            "SELECT CONCAT('x''y', 'z');",
-            "SELECT ROUND(1.5e308, 2);",
-            "SELECT LENGTH(X'deadbeef');",
-            "SELECT 1;",
-        ):
-            segments, literals = split_literals(sql)
-            rebuilt = segments[0]
-            for literal, segment in zip(literals, segments[1:]):
-                rebuilt += literal + segment
-            assert rebuilt == sql
-
-    def test_statement_pack_round_trips_including_raw_escape(self):
-        statements = [
-            "SELECT ABS(-5);",
-            "SELECT ABS(-7);",             # same template, new literal
-            "SELECT CONCAT('a', 'b');",
-            "SELECT 'unterminated",        # lex failure -> raw escape
-            "",
-        ]
-        assert unpack_statements(pack_statements(statements)) == statements
-
-    def test_stateful_batches_share_the_dictionary(self):
-        statements = ["SELECT ABS(-5);", "SELECT UPPER('abc');"]
-        encoder, decoder = StatementEncoder(), StatementDecoder()
-        first = encoder.encode_batch(statements)
-        second = encoder.encode_batch(statements)
-        assert decoder.decode_batch(first) == statements
-        assert decoder.decode_batch(second) == statements
-        # warm batch ships references only — strictly smaller
-        assert len(second) < len(first)
-
-    def test_generated_stream_reduction_vs_pickle(self):
-        """The acceptance bar: steady-state transport cost per statement
-        is >=5x below pickling the same stream."""
-        dialect = dialect_by_name("duckdb")
-        engine = PatternEngine(SeedCollector(dialect).collect())
-        stream = [
-            case.sql for case in itertools.islice(engine.generate_all(), 800)
-        ]
-        stats = transport_stats(stream)
-        assert stats.warm_reduction >= 5.0, stats
-        assert stats.cold_reduction > 1.0, stats

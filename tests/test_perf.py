@@ -8,6 +8,7 @@ cold parse, and a ``jobs=N`` campaign must report the same
 """
 
 import itertools
+import json
 
 import pytest
 
@@ -19,7 +20,7 @@ from repro.core.runner import Runner
 from repro.dialects import all_dialect_classes, bugs_for, dialect_by_name
 from repro.engine.connection import ConnectionClosed
 from repro.perf import StatementCache
-from repro.perf.parallel import ParallelCampaign, run_parallel_campaign
+from repro.perf.parallel import ParallelCampaign, _shard_spec, run_parallel_campaign
 from repro.robustness.watchdog import StatementTimeout
 
 FAULT_SPEC = "hang=0.01,slow=0.02,drop=0.01,flaky=0.01,restart_fail=0.1"
@@ -250,6 +251,93 @@ class TestParallelResume:
             ParallelCampaign(
                 config=config.replace(seed=4)  # different seed
             ).run(resume=True)
+
+
+#: shard-sidecar identities, each with its worker index and the exact JSON
+#: its spec serializes to.  The strings were produced by the loose-field
+#: ``_shard_spec`` that predates config-driven shards; a sidecar written by
+#: either version resumes under the other only while these stay equal.
+SIDECAR_SPECS = {
+    "default": (
+        CampaignConfig(dialect="duckdb", jobs=2),
+        0,
+        '{"version": 2, "shard_format": 2, "dialect": "duckdb", "seed": 0, '
+        '"budget": 20000, "max_partners": 48, "enable_coverage": false, '
+        '"jobs": 2, "worker": 0, "oracles": ["crash"]}',
+    ),
+    "sandboxed": (
+        CampaignConfig(
+            dialect="duckdb", budget=900, seed=5, jobs=3, max_partners=12,
+            budgets="depth=64,rows=5000", sandbox=True, compile=False,
+        ),
+        2,
+        '{"version": 2, "shard_format": 2, "dialect": "duckdb", "seed": 5, '
+        '"budget": 900, "max_partners": 12, "enable_coverage": false, '
+        '"jobs": 3, "worker": 2, "oracles": ["crash"], '
+        '"budgets": "depth=64,rows=5000", "sandbox": '
+        '{"wall_deadline_seconds": 30.0, "breaker_threshold": 3, '
+        '"quarantine": [], "max_message_bytes": 33554432}, "compile": false}',
+    ),
+    "predicate": (
+        CampaignConfig(
+            dialect="mysql", budget=700, seed=4, jobs=2, enable_coverage=True,
+            budgets="depth=64,rows=5000", compile=False,
+            statement_family="predicate", oracles=("crash", "tlp", "norec"),
+        ),
+        1,
+        '{"version": 2, "shard_format": 2, "dialect": "mysql", "seed": 4, '
+        '"budget": 700, "max_partners": 48, "enable_coverage": true, '
+        '"jobs": 2, "worker": 1, "oracles": ["crash", "tlp", "norec"], '
+        '"budgets": "depth=64,rows=5000", "compile": false, '
+        '"statement_family": "predicate"}',
+    ),
+}
+
+
+class TestShardSidecars:
+    @pytest.mark.parametrize("name", sorted(SIDECAR_SPECS))
+    def test_spec_is_pinned(self, name):
+        config, worker, expected = SIDECAR_SPECS[name]
+        assert json.dumps(_shard_spec(config, worker)) == expected
+
+    @pytest.mark.parametrize(
+        "name, interrupted_budget",
+        [("predicate", 700), ("sandboxed", 500)],
+    )
+    def test_non_default_config_resumes_to_identical_signature(
+        self, tmp_path, name, interrupted_budget
+    ):
+        config = SIDECAR_SPECS[name][0].replace(
+            jobs=2, budget=interrupted_budget,
+            checkpoint_path=str(tmp_path / "campaign.ckpt"), checkpoint_every=50,
+        )
+        interrupted = ParallelCampaign(config=config)
+        interrupted._stop_after = 40  # simulate a mid-campaign kill
+        partial = interrupted.run()
+        assert partial.queries_executed < interrupted_budget
+
+        resumed = ParallelCampaign(config=config).run(resume=True)
+        fresh = ParallelCampaign(config=config.replace(checkpoint_path=None)).run()
+        assert resumed.signature() == fresh.signature()
+
+    @pytest.mark.parametrize("damage", ["truncated", "empty"])
+    def test_unreadable_sidecar_is_a_checkpoint_error(self, tmp_path, damage):
+        from repro.robustness.checkpoint import CheckpointError
+
+        path = str(tmp_path / "campaign.ckpt")
+        config = CampaignConfig(
+            dialect="duckdb", jobs=2, budget=400, seed=3,
+            checkpoint_path=path, checkpoint_every=50,
+        )
+        ParallelCampaign(config=config).run()
+        sidecar = tmp_path / "campaign.ckpt.shard0"
+        text = sidecar.read_text(encoding="utf-8")
+        sidecar.write_text(
+            text[: len(text) // 2] if damage == "truncated" else "",
+            encoding="utf-8",
+        )
+        with pytest.raises(CheckpointError, match="campaign.ckpt.shard0"):
+            ParallelCampaign(config=config).run(resume=True)
 
 
 # ---------------------------------------------------------------------------
