@@ -49,23 +49,6 @@ def test_scalar_query_throughput(benchmark, populated_connection):
     assert result.rows[0][0].value == 6
 
 
-@pytest.mark.parametrize("mode", ["compiled", "interpreted"])
-def test_warm_scalar_dispatch(benchmark, mode):
-    """Warm cache-hit execution of a cheap scalar statement: the closure
-    program vs the tree interpreter.  This is the dispatch overhead the
-    plan→closure compiler exists to remove — compare the two rows (the
-    ≥2x guard on this regime lives in scripts/ci_compile_smoke.py)."""
-    server = dialect_by_name("duckdb").create_server()
-    if mode == "interpreted":
-        server.stmt_cache.compile_enabled = False
-    conn = server.connect()
-    conn.execute("SELECT ABS(-12345);")  # warm: cache + (maybe) compile
-    result = benchmark(conn.execute, "SELECT ABS(-12345);")
-    assert result.rows[0][0].value == 12345
-    if mode == "compiled":
-        assert server.stmt_cache.compiled_executions > 0
-
-
 def test_table_scan_throughput(benchmark, populated_connection):
     result = benchmark(populated_connection.execute,
                        "SELECT COUNT(*) FROM t WHERE a > 50;")

@@ -3,7 +3,7 @@
 Commands:
 
 * ``repro run <dialect> [--budget N] [--coverage] [--faults SPEC]
-  [--checkpoint PATH] [--resume PATH] [--jobs N] [--no-stmt-cache]
+  [--checkpoint PATH] [--resume PATH] [--jobs N]
   [--oracles NAMES] [--sandbox] [--budgets SPEC]`` — run a SOFT campaign
   (optionally under injected infrastructure faults, with periodic
   checkpoints, sharded across N worker processes, with extra logic-bug
@@ -42,8 +42,6 @@ from typing import List, Optional
 #: fields; the CLI translates them at its boundary (see _flagify).
 _FIELD_FLAGS = {
     "enable_coverage": "--coverage",
-    "statement_cache": "--no-stmt-cache",
-    "compile": "--no-compile",
     "checkpoint_path": "--checkpoint",
     "checkpoint_every": "--checkpoint-every",
     "fault_seed": "--fault-seed",
@@ -100,12 +98,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_run.add_argument("--jobs", type=int, default=1, metavar="N",
                        help="shard the campaign across N worker processes "
                        "(same bug set and signature as the serial run)")
-    p_run.add_argument("--no-stmt-cache", action="store_true",
-                       help="bypass the statement parse/plan cache")
-    p_run.add_argument("--no-compile", action="store_true",
-                       help="disable plan-to-closure compilation and run "
-                       "every statement through the interpreter (results "
-                       "and signatures are identical either way)")
     p_run.add_argument("--oracles", metavar="NAMES", default="crash",
                        help="comma-separated detection oracles: "
                        "crash,differential,conformance,tlp,norec "
@@ -263,8 +255,6 @@ def _cmd_run(args) -> int:
             fault_seed=args.fault_seed,
             checkpoint_path=args.checkpoint,
             checkpoint_every=args.checkpoint_every,
-            statement_cache=not args.no_stmt_cache,
-            compile=not args.no_compile,
             oracles=args.oracles,
             statement_family=args.statement_family,
             budgets=args.budgets,

@@ -87,16 +87,9 @@ class CampaignResult:
     quarantine_reason: str = ""
     elapsed_seconds: float = 0.0
     #: throughput instrumentation — real wall-clock time (monotonic), even
-    #: when the campaign itself runs on a simulated clock, plus the parse/
-    #: plan cache counters.  None of these enter :meth:`signature`.
+    #: when the campaign itself runs on a simulated clock.  It never enters
+    #: :meth:`signature`.
     wall_seconds: float = 0.0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    #: plan→closure compilation counters (repro.perf.compiler); like the
-    #: cache counters these are throughput instrumentation and never enter
-    #: :meth:`signature` — compiled and interpreted runs sign identically
-    compiled_executions: int = 0
-    compile_fallbacks: int = 0
     #: sandbox supervisor health (``--sandbox`` campaigns only; the
     #: default-config signature layout is untouched when inactive)
     sandbox_active: bool = False
@@ -116,11 +109,6 @@ class CampaignResult:
         if self.wall_seconds <= 0:
             return 0.0
         return self.queries_executed / self.wall_seconds
-
-    @property
-    def cache_hit_rate(self) -> float:
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
 
     def bugs_by(self, attr: str) -> dict:
         out: dict = {}
@@ -196,8 +184,6 @@ def build_runner(
         retry_policy=retry_policy,
         clock=clock,
         watchdog=Watchdog(clock, deadline_seconds=config.statement_deadline),
-        statement_cache=config.statement_cache,
-        compile_plans=config.compile,
         budgets=config.budgets,
         sandbox=config.sandbox,
         bootstrap_sql=TABLE_SETUP if config.statement_family == "predicate" else (),
@@ -487,10 +473,6 @@ class Campaign:
             self.clock.now() - self._started
         ) + self._elapsed_offset
         result.wall_seconds = time.monotonic() - self._wall_started
-        result.cache_hits = runner.cache_hits
-        result.cache_misses = runner.cache_misses
-        result.compiled_executions = runner.compiled_executions
-        result.compile_fallbacks = runner.compile_fallbacks
         if self.containment is not None and runner.sandbox is not None:
             result.sandbox_kills = runner.sandbox.kills
             result.sandbox_worker_deaths = runner.sandbox.worker_deaths

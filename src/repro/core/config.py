@@ -38,6 +38,11 @@ BUDGET_TWO_WEEKS = 300_000
 #: default checkpoint cadence (statements between snapshots)
 DEFAULT_CHECKPOINT_EVERY = 1_000
 
+#: fields :meth:`CampaignConfig.from_dict` drops instead of rejecting: the
+#: removed statement-cache and plan-compiler switches.  Journals,
+#: checkpoints and sidecars written before their removal carry them.
+RETIRED_FIELDS = ("statement_cache", "compile")
+
 
 def fault_spec(faults: Any) -> Optional[str]:
     """Re-encode a fault plan as the CLI spec string (process-portable)."""
@@ -77,10 +82,6 @@ class CampaignConfig:
     checkpoint_path: Optional[str] = None
     checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY
     statement_deadline: float = DEFAULT_DEADLINE_SECONDS
-    statement_cache: bool = True
-    #: plan→closure compilation (repro.perf.compiler); ``--no-compile``
-    #: clears it, and governed/sandboxed execution falls back on its own
-    compile: bool = True
     #: normalized to a validated name tuple at construction
     oracles: Any = None
     #: which statement stream the generator emits: ``"expression"`` (the
@@ -219,8 +220,6 @@ class CampaignConfig:
             "checkpoint_path": self.checkpoint_path,
             "checkpoint_every": self.checkpoint_every,
             "statement_deadline": self.statement_deadline,
-            "statement_cache": self.statement_cache,
-            "compile": self.compile,
             "oracles": list(self.oracles),
             "statement_family": self.statement_family,
             "budgets": self.budgets.to_spec() if self.budgets is not None else None,
@@ -236,15 +235,16 @@ class CampaignConfig:
         """Build a config from an untrusted JSON dict.
 
         Unknown keys are a hard error — a client speaking a newer schema
-        must fail loudly, not have its options silently dropped.
+        must fail loudly, not have its options silently dropped.  The one
+        exception is :data:`RETIRED_FIELDS`, which are dropped.
         """
         if not isinstance(data, dict):
             raise TypeError(f"campaign config must be an object, got {data!r}")
+        kwargs = {k: v for k, v in data.items() if k not in RETIRED_FIELDS}
         known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - known)
+        unknown = sorted(set(kwargs) - known)
         if unknown:
             raise ValueError(f"unknown campaign config fields: {unknown}")
-        kwargs = dict(data)
         sandbox = kwargs.get("sandbox")
         if isinstance(sandbox, dict):
             kwargs["sandbox"] = SandboxConfig(

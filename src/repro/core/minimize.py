@@ -180,7 +180,6 @@ class MetamorphicProbe(Probe):
 
     def _connect(self, suppress: bool = False):
         server = self.dialect.create_server()
-        server.stmt_cache = None
         if suppress:
             server.ctx.set_config("optimizer_passes", SUPPRESS_PASSES)
         connection = server.connect()

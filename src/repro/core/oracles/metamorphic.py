@@ -21,10 +21,10 @@ fuzz_t WHERE <p>``) and check one law each:
 
 Both laws are checked on **oracle-owned servers** built from the campaign
 dialect, not on the campaign's own connection: the campaign runner may be
-injecting infrastructure faults or caching plans, and a law verdict must
-come from deterministic, interference-free executions.  Arm servers run
-without a statement cache (variant texts execute once each, and a plan
-cached under one optimizer configuration must never serve another).
+injecting infrastructure faults, and a law verdict must come from
+deterministic, interference-free executions.  Each arm keeps its own
+optimizer configuration for its whole life, so the reference arm never
+shares a server with the optimized one.
 
 False-positive discipline comes from :mod:`.guards`: statements calling
 impure or ``system``/``sequence`` functions are skipped — the
@@ -253,10 +253,6 @@ class _MetamorphicOracle(Oracle):
         arm = self._arms.get(key)
         if arm is None:
             server = self.dialect.create_server()
-            # no statement cache: each variant text runs once, and a plan
-            # cached under one optimizer configuration must never be
-            # replayed under another
-            server.stmt_cache = None
             if key == "ref":
                 server.ctx.set_config("optimizer_passes", SUPPRESS_PASSES)
             conn = server.connect()

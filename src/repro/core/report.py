@@ -256,21 +256,6 @@ def format_resilience(result: CampaignResult) -> str:
             f"  throughput: {qps:,.0f} statements/s "
             f"({getattr(result, 'wall_seconds', 0.0):.2f}s wall)"
         )
-    hits = getattr(result, "cache_hits", 0)
-    misses = getattr(result, "cache_misses", 0)
-    if hits or misses:
-        rate = getattr(result, "cache_hit_rate", 0.0)
-        lines.append(
-            f"  statement cache: {rate:.1%} hit rate "
-            f"({hits:,} hits / {misses:,} misses)"
-        )
-    compiled = getattr(result, "compiled_executions", 0)
-    fallbacks = getattr(result, "compile_fallbacks", 0)
-    if compiled or fallbacks:
-        lines.append(
-            f"  compiled plans: {compiled:,} executions, "
-            f"{fallbacks:,} interpreter fallbacks"
-        )
     if getattr(result, "quarantined", False):
         lines.append(f"  QUARANTINED: {result.quarantine_reason}")
     if summary["sandbox_active"]:

@@ -108,8 +108,6 @@ class Runner:
         clock: Optional[Clock] = None,
         breaker: Optional[CircuitBreaker] = None,
         reconfirm_crashes: Optional[bool] = None,
-        statement_cache: bool = True,
-        compile_plans: bool = True,
         budgets: Optional[object] = None,
         sandbox: Optional[object] = None,
         bootstrap_sql: Sequence[str] = (),
@@ -139,12 +137,6 @@ class Runner:
                 "(the seeded-table workload runs in-process)"
             )
         self.server: Server = dialect.create_server()
-        if not statement_cache:
-            self.server.stmt_cache = None
-        elif not compile_plans:
-            # interpreted-only mode (--no-compile): deliberate, so hits
-            # that would have compiled are not counted as fallbacks
-            self.server.stmt_cache.compile_enabled = False
         self.coverage: Optional[CoverageTracker] = None
         if enable_coverage:
             self.coverage = CoverageTracker()
@@ -155,8 +147,6 @@ class Runner:
                 dialect.name,
                 config=sandbox_config,
                 budgets=budgets,
-                statement_cache=statement_cache,
-                compile_plans=compile_plans,
             )
             # worker-reported triggered functions land in the parent ctx,
             # so checkpoints and the triggered_functions property are
@@ -403,42 +393,6 @@ class Runner:
     @property
     def branch_coverage(self) -> int:
         return self.coverage.branch_count if self.coverage else 0
-
-    @property
-    def cache_hits(self) -> int:
-        if self.sandbox is not None:
-            return self.sandbox.cache_hits
-        cache = self.server.stmt_cache
-        return cache.hits if cache is not None else 0
-
-    @property
-    def cache_misses(self) -> int:
-        if self.sandbox is not None:
-            return self.sandbox.cache_misses
-        cache = self.server.stmt_cache
-        return cache.misses if cache is not None else 0
-
-    @property
-    def cache_hit_rate(self) -> float:
-        if self.sandbox is not None:
-            total = self.sandbox.cache_hits + self.sandbox.cache_misses
-            return self.sandbox.cache_hits / total if total else 0.0
-        cache = self.server.stmt_cache
-        return cache.hit_rate if cache is not None else 0.0
-
-    @property
-    def compiled_executions(self) -> int:
-        if self.sandbox is not None:
-            return self.sandbox.compiled_executions
-        cache = self.server.stmt_cache
-        return cache.compiled_executions if cache is not None else 0
-
-    @property
-    def compile_fallbacks(self) -> int:
-        if self.sandbox is not None:
-            return self.sandbox.compile_fallbacks
-        cache = self.server.stmt_cache
-        return cache.compile_fallbacks if cache is not None else 0
 
     # ------------------------------------------------------------------
     def close(self) -> None:

@@ -17,17 +17,12 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING, List, Optional
 
-from ..perf.stmtcache import StatementCache
 from ..sqlast import ParseError, parse_statements
 from ..sqlast import nodes as n
 from .catalog import Database
 from .errors import CrashSignal, SQLError, SyntaxError_
 from .executor import Executor, Result
 from .optimizer import optimize_statement
-
-#: statement shapes eligible for the parse/plan cache — read-only queries
-#: whose execution cannot change catalog or session state
-_CACHEABLE_STATEMENTS = (n.Select, n.SetOp)
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..dialects.base import Dialect
@@ -94,13 +89,15 @@ class Server:
         self.restart_failures = 0
         #: optional fault-injection hook (see :class:`FaultHook`)
         self.fault_hook: Optional[FaultHook] = None
-        #: parse/plan cache; set to None to bypass caching entirely
-        self.stmt_cache: Optional[StatementCache] = StatementCache()
         #: optional resource governor (duck-typed; see attach_governor)
         self.governor = None
 
     def attach_governor(self, governor) -> None:
-        """Install a resource governor; it survives restarts like the cache."""
+        """Install a resource governor; it survives restarts.
+
+        :meth:`restart` re-attaches it to the fresh execution context, so
+        budgets keep applying to every process the campaign runs.
+        """
         self.governor = governor
         self.ctx.attach_governor(governor)
 
@@ -132,10 +129,6 @@ class Server:
         if self.governor is not None:
             ctx.attach_governor(self.governor)
         self.database = Database()
-        if self.stmt_cache is not None:
-            # plans may embed optimize-stage decisions tied to the dead
-            # process's config; a fresh process re-derives them
-            self.stmt_cache.invalidate_all("restart")
         self.alive = True
 
     def connect(self) -> "Connection":
@@ -157,15 +150,14 @@ class Connection:
         ctx = server.ctx
         ctx.reset_query_state()
         # RAND()/UUID() draws are keyed to the statement text so results do
-        # not depend on what executed before (cache hits, retries, and
-        # parallel shard workers all see the serial run's values)
+        # not depend on what executed before (retries and parallel shard
+        # workers see the serial run's values)
         ctx.reseed_statement_rng(sql)
         if ctx.governor is not None:
             # re-arm per-statement budgets (and the wall deadline)
             ctx.governor.begin_statement()
         server.queries_executed += 1
         ctx.stats["queries"] += 1
-        cache = server.stmt_cache
         try:
             hook = server.fault_hook
             if hook is not None:
@@ -173,43 +165,11 @@ class Connection:
                 # the pipeline: hangs/drops escape as-is (server stays up),
                 # spurious CrashSignals fall through to the handler below
                 hook.on_execute(self, sql)
-            if cache is not None:
-                plan = cache.fetch(server.dialect.name, sql, ctx)
-                if plan is not None:
-                    compiled = plan.compiled
-                    if compiled is not None:
-                        # closure program emitted by repro.perf.compiler:
-                        # semantically the interpreter minus dispatch
-                        ctx.stage = "execute"
-                        return compiled(ctx)
-                    stmt = plan.stmt
-                    if plan.needs_optimize:
-                        stmt = optimize_statement(ctx, stmt)
-                    ctx.stage = "execute"
-                    return Executor(ctx, server.database).execute(stmt)
-            probe = cache.probe_tokens(sql) if cache is not None else None
-            statements = self._parse(sql, tokens=probe)
+            statements = self._parse(sql)
             result = Result()
             executor = Executor(ctx, server.database)
-            # only single read-only statements are cacheable: caching part
-            # of a multi-statement batch would reorder its optimize/execute
-            # interleaving on replay
-            cacheable = (
-                cache is not None
-                and len(statements) == 1
-                and isinstance(statements[0], _CACHEABLE_STATEMENTS)
-            )
             for stmt in statements:
-                if cache is not None and not isinstance(stmt, _CACHEABLE_STATEMENTS):
-                    # DDL/DML/SET may change what any cached plan means
-                    # (catalog contents, fold_functions); drop everything
-                    # before it runs so even a crash leaves the cache safe
-                    cache.invalidate_all("non-select statement")
                 optimized = optimize_statement(ctx, stmt)
-                if cacheable:
-                    # insert *before* execution so statements whose
-                    # execution raises an SQL error are cached too
-                    cache.insert(server.dialect.name, sql, stmt, optimized, ctx)
                 ctx.stage = "execute"
                 result = executor.execute(optimized)
             return result
@@ -222,11 +182,11 @@ class Connection:
             server.crash_count += 1
             raise ServerCrashed(crash, sql) from None
 
-    def _parse(self, sql: str, tokens=None) -> List[n.Statement]:
+    def _parse(self, sql: str) -> List[n.Statement]:
         ctx = self.server.ctx
         ctx.stage = "parse"
         try:
-            statements = parse_statements(sql, tokens=tokens)
+            statements = parse_statements(sql)
         except ParseError as exc:
             raise SyntaxError_(str(exc)) from None
         except RecursionError:

@@ -1,27 +1,11 @@
-"""Performance subsystem: statement caching and sharded parallel campaigns.
+"""Sharded parallel campaigns.
 
-``repro.perf`` holds the pieces that make campaigns fast without changing
-what they compute:
-
-* :mod:`repro.perf.stmtcache` — two-tier LRU parse/plan cache wired into
-  ``Connection.execute`` (exact SQL tier + parameterized template tier).
-* :mod:`repro.perf.parallel` — ``ParallelCampaign``, which shards the
-  deterministic generation stream across ``multiprocessing`` workers and
-  merges shard reports into a ``CampaignResult`` whose ``signature()``
-  matches the serial run.
+:mod:`repro.perf.parallel` holds ``ParallelCampaign``, which shards the
+deterministic generation stream across ``multiprocessing`` workers and
+merges shard reports into a ``CampaignResult`` whose ``signature()``
+matches the serial run.
 """
 
-from .stmtcache import StatementCache
+from .parallel import ParallelCampaign, run_parallel_campaign
 
-__all__ = ["StatementCache", "ParallelCampaign", "run_parallel_campaign"]
-
-
-def __getattr__(name):
-    # parallel imports the campaign/runner stack, which imports the engine,
-    # which imports stmtcache from this package — loading it lazily keeps
-    # ``repro.engine.connection → repro.perf`` cycle-free
-    if name in ("ParallelCampaign", "run_parallel_campaign"):
-        from . import parallel
-
-        return getattr(parallel, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = ["ParallelCampaign", "run_parallel_campaign"]

@@ -24,18 +24,16 @@ Architecture (see DESIGN.md for the full determinism argument):
 * Each worker runs its own full :class:`~repro.core.oracles.OraclePipeline`
   over its slice and ships the pipeline's exported state in its plain-dict
   **shard report** (alongside outcome counts, triggered functions,
-  coverage sets, cache and fault counters).  The parent folds the shard
+  coverage sets and fault counters).  The parent folds the shard
   states into its own pipeline via ``Oracle.merge``, which re-sorts every
   oracle's kept records by global stream position and re-deduplicates —
   the same first-occurrence order as the serial loop, so the merged
   findings match a serial run record for record.
-* **Bulk data crosses the process boundary as pickle files.**  The parent
-  exports its seed-phase statement cache as a warm corpus that every
-  worker imports before touching its stream, and each worker writes its
-  shard report to a file whose path is all it returns.  Both files live in
-  the parent's private temporary directory and only its own children
-  write them — the same trust level as the multiprocessing channel, which
-  pickles its arguments anyway.
+* **Shard reports cross the process boundary as pickle files.**  Each
+  worker writes its report to a file whose path is all it returns.  The
+  files live in the parent's private temporary directory and only its own
+  children write them — the same trust level as the multiprocessing
+  channel, which pickles its arguments anyway.
 
 Checkpoint/resume: each worker writes its own sidecar checkpoint
 (``<path>.shard<w>``) carrying its pipeline state.  On resume the parent
@@ -99,15 +97,6 @@ SHARD_FORMAT_VERSION = 2
 # ----------------------------------------------------------------------
 # the files the parent and its shards exchange (plain pickles)
 # ----------------------------------------------------------------------
-def pack_statements(statements: List[str]) -> bytes:
-    """Serialize the warm statement corpus."""
-    return pickle.dumps(statements, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def unpack_statements(data: bytes) -> List[str]:
-    return pickle.loads(data)
-
-
 def write_packed(path: str, value: Any) -> int:
     """Pickle a shard report to *path*; returns the byte count."""
     data = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
@@ -121,6 +110,15 @@ def read_packed(path: str) -> Any:
         return pickle.load(fh)
 
 
+# unused here; kept because benchmarks/e2e/trace.py wraps these two names
+def pack_statements(statements: List[str]) -> bytes:
+    return pickle.dumps(statements, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def unpack_statements(data: bytes) -> List[str]:
+    return pickle.loads(data)
+
+
 # ----------------------------------------------------------------------
 # one shard
 # ----------------------------------------------------------------------
@@ -131,16 +129,14 @@ def _run_shard(
     return_types: Dict[str, str],
     resume: bool,
     containment_seed: Optional[Dict[str, Any]],
-    warm_corpus_path: Optional[str],
     transport_dir: str,
     stop_after: Optional[int],
 ) -> Dict[str, Any]:
     """Execute one worker's share of the generated stream.
 
-    Runs in a child process (or inline for ``jobs=1``).  The warm
-    statement corpus arrives as a pickle at ``warm_corpus_path``; the
-    shard report is pickled into ``transport_dir`` and only its path goes
-    back through the multiprocessing channel.
+    Runs in a child process (or inline for ``jobs=1``).  The shard report
+    is pickled into ``transport_dir`` and only its path goes back through
+    the multiprocessing channel.
     ``stop_after`` caps how many statements this shard executes before
     returning early — a test hook that simulates a mid-campaign kill for
     resume testing.
@@ -150,17 +146,6 @@ def _run_shard(
     clock = SimulatedClock()
     injector = make_fault_injector(config.faults, seed=config.fault_seed, clock=clock)
     runner = build_runner(dialect, config, pipeline, injector, clock)
-    cache = runner.server.stmt_cache
-    if warm_corpus_path is not None and cache is not None and runner.sandbox is None:
-        # inherit the parent's warmed template cache: every statement the
-        # seed phase parsed enters this worker's cache pre-parsed and
-        # pre-optimized, so the shard's stream starts on the hit path.
-        # Warming is behaviour-neutral — it populates cache tiers the
-        # stream would have populated on first miss anyway.
-        with open(warm_corpus_path, "rb") as fh:
-            warm_sql = unpack_statements(fh.read())
-        for sql in warm_sql:
-            cache.warm(dialect.name, sql, runner.server.ctx)
     containment: Optional[ContainmentState] = None
     if config.sandbox is not None:
         containment = ContainmentState.from_config(config.sandbox)
@@ -263,10 +248,6 @@ def _run_shard(
     report: Dict[str, Any] = {
         **state,
         "injector_counters": dict(injector.counters) if injector is not None else {},
-        "cache_hits": runner.cache_hits,
-        "cache_misses": runner.cache_misses,
-        "compiled_executions": runner.compiled_executions,
-        "compile_fallbacks": runner.compile_fallbacks,
         "quarantined": quarantined,
         "quarantine_reason": quarantine_reason,
     }
@@ -346,8 +327,6 @@ def _shard_spec(config: CampaignConfig, worker: int) -> Dict[str, Any]:
             "quarantine": list(sandbox.quarantine),
             "max_message_bytes": sandbox.max_message_bytes,
         }
-    if not config.compile:
-        spec["compile"] = False
     if config.statement_family != "expression":
         spec["statement_family"] = config.statement_family
     return spec
@@ -372,6 +351,9 @@ def _load_shard_checkpoint(
         return None
     payload = read_json(path)
     spec = payload.get("spec") if isinstance(payload, dict) else None
+    if isinstance(spec, dict):
+        # sidecars written while the plan compiler existed may carry it
+        spec.pop("compile", None)
     expected = _shard_spec(config, worker)
     if spec != expected:
         raise CheckpointError(
@@ -487,22 +469,13 @@ class ParallelCampaign:
             containment_seed = (
                 containment.export_state() if containment is not None else None
             )
-            # the warm corpus goes in and the shard reports come out as
-            # pickle files in this private directory
+            # the shard reports come back as pickle files in this private
+            # directory
             with tempfile.TemporaryDirectory(prefix="repro-shards-") as tdir:
-                warm_corpus_path: Optional[str] = None
-                parent_cache = runner.server.stmt_cache
-                if runner.sandbox is None and parent_cache is not None:
-                    warm_sql = parent_cache.export_warm_sql(self.dialect.name)
-                    if warm_sql:
-                        warm_corpus_path = os.path.join(tdir, "warm.stmt")
-                        with open(warm_corpus_path, "wb") as fh:
-                            fh.write(pack_statements(warm_sql))
                 shard_args = [
                     (
                         config, worker, seed_count, return_types, resume,
-                        containment_seed, warm_corpus_path, tdir,
-                        self._stop_after,
+                        containment_seed, tdir, self._stop_after,
                     )
                     for worker in range(config.jobs)
                 ]
@@ -579,18 +552,6 @@ class ParallelCampaign:
             if report["quarantined"]:
                 quarantined = True
                 quarantine_reason = quarantine_reason or report["quarantine_reason"]
-        result.cache_hits = seed_runner.cache_hits + sum(
-            report["cache_hits"] for report in reports
-        )
-        result.cache_misses = seed_runner.cache_misses + sum(
-            report["cache_misses"] for report in reports
-        )
-        result.compiled_executions = seed_runner.compiled_executions + sum(
-            report["compiled_executions"] for report in reports
-        )
-        result.compile_fallbacks = seed_runner.compile_fallbacks + sum(
-            report["compile_fallbacks"] for report in reports
-        )
         result.queries_executed = executed
         result.triggered_functions = triggered
         result.branch_coverage = len(arcs)

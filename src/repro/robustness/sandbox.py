@@ -190,8 +190,6 @@ def _worker_main(
     sock: socket.socket,
     dialect_name: str,
     budgets_spec: Optional[str],
-    statement_cache: bool,
-    compile_plans: bool,
     max_message_bytes: int,
 ) -> None:
     """Serve execute/restart/reconnect requests until shutdown or death.
@@ -208,16 +206,6 @@ def _worker_main(
 
     dialect = dialect_by_name(dialect_name)
     server = dialect.create_server()
-    if not statement_cache:
-        server.stmt_cache = None
-    else:
-        # sandboxed execution always interprets: the worker exists to
-        # contain pathologies, and the interpreter is the instrumented,
-        # containment-friendly path.  When the caller *wanted* compiled
-        # plans, every would-be compiled hit is counted as a fallback
-        # (compile_forced_off) and shipped back for the health report.
-        server.stmt_cache.compile_enabled = False
-        server.stmt_cache.compile_forced_off = compile_plans
     governor = make_governor(budgets_spec)
     if governor is not None:
         server.attach_governor(governor)
@@ -229,19 +217,13 @@ def _worker_main(
         if new:
             reply["triggered"] = sorted(new)
             sent_triggered.update(new)
-        cache = server.stmt_cache
-        reply["cache_hits"] = cache.hits if cache is not None else 0
-        reply["cache_misses"] = cache.misses if cache is not None else 0
-        reply["compile_fallbacks"] = (
-            cache.compile_fallbacks if cache is not None else 0
-        )
         return reply
 
     def send(reply: Dict[str, Any]) -> None:
         payload = pickle.dumps(envelope(reply), protocol=pickle.HIGHEST_PROTOCOL)
         if len(payload) > max_message_bytes:
             # a result too large for the channel becomes a resource kill;
-            # re-envelope so the triggered/cache bookkeeping still ships
+            # re-envelope so the triggered-function bookkeeping still ships
             payload = pickle.dumps(
                 envelope({
                     "status": "error",
@@ -334,26 +316,16 @@ class SandboxedConnection:
         dialect_name: str,
         config: Optional[SandboxConfig] = None,
         budgets: Optional[ResourceBudgets] = None,
-        statement_cache: bool = True,
-        compile_plans: bool = True,
     ) -> None:
         self.dialect_name = dialect_name
         self.config = config if config is not None else SandboxConfig()
         self._budgets_spec = (
             budgets.to_spec() if budgets is not None and budgets.enabled else None
         )
-        self.statement_cache = statement_cache
-        self.compile_plans = compile_plans
         #: lifetime counters for the supervisor health summary
         self.kills = 0          # SIGKILLs after a blown wall deadline
         self.worker_deaths = 0  # workers that died on their own
         self.respawns = 0       # replacement workers spawned
-        self.cache_hits = 0
-        self.cache_misses = 0
-        #: sandbox workers never run compiled plans (see _worker_main);
-        #: fallbacks count the hits that wanted to
-        self.compiled_executions = 0
-        self.compile_fallbacks = 0
         #: set the parent merges triggered-function deltas into (the
         #: runner points this at its server context's set)
         self.triggered_sink: Optional[Set[str]] = None
@@ -380,7 +352,6 @@ class SandboxedConnection:
             target=_worker_main,
             args=(
                 child_sock, self.dialect_name, self._budgets_spec,
-                self.statement_cache, self.compile_plans,
                 self.config.max_message_bytes,
             ),
             daemon=True,
@@ -448,11 +419,6 @@ class SandboxedConnection:
             raise WorkerCrashed(
                 f"sandbox worker died mid-request: {exc}; respawned"
             ) from None
-        self.cache_hits = reply.get("cache_hits", self.cache_hits)
-        self.cache_misses = reply.get("cache_misses", self.cache_misses)
-        self.compile_fallbacks = reply.get(
-            "compile_fallbacks", self.compile_fallbacks
-        )
         if self.triggered_sink is not None:
             self.triggered_sink.update(reply.get("triggered", ()))
         if reply.get("status") == "dying":

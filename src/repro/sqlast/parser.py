@@ -843,8 +843,8 @@ def parse_statements(
 ) -> List[Statement]:
     """Parse *source* as a ``;``-separated script.
 
-    *tokens* lets a caller that already lexed *source* (the statement
-    cache's fingerprint probe) skip the second tokenize pass.
+    *tokens* lets a caller that already lexed *source* skip the second
+    tokenize pass.
     """
     return Parser(source, tokens=tokens).parse_statements()
 

@@ -87,13 +87,10 @@ def transform(
 
     The input tree is not modified; a rewritten copy is returned.  Every
     node the rewrite descends into is a fresh object, so the result shares
-    no expression or clause node with the input.  The statement cache
-    depends on this: it rebinds the literal values of a parsed template in
-    place, and an optimized tree that aliased one of the template's
-    literals would change under that rebinding.  (The rewrite does not
+    no expression or clause node with the input: either tree can be
+    changed in place without the other seeing it.  (The rewrite does not
     descend into ``EXPLAIN`` targets, ``CREATE TABLE`` column lists or
-    ``TypeName`` parameters; those stay shared, and rebinding never
-    writes to them.)
+    ``TypeName`` parameters; those stay shared.)
     """
 
     def rewrite(current: n.Node) -> n.Node:

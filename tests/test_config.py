@@ -95,6 +95,13 @@ class TestRoundTrip:
         with pytest.raises((TypeError, ValueError), match="frobnicate"):
             CampaignConfig.from_dict({"dialect": "duckdb", "frobnicate": 1})
 
+    def test_from_dict_drops_exactly_the_retired_fields(self):
+        stored = {**CampaignConfig(dialect="duckdb").to_dict(),
+                  "statement_cache": False, "compile": False}
+        assert CampaignConfig.from_dict(stored) == CampaignConfig(dialect="duckdb")
+        with pytest.raises(ValueError, match="frobnicate"):
+            CampaignConfig.from_dict({**stored, "frobnicate": 1})
+
     def test_fault_plan_round_trips_as_spec(self):
         plan = FaultPlan(hang_rate=0.01, drop_rate=0.02)
         config = CampaignConfig(dialect="duckdb", faults=plan)

@@ -3,8 +3,8 @@
 The lexer, parser, optimizer and AST copy helpers are shared by every
 statement a campaign runs, so they are tuned for interpreter overhead.
 These tests pin what the tuning must not change: token identity, the
-keyword rules for quoted identifiers, the fresh-tree invariant the
-statement cache relies on, and a golden digest of lexing, parsing and
+keyword rules for quoted identifiers, the fresh-tree invariant of the
+AST copy helpers, and a golden digest of lexing, parsing and
 optimizing every dialect's regression suite plus the start of the duckdb
 generation stream.
 """
@@ -182,27 +182,6 @@ def test_clone_copies_nodes_off_the_child_links():
     copy = clone(stmt)
     copy.items[0].expr.type_name.params.append(9)
     assert stmt.items[0].expr.type_name.params == [30, 2]
-
-
-@pytest.mark.parametrize("passes", ["all", "none"])
-@pytest.mark.parametrize("first, second", [("5", "7"), ("-5", "-7")])
-def test_template_hit_leaves_the_exact_entry_of_the_first_literal(passes, first, second):
-    """``ABS(5)`` is a template with no fold site, ``ABS(-5)`` one with a
-    fold site; with ``optimizer_passes=none`` the optimizer hands the
-    parsed tree back unchanged."""
-    server = dialect_by_name("duckdb").create_server()
-    server.ctx.set_config("optimizer_passes", passes)
-    connection = server.connect()
-    cache = server.stmt_cache
-
-    def run(literal):
-        return connection.execute(f"SELECT ABS({literal});").rows[0][0].value
-
-    assert run(first) == abs(int(first))
-    assert run(second) == abs(int(second))  # template hit: rebinds in place
-    hits = cache.hits
-    assert run(first) == abs(int(first))  # exact hit on the first text
-    assert cache.hits == hits + 1
 
 
 def _describe(exc: BaseException) -> str:

@@ -1,180 +1,29 @@
-"""Tests for ``repro.perf``: the statement parse/plan cache and the sharded
-parallel campaign executor.
+"""Tests for ``repro.perf``: the sharded parallel campaign executor.
 
-The contract under test is strict: caching and sharding are *transparent*
-optimizations — a cached plan must produce byte-identical outcomes to a
-cold parse, and a ``jobs=N`` campaign must report the same
-``CampaignResult.signature()`` as the serial run, faults on or off.
+The contract under test is strict: sharding is a *transparent*
+optimization — a ``jobs=N`` campaign must report the same
+``CampaignResult.signature()`` as the serial run, faults on or off, and
+every campaign runs its statements through one execution path.
 """
 
-import itertools
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
 from repro.core.campaign import Campaign, run_campaign
 from repro.core.config import CampaignConfig
-from repro.core.collect import SeedCollector
-from repro.core.patterns import GeneratedCase, PatternEngine
+from repro.core.patterns import GeneratedCase
 from repro.core.runner import Runner
-from repro.dialects import all_dialect_classes, bugs_for, dialect_by_name
+from repro.dialects import dialect_by_name
 from repro.engine.connection import ConnectionClosed
-from repro.perf import StatementCache
 from repro.perf.parallel import ParallelCampaign, _shard_spec, run_parallel_campaign
 from repro.robustness.watchdog import StatementTimeout
 
 FAULT_SPEC = "hang=0.01,slow=0.02,drop=0.01,flaky=0.01,restart_fail=0.1"
-
-
-# ---------------------------------------------------------------------------
-# statement cache: mechanics
-# ---------------------------------------------------------------------------
-class TestStatementCache:
-    def _connection(self):
-        return dialect_by_name("duckdb").create_server().connect()
-
-    def test_exact_tier_hit_on_repeated_statement(self):
-        conn = self._connection()
-        cache = conn.server.stmt_cache
-        first = conn.execute("SELECT ABS(-5);").rendered()
-        assert cache.hits == 0
-        second = conn.execute("SELECT ABS(-5);").rendered()
-        assert second == first
-        assert cache.hits == 1
-
-    def test_template_tier_hit_on_same_shape(self):
-        conn = self._connection()
-        cache = conn.server.stmt_cache
-        assert conn.execute("SELECT ABS(-5);").scalar().render() == "5"
-        # same token shape, different literal: parse is reused, the literal
-        # slot is rebound, and the value must be the rebound one
-        assert conn.execute("SELECT ABS(-7);").scalar().render() == "7"
-        assert cache.hits == 1
-        assert conn.execute("SELECT ABS(-123);").scalar().render() == "123"
-        assert cache.hits == 2
-
-    def test_string_literals_rebind(self):
-        conn = self._connection()
-        assert conn.execute("SELECT UPPER('abc');").scalar().render() == "ABC"
-        assert conn.execute("SELECT UPPER('xyz');").scalar().render() == "XYZ"
-        assert conn.server.stmt_cache.hits == 1
-
-    def test_literal_kind_is_part_of_the_shape(self):
-        conn = self._connection()
-        cache = conn.server.stmt_cache
-        conn.execute("SELECT LENGTH('abc');")
-        # integer argument is a *different* shape than a string argument —
-        # it must not hit the string template
-        conn.execute("SELECT LENGTH(123);")
-        assert cache.hits == 0
-
-    def test_ddl_invalidates(self):
-        conn = self._connection()
-        cache = conn.server.stmt_cache
-        conn.execute("SELECT ABS(-5);")
-        assert len(cache) > 0
-        conn.execute("CREATE TABLE t (a INT)")
-        assert len(cache) == 0
-        assert cache.invalidations == 1
-
-    def test_set_statement_invalidates(self):
-        conn = self._connection()
-        cache = conn.server.stmt_cache
-        conn.execute("SELECT ABS(-5);")
-        assert len(cache) > 0
-        conn.execute("SET fold_functions = '1'")
-        assert len(cache) == 0
-
-    def test_restart_invalidates(self):
-        conn = self._connection()
-        server = conn.server
-        server.connect().execute("SELECT ABS(-5);")
-        assert len(server.stmt_cache) > 0
-        server.restart()
-        assert len(server.stmt_cache) == 0
-        # counters survive the restart — they describe the workload
-        assert server.stmt_cache.misses > 0
-
-    def test_multi_statement_sql_bypasses_cache(self):
-        conn = self._connection()
-        cache = conn.server.stmt_cache
-        conn.execute("SELECT 1; SELECT 2;")
-        conn.execute("SELECT 1; SELECT 2;")
-        assert cache.hits == 0
-
-    def test_bypass_knob(self):
-        runner = Runner(dialect_by_name("duckdb"), statement_cache=False)
-        assert runner.server.stmt_cache is None
-        runner.run("SELECT ABS(-5);")
-        runner.run("SELECT ABS(-5);")
-        assert runner.cache_hits == 0
-        assert runner.cache_misses == 0
-
-    def test_lru_eviction(self):
-        cache = StatementCache(capacity=2, template_capacity=2)
-        from repro.engine.connection import Server
-
-        server = Server(dialect_by_name("duckdb"))
-        server.stmt_cache = cache
-        conn = server.connect()
-        conn.execute("SELECT ABS(-1);")
-        conn.execute("SELECT UPPER('a');")
-        conn.execute("SELECT LENGTH('bb');")  # evicts the ABS entries
-        assert len(cache._exact) <= 2
-        assert len(cache._templates) <= 2
-
-
-# ---------------------------------------------------------------------------
-# statement cache: differential correctness (the property the design hinges on)
-# ---------------------------------------------------------------------------
-def _outcome_key(outcome):
-    return (outcome.kind, outcome.message, outcome.result_type)
-
-
-class TestCacheDifferential:
-    @pytest.mark.parametrize(
-        "dialect_name",
-        [cls().name for cls in all_dialect_classes()],
-    )
-    def test_cached_and_uncached_outcomes_identical(self, dialect_name):
-        """Identical (kind, message, result_type) streams over a sample of
-        pattern-generated statements — including the dialect's injected-bug
-        PoCs, which crash the server and exercise the restart-invalidation
-        path mid-stream."""
-        dialect = dialect_by_name(dialect_name)
-        seeds = SeedCollector(dialect).collect()
-        engine = PatternEngine(seeds)
-        statements = [f"SELECT {s.sql};" for s in seeds[:20]]
-        statements += [
-            case.sql for case in itertools.islice(engine.generate_all(), 150)
-        ]
-        # splice crashing PoCs into the middle so later statements run
-        # against a restarted server on both sides
-        pocs = [bug.poc for bug in bugs_for(dialect_name)[:4]]
-        statements[60:60] = pocs
-        cached = Runner(dialect_by_name(dialect_name))
-        uncached = Runner(dialect_by_name(dialect_name), statement_cache=False)
-        for sql in statements:
-            a = cached.run(sql)
-            b = uncached.run(sql)
-            assert _outcome_key(a) == _outcome_key(b), sql
-        assert uncached.cache_misses == 0
-
-    def test_cache_actually_hits_on_pattern_streams(self):
-        dialect = dialect_by_name("duckdb")
-        seeds = SeedCollector(dialect).collect()
-        engine = PatternEngine(seeds)
-        runner = Runner(dialect)
-        for case in itertools.islice(engine.generate_all(), 400):
-            runner.run(case.sql)
-        assert runner.cache_hits > 0
-
-    def test_campaign_signature_cached_equals_uncached(self):
-        cached = run_campaign("duckdb", budget=1_000, seed=3)
-        uncached = run_campaign("duckdb", budget=1_000, seed=3, statement_cache=False)
-        assert cached.signature() == uncached.signature()
-        assert cached.cache_hits > 0
-        assert uncached.cache_hits == 0
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +63,56 @@ class TestParallelDeterminism:
         result = run_parallel_campaign("duckdb", jobs=2, budget=1_000, seed=3)
         assert result.wall_seconds > 0
         assert result.statements_per_second > 0
-        assert result.cache_hits + result.cache_misses >= result.queries_executed
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"faults": FAULT_SPEC, "fault_seed": 11},
+            {"oracles": ("crash", "differential", "conformance")},
+        ],
+        ids=["faults", "all_oracles"],
+    )
+    def test_jobs_4_signature_equals_serial_at_seed_7(self, options):
+        config = CampaignConfig(dialect="duckdb", budget=600, seed=7, **options)
+        serial = Campaign(dialect_by_name("duckdb"), config=config).run()
+        parallel = ParallelCampaign(config=config.replace(jobs=4)).run()
+        assert parallel.signature() == serial.signature()
+
+
+# ---------------------------------------------------------------------------
+# one execution path
+# ---------------------------------------------------------------------------
+class TestOneExecutionPath:
+    def test_campaigns_never_import_the_cache_or_compiler(self):
+        """Serial, sharded and metamorphic campaigns all run without the
+        retained statement-cache and plan-compiler modules."""
+        script = textwrap.dedent(
+            """
+            import sys
+            from repro.core.campaign import run_campaign
+            from repro.perf import run_parallel_campaign
+
+            run_campaign("duckdb", budget=300, seed=3)
+            run_parallel_campaign("duckdb", jobs=2, budget=300, seed=3)
+            run_campaign("duckdb", budget=300, seed=3,
+                         statement_family="predicate", oracles="tlp,norec")
+            loaded = [name for name in ("repro.perf.stmtcache",
+                                        "repro.perf.compiler")
+                      if name in sys.modules]
+            print(",".join(loaded) or "none")
+            """
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "none"
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +152,9 @@ class TestParallelResume:
 
 
 #: shard-sidecar identities, each with its worker index and the exact JSON
-#: its spec serializes to.  The strings were produced by the loose-field
-#: ``_shard_spec`` that predates config-driven shards; a sidecar written by
-#: either version resumes under the other only while these stay equal.
+#: its spec serializes to.  Sidecars written while the plan compiler
+#: existed also carried ``"compile": false`` for the non-default configs;
+#: resume ignores that key (see ``test_compile_key_of_older_sidecars``).
 SIDECAR_SPECS = {
     "default": (
         CampaignConfig(dialect="duckdb", jobs=2),
@@ -268,7 +166,7 @@ SIDECAR_SPECS = {
     "sandboxed": (
         CampaignConfig(
             dialect="duckdb", budget=900, seed=5, jobs=3, max_partners=12,
-            budgets="depth=64,rows=5000", sandbox=True, compile=False,
+            budgets="depth=64,rows=5000", sandbox=True,
         ),
         2,
         '{"version": 2, "shard_format": 2, "dialect": "duckdb", "seed": 5, '
@@ -276,19 +174,19 @@ SIDECAR_SPECS = {
         '"jobs": 3, "worker": 2, "oracles": ["crash"], '
         '"budgets": "depth=64,rows=5000", "sandbox": '
         '{"wall_deadline_seconds": 30.0, "breaker_threshold": 3, '
-        '"quarantine": [], "max_message_bytes": 33554432}, "compile": false}',
+        '"quarantine": [], "max_message_bytes": 33554432}}',
     ),
     "predicate": (
         CampaignConfig(
             dialect="mysql", budget=700, seed=4, jobs=2, enable_coverage=True,
-            budgets="depth=64,rows=5000", compile=False,
+            budgets="depth=64,rows=5000",
             statement_family="predicate", oracles=("crash", "tlp", "norec"),
         ),
         1,
         '{"version": 2, "shard_format": 2, "dialect": "mysql", "seed": 4, '
         '"budget": 700, "max_partners": 48, "enable_coverage": true, '
         '"jobs": 2, "worker": 1, "oracles": ["crash", "tlp", "norec"], '
-        '"budgets": "depth=64,rows=5000", "compile": false, '
+        '"budgets": "depth=64,rows=5000", '
         '"statement_family": "predicate"}',
     ),
 }
@@ -315,6 +213,29 @@ class TestShardSidecars:
         interrupted._stop_after = 40  # simulate a mid-campaign kill
         partial = interrupted.run()
         assert partial.queries_executed < interrupted_budget
+
+        resumed = ParallelCampaign(config=config).run(resume=True)
+        fresh = ParallelCampaign(config=config.replace(checkpoint_path=None)).run()
+        assert resumed.signature() == fresh.signature()
+
+    def test_compile_key_of_older_sidecars_is_ignored(self, tmp_path):
+        """A ``jobs=2`` sidecar in the format written while the plan
+        compiler existed (``"compile": false`` before
+        ``statement_family`` in its spec) resumes to the fresh run."""
+        path = tmp_path / "campaign.ckpt"
+        config = SIDECAR_SPECS["predicate"][0].replace(
+            budget=700, checkpoint_path=str(path), checkpoint_every=50,
+        )
+        interrupted = ParallelCampaign(config=config)
+        interrupted._stop_after = 40  # simulate a mid-campaign kill
+        assert interrupted.run().queries_executed < 700
+        for worker in range(2):
+            sidecar = tmp_path / f"campaign.ckpt.shard{worker}"
+            payload = json.loads(sidecar.read_text(encoding="utf-8"))
+            spec = payload["spec"]
+            family = spec.pop("statement_family")
+            spec.update({"compile": False, "statement_family": family})
+            sidecar.write_text(json.dumps(payload), encoding="utf-8")
 
         resumed = ParallelCampaign(config=config).run(resume=True)
         fresh = ParallelCampaign(config=config.replace(checkpoint_path=None)).run()

@@ -521,6 +521,52 @@ class TestDurabilityAndRecovery:
         finally:
             pool.stop(drain=False)
 
+    def test_journaled_config_with_retired_fields_replays(self, tmp_path):
+        """A journal written while configs carried ``statement_cache`` and
+        ``compile`` still boots, and its orphaned job runs to the same
+        digest as a clean run."""
+        import sqlite3
+
+        path = str(tmp_path / "jobs.sqlite")
+        journal = JobJournal(path)
+        store = JobStore(journal=journal, checkpoint_dir=str(tmp_path / "ckpt"))
+        job = store.submit(
+            "campaign", config=CampaignConfig(dialect="virtuoso", budget=400)
+        )
+        assert store.claim(owner="doomed") is not None
+        journal.close()
+        db = sqlite3.connect(path)
+        with db:
+            (config,) = db.execute(
+                "SELECT config FROM jobs WHERE job_id=?", (job.job_id,)
+            ).fetchone()
+            stored = {**json.loads(config), "statement_cache": True,
+                      "compile": False}
+            db.execute(
+                "UPDATE jobs SET config=? WHERE job_id=?",
+                (json.dumps(stored, sort_keys=True), job.job_id),
+            )
+        db.close()
+
+        reborn = JobStore(
+            journal=JobJournal(path), checkpoint_dir=str(tmp_path / "ckpt"),
+            backoff_base=0.0,
+        )
+        assert reborn.recover()["requeued"] == [job.job_id]
+        twin = reborn.get(job.job_id)
+        assert twin.config == job.config
+        repo = BugRepository(str(tmp_path / "bugs.sqlite"), minimize=False)
+        pool = SchedulerPool(reborn, repo, workers=1).start()
+        try:
+            end = time.monotonic() + 30
+            while twin.state != "done" and time.monotonic() < end:
+                time.sleep(0.02)
+            assert twin.state == "done"
+            control = run_scheduled(twin.config)
+            assert twin.summary["signature_digest"] == signature_digest(control)
+        finally:
+            pool.stop(drain=False)
+
     def test_recovery_exhausts_retries_to_failed(self, tmp_path):
         path = str(tmp_path / "jobs.sqlite")
         journal = JobJournal(path)
