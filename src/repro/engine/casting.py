@@ -366,6 +366,8 @@ def _to_json(ctx: "ExecutionContext", value: SQLValue, tn: TypeName) -> SQLValue
         return SQLJson(document)
     if is_numeric(value):
         dec = numeric_as_decimal(value)
+        if not dec.is_finite():
+            raise ValueError_(f"cannot cast {value.render()} to json")
         return SQLJson(decimal_to_int(dec) if dec == dec.to_integral_value() else float(dec))
     if isinstance(value, SQLBoolean):
         return SQLJson(value.value)

@@ -226,7 +226,7 @@ def register_array(reg: FunctionRegistry) -> None:
             from ..errors import ResourceError
 
             raise ResourceError("RANGE result too large")
-        return SQLArray(tuple(SQLInteger(v) for v in range(start, stop, step)))
+        return SQLArray(range(start, stop, step))
 
     reg.alias("range", "generate_series", "sequence_array")
 

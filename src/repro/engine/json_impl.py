@@ -14,6 +14,7 @@ JSON_LENGTH / JSON_EXTRACT and friends.
 
 from __future__ import annotations
 
+import math
 from typing import Any, List, Optional, Tuple, Union
 
 from .errors import ValueError_
@@ -221,6 +222,15 @@ def json_parse(
     return JsonParser(text, stack=stack, max_depth=max_depth, function=function).parse()
 
 
+#: ``str.translate`` table for JSON string literals: quote, backslash and
+#: the C0 controls (``\n``, ``\t`` and ``\r`` by name, the rest as ``\uXXXX``)
+_STRING_ESCAPES = {
+    **{code: f"\\u{code:04x}" for code in range(0x20)},
+    ord('"'): '\\"', ord("\\"): "\\\\",
+    ord("\n"): "\\n", ord("\t"): "\\t", ord("\r"): "\\r",
+}
+
+
 def json_serialize(document: Any) -> str:
     """Serialise a document back to compact JSON text."""
     if document is None:
@@ -229,29 +239,17 @@ def json_serialize(document: Any) -> str:
         return "true"
     if document is False:
         return "false"
-    if isinstance(document, (int, float)):
-        if isinstance(document, float) and document == int(document) and abs(document) < 1e15:
+    if isinstance(document, float):
+        if not math.isfinite(document):
+            # JSON has no literal for inf/nan; the parser reads 1e999 as inf
+            raise ValueError_(f"cannot serialise {document!r} to JSON")
+        if document == int(document) and abs(document) < 1e15:
             return str(document)
-        return repr(document) if isinstance(document, float) else render_int(document)
+        return repr(document)
+    if isinstance(document, int):
+        return render_int(document)
     if isinstance(document, str):
-        out = ['"']
-        for ch in document:
-            if ch == '"':
-                out.append('\\"')
-            elif ch == "\\":
-                out.append("\\\\")
-            elif ch == "\n":
-                out.append("\\n")
-            elif ch == "\t":
-                out.append("\\t")
-            elif ch == "\r":
-                out.append("\\r")
-            elif ord(ch) < 0x20:
-                out.append(f"\\u{ord(ch):04x}")
-            else:
-                out.append(ch)
-        out.append('"')
-        return "".join(out)
+        return '"' + document.translate(_STRING_ESCAPES) + '"'
     if isinstance(document, list):
         return "[" + ", ".join(json_serialize(v) for v in document) + "]"
     if isinstance(document, dict):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import decimal
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import TypeError_, ValueError_
 
@@ -359,8 +359,28 @@ class SQLInterval(SQLValue):
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True, eq=False)
 class SQLArray(SQLValue):
-    items: Tuple[SQLValue, ...]
+    """An ARRAY: a tuple of values, or an integer series kept as a ``range``.
+
+    The boundary patterns produce calls such as ``GENERATE_SERIES(99999)``,
+    and most campaigns never look past the result's type name; building
+    99,999 :class:`SQLInteger` objects for it costs tens of milliseconds and
+    about 12 MB.  So ``SQLArray(range(...))`` holds the ``range`` itself,
+    and :attr:`items` builds ``tuple(map(SQLInteger, r))`` on first read and
+    stores it in place.  Every reader sees the same tuple either way.  This
+    is one class, not a lazy subclass, because ``compare_values`` dispatches
+    on ``type(left) is type(right)``.
+    """
+
+    _items: Union[Tuple[SQLValue, ...], range]
     type_name = "array"
+
+    @property
+    def items(self) -> Tuple[SQLValue, ...]:
+        items = self._items
+        if type(items) is range:
+            items = tuple(map(SQLInteger, items))
+            object.__setattr__(self, "_items", items)
+        return items
 
     @classmethod
     def of(cls, items: Sequence[SQLValue]) -> "SQLArray":

@@ -1,14 +1,16 @@
 """The engine's big-number boundary (``decimal_to_int`` / ``digits_to_int``).
 
 The boundary patterns feed built-ins 10^5-digit numeric strings.  These
-tests pin three things:
+tests pin four things:
 
 * the two conversions are exactly ``int()``;
 * every converted engine site computes what its old ``int(Decimal)``
   formula computed, at 5,000 and 99,999 digits;
 * integers past the interpreter's 4,300-digit int<->str limit surface as
   handled SQL errors, never as raw Python exceptions, on every dialect and
-  through a whole campaign.
+  through a whole campaign;
+* so do numbers past a double's range (``1e999``, ``inf``, ``NaN``) that
+  reach JSON, which has no literal for them.
 """
 
 import decimal
@@ -314,6 +316,60 @@ def test_campaign_with_repros_runs_to_completion(name):
     dialect = WithRepros()
     seeds = [seed.sql for seed in SeedCollector(dialect).collect()]
     assert "CEILING(REPEAT('1', 99999))" in seeds
+    budget = len(seeds) + 200
+    campaign = Campaign(
+        dialect,
+        config=CampaignConfig(budget=budget, oracles=("crash", "differential")),
+    )
+    result = campaign.run()
+    assert result.queries_executed == budget
+
+
+# ---------------------------------------------------------------------------
+# non-finite numbers reaching JSON
+# ---------------------------------------------------------------------------
+#: statement -> the exact rendering (None: a handled error is the only answer)
+NON_FINITE_JSON = {
+    "SELECT CAST('[1e999]' AS JSON);": None,
+    "SELECT JSON_EXTRACT('[1e999]', '$[0]');": None,
+    "SELECT JSON_EXTRACT('{\"a\": -1e400}', '$.a');": None,
+    "SELECT JSON_ARRAY(CAST('inf' AS DOUBLE));": None,
+    "SELECT JSON_OBJECT('a', CAST('inf' AS DOUBLE));": None,
+    "SELECT CAST(CAST('inf' AS DOUBLE) AS JSON);": None,
+    "SELECT CAST(CAST('-inf' AS DOUBLE) AS JSON);": None,
+    "SELECT CAST(CAST('NaN' AS DOUBLE) AS JSON);": None,
+    # parsing is unchanged: 1e999 is valid JSON text
+    "SELECT JSON_VALID('1e999');": "true",
+    "SELECT JSON_LENGTH('[1e999]');": "1",
+}
+
+
+@pytest.mark.parametrize("cls", all_dialect_classes(), ids=lambda c: c.name)
+def test_non_finite_json_is_exact_or_handled(cls):
+    conn = cls().create_server().connect()
+    for sql, expected in NON_FINITE_JSON.items():
+        try:
+            result = conn.execute(sql)
+            fingerprint_result(result)
+        except SQLError:
+            assert expected is None, sql
+            continue
+        assert result.rows[0][0].render() == expected, sql
+
+
+@pytest.mark.parametrize("name", ["mysql", "duckdb"])
+def test_campaign_with_non_finite_json_runs_to_completion(name):
+    base = type(dialect_by_name(name))
+
+    class WithRepro(base):
+        def test_suite(self):
+            return [
+                "SELECT JSON_EXTRACT(CAST('[1e999]' AS JSON), '$[0]');",
+            ] + super().test_suite()
+
+    dialect = WithRepro()
+    seeds = [seed.sql for seed in SeedCollector(dialect).collect()]
+    assert "JSON_EXTRACT(CAST('[1e999]' AS JSON), '$[0]')" in seeds
     budget = len(seeds) + 200
     campaign = Campaign(
         dialect,

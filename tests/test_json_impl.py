@@ -93,6 +93,50 @@ class TestSerialize:
     def test_nested(self):
         assert json_serialize({"a": [1, None]}) == '{"a": [1, null]}'
 
+    @pytest.mark.parametrize("number", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_numbers_are_handled_errors(self, number):
+        with pytest.raises(ValueError_, match="cannot serialise"):
+            json_serialize([1, {"a": number}])
+
+    @staticmethod
+    def reference_quote(text):
+        """The character loop ``json_serialize`` used before its escape table."""
+        out = ['"']
+        for ch in text:
+            if ch == '"':
+                out.append('\\"')
+            elif ch == "\\":
+                out.append("\\\\")
+            elif ch == "\n":
+                out.append("\\n")
+            elif ch == "\t":
+                out.append("\\t")
+            elif ch == "\r":
+                out.append("\\r")
+            elif ord(ch) < 0x20:
+                out.append(f"\\u{ord(ch):04x}")
+            else:
+                out.append(ch)
+        out.append('"')
+        return "".join(out)
+
+    escaped_text = st.text(
+        st.characters(min_codepoint=0, max_codepoint=0x20)
+        | st.sampled_from('"\\/\x7f\xe9\u2028\ud800\udbff\udc00\udfff')
+        | st.characters(min_codepoint=0x10000, max_codepoint=0x10FFFF)
+        | st.characters(),
+        max_size=40,
+    )
+
+    @given(escaped_text)
+    @settings(max_examples=300)
+    def test_string_escaping_matches_the_reference_loop(self, text):
+        assert json_serialize(text) == self.reference_quote(text)
+
+    def test_every_control_character_and_surrogate(self):
+        text = "".join(map(chr, range(0x21))) + '"\\\ud800\udfff\U0001f600'
+        assert json_serialize(text) == self.reference_quote(text)
+
     json_values = st.recursive(
         st.none() | st.booleans() | st.integers(-10**6, 10**6)
         | st.text(max_size=20),
