@@ -17,7 +17,7 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING, List, Optional
 
-from ..sqlast import ParseError, parse_statements
+from ..sqlast import LexError, ParseError, parse_statements
 from ..sqlast import nodes as n
 from .catalog import Database
 from .errors import CrashSignal, SQLError, SyntaxError_
@@ -187,7 +187,7 @@ class Connection:
         ctx.stage = "parse"
         try:
             statements = parse_statements(sql)
-        except ParseError as exc:
+        except (LexError, ParseError) as exc:
             raise SyntaxError_(str(exc)) from None
         except RecursionError:
             raise SyntaxError_("statement too deeply nested") from None

@@ -15,6 +15,7 @@ rendering, and their comparison semantics.
 from __future__ import annotations
 
 import decimal
+import functools
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -570,7 +571,10 @@ def numeric_as_decimal(value: SQLValue) -> decimal.Decimal:
 # ~0.4 s at 10^5 digits, and ``int(str)`` refuses more than 4,300 digits.
 # Every engine site that turns a Decimal or a digit string into an int goes
 # through these two functions instead.  Both are exact; below a few
-# thousand digits they are the plain built-in call.
+# thousand digits they are the plain built-in call.  Longer digit texts go
+# through a small LRU memo: the boundary-literal pool hands the same
+# 10^5-digit text to many functions, so a campaign converts a dozen
+# distinct texts dozens of times.
 # ---------------------------------------------------------------------------
 #: digit-text length that ``int()`` converts directly (under 4,300, the
 #: interpreter's default int<->str limit)
@@ -582,14 +586,22 @@ _INT_FAST_DIGITS = 3000
 def digits_to_int(text: str) -> int:
     """Exactly ``int(text)`` for a string of decimal digits of any length.
 
-    Divide and conquer: the high half times ``10**k`` plus the low ``k``
-    digits, with ``10**k`` formed as ``5**k << k``.  With Karatsuba
-    multiplication this is subquadratic, and it never meets the
-    interpreter's int<->str digit limit.  The powers are memoized for this
-    call only.
+    Texts longer than ``_INT_CHUNK_DIGITS`` are converted by
+    :func:`_big_digits_to_int` and remembered, the last eight of them.
     """
     if len(text) <= _INT_CHUNK_DIGITS:
         return int(text)
+    return _big_digits_to_int(text)
+
+
+@functools.lru_cache(maxsize=8)
+def _big_digits_to_int(text: str) -> int:
+    """Divide and conquer: the high half times ``10**k`` plus the low ``k``
+    digits, with ``10**k`` formed as ``5**k << k``.  With Karatsuba
+    multiplication this is subquadratic, and it never meets the
+    interpreter's int<->str digit limit.  The powers are memoized for this
+    call only; a malformed text raises ``ValueError`` and is not cached.
+    """
     fives: Dict[int, int] = {}
 
     def convert(start: int, end: int) -> int:

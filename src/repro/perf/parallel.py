@@ -11,16 +11,20 @@ Architecture (see DESIGN.md for the full determinism argument):
 * The **parent** replays the seed phase itself (positions ``0..S-1``) —
   it is cheap, and the pattern engine needs the observed seed return
   types before any generated statement can exist.
-* The generated stream is sharded **round-robin by pattern index**:
-  worker ``w`` of ``N`` executes generated case ``i`` iff
-  ``i % N == w``.  Every worker re-derives the full deterministic stream
-  (seed collection is pure, generation is seeded) and skips foreign
-  cases — skipping is an allocation, not work, because
+* The generated stream is sharded by a **static hash of the pattern
+  index**: worker ``w`` of ``N`` executes generated case ``i`` iff
+  :func:`shard_of` ``(i, N) == w`` (Fibonacci hashing).  The generator
+  emits a function's short and 10^5-digit ``REPEAT`` cases at adjacent
+  positions, so ``i % N`` would hand nearly all of the expensive tail to
+  one worker; the hash scatters runs of neighbours evenly.  Every worker
+  re-derives the full deterministic stream (seed collection is pure,
+  generation is seeded) and skips foreign cases — skipping is an
+  allocation, not work, because
   :class:`~repro.core.patterns.GeneratedCase` renders SQL lazily.
 * Statement behaviour is **history-independent** by construction
   (per-statement engine RNG reseed, position-keyed fault streams), so a
-  worker executing the sub-stream ``w, w+N, w+2N, …`` observes exactly
-  the outcomes the serial run observes at those positions.
+  worker executing its sub-stream observes exactly the outcomes the
+  serial run observes at those positions.
 * Each worker runs its own full :class:`~repro.core.oracles.OraclePipeline`
   over its slice and ships the pipeline's exported state in its plain-dict
   **shard report** (alongside outcome counts, triggered functions,
@@ -89,9 +93,24 @@ from ..robustness.watchdog import SimulatedClock
 
 
 #: sidecar layout version: bumped when the shard report/checkpoint schema
-#: changes (v2 replaced the replayed-observation list with per-shard oracle
-#: pipeline state); old sidecars are refused with a CheckpointError
-SHARD_FORMAT_VERSION = 2
+#: or the case-to-shard rule changes (v2 replaced the replayed-observation
+#: list with per-shard oracle pipeline state; v3 replaced ``index % jobs``
+#: with :func:`shard_of`); old sidecars are refused with a CheckpointError
+SHARD_FORMAT_VERSION = 3
+
+#: 2**64 / golden ratio, odd: multiplying by it modulo 2**64 scatters
+#: consecutive indices across the whole 64-bit range
+_FIBONACCI_MULTIPLIER = 0x9E3779B97F4A7C15
+
+
+def shard_of(index: int, jobs: int) -> int:
+    """The worker (``0..jobs-1``) that executes generated case *index*.
+
+    Fibonacci hashing: the index's scrambled 64-bit image, scaled to
+    ``jobs`` by its high bits.  Static, so a resumed shard can skip the
+    first *k* cases of its slice without any shared state.
+    """
+    return ((index * _FIBONACCI_MULTIPLIER) % 2**64) * jobs >> 64
 
 
 # ----------------------------------------------------------------------
@@ -172,9 +191,8 @@ def _run_shard(
     outcome_counts: Dict[str, int] = {}
     state = _load_shard_checkpoint(config, worker) if resume else None
     if state is not None:
-        # processed counts containment skips too; sidecars written
-        # before the sandbox existed only have the executed count
-        skip_in_shard = state.get("shard_processed", state["shard_executed"])
+        # processed counts containment skips too
+        skip_in_shard = state["shard_processed"]
         shard_executed = state["shard_executed"]
         outcome_counts = dict(state["outcomes"])
         try:
@@ -212,7 +230,7 @@ def _run_shard(
         for index, case in enumerate(engine.generate_all()):
             if index >= generated_budget:
                 break
-            if index % jobs != worker:
+            if shard_of(index, jobs) != worker:
                 continue  # lazy case: skipping costs no SQL rendering
             if shard_processed < skip_in_shard:
                 shard_processed += 1
@@ -351,9 +369,6 @@ def _load_shard_checkpoint(
         return None
     payload = read_json(path)
     spec = payload.get("spec") if isinstance(payload, dict) else None
-    if isinstance(spec, dict):
-        # sidecars written while the plan compiler existed may carry it
-        spec.pop("compile", None)
     expected = _shard_spec(config, worker)
     if spec != expected:
         raise CheckpointError(

@@ -75,7 +75,7 @@ class Lexer:
             return self._lex_dollar_string()
         if ch in '"`':
             return self._lex_quoted_ident(ch)
-        if ch.isdigit() or (ch == "." and self._peek_is_digit(1)):
+        if ch.isdecimal() or (ch == "." and self._peek_is_digit(1)):
             return self._lex_number()
         if ch.isalpha() or ch == "_":
             return self._lex_ident()
@@ -120,7 +120,7 @@ class Lexer:
     # ------------------------------------------------------------------
     def _peek_is_digit(self, offset: int) -> bool:
         idx = self.pos + offset
-        return idx < self.length and self.source[idx].isdigit()
+        return idx < self.length and self.source[idx].isdecimal()
 
     def _lex_string(self) -> Token:
         start = self.pos
@@ -193,23 +193,23 @@ class Lexer:
                 self.pos += 1
             return Token(TokenKind.INTEGER, src[start : self.pos], start)
         is_decimal = False
-        while self.pos < n and src[self.pos].isdigit():
+        while self.pos < n and src[self.pos].isdecimal():
             self.pos += 1
         if self.pos < n and src[self.pos] == ".":
             # Do not consume '..' (range operator in some dialects).
             if not src.startswith("..", self.pos):
                 is_decimal = True
                 self.pos += 1
-                while self.pos < n and src[self.pos].isdigit():
+                while self.pos < n and src[self.pos].isdecimal():
                     self.pos += 1
         if self.pos < n and src[self.pos] in "eE":
             save = self.pos
             self.pos += 1
             if self.pos < n and src[self.pos] in "+-":
                 self.pos += 1
-            if self.pos < n and src[self.pos].isdigit():
+            if self.pos < n and src[self.pos].isdecimal():
                 is_decimal = True
-                while self.pos < n and src[self.pos].isdigit():
+                while self.pos < n and src[self.pos].isdecimal():
                     self.pos += 1
             else:
                 self.pos = save  # 'e' starts an identifier, not an exponent

@@ -3,7 +3,8 @@
 The boundary patterns feed built-ins 10^5-digit numeric strings.  These
 tests pin four things:
 
-* the two conversions are exactly ``int()``;
+* the two conversions are exactly ``int()``, and long digit texts are
+  memoized (at most eight, never a short or malformed text);
 * every converted engine site computes what its old ``int(Decimal)``
   formula computed, at 5,000 and 99,999 digits;
 * integers past the interpreter's 4,300-digit int<->str limit surface as
@@ -32,6 +33,7 @@ from repro.engine.values import (
     SQLInteger,
     SQLInterval,
     SQLJson,
+    _big_digits_to_int,
     decimal_to_int,
     digits_to_int,
 )
@@ -91,6 +93,44 @@ class TestDigitsToInt:
     def test_exact_past_the_limit(self, n):
         assert digits_to_int("1" * n) == repunit(n)
         assert digits_to_int("9" * n) == 10**n - 1
+
+
+class TestDigitsToIntMemo:
+    """Texts past ``_INT_CHUNK_DIGITS`` go through an 8-entry LRU memo."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        _big_digits_to_int.cache_clear()
+        yield
+        _big_digits_to_int.cache_clear()
+
+    def test_second_conversion_is_a_memo_hit(self):
+        first = digits_to_int("1" * 99999)
+        before = _big_digits_to_int.cache_info()
+        # an equal text built separately, as each statement builds its own
+        second = digits_to_int("".join(["1"] * 99999))
+        after = _big_digits_to_int.cache_info()
+        assert first == second == repunit(99999)
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+    def test_memo_holds_at_most_eight_texts(self):
+        for n in range(4301, 4321):
+            assert digits_to_int("7" * n) == 7 * repunit(n)
+            assert _big_digits_to_int.cache_info().currsize <= 8
+        assert _big_digits_to_int.cache_info().currsize == 8
+
+    def test_short_texts_never_enter_the_memo(self):
+        for n in (1, 19, 1999, 2000):
+            assert digits_to_int("3" * n) == 3 * repunit(n)
+        info = _big_digits_to_int.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+
+    def test_malformed_text_raises_on_every_call(self):
+        text = "1" * 3000 + "x" + "1" * 3000
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                digits_to_int(text)
+        assert _big_digits_to_int.cache_info().currsize == 0
 
 
 # ---------------------------------------------------------------------------

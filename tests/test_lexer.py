@@ -55,6 +55,29 @@ class TestBasicTokens:
         assert texts(digits) == [digits]
 
 
+class TestNonAsciiDigits:
+    """Numeric literals are made of characters ``int()`` accepts
+    (``str.isdecimal``), not of every ``str.isdigit`` character."""
+
+    @pytest.mark.parametrize(
+        "sql", ["SELECT \u00b2;", "SELECT 1\u00b2;", "SELECT ABS(\u00b3);",
+                "SELECT 1.\u00b2;"],
+    )
+    def test_superscript_digits_are_lex_errors(self, sql):
+        with pytest.raises(LexError, match="unexpected character"):
+            tokenize(sql)
+
+    def test_arabic_indic_digits_lex_as_an_integer(self):
+        token = tokenize("\u0661\u0662")[0]
+        assert token.kind is TokenKind.INTEGER
+        assert int(token.text) == 12
+
+    def test_other_decimal_scripts_lex_as_decimals(self):
+        tokens = tokenize("\u0967.\u0968e\u0969")  # Devanagari 1.2e3
+        assert [t.kind for t in tokens][:-1] == [TokenKind.DECIMAL]
+        assert float(tokens[0].text) == 1.2e3
+
+
 class TestStrings:
     def test_simple_string(self):
         tokens = tokenize("'abc'")

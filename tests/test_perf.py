@@ -6,8 +6,10 @@ optimization — a ``jobs=N`` campaign must report the same
 every campaign runs its statements through one execution path.
 """
 
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -15,12 +17,18 @@ import textwrap
 import pytest
 
 from repro.core.campaign import Campaign, run_campaign
+from repro.core.collect import SeedCollector
 from repro.core.config import CampaignConfig
-from repro.core.patterns import GeneratedCase
+from repro.core.patterns import GeneratedCase, PatternEngine
 from repro.core.runner import Runner
 from repro.dialects import dialect_by_name
 from repro.engine.connection import ConnectionClosed
-from repro.perf.parallel import ParallelCampaign, _shard_spec, run_parallel_campaign
+from repro.perf.parallel import (
+    ParallelCampaign,
+    _shard_spec,
+    run_parallel_campaign,
+    shard_of,
+)
 from repro.robustness.watchdog import StatementTimeout
 
 FAULT_SPEC = "hang=0.01,slow=0.02,drop=0.01,flaky=0.01,restart_fail=0.1"
@@ -77,6 +85,36 @@ class TestParallelDeterminism:
         serial = Campaign(dialect_by_name("duckdb"), config=config).run()
         parallel = ParallelCampaign(config=config.replace(jobs=4)).run()
         assert parallel.signature() == serial.signature()
+
+
+# ---------------------------------------------------------------------------
+# the case-to-shard rule
+# ---------------------------------------------------------------------------
+class TestShardSplit:
+    @pytest.mark.parametrize("jobs", range(1, 9))
+    def test_every_index_has_exactly_one_worker(self, jobs):
+        workers = [shard_of(index, jobs) for index in range(5000)]
+        assert set(workers) == set(range(jobs))
+
+    def test_huge_repeat_cases_are_spread_evenly(self):
+        """The generator emits a function's short and 10^5-digit
+        ``REPEAT`` cases side by side; ``index % jobs`` put 327 of 331 of
+        the heavy ones on one of two shards."""
+        seeds = SeedCollector(dialect_by_name("duckdb")).collect()
+        # the generated part of a 20,000-statement campaign
+        cases = itertools.islice(
+            PatternEngine(seeds).generate_all(), 20_000 - len(seeds)
+        )
+        heavy = [
+            index for index, case in enumerate(cases)
+            if re.search(r"REPEAT\('[^']*', 99999\)", case.sql)
+        ]
+        assert len(heavy) > 300
+        for jobs in (2, 4, 8):
+            per_shard = [0] * jobs
+            for index in heavy:
+                per_shard[shard_of(index, jobs)] += 1
+            assert max(per_shard) <= 1.3 * len(heavy) / jobs, (jobs, per_shard)
 
 
 # ---------------------------------------------------------------------------
@@ -152,14 +190,12 @@ class TestParallelResume:
 
 
 #: shard-sidecar identities, each with its worker index and the exact JSON
-#: its spec serializes to.  Sidecars written while the plan compiler
-#: existed also carried ``"compile": false`` for the non-default configs;
-#: resume ignores that key (see ``test_compile_key_of_older_sidecars``).
+#: its spec serializes to.
 SIDECAR_SPECS = {
     "default": (
         CampaignConfig(dialect="duckdb", jobs=2),
         0,
-        '{"version": 2, "shard_format": 2, "dialect": "duckdb", "seed": 0, '
+        '{"version": 2, "shard_format": 3, "dialect": "duckdb", "seed": 0, '
         '"budget": 20000, "max_partners": 48, "enable_coverage": false, '
         '"jobs": 2, "worker": 0, "oracles": ["crash"]}',
     ),
@@ -169,7 +205,7 @@ SIDECAR_SPECS = {
             budgets="depth=64,rows=5000", sandbox=True,
         ),
         2,
-        '{"version": 2, "shard_format": 2, "dialect": "duckdb", "seed": 5, '
+        '{"version": 2, "shard_format": 3, "dialect": "duckdb", "seed": 5, '
         '"budget": 900, "max_partners": 12, "enable_coverage": false, '
         '"jobs": 3, "worker": 2, "oracles": ["crash"], '
         '"budgets": "depth=64,rows=5000", "sandbox": '
@@ -183,7 +219,7 @@ SIDECAR_SPECS = {
             statement_family="predicate", oracles=("crash", "tlp", "norec"),
         ),
         1,
-        '{"version": 2, "shard_format": 2, "dialect": "mysql", "seed": 4, '
+        '{"version": 2, "shard_format": 3, "dialect": "mysql", "seed": 4, '
         '"budget": 700, "max_partners": 48, "enable_coverage": true, '
         '"jobs": 2, "worker": 1, "oracles": ["crash", "tlp", "norec"], '
         '"budgets": "depth=64,rows=5000", '
@@ -218,10 +254,11 @@ class TestShardSidecars:
         fresh = ParallelCampaign(config=config.replace(checkpoint_path=None)).run()
         assert resumed.signature() == fresh.signature()
 
-    def test_compile_key_of_older_sidecars_is_ignored(self, tmp_path):
-        """A ``jobs=2`` sidecar in the format written while the plan
-        compiler existed (``"compile": false`` before
-        ``statement_family`` in its spec) resumes to the fresh run."""
+    def test_format_2_sidecar_is_refused(self, tmp_path):
+        """A v2 sidecar counted its progress in the ``index % jobs`` slice;
+        resuming it under :func:`shard_of` would skip the wrong cases."""
+        from repro.robustness.checkpoint import CheckpointError
+
         path = tmp_path / "campaign.ckpt"
         config = SIDECAR_SPECS["predicate"][0].replace(
             budget=700, checkpoint_path=str(path), checkpoint_every=50,
@@ -232,14 +269,11 @@ class TestShardSidecars:
         for worker in range(2):
             sidecar = tmp_path / f"campaign.ckpt.shard{worker}"
             payload = json.loads(sidecar.read_text(encoding="utf-8"))
-            spec = payload["spec"]
-            family = spec.pop("statement_family")
-            spec.update({"compile": False, "statement_family": family})
+            payload["spec"]["shard_format"] = 2
             sidecar.write_text(json.dumps(payload), encoding="utf-8")
 
-        resumed = ParallelCampaign(config=config).run(resume=True)
-        fresh = ParallelCampaign(config=config.replace(checkpoint_path=None)).run()
-        assert resumed.signature() == fresh.signature()
+        with pytest.raises(CheckpointError, match="different campaign"):
+            ParallelCampaign(config=config).run(resume=True)
 
     @pytest.mark.parametrize("damage", ["truncated", "empty"])
     def test_unreadable_sidecar_is_a_checkpoint_error(self, tmp_path, damage):

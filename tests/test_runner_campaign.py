@@ -35,6 +35,18 @@ class TestRunner:
         outcome = runner.run("SELEKT;")
         assert outcome.kind == "error"
 
+    @pytest.mark.parametrize(
+        "sql", ["SELECT \u00b2;", "SELECT 1\u00b2;", "SELECT ABS(\u00b3);",
+                "SELECT 'abc;"],
+    )
+    def test_lex_error_is_an_error_outcome(self, sql):
+        runner = Runner(dialect_by_name("mariadb"))
+        outcome = runner.run(sql)
+        assert outcome.kind == "error"
+        assert "at offset" in outcome.message
+        # non-ASCII decimal digits are still numbers
+        assert runner.run("SELECT \u0661\u0662 + 1;").kind == "ok"
+
     def test_resource_kill_outcome(self):
         runner = Runner(dialect_by_name("mariadb"))
         outcome = runner.run("SELECT REPEAT('a', 9999999999);")
