@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from repro.core import collect
 from repro.core.collect import SeedCollector
 from repro.core.patterns import PatternEngine
 from repro.dialects import dialect_by_name
@@ -95,5 +96,10 @@ def test_pattern_generation_throughput(benchmark, pattern_engine):
 
 def test_seed_collection(benchmark):
     dialect = dialect_by_name("monetdb")
-    seeds = benchmark(lambda: SeedCollector(dialect).collect())
+    # a process remembers collected seeds; clear that memo before every
+    # round so each one times a cold collection, not a memo hit
+    seeds = benchmark.pedantic(
+        lambda: SeedCollector(dialect).collect(),
+        setup=collect._MEMO.clear, rounds=20,
+    )
     assert len(seeds) > 100

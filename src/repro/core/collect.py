@@ -12,21 +12,43 @@ the paper describes:
 The paren-pair scan intentionally does not require the whole query to parse
 (real regression suites contain dialect syntax our parser does not model);
 each lifted expression is then parsed on its own.
+
+Like SOFT, which collects once per DBMS, a process collects each dialect's
+seeds once: :meth:`SeedCollector.collect` remembers its last eight results,
+keyed by a digest of everything collection reads (the suite, the
+documented names, each one's family and minimum arity, and the
+per-function cap).  A dialect instance with a different suite or registry
+therefore gets its own seeds, and nothing needs invalidating.  Seeds are
+frozen and their trees are never mutated, so callers share them; each
+call returns a fresh list.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+import hashlib
+import sys
+from collections import OrderedDict
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..dialects.base import Dialect
-from ..sqlast import FuncCall, ParseError, parse_expression, to_sql, tokenize
+from ..engine.errors import NameError_
+from ..sqlast import (
+    Expr,
+    FuncCall,
+    IntegerLit,
+    ParseError,
+    StringLit,
+    parse_expression,
+    to_sql,
+    tokenize,
+)
 from ..sqlast.lexer import LexError
 from ..sqlast.tokens import Token, TokenKind
 from ..sqlast.visitor import count_function_calls
 
 
-@dataclass
+@dataclass(frozen=True)
 class Seed:
     """One collected function expression."""
 
@@ -44,6 +66,24 @@ class Seed:
         return count_function_calls(self.expression)
 
 
+#: collected seeds by the digest of their sources (see
+#: :meth:`SeedCollector.collect`), least recently used first; at most
+#: ``_MEMO_SIZE`` entries
+_MEMO: "OrderedDict[bytes, Tuple[Seed, ...]]" = OrderedDict()
+_MEMO_SIZE = 8
+
+
+#: the string argument of a synthetic seed, by family (others take ``1``)
+_SYNTHETIC_STRINGS = {
+    "string": "abc",
+    "json": '{"a": 1}',
+    "xml": "<a><b>x</b></a>",
+    "date": "2020-05-06",
+    "spatial": "POINT(1 2)",
+    "inet": "127.0.0.1",
+}
+
+
 class SeedCollector:
     """Collects per-function seed expressions for one dialect."""
 
@@ -53,16 +93,64 @@ class SeedCollector:
 
     # ------------------------------------------------------------------
     def collect(self) -> List[Seed]:
-        """Run both collection steps and return the deduplicated seeds."""
-        known = self._known_functions()
+        """Run both collection steps and return the deduplicated seeds
+        (remembered per process; see the module docstring)."""
+        suite = self.dialect.test_suite()
+        functions = self._documented_functions()
+        # the memo keeps a digest of what collection reads, not ~40 KB of
+        # suite and registry data per entry
+        key = hashlib.sha256(
+            repr((suite, functions, self.max_seeds_per_function)).encode()
+        ).digest()
+        # no lock, so a fork can never inherit one held: each OrderedDict
+        # call is atomic under the GIL; service worker threads that race
+        # at worst both collect the same (equal) seeds, or find a key
+        # another thread just evicted
+        seeds = _MEMO.get(key)
+        if seeds is None:
+            known = {function[0] for function in functions}
+            seeds = _MEMO[key] = tuple(self._collect(suite, known))
+            while len(_MEMO) > _MEMO_SIZE:
+                try:
+                    _MEMO.popitem(last=False)
+                except KeyError:  # emptied by another thread
+                    break
+        else:
+            try:
+                _MEMO.move_to_end(key)
+            except KeyError:  # evicted by another thread meanwhile
+                pass
+        return list(seeds)
+
+    def _documented_functions(self) -> List[Tuple]:
+        """Every documented name with the registry family and ``min_args``
+        that :meth:`_family_of` and :meth:`_synthetic_seed` look up for it
+        (a name lifted from the suite is always a documented one).
+        ``min_args`` is here because the free-text signature does not
+        reliably encode it."""
+        registry = self.dialect.registry
+        functions: List[Tuple] = []
+        for entry in self.dialect.documentation():
+            try:
+                definition = registry.lookup(entry.name)
+            except NameError_:
+                functions.append((entry.name,))
+            else:
+                functions.append(
+                    (entry.name, definition.family, definition.min_args)
+                )
+        return functions
+
+    def _collect(self, suite: Sequence[str], known: Set[str]) -> List[Seed]:
         # sorted: set iteration order is hash-randomized per process, and the
         # seed order feeds everything downstream (generation stream, campaign
         # results, checkpoint resume across processes)
         seeds: Dict[str, List[Seed]] = {name: [] for name in sorted(known)}
         seen_sql: Set[str] = set()
-        for query in self.dialect.test_suite():
+        for query in suite:
             for expr in self.scan_query(query, known):
-                name = expr.name.lower()
+                # interned: remembered seeds share one string per name
+                name = sys.intern(expr.name.lower())
                 bucket = seeds.setdefault(name, [])
                 if len(bucket) >= self.max_seeds_per_function:
                     continue
@@ -83,9 +171,6 @@ class SeedCollector:
         return [seed for bucket in seeds.values() for seed in bucket]
 
     # ------------------------------------------------------------------
-    def _known_functions(self) -> Set[str]:
-        return {entry.name for entry in self.dialect.documentation()}
-
     def _family_of(self, name: str) -> str:
         try:
             return self.dialect.registry.lookup(name).family
@@ -150,19 +235,10 @@ class SeedCollector:
             definition = self.dialect.registry.lookup(name)
         except Exception:
             return None
-        from ..sqlast import IntegerLit, StringLit
-
-        family_defaults = {
-            "string": StringLit("abc"),
-            "json": StringLit('{"a": 1}'),
-            "xml": StringLit("<a><b>x</b></a>"),
-            "date": StringLit("2020-05-06"),
-            "spatial": StringLit("POINT(1 2)"),
-            "inet": StringLit("127.0.0.1"),
-        }
-        default = family_defaults.get(definition.family, IntegerLit("1"))
-        import copy
-
-        args = [copy.deepcopy(default) for _ in range(definition.min_args)]
+        text = _SYNTHETIC_STRINGS.get(definition.family)
+        args: List[Expr] = [
+            IntegerLit("1") if text is None else StringLit(text)
+            for _ in range(definition.min_args)
+        ]
         expr = FuncCall(name.upper(), args)
         return Seed(name, definition.family, expr, source="documentation")

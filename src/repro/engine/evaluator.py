@@ -50,6 +50,7 @@ from .values import (
     decimal_to_int,
     int_text,
     is_numeric,
+    literal_to_int,
     numeric_as_decimal,
     numeric_as_int,
 )
@@ -134,7 +135,7 @@ class Evaluator:
 
     # -- literals ---------------------------------------------------------
     def _integer(self, expr: n.IntegerLit) -> SQLValue:
-        value = expr.value
+        value = literal_to_int(expr.text)
         if fits_int64(value):
             return SQLInteger(value)
         # literals wider than 64 bits become decimals, as real parsers do

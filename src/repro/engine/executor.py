@@ -19,7 +19,9 @@ from .catalog import Database, Table
 from .context import ExecutionContext
 from .errors import NameError_, ResourceError, SQLError, TypeError_, ValueError_
 from .evaluator import Evaluator, RowScope, compare_values
-from .values import NULL, SQLString, SQLValue, is_numeric
+from .values import (
+    NULL, SQLString, SQLValue, int_text, is_numeric, literal_to_int,
+)
 
 #: guard against cartesian blowups in generated queries
 MAX_RESULT_ROWS = 100_000
@@ -394,10 +396,12 @@ class Executor:
             row = rows[index]
             # ORDER BY <position> and ORDER BY <alias> conveniences
             if isinstance(item.expr, n.IntegerLit):
-                position = item.expr.value
+                position = literal_to_int(item.expr.text)
                 if 1 <= position <= len(row):
                     return row[position - 1]
-                raise ValueError_(f"ORDER BY position {position} out of range")
+                raise ValueError_(
+                    f"ORDER BY position {int_text(position)} out of range"
+                )
             if isinstance(item.expr, n.ColumnRef) and item.expr.name in columns:
                 return row[columns.index(item.expr.name)]
             parent = row_scopes[index] if index < len(row_scopes) else None

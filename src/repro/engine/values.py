@@ -213,7 +213,7 @@ class SQLBytes(SQLValue):
 def days_from_civil(year: int, month: int, day: int) -> int:
     """Days since 1970-01-01 for a proleptic-Gregorian civil date."""
     year -= month <= 2
-    era = (year if year >= 0 else year - 399) // 400
+    era = year // 400
     yoe = year - era * 400
     doy = (153 * (month + (-3 if month > 2 else 9)) + 2) // 5 + day - 1
     doe = yoe * 365 + yoe // 4 - yoe // 100 + doy
@@ -223,7 +223,7 @@ def days_from_civil(year: int, month: int, day: int) -> int:
 def civil_from_days(days: int) -> Tuple[int, int, int]:
     """Inverse of :func:`days_from_civil`."""
     days += 719468
-    era = (days if days >= 0 else days - 146096) // 146097
+    era = days // 146097
     doe = days - era * 146097
     yoe = (doe - doe // 1460 + doe // 36524 - doe // 146096) // 365
     year = yoe + era * 400
@@ -615,6 +615,17 @@ def _big_digits_to_int(text: str) -> int:
         return convert(mid, end) + ((convert(start, mid) * power) << width)
 
     return convert(0, len(text))
+
+
+def literal_to_int(text: str) -> int:
+    """The value of an integer literal's text: decimal digits of any
+    length, or ``0x`` hex digits.  A bare ``0x`` is a handled
+    :class:`ValueError_`, as a real parser rejects it."""
+    if text[:2] in ("0x", "0X"):
+        if len(text) == 2:
+            raise ValueError_(f"invalid hexadecimal literal {text!r}")
+        return int(text, 16)
+    return digits_to_int(text)
 
 
 def decimal_to_int(value: decimal.Decimal) -> int:

@@ -116,7 +116,7 @@ def _fingerprint(tokens: Sequence[Token]) -> str:
             parts.append(("\x01q" if token.quoted else "\x01") + token.text)
         elif kind is TokenKind.EOF:
             break
-        else:  # OPERATOR / PARAM
+        else:  # OPERATOR
             parts.append("\x02" + token.text)
     return "\x1f".join(parts)
 

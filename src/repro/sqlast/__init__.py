@@ -5,7 +5,7 @@ queries with it, SOFT's pattern transformations rewrite its trees, and the
 baseline fuzzers generate queries as trees and print them.
 """
 
-from .lexer import LexError, Lexer, tokenize
+from .lexer import LexError, tokenize
 from .nodes import (
     ArrayExpr,
     BetweenExpr,
@@ -71,7 +71,7 @@ __all__ = [
     "ColumnDef", "ColumnRef", "CreateTable", "DecimalLit", "DropTable",
     "ExistsExpr", "Explain", "Expr", "FuncCall", "InExpr", "IndexExpr", "Insert",
     "IntegerLit", "IntervalExpr", "IsNullExpr", "JoinRef", "LexError",
-    "Lexer", "LikeExpr", "MapExpr", "Node", "NullLit", "OrderItem",
+    "LikeExpr", "MapExpr", "Node", "NullLit", "OrderItem",
     "ParamRef", "ParseError", "Parser", "RawStatement", "RowExpr", "Select",
     "SelectItem", "SelectLike", "SetOp", "SetStmt", "Star", "Statement",
     "StringLit", "SubqueryExpr", "SubqueryRef", "TableRef", "TypeName",

@@ -13,6 +13,7 @@ seven dialects' test suites.
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Tuple
 
 from .lexer import tokenize
@@ -430,7 +431,7 @@ class Parser:
             while not self._cur.is_op(")"):
                 ptok = self._advance()
                 if ptok.kind in (TokenKind.INTEGER, TokenKind.DECIMAL):
-                    params.append(int(float(ptok.text)))
+                    params.append(self._type_param(ptok))
                 self._accept_op(",")
             self._expect_op(")")
         type_name = TypeName(name, params)
@@ -438,6 +439,19 @@ class Parser:
             self._expect_op("]")
             type_name = TypeName("ARRAY", [])
         return type_name
+
+    @staticmethod
+    def _type_param(tok: Token) -> int:
+        """A type parameter's value: ``DECIMAL(10.5)`` means 10.  A hex
+        literal, or a number too large for a float (``1e999``), is a
+        syntax error rather than a Python exception."""
+        try:
+            value = float(tok.text)
+        except ValueError:
+            raise ParseError("invalid type parameter", tok) from None
+        if not math.isfinite(value):
+            raise ParseError("type parameter out of range", tok)
+        return int(value)
 
     def _parse_insert(self) -> Insert:
         self._expect_kw("INSERT")
@@ -640,9 +654,6 @@ class Parser:
             if text == "?":
                 self._index += 1
                 return ParamRef(0)
-            if text == "$" and self._peek().kind is TokenKind.INTEGER:
-                self._index += 1
-                return ParamRef(int(self._advance().text))
             if text == "[":
                 return self._parse_bracket_array()
             if text == "{":

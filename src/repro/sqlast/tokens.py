@@ -22,7 +22,6 @@ class TokenKind(enum.Enum):
     DECIMAL = "decimal"        # decimal literal with '.' or exponent
     STRING = "string"          # single-quoted string literal
     OPERATOR = "operator"      # punctuation / operator symbol
-    PARAM = "param"            # positional parameter like $1 or ?
     EOF = "eof"                # end of input sentinel
 
 

@@ -333,6 +333,62 @@ def test_unrenderable_integers_are_handled_errors(cls):
             fingerprint_result(conn.execute(sql))
 
 
+# ---------------------------------------------------------------------------
+# integer literals: exact values or handled errors, never Python exceptions
+# ---------------------------------------------------------------------------
+WIDE = "1" * 5000
+
+#: statement -> the exact first cell (None: a handled error is the only
+#: answer; ... : a value or a handled error, depending on the dialect)
+LITERAL_REPROS = {
+    "SELECT 0x;": None,
+    f"SELECT 1{WIDE};": D(repunit(5001)),
+    f"SELECT 1 LIMIT {WIDE};": 1,
+    "SELECT CAST(1 AS DECIMAL(1e999));": None,
+    f"SELECT CAST(1 AS DECIMAL({WIDE}));": None,
+    "SELECT CAST(1 AS DECIMAL(0x1F));": None,
+    f"SELECT SUBSTR('abc', {WIDE});": ...,
+    f"SELECT [1, 2][{WIDE}];": ...,
+}
+
+
+@pytest.mark.parametrize("cls", all_dialect_classes(), ids=lambda c: c.name)
+def test_integer_literals_are_exact_or_handled(cls):
+    conn = cls().create_server().connect()
+    for sql, expected in LITERAL_REPROS.items():
+        try:
+            result = conn.execute(sql)
+            fingerprint_result(result)
+        except SQLError:
+            assert expected is None or expected is ..., sql
+            continue
+        except ServerCrashed:
+            assert expected is ..., sql  # an injected crash on the call
+            continue
+        assert expected is not None, sql
+        if expected is not ...:
+            cell = result.rows[0][0]
+            assert cell.value == DECIMAL_CONTEXT.plus(expected), sql
+
+
+def test_order_by_a_wide_position_is_a_handled_error():
+    conn = dialect_by_name("duckdb").create_server().connect()
+    conn.execute("CREATE TABLE t0 (c0 INT);")
+    conn.execute("INSERT INTO t0 VALUES (1), (2);")
+    with pytest.raises(SQLError, match="ORDER BY position"):
+        conn.execute(f"SELECT c0 FROM t0 ORDER BY {WIDE};")
+
+
+def test_malformed_hex_literal_is_an_error_outcome():
+    from repro.core.runner import Runner
+
+    runner = Runner(dialect_by_name("postgresql"))
+    outcome = runner.run("SELECT 0x;")
+    assert outcome.kind == "error"
+    assert "hexadecimal" in outcome.message
+    assert runner.run("SELECT 0x1F + 1;").kind == "ok"
+
+
 #: the repros wrapped in function calls, so seed collection picks them up
 REPRO_SUITE = [
     "SELECT ABS(9223372036854775807 % 10);",

@@ -1,5 +1,8 @@
 """Unit tests for the SQL lexer."""
 
+import hashlib
+import random
+
 import pytest
 
 from repro.sqlast.lexer import LexError, tokenize
@@ -175,3 +178,56 @@ class TestOperators:
         tokens = tokenize("ab  cd")
         assert tokens[0].pos == 0
         assert tokens[1].pos == 4
+
+
+# ---------------------------------------------------------------------------
+# fuzz digest: a behaviour lock over texts no regression suite contains
+# ---------------------------------------------------------------------------
+#: sha256 of :func:`fuzz_transcript`, taken from the character-at-a-time
+#: lexer before the single-pattern rewrite; regenerate
+#: (``python tests/test_lexer.py``) only for a deliberate behaviour change
+FUZZ_DIGEST = "242523f37f3bfc45c976cee83df5018fc56ada59d97ebbbee480ad4fdccc282d"
+
+FUZZ_TEXTS = 200_000
+
+#: pieces the random texts are glued from: every quote and comment opener,
+#: escapes, number edges (``..``, ``0x``, exponents) and characters on which
+#: ``str.isalpha``/``isdecimal``/``isalnum`` and ``\w``/``\d`` could disagree
+FUZZ_ALPHABET = (
+    "'", "''", '"', "`", "\\", "$", "$$", "$t$", "--", "/*", "*/", "..",
+    ".", "0x", "0X", "e", "E", "+", "-", "x", "b", "_", "a", "F", "0", "1",
+    "9", " ", "\n", "\t", "\u00a0", "(", ")", ",", ";", ":", "<", ">", "=",
+    "!", "|", "#", "@", "*", "/", "?", "^", "\u00e9", "\u00b2", "\u00bd",
+    "\u2163", "\u0661", "\u0301", "\u02b0", "\x00",
+)
+
+
+def fuzz_transcript():
+    """One line per random text: its token tuples, or the LexError text."""
+    rng = random.Random(20240419)
+    for _ in range(FUZZ_TEXTS):
+        text = "".join(rng.choices(FUZZ_ALPHABET, k=rng.randrange(13)))
+        try:
+            tokens = tokenize(text)
+        except LexError as exc:
+            yield f"{text!r} ! {exc}"
+            continue
+        yield f"{text!r} " + repr(
+            [(t.kind.value, t.text, t.pos, t.quoted) for t in tokens]
+        )
+
+
+def fuzz_digest():
+    digest = hashlib.sha256()
+    for line in fuzz_transcript():
+        digest.update(line.encode("utf-8", "surrogatepass"))
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
+def test_fuzz_digest():
+    assert fuzz_digest() == FUZZ_DIGEST
+
+
+if __name__ == "__main__":  # pragma: no cover - regeneration helper
+    print(fuzz_digest())

@@ -1,9 +1,17 @@
 """Tests for SOFT's core: collection, boundary pool, the ten patterns."""
 
+import dataclasses
+import os
 import random
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
+from repro.core import collect
+from repro.core.campaign import run_campaign
 from repro.core.collect import Seed, SeedCollector
 from repro.core.literals import boundary_literals, boundary_repeat_counts
 from repro.core.patterns import MAX_FUNCTION_CALLS, PatternEngine
@@ -17,6 +25,7 @@ from repro.sqlast import (
     parse_statement,
     to_sql,
 )
+from repro.service import signature_digest
 from repro.sqlast.visitor import count_function_calls, find_function_calls
 
 
@@ -84,6 +93,122 @@ class TestCollection:
         seed = collector._synthetic_seed("upper")
         assert seed is not None
         assert seed.source == "documentation"
+
+
+class TestSeedMemo:
+    """Each process collects a dialect's seeds once per distinct input."""
+
+    def test_repeat_collection_shares_seeds_in_a_fresh_list(self, mariadb):
+        first = SeedCollector(mariadb).collect()
+        second = SeedCollector(mariadb).collect()
+        assert second == first and second is not first
+        assert all(a is b for a, b in zip(first, second))
+
+    def test_seeds_are_frozen(self, seeds):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            seeds[0].function = "other"
+
+    def test_a_different_suite_gets_different_seeds(self):
+        plain = dialect_by_name("mariadb")
+        edited = dialect_by_name("mariadb")
+        edited.test_suite = lambda: ["SELECT UPPER('zzz');"]
+        before = [s.sql for s in SeedCollector(plain).collect()]
+        after = [s.sql for s in SeedCollector(edited).collect()]
+        assert "UPPER('zzz')" in after and "UPPER('zzz')" not in before
+        # the edited instance did not replace the plain one's entry
+        assert [s.sql for s in SeedCollector(plain).collect()] == before
+
+    def test_a_different_min_args_gets_a_different_synthetic_seed(self):
+        plain, edited = dialect_by_name("mariadb"), dialect_by_name("mariadb")
+        for dialect in (plain, edited):
+            dialect.test_suite = lambda: []
+        upper = edited.registry.lookup("upper")
+        edited.registry.register(dataclasses.replace(upper, min_args=2))
+
+        def upper_seed(dialect):
+            seeds = SeedCollector(dialect).collect()
+            return next(s.sql for s in seeds if s.function == "upper")
+
+        assert upper_seed(plain) == "UPPER('abc')"
+        assert upper_seed(edited) == "UPPER('abc', 'abc')"
+
+    def test_memo_holds_at_most_eight_entries(self, mariadb):
+        collect._MEMO.clear()
+        first = {}
+        for cap in range(1, 11):
+            first[cap] = SeedCollector(mariadb, max_seeds_per_function=cap).collect()
+            assert len(collect._MEMO) <= 8
+        assert len(collect._MEMO) == 8
+
+        def remembered(cap):
+            again = SeedCollector(mariadb, max_seeds_per_function=cap).collect()
+            return all(a is b for a, b in zip(again, first[cap]))
+
+        # the two least recently used went; the newest eight are hits
+        assert [remembered(cap) for cap in (10, 3, 2)] == [True, True, False]
+
+    def test_threads_racing_on_the_memo(self):
+        """Service workers are threads; evictions racing with hits must
+        neither raise nor hand out another cap's seeds."""
+        def dialect():
+            d = dialect_by_name("mariadb")
+            d.test_suite = lambda: ["SELECT UPPER('a'), UPPER('b');"]
+            return d
+
+        caps = range(1, 10)  # one key more than the memo holds
+        expected = {
+            cap: [s.sql for s in SeedCollector(dialect(), cap).collect()]
+            for cap in caps
+        }
+        errors = []
+
+        def worker(seed):
+            subject, rng = dialect(), random.Random(seed)
+            try:
+                for _ in range(150):
+                    cap = rng.choice(caps)
+                    seeds = SeedCollector(subject, cap).collect()
+                    assert [s.sql for s in seeds] == expected[cap]
+            except BaseException as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(i,)) for i in range(6)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(collect._MEMO) <= 8
+
+    def test_campaigns_sign_like_a_fresh_process(self):
+        collect._MEMO.clear()
+        digests = [
+            signature_digest(run_campaign("duckdb", budget=400))
+            for _ in range(2)
+        ]
+        script = (
+            "from repro.core.campaign import run_campaign\n"
+            "from repro.service import signature_digest\n"
+            "print(signature_digest(run_campaign('duckdb', budget=400)))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        fresh = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, timeout=300, check=True,
+        ).stdout.strip()
+        assert digests == [fresh, fresh]
 
 
 class TestBoundaryPool:

@@ -171,6 +171,19 @@ class TestCalendar:
         assert (y2, m2, d2) != (y1, m1, d1)
         assert days_from_civil(y2, m2, d2) - days_from_civil(y1, m1, d1) == 1
 
+    @pytest.mark.parametrize("days, civil", [
+        (-719469, (0, 2, 29)),
+        (-719470, (0, 2, 28)),
+        (-719529, (-1, 12, 31)),
+        (-719894, (-2, 12, 31)),
+        (-4371587, (-9999, 1, 1)),
+    ])
+    def test_civil_before_march_of_year_zero(self, days, civil):
+        """Floor division already rounds negative eras down; no C-style
+        pre-adjustment may be applied on top of it."""
+        assert civil_from_days(days) == civil
+        assert days_from_civil(*civil) == days
+
 
 class TestSortKeys:
     @given(st.integers(), st.integers())
