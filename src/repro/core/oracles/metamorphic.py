@@ -37,11 +37,12 @@ business); an arm that crashes is rebuilt and the statement skipped
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ...dialects.base import Dialect
 from ...dialects.bugs import LogicFlaw, find_predicate_flaw
+from ...engine import connection
 from ...engine.connection import ServerCrashed
 from ...engine.errors import SQLError
 from ...engine.fingerprint import (
@@ -49,7 +50,16 @@ from ...engine.fingerprint import (
     divergence_class,
     fingerprint_result,
 )
-from ...sqlast import Select, parse_statement, to_sql
+from ...sqlast import (
+    Expr,
+    IsNullExpr,
+    Select,
+    SetOp,
+    Statement,
+    UnaryOp,
+    parse_statement,
+    to_sql,
+)
 from ...sqlast.lexer import LexError
 from ...sqlast.parser import ParseError
 from ...sqlast.visitor import clone
@@ -71,11 +81,13 @@ SUPPRESS_PASSES = "none"
 
 
 def tlp_partition_statement(head: str, predicate: str) -> str:
-    """The three-way partition reunion for *predicate* over *head*.
+    """The text of the three-way partition reunion for *predicate*.
 
     ``head`` is a complete ``SELECT ... FROM ...`` without a WHERE clause;
-    the returned statement unions the IS-TRUE, IS-FALSE, and IS-NULL camps
-    with ``UNION ALL`` so multiset cardinality survives.
+    the statement unions the IS-TRUE, IS-FALSE, and IS-NULL camps with
+    ``UNION ALL`` so multiset cardinality survives.  It parses to
+    :func:`tlp_union`'s tree, which is what the arms execute; the text only
+    keys the arm's per-statement RNG.
     """
     return (
         f"{head} WHERE ({predicate}) "
@@ -84,24 +96,53 @@ def tlp_partition_statement(head: str, predicate: str) -> str:
     )
 
 
-def split_predicate(sql: str) -> Optional[Tuple[str, str]]:
-    """``(head, predicate)`` for a single-table SELECT, via the AST.
+def tlp_union(stmt: Select) -> SetOp:
+    """The three-way partition reunion of *stmt*, built as a tree.
 
-    The minimizer rewrites statement text while shrinking, so anything
-    that wants the predicate out of a *reduced* candidate must re-parse
-    rather than match the generator's exact rendering.  Returns ``None``
-    for anything that is not a WHERE-bearing plain SELECT.
+    Equal to the parse of ``tlp_partition_statement(head, predicate)``
+    for *stmt*'s head and WHERE, without lexing text that repeats the
+    predicate three times.  Every camp is a fresh clone, so executing the
+    union can never touch *stmt*.
     """
-    try:
-        stmt = parse_statement(sql)
-    except (ParseError, LexError, RecursionError):
-        return None
-    if not isinstance(stmt, Select) or stmt.where is None or not stmt.from_:
-        return None
-    predicate = to_sql(stmt.where)
-    trimmed = clone(stmt)
-    trimmed.where = None
-    return to_sql(trimmed), predicate
+    bare = replace(stmt, where=None)
+    predicate = stmt.where
+
+    def camp(where: Expr) -> Select:
+        part = clone(bare)
+        part.where = where
+        return part
+
+    true_or_false = SetOp(
+        "UNION",
+        camp(clone(predicate)),
+        camp(UnaryOp("NOT", clone(predicate))),
+        all=True,
+    )
+    return SetOp("UNION", true_or_false, camp(IsNullExpr(clone(predicate))), all=True)
+
+
+def _partitionable(stmt: Statement) -> bool:
+    """True for a WHERE-bearing plain SELECT over a table."""
+    return isinstance(stmt, Select) and stmt.where is not None and bool(stmt.from_)
+
+
+def parsed_statements(outcome: Outcome) -> List[Statement]:
+    """``outcome.sql`` parsed once per outcome, for every oracle that asks.
+
+    The parse goes through ``engine.connection.parse_statements``, the
+    engine's own entry point, looked up at call time so that anything
+    wrapping it (``benchmarks/e2e/trace.py``) sees this parse too.  Text
+    that does not parse, or nests too deep, gives an empty list: no law
+    can be checked on it.
+    """
+    statements = outcome.statements
+    if statements is None:
+        try:
+            statements = connection.parse_statements(outcome.sql)
+        except (LexError, ParseError, RecursionError):
+            statements = []
+        outcome.statements = statements
+    return statements
 
 
 @dataclass
@@ -211,7 +252,7 @@ class _MetamorphicOracle(Oracle):
         if not replay_safe(called_functions(sql, registry), registry):
             self.skipped += 1
             return None
-        pair = self._check(sql)
+        pair = self._check(outcome)
         if pair is None:
             self.skipped += 1
             return None
@@ -243,9 +284,9 @@ class _MetamorphicOracle(Oracle):
         return list(self._findings)
 
     def _check(
-        self, sql: str
+        self, outcome: Outcome
     ) -> Optional[Tuple[ResultFingerprint, ResultFingerprint]]:
-        """Both arms of the law for *sql*, or ``None`` to skip."""
+        """Both arms of the law for ``outcome.sql``, or ``None`` to skip."""
         raise NotImplementedError
 
     # -- arm lifecycle ------------------------------------------------------
@@ -261,7 +302,15 @@ class _MetamorphicOracle(Oracle):
             self._arms[key] = arm = (server, conn)
         return arm
 
-    def _fingerprint(self, key: str, sql: str) -> Optional[ResultFingerprint]:
+    def _fingerprint(
+        self,
+        key: str,
+        sql: str,
+        statements: Optional[Sequence[Statement]] = None,
+    ) -> Optional[ResultFingerprint]:
+        """Fingerprint of *sql* on arm *key*; ``None`` when the arm cannot
+        answer.  *statements*, when given, are *sql*'s parse: the arm runs
+        them as they are (shared trees are only read) instead of parsing."""
         try:
             server, conn = self._arm(key)
         except (SQLError, ServerCrashed, RecursionError):
@@ -270,7 +319,7 @@ class _MetamorphicOracle(Oracle):
         server.ctx.clear_sequence_state()
         try:
             # rendering is inside: a result can be too large to render
-            return fingerprint_result(conn.execute(sql))
+            return fingerprint_result(conn.execute_parsed(sql, statements))
         except SQLError:
             # an erroring variant says nothing about the law — strictness
             # bugs are the conformance oracle's department
@@ -342,16 +391,23 @@ class TLPOracle(_MetamorphicOracle):
         self._base_fp: Optional[ResultFingerprint] = None
 
     def _check(
-        self, sql: str
+        self, outcome: Outcome
     ) -> Optional[Tuple[ResultFingerprint, ResultFingerprint]]:
         base_fp = self._base_fingerprint()
         if base_fp is None:
             return None
-        predicate = sql[len(PREDICATE_PREFIX):].strip().rstrip(";").rstrip()
-        if not predicate:
+        statements = parsed_statements(outcome)
+        if len(statements) != 1 or not _partitionable(statements[0]):
             return None
+        try:
+            union = tlp_union(statements[0])
+        except RecursionError:
+            return None
+        # the arm still gets the union's text: it keys the statement RNG
+        sql = outcome.sql
+        predicate = sql[len(PREDICATE_PREFIX):].strip().rstrip(";").rstrip()
         union_fp = self._fingerprint(
-            "opt", tlp_partition_statement(_HEAD, predicate)
+            "opt", tlp_partition_statement(_HEAD, predicate), [union]
         )
         if union_fp is None:
             return None
@@ -372,12 +428,18 @@ class NoRECOracle(_MetamorphicOracle):
     oracle_kind = "norec"
 
     def _check(
-        self, sql: str
+        self, outcome: Outcome
     ) -> Optional[Tuple[ResultFingerprint, ResultFingerprint]]:
-        opt_fp = self._fingerprint("opt", sql)
+        # both arms run the one parse: the optimized arm rewrites a copy
+        # (optimize_statement never changes its input), the reference arm
+        # executes the tree as parsed
+        statements = parsed_statements(outcome)
+        if not statements:
+            return None
+        opt_fp = self._fingerprint("opt", outcome.sql, statements)
         if opt_fp is None:
             return None
-        ref_fp = self._fingerprint("ref", sql)
+        ref_fp = self._fingerprint("ref", outcome.sql, statements)
         if ref_fp is None:
             return None
         return opt_fp, ref_fp
@@ -392,14 +454,23 @@ def tlp_divergence(conn, sql: str) -> Optional[str]:
     Raises ``SQLError``/``ServerCrashed`` through to the caller (the
     minimizer treats those candidates as uninteresting); returns ``None``
     when the statement has no extractable predicate or the law holds.
+    The minimizer rewrites statement text while shrinking, so the
+    predicate comes from each candidate's own parse, never from the
+    generator's exact rendering.
     """
-    parts = split_predicate(sql)
-    if parts is None:
+    try:
+        stmt = parse_statement(sql)
+    except (ParseError, LexError, RecursionError):
         return None
-    head, predicate = parts
-    base_fp = fingerprint_result(conn.execute(f"{head};"))
+    if not _partitionable(stmt):
+        return None
+    bare = replace(stmt, where=None)
+    head = to_sql(bare)
+    base_fp = fingerprint_result(conn.execute_parsed(f"{head};", [bare]))
     union_fp = fingerprint_result(
-        conn.execute(tlp_partition_statement(head, predicate))
+        conn.execute_parsed(
+            tlp_partition_statement(head, to_sql(stmt.where)), [tlp_union(stmt)]
+        )
     )
     return divergence_class(base_fp, union_fp)
 

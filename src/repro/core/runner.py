@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..dialects.base import Dialect
 from ..engine.connection import (
@@ -63,6 +63,7 @@ from ..robustness.sandbox import (
     make_sandbox_config,
 )
 from ..robustness.watchdog import Clock, StatementTimeout, WallClock, Watchdog
+from ..sqlast.nodes import Statement
 
 
 @dataclass
@@ -77,6 +78,10 @@ class Outcome:
     #: result-set fingerprint, computed only when an oracle asks for it
     #: (Runner.capture_fingerprints) — None otherwise
     fingerprint: Optional["ResultFingerprint"] = None
+    #: parse of ``sql``, made on first use by the oracles that re-execute
+    #: the statement (metamorphic.parsed_statements) and shared by all of
+    #: them — None until one asks
+    statements: Optional[List[Statement]] = None
 
     @property
     def is_crash(self) -> bool:

@@ -15,7 +15,7 @@ The paper's harness talks to DBMSs through their Python clients and treats
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from ..sqlast import LexError, ParseError, parse_statements
 from ..sqlast import nodes as n
@@ -144,6 +144,17 @@ class Connection:
     # ------------------------------------------------------------------
     def execute(self, sql: str) -> Result:
         """Execute all statements in *sql*; returns the last result."""
+        return self.execute_parsed(sql, None)
+
+    def execute_parsed(
+        self, sql: str, statements: Optional[Sequence[n.Statement]]
+    ) -> Result:
+        """Execute *statements*, the parse of *sql*, without parsing again.
+
+        ``None`` parses *sql* here, after the fault hook.  The statements
+        are only read (the optimizer rewrites a copy), so one parse can run
+        on several connections; *sql* still keys the per-statement RNG.
+        """
         server = self.server
         if not server.alive:
             raise ConnectionClosed("server is not running")
@@ -165,7 +176,8 @@ class Connection:
                 # the pipeline: hangs/drops escape as-is (server stays up),
                 # spurious CrashSignals fall through to the handler below
                 hook.on_execute(self, sql)
-            statements = self._parse(sql)
+            if statements is None:
+                statements = self._parse(sql)
             result = Result()
             executor = Executor(ctx, server.database)
             for stmt in statements:

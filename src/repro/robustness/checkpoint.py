@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Optional
 
 #: bump when the on-disk layout changes incompatibly.
@@ -131,7 +131,11 @@ class CampaignCheckpoint:
     # ------------------------------------------------------------------
     def save(self, path: str) -> None:
         """Atomically persist the checkpoint as JSON."""
-        write_json_atomic(path, asdict(self), sort_keys=True)
+        # a shallow mapping: every field already holds plain JSON data, and
+        # ``asdict`` would deep-copy the two saved RNG states (625 ints
+        # each) element by element
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        write_json_atomic(path, data, sort_keys=True)
 
     @classmethod
     def load(cls, path: str) -> "CampaignCheckpoint":

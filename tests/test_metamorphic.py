@@ -28,9 +28,11 @@ from repro.core.oracles import (
     build_pipeline,
     parse_oracle_names,
 )
+from repro.core.oracles import metamorphic
 from repro.core.oracles.metamorphic import (
-    split_predicate,
+    tlp_divergence,
     tlp_partition_statement,
+    tlp_union,
 )
 from repro.core.patterns import PatternEngine
 from repro.core.runner import Outcome, Runner
@@ -46,7 +48,9 @@ from repro.dialects.bugs import find_predicate_flaw
 from repro.engine.errors import SQLError
 from repro.engine.executor import Result
 from repro.engine.fingerprint import divergence_class, fingerprint_result
+from repro.engine import connection
 from repro.engine.values import NULL, SQLDecimal, SQLInteger, SQLString
+from repro.sqlast import LexError, ParseError, parse_statements, to_sql
 from repro.service import BugRepository
 
 METAMORPHIC = "crash,tlp,norec"
@@ -152,11 +156,16 @@ class TestTLPUnionFingerprint:
 # the laws themselves: hold when clean, break on the seeded flaws
 # ---------------------------------------------------------------------------
 class TestMetamorphicLaws:
-    def test_split_predicate_round_trips(self):
-        head, predicate = split_predicate(NULL_SENSITIVE)
-        assert head == "SELECT k, i, s, d FROM fuzz_t"
+    def test_union_tree_round_trips(self):
+        (stmt,) = parse_statements(NULL_SENSITIVE)
+        predicate = to_sql(stmt.where)
         assert "(i > 0)" in predicate
-        assert split_predicate("SELECT 1;") is None
+        (expected,) = parse_statements(
+            tlp_partition_statement("SELECT k, i, s, d FROM fuzz_t", predicate)
+        )
+        assert tlp_union(stmt) == expected
+        # no WHERE, nothing to partition: the probe never touches a server
+        assert tlp_divergence(None, "SELECT 1;") is None
 
     @pytest.mark.parametrize("kind", ["tlp", "norec"])
     def test_laws_hold_on_clean_dialect(self, kind):
@@ -311,6 +320,109 @@ class TestMetamorphicOracleProtocol:
         assert not pipeline.needs_fingerprints
         # requesting the metamorphic oracles installs the predicate flaws
         assert dialect._predicate_flaws_installed == {"tlp", "norec"}
+
+
+# ---------------------------------------------------------------------------
+# one parse per checked statement, shared by both oracles
+# ---------------------------------------------------------------------------
+def _predicate_statements(dialect, count, seed=0):
+    """The first *count* generated predicate-family statements."""
+    engine = PatternEngine(
+        SeedCollector(dialect).collect(), rng=random.Random(seed),
+        statement_family="predicate",
+    )
+    out = []
+    for case in engine.generate_all():
+        if case.sql.startswith(PREDICATE_PREFIX):
+            out.append(case.sql)
+            if len(out) == count:
+                break
+    return out
+
+
+class TestSharedParse:
+    @pytest.mark.parametrize(
+        "dialect_cls", all_dialect_classes(), ids=lambda cls: cls.name
+    )
+    def test_built_union_equals_parsed_text(self, dialect_cls):
+        # the tree the TLP arm executes is exactly what the partition text
+        # parses to (node classes are dataclasses: == is structural)
+        built = 0
+        for sql in _predicate_statements(dialect_cls(), 300):
+            try:
+                (stmt,) = parse_statements(sql)
+            except (LexError, ParseError):
+                continue  # the runner reports these as errors, unchecked
+            predicate = sql[len(PREDICATE_PREFIX):].strip().rstrip(";").rstrip()
+            (expected,) = parse_statements(
+                tlp_partition_statement(BASE_QUERY[:-1], predicate)
+            )
+            assert tlp_union(stmt) == expected, sql
+            built += 1
+        assert built > 250
+
+    def test_shared_tree_survives_both_oracles(self):
+        # the NoREC flaw folds NULL comparisons in the optimized arm: the
+        # rewrite must happen on a copy, never on the shared parse
+        dialect = dialect_by_name("duckdb")
+        dialect.install_logic_flaws(predicate_kinds=("tlp", "norec"))
+        pipeline = OraclePipeline([TLPOracle(dialect), NoRECOracle(dialect)])
+        statements = list(CLEAN_STATEMENTS) + _predicate_statements(dialect, 60)
+        for index, sql in enumerate(statements):
+            outcome = Outcome("ok", sql)
+            pipeline.observe(outcome, CaseInfo("P1.1"), index)
+            if outcome.statements is not None:
+                assert outcome.statements == parse_statements(sql), sql
+        assert all(oracle.compared > 0 for oracle in pipeline.oracles)
+
+    def test_one_parse_per_checked_statement(self, monkeypatch):
+        dialect = dialect_by_name("duckdb")
+        runner = Runner(dialect, bootstrap_sql=TABLE_SETUP)
+        outcomes = [runner.run(sql) for sql in _predicate_statements(dialect, 150)]
+        tlp, norec = TLPOracle(dialect), NoRECOracle(dialect)
+        pipeline = OraclePipeline([tlp, norec])
+        parsed = []
+        parse = connection.parse_statements
+
+        def counting_parse(sql, *args, **kwargs):
+            parsed.append(sql)
+            return parse(sql, *args, **kwargs)
+
+        monkeypatch.setattr(connection, "parse_statements", counting_parse)
+        for index, outcome in enumerate(outcomes):
+            pipeline.observe(outcome, CaseInfo("P1.1"), index)
+        # arms (re)building run the bootstrap and the TLP base query;
+        # everything else parsed is a checked statement, each exactly once
+        bootstrap = set(TABLE_SETUP) | {BASE_QUERY}
+        checked = [o.sql for o in outcomes if o.statements is not None]
+        assert sorted(sql for sql in parsed if sql not in bootstrap) == \
+            sorted(checked)
+        assert len(checked) >= tlp.compared > 50
+        assert len(checked) >= norec.compared > 50
+
+    def test_norec_reference_arm_still_diverges(self):
+        # with only the fold flaw installed, the reference arm must still
+        # see the unfolded tree after the optimized arm ran on the same one
+        dialect = dialect_by_name("duckdb")
+        dialect.install_logic_flaws(predicate_kinds=("norec",))
+        oracle = NoRECOracle(dialect)
+        sql = PREDICATE_PREFIX + "(i) > 0 AND NOT (NULL = 1);"
+        outcome = Outcome("ok", sql)
+        finding = oracle.observe(outcome, CaseInfo("P1.1"), 0)
+        assert finding is not None and finding.divergence == "cardinality"
+        assert outcome.statements == parse_statements(sql)
+
+    def test_unparseable_text_is_skipped_once(self, monkeypatch):
+        calls = []
+        parse = connection.parse_statements
+        monkeypatch.setattr(
+            connection, "parse_statements",
+            lambda sql: calls.append(sql) or parse(sql),
+        )
+        outcome = Outcome("ok", PREDICATE_PREFIX + "(i > ;")
+        assert metamorphic.parsed_statements(outcome) == []
+        assert metamorphic.parsed_statements(outcome) == []
+        assert calls == [outcome.sql]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import os
+from dataclasses import asdict
 
 import pytest
 
@@ -408,6 +409,36 @@ class TestCheckpointResume:
         resumed = run_campaign("monetdb", resume=path, **kwargs)
         assert resumed.branch_coverage == full.branch_coverage
         assert resumed.triggered_functions == full.triggered_functions
+
+    @pytest.mark.parametrize("options", [
+        dict(budget=900, seed=3, faults=FAULT_SPEC, fault_seed=5),
+        dict(budget=900, seed=3, oracles=("crash", "tlp", "norec"),
+             statement_family="predicate"),
+    ], ids=["faulted-expression", "predicate-oracles"])
+    def test_saved_bytes_match_asdict(self, tmp_path, monkeypatch, options):
+        # save() writes a shallow field mapping; the file must be exactly
+        # what the deep-copying asdict() serialization gave
+        path = str(tmp_path / "cp.json")
+        save = CampaignCheckpoint.save
+        saved = []
+
+        def checked_save(cp, target):
+            save(cp, target)
+            with open(target, encoding="utf-8") as handle:
+                written = handle.read()
+            assert written == json.dumps(asdict(cp), sort_keys=True)
+            saved.append(cp)
+
+        monkeypatch.setattr(CampaignCheckpoint, "save", checked_save)
+        run_campaign("duckdb", checkpoint_path=path, checkpoint_every=300,
+                     **options)
+        assert len(saved) == 3
+        if "oracles" in options:
+            states = saved[-1].oracle["oracles"]
+            assert set(states) == {"crash", "tlp", "norec"}
+            assert states["tlp"]["compared"] > 0
+        else:
+            assert saved[-1].injector is not None
 
     def test_checkpoint_write_is_atomic(self, tmp_path):
         path = str(tmp_path / "cp.json")
