@@ -41,7 +41,7 @@ def run_variant(configure=None, patterns=None, seeds_filter=None, budget=None):
             oracle.observe_crash(outcome.crash, outcome.sql, "seed", runner.executed)
         if outcome.result_type and seed.function not in return_types:
             return_types[seed.function] = outcome.result_type
-    engine = PatternEngine(seeds, rng=random.Random(0), return_types=return_types)
+    engine = PatternEngine(seeds, return_types=return_types)
     if configure is not None:
         configure(engine)
 

@@ -7,7 +7,6 @@ mode because their payloads are campaigns, not inner loops.
 """
 
 import itertools
-import random
 
 import pytest
 
@@ -83,7 +82,7 @@ def test_coverage_overhead(benchmark):
 def pattern_engine():
     dialect = dialect_by_name("duckdb")
     seeds = SeedCollector(dialect).collect()
-    return PatternEngine(seeds, rng=random.Random(0))
+    return PatternEngine(seeds)
 
 
 def test_pattern_generation_throughput(benchmark, pattern_engine):

@@ -7,8 +7,6 @@ pattern engine and checks the shapes the paper's prose calls out —
 ``JSON('{"key": 999990}')`` and ``JSON('{{{{{"key": 0}')``.
 """
 
-import random
-
 from repro.core.collect import Seed
 from repro.core.patterns import PatternEngine
 from repro.sqlast import parse_expression
@@ -19,7 +17,7 @@ from _shared import emit, shape_line
 def _engine(seed_sql):
     expr = parse_expression(seed_sql)
     seed = Seed(expr.name.lower(), "json", expr, source="bench")
-    return PatternEngine([seed], rng=random.Random(0)), seed
+    return PatternEngine([seed]), seed
 
 
 def generate_examples():

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import random
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
@@ -117,9 +116,7 @@ def main() -> None:
     dialect = dialect_by_name("duckdb")
     pipeline = OraclePipeline([TLPOracle(dialect), NoRECOracle(dialect)])
     engine = PatternEngine(
-        SeedCollector(dialect).collect(),
-        rng=random.Random(SEED),
-        statement_family="predicate",
+        SeedCollector(dialect).collect(), statement_family="predicate",
     )
     runner = Runner(dialect, bootstrap_sql=TABLE_SETUP)
     compared = 0

@@ -81,7 +81,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                        help="query budget (default: 20000 ≈ '24 hours')")
     p_run.add_argument("--coverage", action="store_true",
                        help="track branch coverage (slower)")
-    p_run.add_argument("--seed", type=int, default=0)
+    p_run.add_argument("--seed", type=int, default=0,
+                       help="campaign seed; recorded and checked on resume, "
+                       "but it does not affect generation (the statement "
+                       "stream is deterministic)")
     p_run.add_argument("--reports", action="store_true",
                        help="print full bug reports instead of one-liners")
     p_run.add_argument("--faults", metavar="SPEC", default=None,

@@ -20,9 +20,11 @@ Resilience (the long-campaign survival layer, :mod:`repro.robustness`):
   deduplicated bug set as a fault-free run.
 * ``checkpoint_path`` periodically snapshots the campaign;
   ``run(resume=...)`` continues a killed campaign deterministically.  The
-  resume replays the (deterministic) generation stream, *skipping* the
-  first ``executed`` statements without executing them, then verifies the
-  campaign RNG state matches the checkpoint before running anything new.
+  checkpoint's spec must match this campaign's (:func:`campaign_spec`);
+  the resume then replays the (deterministic) generation stream,
+  *skipping* the positions the checkpoint had processed without
+  executing them.  Sharded campaigns save and restore the same state per
+  shard (:func:`progress_snapshot`, :func:`restore_progress`).
 * A server that repeatedly fails to restart is quarantined by the circuit
   breaker: the campaign finalizes what it has (``result.quarantined``)
   instead of aborting, so multi-dialect sweeps degrade gracefully.
@@ -34,24 +36,23 @@ Per-fault-class counters are surfaced in ``CampaignResult.outcomes`` under
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple, Union
+from itertools import islice
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..dialects import dialect_by_name
 from ..dialects.base import Dialect
 from ..robustness.checkpoint import (
+    SHARD_FORMAT_VERSION,
     CampaignCheckpoint,
     CheckpointError,
-    rng_state_from_json,
-    rng_state_to_json,
 )
 from ..robustness.faults import FaultInjector, make_fault_injector
 from ..robustness.policy import RetryPolicy, ServerQuarantined
 from ..robustness.sandbox import ContainmentState
 from ..robustness.watchdog import Clock, SimulatedClock, WallClock, Watchdog
-from .collect import SeedCollector
+from .collect import Seed, SeedCollector
 from .config import CampaignConfig
 from .oracles import (
     CaseInfo,
@@ -217,6 +218,50 @@ def run_contained(
     return outcome
 
 
+def processed(runner: Runner, containment: Optional[ContainmentState]) -> int:
+    """Stream positions consumed so far: executions plus containment
+    skips.  The budget caps *processed* positions, so a skipped statement
+    spends its slot — this keeps serial and sharded runs on exactly the
+    same stream prefix (a shard cannot know how many statements its
+    siblings skipped).  Without containment this is ``runner.executed``.
+    """
+    return runner.executed + (containment.skipped if containment is not None else 0)
+
+
+def run_seed_phase(
+    runner: Runner,
+    containment: Optional[ContainmentState],
+    seeds: Sequence[Seed],
+    budget: int,
+    return_types: Dict[str, str],
+    record: Callable[[Outcome, CaseInfo, int], None],
+    skip: int = 0,
+    after: Optional[Callable[[int], None]] = None,
+) -> int:
+    """Replay the regression-suite seeds as stream positions ``0..S-1``.
+
+    Each function's first observed result type lands in *return_types*
+    (it orders the pattern engine's partner enumeration).  *record* sees
+    every outcome; *after* gets the next position after each statement.
+    The first *skip* positions ran before a checkpoint and are passed
+    over.  Returns the next stream position.
+    """
+    position = min(skip, len(seeds))
+    for seed in seeds[position:]:
+        if processed(runner, containment) >= budget:
+            break
+        outcome = run_contained(
+            runner, containment, f"SELECT {seed.sql};", seed.family, position
+        )
+        record(outcome, CaseInfo("seed", seed.function, seed.family), position)
+        if outcome.result_type and seed.function not in return_types:
+            return_types[seed.function] = outcome.result_type
+        position += 1
+        if after is not None:
+            after(position)
+    return position
+
+
 def add_counts(into: Dict[str, int], counts: Dict[str, int]) -> None:
     for kind, count in counts.items():
         into[kind] = into.get(kind, 0) + count
@@ -224,12 +269,37 @@ def add_counts(into: Dict[str, int], counts: Dict[str, int]) -> None:
 
 def fill_result(
     result: CampaignResult,
+    runner: Runner,
     pipeline: OraclePipeline,
-    fault_counters: Dict[str, int],
     containment: Optional[ContainmentState],
+    shards: Sequence[Dict[str, Any]] = (),
 ) -> None:
-    """Copy the oracle verdicts, the fault counters (also as ``fault.*``
-    outcomes) and the containment summary into *result*."""
+    """Fold a finished campaign into *result*.
+
+    *runner* is this process's; a sharded campaign also passes every
+    shard's final :func:`progress_snapshot`, whose oracle states are
+    already merged into *pipeline*.  The fault counters also land in the
+    outcomes as ``fault.*`` keys.
+    """
+    executed = runner.executed
+    triggered = set(runner.server.ctx.triggered_functions)
+    arcs = set(runner.coverage.arcs) if runner.coverage is not None else set()
+    fault_counters = dict(runner.fault_counters)
+    if runner.injector is not None:
+        add_counts(fault_counters, runner.injector.counters)
+    # getattr's default covers runners without a sandbox supervisor
+    sandbox = {name: getattr(runner.sandbox, name, 0) for name in SANDBOX_COUNTERS}
+    for shard in shards:
+        executed += shard["executed"]
+        triggered.update(shard["triggered"])
+        arcs.update(tuple(arc) for arc in shard["coverage_arcs"])
+        add_counts(result.outcomes, shard["outcomes"])
+        add_counts(fault_counters, shard["fault_counters"])
+        add_counts(fault_counters, shard["injector_counters"])
+        add_counts(sandbox, shard["sandbox"])
+    result.queries_executed = executed
+    result.triggered_functions = triggered
+    result.branch_coverage = len(arcs)
     crash = pipeline.get("crash")
     if crash is not None:
         result.bugs = list(crash.bugs)
@@ -240,10 +310,124 @@ def fill_result(
     for kind, count in sorted(fault_counters.items()):
         result.outcomes[f"fault.{kind}"] = count
     if containment is not None:
+        containment.merge(shard["containment"] for shard in shards)
         result.sandbox_active = True
         result.open_breakers = containment.open_breakers
         result.quarantined_statements = len(containment.quarantine)
         result.skipped_statements = containment.skipped
+        for name, count in sandbox.items():
+            setattr(result, f"sandbox_{name}", count)
+
+
+# ----------------------------------------------------------------------
+# saved campaign state: serial checkpoints and shard sidecars share one
+# spec, one progress snapshot and one restore
+# ----------------------------------------------------------------------
+#: config fields that change neither the statement stream nor the result:
+#: where and how often to checkpoint, and service bookkeeping.  ``jobs``
+#: enters only a shard's spec, with the worker index.
+_SPEC_EXEMPT = (
+    "checkpoint_path", "checkpoint_every", "jobs",
+    "submitter", "priority", "preemptible",
+)
+
+#: the sandbox supervisor's counters, reported as ``sandbox_<name>``
+SANDBOX_COUNTERS = ("kills", "worker_deaths", "respawns")
+
+
+def campaign_spec(
+    config: CampaignConfig, worker: Optional[int] = None
+) -> Dict[str, Any]:
+    """The identity a saved campaign state must match to be resumed.
+
+    Every config field that can shape the statement stream or the result,
+    in :meth:`CampaignConfig.to_dict`'s encoding.  A shard sidecar's spec
+    (*worker* given) adds the sharding layout: the worker, the worker
+    count and :data:`SHARD_FORMAT_VERSION`.
+    """
+    faults = config.faults
+    if isinstance(faults, FaultInjector):
+        # a ready-made injector (serial campaigns only) is its plan + seed
+        config = config.replace(faults=faults.plan, fault_seed=faults.seed)
+    spec = {
+        name: value
+        for name, value in config.to_dict().items()
+        if name not in _SPEC_EXEMPT
+    }
+    if worker is not None:
+        spec.update(shard_format=SHARD_FORMAT_VERSION, jobs=config.jobs, worker=worker)
+    return spec
+
+
+def progress_snapshot(
+    runner: Runner,
+    pipeline: OraclePipeline,
+    containment: Optional[ContainmentState],
+    outcomes: Dict[str, int],
+    position: int,
+) -> Dict[str, Any]:
+    """What a campaign, or one shard, has done so far, as plain JSON data.
+
+    The ``progress`` of a checkpoint and of a shard sidecar, and the body
+    of a shard's report: the stream positions processed (containment
+    skips included) and everything a resume cannot re-derive by replay.
+    """
+    coverage = runner.coverage
+    injector = runner.injector
+    supervisor = runner.sandbox
+    return {
+        "position": position,
+        "executed": runner.executed,
+        "outcomes": dict(outcomes),
+        "fault_counters": dict(runner.fault_counters),
+        "injector_counters": dict(injector.counters) if injector is not None else {},
+        "oracle": pipeline.export_state(),
+        "triggered": sorted(runner.server.ctx.triggered_functions),
+        "coverage_arcs": (
+            [list(arc) for arc in sorted(coverage.arcs)] if coverage is not None else []
+        ),
+        "coverage_lines": (
+            [list(line) for line in sorted(coverage.lines)]
+            if coverage is not None else []
+        ),
+        "containment": containment.export_state() if containment is not None else None,
+        "sandbox": (
+            {name: getattr(supervisor, name) for name in SANDBOX_COUNTERS}
+            if supervisor is not None else {}
+        ),
+    }
+
+
+def restore_progress(
+    progress: Dict[str, Any],
+    runner: Runner,
+    pipeline: OraclePipeline,
+    containment: Optional[ContainmentState],
+    outcomes: Dict[str, int],
+) -> int:
+    """Load a :func:`progress_snapshot` into a fresh runner, pipeline,
+    containment state and outcome counts.  Returns the saved position:
+    the resumed loop skips every position before it without running it.
+    """
+    try:
+        pipeline.restore_state(progress["oracle"])
+    except OracleStateError as exc:
+        raise CheckpointError(str(exc)) from exc
+    runner.executed = progress["executed"]
+    runner.fault_counters = dict(progress["fault_counters"])
+    if runner.injector is not None:
+        runner.injector.counters = dict(progress["injector_counters"])
+    runner.server.ctx.triggered_functions |= set(progress["triggered"])
+    if runner.coverage is not None:
+        runner.coverage.arcs |= {tuple(arc) for arc in progress["coverage_arcs"]}
+        runner.coverage.lines |= {tuple(line) for line in progress["coverage_lines"]}
+    if containment is not None and progress["containment"] is not None:
+        containment.restore_state(progress["containment"])
+    if runner.sandbox is not None:
+        for name, count in progress["sandbox"].items():
+            setattr(runner.sandbox, name, count)
+    outcomes.update(progress["outcomes"])
+    return progress["position"]
 
 
 class Campaign:
@@ -251,8 +435,8 @@ class Campaign:
 
     The campaign options live in a :class:`~repro.core.config.CampaignConfig`
     passed as ``config=`` (an empty ``config.dialect`` is filled from
-    *dialect*).  The ``clock``/``rng``/``retry_policy`` runtime objects are
-    not configuration and remain ordinary constructor arguments.
+    *dialect*).  The ``clock``/``retry_policy`` runtime objects are not
+    configuration and remain ordinary constructor arguments.
     """
 
     def __init__(
@@ -260,7 +444,6 @@ class Campaign:
         dialect: Dialect,
         config: Optional[CampaignConfig] = None,
         clock: Optional[Clock] = None,
-        rng: Optional[random.Random] = None,
         retry_policy: Optional[RetryPolicy] = None,
     ) -> None:
         if config is None:
@@ -278,7 +461,6 @@ class Campaign:
             if config.sandbox is not None
             else None
         )
-        self.rng = rng if rng is not None else random.Random(config.seed)
         self.retry_policy = retry_policy
         if clock is None:
             # faulted or checkpointed campaigns need steerable, restorable
@@ -306,6 +488,7 @@ class Campaign:
         self, resume: Union[None, str, CampaignCheckpoint] = None
     ) -> CampaignResult:
         config = self.config
+        containment = self.containment
         cp: Optional[CampaignCheckpoint] = None
         if resume is not None:
             cp = (
@@ -313,13 +496,7 @@ class Campaign:
                 if isinstance(resume, CampaignCheckpoint)
                 else CampaignCheckpoint.load(resume)
             )
-            cp.validate_for(
-                self.dialect.name,
-                config.seed,
-                config.budget,
-                config.max_partners,
-                config.enable_coverage,
-            )
+            cp.validate_for(campaign_spec(config))
         self._started = self.clock.now()
         self._elapsed_offset = 0.0
         self._wall_started = time.monotonic()
@@ -332,74 +509,48 @@ class Campaign:
         crash_oracle = pipeline.get("crash")
         expected = getattr(self.dialect, "bugs", [])
 
-        collector = SeedCollector(self.dialect)
-        seeds = collector.collect()
+        seeds = SeedCollector(self.dialect).collect()
         result.seeds_collected = len(seeds)
 
         skip = 0
         return_types: Dict[str, str] = {}
-        rng_verified = cp is None
         if cp is not None:
-            # stream_position counts containment skips too; older
-            # checkpoints (no skipped statements possible) fall back to
-            # the executed count
-            skip = (
-                cp.stream_position
-                if cp.stream_position is not None
-                else cp.executed
+            skip = restore_progress(
+                cp.progress, runner, pipeline, containment, result.outcomes
             )
-            return_types = self._restore(cp, runner, pipeline, result)
+            return_types = dict(cp.return_types)
+            self._elapsed_offset = cp.elapsed_seconds
 
-        position = 0
+        def record(outcome: Outcome, case: CaseInfo, position: int) -> None:
+            self._record(result, pipeline, outcome, case, position)
+
+        def checkpoint(position: int) -> None:
+            self._maybe_checkpoint(runner, pipeline, result, return_types, position)
+
         try:
-            # step 0: replay the regression-suite seeds, observing each
-            # function's result type (used to order partner enumeration)
-            for seed_obj in seeds:
-                if position < skip:
-                    position += 1  # executed before the checkpoint
-                    continue
-                if self._processed(runner) >= config.budget:
-                    break
-                sql = f"SELECT {seed_obj.sql};"
-                case = CaseInfo("seed", seed_obj.function, seed_obj.family)
-                outcome = run_contained(
-                    runner, self.containment, sql, seed_obj.family, position
-                )
-                self._record(result, pipeline, outcome, case, position)
-                if outcome.result_type and seed_obj.function not in return_types:
-                    return_types[seed_obj.function] = outcome.result_type
-                position += 1
-                self._maybe_checkpoint(
-                    runner, pipeline, result, return_types, position
-                )
-
-            # the campaign RNG is first consumed by the pattern engine; if
-            # the skip ended inside the seed phase it must still be pristine
-            if not rng_verified and position >= skip:
-                self._verify_rng(cp)
-                rng_verified = True
-
+            # step 0: the regression-suite seeds, observing each function's
+            # result type (used to order partner enumeration)
+            position = run_seed_phase(
+                runner, containment, seeds, config.budget, return_types,
+                record, skip=skip, after=checkpoint,
+            )
             engine = PatternEngine(
                 seeds,
-                rng=self.rng,
                 max_partners=config.max_partners,
                 return_types=return_types,
                 statement_family=config.statement_family,
             )
-            for case in engine.generate_all():
-                if position < skip:
-                    position += 1  # re-generated, already executed: skip
-                    continue
-                if not rng_verified:
-                    self._verify_rng(cp)
-                    rng_verified = True
-                if self._processed(runner) >= config.budget:
+            # re-generated cases below the resume position already ran
+            cases = islice(engine.generate_all(), max(skip - position, 0), None)
+            position = max(position, skip)
+            for case in cases:
+                if processed(runner, containment) >= config.budget:
                     break
                 info = CaseInfo(case.pattern, case.seed_function, case.seed_family)
                 outcome = run_contained(
-                    runner, self.containment, case.sql, case.seed_family, position
+                    runner, containment, case.sql, case.seed_family, position
                 )
-                self._record(result, pipeline, outcome, info, position)
+                record(outcome, info, position)
                 position += 1
                 if (
                     config.stop_when_all_found
@@ -408,9 +559,7 @@ class Campaign:
                     and crash_oracle.recall_against(expected) >= 1.0
                 ):
                     break
-                self._maybe_checkpoint(
-                    runner, pipeline, result, return_types, position
-                )
+                checkpoint(position)
         except ServerQuarantined as exc:
             # the in-flight statement never completed; keep the outcome
             # accounting consistent with queries_executed
@@ -418,19 +567,13 @@ class Campaign:
             result.quarantined = True
             result.quarantine_reason = str(exc)
 
-        return self._finalize(result, runner, pipeline)
-
-    # ------------------------------------------------------------------
-    def _processed(self, runner: Runner) -> int:
-        """Stream positions consumed so far: executions plus containment
-        skips.  The budget caps *processed* positions, so a skipped
-        statement spends its slot — this keeps serial and sharded runs on
-        exactly the same stream prefix (a shard cannot know how many
-        statements its siblings skipped).  Without containment this is
-        just ``runner.executed``, i.e. the historical behaviour.
-        """
-        skipped = self.containment.skipped if self.containment is not None else 0
-        return runner.executed + skipped
+        fill_result(result, runner, pipeline, containment)
+        result.elapsed_seconds = (
+            self.clock.now() - self._started
+        ) + self._elapsed_offset
+        result.wall_seconds = time.monotonic() - self._wall_started
+        runner.close()
+        return result
 
     # ------------------------------------------------------------------
     def _record(
@@ -459,29 +602,6 @@ class Campaign:
                 }
             )
 
-    def _finalize(
-        self, result: CampaignResult, runner: Runner, pipeline: OraclePipeline
-    ) -> CampaignResult:
-        result.queries_executed = runner.executed
-        result.triggered_functions = runner.triggered_functions
-        result.branch_coverage = runner.branch_coverage
-        fault_counters: Dict[str, int] = dict(runner.fault_counters)
-        if self.injector is not None:
-            add_counts(fault_counters, self.injector.counters)
-        fill_result(result, pipeline, fault_counters, self.containment)
-        result.elapsed_seconds = (
-            self.clock.now() - self._started
-        ) + self._elapsed_offset
-        result.wall_seconds = time.monotonic() - self._wall_started
-        if self.containment is not None and runner.sandbox is not None:
-            result.sandbox_kills = runner.sandbox.kills
-            result.sandbox_worker_deaths = runner.sandbox.worker_deaths
-            result.sandbox_respawns = runner.sandbox.respawns
-        runner.close()
-        return result
-
-    # ------------------------------------------------------------------
-    # checkpoint/resume plumbing
     def _maybe_checkpoint(
         self,
         runner: Runner,
@@ -495,103 +615,15 @@ class Campaign:
             return
         if runner.executed == 0 or runner.executed % every:
             return
-        self._capture(runner, pipeline, result, return_types, position).save(path)
-
-    def _capture(
-        self,
-        runner: Runner,
-        pipeline: OraclePipeline,
-        result: CampaignResult,
-        return_types: Dict[str, str],
-        position: int,
-    ) -> CampaignCheckpoint:
-        coverage_arcs: List[list] = []
-        coverage_lines: List[list] = []
-        if runner.coverage is not None:
-            coverage_arcs = [list(arc) for arc in sorted(runner.coverage.arcs)]
-            coverage_lines = [list(line) for line in sorted(runner.coverage.lines)]
-        sandbox_state = None
-        if self.containment is not None and runner.sandbox is not None:
-            sandbox_state = {
-                "containment": self.containment.export_state(),
-                "kills": runner.sandbox.kills,
-                "worker_deaths": runner.sandbox.worker_deaths,
-                "respawns": runner.sandbox.respawns,
-            }
-        return CampaignCheckpoint(
-            dialect=self.dialect.name,
-            seed=self.config.seed,
-            budget=self.config.budget,
-            max_partners=self.config.max_partners,
-            enable_coverage=self.config.enable_coverage,
-            executed=runner.executed,
-            restarts=runner.restarts,
-            timeouts=runner.timeouts,
-            flaky_crashes=runner.flaky_crashes,
-            seeds_collected=result.seeds_collected,
-            outcomes=dict(result.outcomes),
-            fault_counters=dict(runner.fault_counters),
+        CampaignCheckpoint(
+            spec=campaign_spec(self.config),
+            progress=progress_snapshot(
+                runner, pipeline, self.containment, result.outcomes, position
+            ),
             return_types=dict(return_types),
-            oracle=pipeline.export_state(),
-            rng_state=rng_state_to_json(self.rng.getstate()),
-            ctx_rng_state=rng_state_to_json(runner.server.ctx.rng.getstate()),
-            injector=self.injector.state() if self.injector is not None else None,
-            triggered_functions=sorted(runner.server.ctx.triggered_functions),
-            stats=dict(runner.server.ctx.stats),
-            coverage_arcs=coverage_arcs,
-            coverage_lines=coverage_lines,
             elapsed_seconds=(self.clock.now() - self._started)
             + self._elapsed_offset,
-            stream_position=position,
-            sandbox=sandbox_state,
-        )
-
-    def _restore(
-        self,
-        cp: CampaignCheckpoint,
-        runner: Runner,
-        pipeline: OraclePipeline,
-        result: CampaignResult,
-    ) -> Dict[str, str]:
-        runner.executed = cp.executed
-        runner.restarts = cp.restarts
-        runner.timeouts = cp.timeouts
-        runner.flaky_crashes = cp.flaky_crashes
-        runner.fault_counters = dict(cp.fault_counters)
-        try:
-            pipeline.restore_state(cp.oracle)
-        except OracleStateError as exc:
-            raise CheckpointError(str(exc)) from exc
-        result.outcomes = dict(cp.outcomes)
-        if self.injector is not None and cp.injector is not None:
-            self.injector.restore_state(cp.injector)
-        ctx = runner.server.ctx
-        ctx.triggered_functions |= set(cp.triggered_functions)
-        ctx.stats.update(cp.stats)
-        if cp.ctx_rng_state is not None:
-            ctx.rng.setstate(rng_state_from_json(cp.ctx_rng_state))
-        if runner.coverage is not None:
-            runner.coverage.arcs |= {tuple(arc) for arc in cp.coverage_arcs}
-            runner.coverage.lines |= {tuple(line) for line in cp.coverage_lines}
-        if cp.sandbox is not None and self.containment is not None:
-            self.containment.restore_state(cp.sandbox["containment"])
-            if runner.sandbox is not None:
-                runner.sandbox.kills = cp.sandbox["kills"]
-                runner.sandbox.worker_deaths = cp.sandbox["worker_deaths"]
-                runner.sandbox.respawns = cp.sandbox["respawns"]
-        self._elapsed_offset = cp.elapsed_seconds
-        return dict(cp.return_types)
-
-    def _verify_rng(self, cp: Optional[CampaignCheckpoint]) -> None:
-        if cp is None or cp.rng_state is None:
-            return
-        current = rng_state_to_json(self.rng.getstate())
-        if current != cp.rng_state:
-            raise CheckpointError(
-                "deterministic replay diverged: the campaign RNG state after "
-                "skipping does not match the checkpoint (was the checkpoint "
-                "written by a different code version or configuration?)"
-            )
+        ).save(path)
 
 
 def run_campaign(

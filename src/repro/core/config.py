@@ -64,8 +64,8 @@ class CampaignConfig:
     """Everything that determines one campaign's observable behaviour.
 
     Frozen: derive variants with :meth:`replace` (re-validates).  The
-    ``clock``/``rng``/``retry_policy`` runtime objects are deliberately
-    *not* configuration — they stay constructor arguments on
+    ``clock``/``retry_policy`` runtime objects are deliberately *not*
+    configuration — they stay constructor arguments on
     :class:`~repro.core.campaign.Campaign`.
     """
 

@@ -22,7 +22,6 @@ expressions), nesting patterns skip seeds that already contain two calls.
 from __future__ import annotations
 
 import itertools
-import random
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
 from ..sqlast import (
@@ -148,7 +147,6 @@ class PatternEngine:
     def __init__(
         self,
         seeds: Sequence[Seed],
-        rng: Optional[random.Random] = None,
         max_partners: int = 48,
         return_types: Optional[Dict[str, str]] = None,
         statement_family: str = "expression",
@@ -159,7 +157,6 @@ class PatternEngine:
                 f"(expected 'expression' or 'predicate')"
             )
         self.seeds = list(seeds)
-        self.rng = rng or random.Random(0)
         self.max_partners = max_partners
         self.statement_family = statement_family
         #: comparison-position boundary texts cycled by the predicate

@@ -39,12 +39,14 @@ Architecture (see DESIGN.md for the full determinism argument):
   children write them — the same trust level as the multiprocessing
   channel, which pickles its arguments anyway.
 
-Checkpoint/resume: each worker writes its own sidecar checkpoint
-(``<path>.shard<w>``) carrying its pipeline state.  On resume the parent
+Checkpoint/resume: each worker saves its own sidecar checkpoint
+(``<path>.shard<w>``), a :class:`~repro.robustness.CampaignCheckpoint`
+like a serial campaign's: the campaign spec plus the worker index, and
+the same progress snapshot the shard reports.  On resume the parent
 re-runs its cheap seed phase from scratch (sound: statements are
 history-independent and fault draws are position-keyed) and each worker
-skips the prefix of its shard it already executed.  No RNG state needs to
-be carried at all.
+restores its snapshot and skips the prefix of its slice it already
+processed.
 
 Known semantic divergence: a server quarantine aborts only the shard that
 hit it, so a quarantined parallel run may have executed statements a
@@ -61,42 +63,32 @@ import concurrent.futures
 import multiprocessing
 import os
 import pickle
-import random
 import tempfile
 import time
 from typing import Any, Dict, List, Optional, Union
 
 from ..core.campaign import (
     CampaignResult,
-    add_counts,
     build_runner,
+    campaign_spec,
     fill_result,
+    progress_snapshot,
+    restore_progress,
     run_contained,
+    run_seed_phase,
 )
 from ..core.config import CampaignConfig
 from ..core.collect import SeedCollector
-from ..core.oracles import CaseInfo, OraclePipeline, OracleStateError, build_pipeline
+from ..core.oracles import CaseInfo, OracleStateError, build_pipeline
 from ..core.patterns import PatternEngine
-from ..core.runner import Runner
+from ..core.runner import Outcome
 from ..dialects import dialect_by_name
 from ..dialects.base import Dialect
-from ..robustness.checkpoint import (
-    CHECKPOINT_VERSION,
-    CheckpointError,
-    read_json,
-    write_json_atomic,
-)
+from ..robustness.checkpoint import CampaignCheckpoint, CheckpointError
 from ..robustness.faults import FaultInjector, make_fault_injector
 from ..robustness.policy import ServerQuarantined
 from ..robustness.sandbox import ContainmentState
 from ..robustness.watchdog import SimulatedClock
-
-
-#: sidecar layout version: bumped when the shard report/checkpoint schema
-#: or the case-to-shard rule changes (v2 replaced the replayed-observation
-#: list with per-shard oracle pipeline state; v3 replaced ``index % jobs``
-#: with :func:`shard_of`); old sidecars are refused with a CheckpointError
-SHARD_FORMAT_VERSION = 3
 
 #: 2**64 / golden ratio, odd: multiplying by it modulo 2**64 scatters
 #: consecutive indices across the whole 64-bit range
@@ -154,8 +146,11 @@ def _run_shard(
     """Execute one worker's share of the generated stream.
 
     Runs in a child process (or inline for ``jobs=1``).  The shard report
-    is pickled into ``transport_dir`` and only its path goes back through
-    the multiprocessing channel.
+    — its final :func:`~repro.core.campaign.progress_snapshot` — is
+    pickled into ``transport_dir`` and only its path goes back through
+    the multiprocessing channel.  With a checkpoint path the same
+    snapshot is saved as the shard's sidecar checkpoint
+    (``<path>.shard<w>``), which ``resume`` continues from.
     ``stop_after`` caps how many statements this shard executes before
     returning early — a test hook that simulates a mid-campaign kill for
     resume testing.
@@ -176,55 +171,36 @@ def _run_shard(
             # ...but the parent's skip count is accounted parent-side;
             # this shard reports only its own skips
             containment.skipped = 0
-    # the engine rng is seeded but never consumed by generation; passing a
-    # fresh Random(seed) in every process keeps the constructor contract
     engine = PatternEngine(
         SeedCollector(dialect).collect(),
-        rng=random.Random(config.seed),
         max_partners=config.max_partners,
         return_types=dict(return_types),
         statement_family=config.statement_family,
     )
 
-    skip_in_shard = 0
-    shard_executed = 0
-    outcome_counts: Dict[str, int] = {}
-    state = _load_shard_checkpoint(config, worker) if resume else None
-    if state is not None:
-        # processed counts containment skips too
-        skip_in_shard = state["shard_processed"]
-        shard_executed = state["shard_executed"]
-        outcome_counts = dict(state["outcomes"])
-        try:
-            pipeline.restore_state(state["oracle_state"])
-        except OracleStateError as exc:
-            raise CheckpointError(str(exc)) from exc
-        runner.fault_counters = dict(state["fault_counters"])
-        runner.server.ctx.triggered_functions |= set(state["triggered"])
-        if runner.coverage is not None:
-            runner.coverage.arcs |= {tuple(a) for a in state["coverage_arcs"]}
-            runner.coverage.lines |= {tuple(l) for l in state["coverage_lines"]}
-        sandbox_state = state.get("sandbox")
-        if sandbox_state is not None and containment is not None:
-            containment.restore_state(sandbox_state["containment"])
-            if runner.sandbox is not None:
-                runner.sandbox.kills = sandbox_state["kills"]
-                runner.sandbox.worker_deaths = sandbox_state["worker_deaths"]
-                runner.sandbox.respawns = sandbox_state["respawns"]
+    spec = campaign_spec(config, worker)
+    sidecar = (
+        f"{config.checkpoint_path}.shard{worker}"
+        if config.checkpoint_path is not None else None
+    )
+    outcomes: Dict[str, int] = {}
+    skip = 0
+    if resume and sidecar is not None and os.path.exists(sidecar):
+        saved = CampaignCheckpoint.load(sidecar)
+        saved.validate_for(spec)
+        skip = restore_progress(saved.progress, runner, pipeline, containment, outcomes)
+    executed_before = runner.executed
 
     jobs = config.jobs
     generated_budget = max(config.budget - seed_count, 0)
-    every = config.checkpoint_every if config.checkpoint_path is not None else 0
-    shard_processed = 0
-    executed_this_run = 0
+    every = config.checkpoint_every if sidecar is not None else 0
+    # positions of this shard's slice processed (containment skips too)
+    shard_position = 0
     quarantined = False
     quarantine_reason = ""
 
-    def shard_state() -> Dict[str, Any]:
-        return _shard_state(
-            runner, pipeline, outcome_counts, shard_executed, shard_processed,
-            containment,
-        )
+    def snapshot() -> Dict[str, Any]:
+        return progress_snapshot(runner, pipeline, containment, outcomes, shard_position)
 
     try:
         for index, case in enumerate(engine.generate_all()):
@@ -232,150 +208,38 @@ def _run_shard(
                 break
             if shard_of(index, jobs) != worker:
                 continue  # lazy case: skipping costs no SQL rendering
-            if shard_processed < skip_in_shard:
-                shard_processed += 1
+            if shard_position < skip:
+                shard_position += 1
                 continue
             position = seed_count + index
             outcome = run_contained(
                 runner, containment, case.sql, case.seed_family, position
             )
-            outcome_counts[outcome.kind] = outcome_counts.get(outcome.kind, 0) + 1
+            outcomes[outcome.kind] = outcomes.get(outcome.kind, 0) + 1
             pipeline.observe(
                 outcome,
                 CaseInfo(case.pattern, case.seed_function, case.seed_family),
                 position,
             )
-            shard_processed += 1
-            executed = outcome.kind != "skipped"
-            if executed:
-                shard_executed += 1
-                executed_this_run += 1
-            if every > 0 and shard_processed % every == 0:
-                _save_shard_checkpoint(config, worker, shard_state())
-            if executed and stop_after is not None and executed_this_run >= stop_after:
+            shard_position += 1
+            if every > 0 and shard_position % every == 0:
+                CampaignCheckpoint(spec=spec, progress=snapshot()).save(sidecar)
+            if stop_after is not None and runner.executed - executed_before >= stop_after:
                 break
     except ServerQuarantined as exc:
-        shard_processed = max(shard_processed - 1, 0)
-        shard_executed = max(shard_executed - 1, 0)
+        # the in-flight statement never completed (as in Campaign.run)
+        runner.executed = max(runner.executed - 1, 0)
         quarantined = True
         quarantine_reason = str(exc)
 
-    state = shard_state()
-    if config.checkpoint_path is not None:
-        _save_shard_checkpoint(config, worker, state)
-    report: Dict[str, Any] = {
-        **state,
-        "injector_counters": dict(injector.counters) if injector is not None else {},
-        "quarantined": quarantined,
-        "quarantine_reason": quarantine_reason,
-    }
+    report = snapshot()
+    if sidecar is not None:
+        CampaignCheckpoint(spec=spec, progress=report).save(sidecar)
+    report.update(quarantined=quarantined, quarantine_reason=quarantine_reason)
     runner.close()
     packed_path = os.path.join(transport_dir, f"shard{worker}.report")
     write_packed(packed_path, report)
     return {"worker": worker, "packed_path": packed_path}
-
-
-def _shard_state(
-    runner: Runner,
-    pipeline: OraclePipeline,
-    outcomes: Dict[str, int],
-    shard_executed: int,
-    shard_processed: int,
-    containment: Optional[ContainmentState],
-) -> Dict[str, Any]:
-    """A shard's progress: the body of both its sidecar and its report."""
-    sandbox = None
-    if containment is not None:
-        supervisor = runner.sandbox
-        sandbox = {
-            "containment": containment.export_state(),
-            "kills": supervisor.kills if supervisor else 0,
-            "worker_deaths": supervisor.worker_deaths if supervisor else 0,
-            "respawns": supervisor.respawns if supervisor else 0,
-        }
-    coverage = runner.coverage
-    return {
-        "shard_executed": shard_executed,
-        "shard_processed": shard_processed,
-        "sandbox": sandbox,
-        "oracle_state": pipeline.export_state(),
-        "outcomes": outcomes,
-        "fault_counters": dict(runner.fault_counters),
-        "triggered": sorted(runner.server.ctx.triggered_functions),
-        "coverage_arcs": (
-            [list(a) for a in coverage.arcs] if coverage is not None else []
-        ),
-        "coverage_lines": (
-            [list(l) for l in coverage.lines] if coverage is not None else []
-        ),
-    }
-
-
-# ----------------------------------------------------------------------
-# per-shard sidecar checkpoints
-# ----------------------------------------------------------------------
-def _shard_checkpoint_path(path: str, worker: int) -> str:
-    return f"{path}.shard{worker}"
-
-
-def _shard_spec(config: CampaignConfig, worker: int) -> Dict[str, Any]:
-    """The campaign identity a sidecar must match to be resumed."""
-    spec = {
-        "version": CHECKPOINT_VERSION,
-        "shard_format": SHARD_FORMAT_VERSION,
-        "dialect": config.dialect,
-        "seed": config.seed,
-        "budget": config.budget,
-        "max_partners": config.max_partners,
-        "enable_coverage": config.enable_coverage,
-        "jobs": config.jobs,
-        "worker": worker,
-        "oracles": list(config.oracles),
-    }
-    # only non-default governance/sandbox settings enter the spec, so
-    # sidecars written before this layer existed still match default runs
-    budgets = config.budgets
-    if budgets is not None and budgets.enabled:
-        spec["budgets"] = budgets.to_spec()
-    sandbox = config.sandbox
-    if sandbox is not None:
-        spec["sandbox"] = {
-            "wall_deadline_seconds": sandbox.wall_deadline_seconds,
-            "breaker_threshold": sandbox.breaker_threshold,
-            "quarantine": list(sandbox.quarantine),
-            "max_message_bytes": sandbox.max_message_bytes,
-        }
-    if config.statement_family != "expression":
-        spec["statement_family"] = config.statement_family
-    return spec
-
-
-def _save_shard_checkpoint(
-    config: CampaignConfig, worker: int, state: Dict[str, Any]
-) -> None:
-    write_json_atomic(
-        _shard_checkpoint_path(config.checkpoint_path, worker),
-        {"spec": _shard_spec(config, worker), **state},
-    )
-
-
-def _load_shard_checkpoint(
-    config: CampaignConfig, worker: int
-) -> Optional[Dict[str, Any]]:
-    if config.checkpoint_path is None:
-        return None
-    path = _shard_checkpoint_path(config.checkpoint_path, worker)
-    if not os.path.exists(path):
-        return None
-    payload = read_json(path)
-    spec = payload.get("spec") if isinstance(payload, dict) else None
-    expected = _shard_spec(config, worker)
-    if spec != expected:
-        raise CheckpointError(
-            f"shard checkpoint {path!r} was written for a different campaign "
-            f"configuration ({spec!r} != {expected!r})"
-        )
-    return payload
 
 
 # ----------------------------------------------------------------------
@@ -447,40 +311,24 @@ class ParallelCampaign:
         seeds = SeedCollector(self.dialect).collect()
         result.seeds_collected = len(seeds)
 
+        def record(outcome: Outcome, case: CaseInfo, position: int) -> None:
+            result.outcomes[outcome.kind] = result.outcomes.get(outcome.kind, 0) + 1
+            pipeline.observe(outcome, case, position)
+
         return_types: Dict[str, str] = {}
-        position = 0
-        quarantined = False
-        quarantine_reason = ""
+        seed_count = 0
         try:
-            for seed_obj in seeds:
-                if position >= config.budget:
-                    break
-                sql = f"SELECT {seed_obj.sql};"
-                outcome = run_contained(
-                    runner, containment, sql, seed_obj.family, position
-                )
-                result.outcomes[outcome.kind] = (
-                    result.outcomes.get(outcome.kind, 0) + 1
-                )
-                pipeline.observe(
-                    outcome,
-                    CaseInfo("seed", seed_obj.function, seed_obj.family),
-                    position,
-                )
-                if outcome.result_type and seed_obj.function not in return_types:
-                    return_types[seed_obj.function] = outcome.result_type
-                position += 1
+            seed_count = run_seed_phase(
+                runner, containment, seeds, config.budget, return_types, record
+            )
         except ServerQuarantined as exc:
             runner.executed = max(runner.executed - 1, 0)
-            position = runner.executed
-            quarantined = True
-            quarantine_reason = str(exc)
-
-        seed_count = position
+            result.quarantined = True
+            result.quarantine_reason = str(exc)
 
         # ---- fan out the generated stream ----------------------------
         reports: List[Dict[str, Any]] = []
-        if not quarantined and seed_count < config.budget:
+        if not result.quarantined and seed_count < config.budget:
             containment_seed = (
                 containment.export_state() if containment is not None else None
             )
@@ -520,81 +368,24 @@ class ParallelCampaign:
                 reports = [read_packed(report["packed_path"]) for report in reports]
 
         # ---- merge ----------------------------------------------------
-        merged = self._merge(
-            result, runner, pipeline, injector, reports, quarantined,
-            quarantine_reason, wall_started, containment,
-        )
-        runner.close()
-        return merged
-
-    # ------------------------------------------------------------------
-    def _merge(
-        self,
-        result: CampaignResult,
-        seed_runner: Runner,
-        pipeline: OraclePipeline,
-        seed_injector: Optional[FaultInjector],
-        reports: List[Dict[str, Any]],
-        quarantined: bool,
-        quarantine_reason: str,
-        wall_started: float,
-        containment: Optional[ContainmentState],
-    ) -> CampaignResult:
         # fold every shard's oracle state into the parent pipeline; each
         # oracle re-sorts its kept records by global stream position and
         # re-deduplicates — the exact first-occurrence order the serial
         # loop would have used, statement for statement
         try:
-            pipeline.merge([report["oracle_state"] for report in reports])
+            pipeline.merge([report["oracle"] for report in reports])
         except OracleStateError as exc:
             raise CheckpointError(str(exc)) from exc
-
-        # the seed phase's executed count (containment skips advance the
-        # position but never reach the runner)
-        executed = seed_runner.executed
-        triggered = set(seed_runner.server.ctx.triggered_functions)
-        arcs = set(seed_runner.coverage.arcs) if seed_runner.coverage else set()
-        fault_counters: Dict[str, int] = dict(seed_runner.fault_counters)
-        if seed_injector is not None:
-            add_counts(fault_counters, seed_injector.counters)
         for report in reports:
-            executed += report["shard_executed"]
-            triggered |= set(report["triggered"])
-            arcs |= {tuple(a) for a in report["coverage_arcs"]}
-            add_counts(result.outcomes, report["outcomes"])
-            add_counts(fault_counters, report["fault_counters"])
-            add_counts(fault_counters, report["injector_counters"])
             if report["quarantined"]:
-                quarantined = True
-                quarantine_reason = quarantine_reason or report["quarantine_reason"]
-        result.queries_executed = executed
-        result.triggered_functions = triggered
-        result.branch_coverage = len(arcs)
-        result.quarantined = quarantined
-        result.quarantine_reason = quarantine_reason
-        if containment is not None:
-            # fold the shards' containment outcomes into the parent's
-            # seed-phase state for the supervisor summary
-            shard_sandboxes = [
-                report["sandbox"] for report in reports
-                if report["sandbox"] is not None
-            ]
-            containment.merge([state["containment"] for state in shard_sandboxes])
-            supervisor = seed_runner.sandbox
-            result.sandbox_kills = sum(state["kills"] for state in shard_sandboxes)
-            result.sandbox_worker_deaths = sum(
-                state["worker_deaths"] for state in shard_sandboxes
-            )
-            result.sandbox_respawns = sum(
-                state["respawns"] for state in shard_sandboxes
-            )
-            if supervisor is not None:
-                result.sandbox_kills += supervisor.kills
-                result.sandbox_worker_deaths += supervisor.worker_deaths
-                result.sandbox_respawns += supervisor.respawns
-        fill_result(result, pipeline, fault_counters, containment)
+                result.quarantined = True
+                result.quarantine_reason = (
+                    result.quarantine_reason or report["quarantine_reason"]
+                )
+        fill_result(result, runner, pipeline, containment, reports)
         result.wall_seconds = time.monotonic() - wall_started
         result.elapsed_seconds = result.wall_seconds
+        runner.close()
         return result
 
 

@@ -24,8 +24,6 @@ from .checkpoint import (
     CHECKPOINT_VERSION,
     CampaignCheckpoint,
     CheckpointError,
-    rng_state_from_json,
-    rng_state_to_json,
 )
 from .faults import (
     DEFAULT_RATES,
@@ -92,6 +90,4 @@ __all__ = [
     "make_sandbox_config",
     "make_storage_injector",
     "parse_rate_spec",
-    "rng_state_from_json",
-    "rng_state_to_json",
 ]

@@ -291,21 +291,6 @@ class FaultInjector(FaultHook):
             self._count("restart_fail")
             raise RestartFailed("server did not come back up (injected fault)")
 
-    # ------------------------------------------------------------------
-    # checkpoint support
-    def state(self) -> Dict[str, object]:
-        version, internal, gauss = self.rng.getstate()
-        return {
-            "seed": self.seed,
-            "rng": [version, list(internal), gauss],
-            "counters": dict(self.counters),
-        }
-
-    def restore_state(self, state: Dict[str, object]) -> None:
-        version, internal, gauss = state["rng"]  # type: ignore[misc]
-        self.rng.setstate((version, tuple(internal), gauss))
-        self.counters = dict(state["counters"])  # type: ignore[arg-type]
-
 
 FaultsLike = Union[None, str, FaultPlan, FaultInjector]
 

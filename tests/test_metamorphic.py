@@ -10,7 +10,6 @@ config validation, minimizer probes, and bug-repository replay of
 tlp/norec records.
 """
 
-import random
 from decimal import Decimal
 
 import pytest
@@ -325,11 +324,10 @@ class TestMetamorphicOracleProtocol:
 # ---------------------------------------------------------------------------
 # one parse per checked statement, shared by both oracles
 # ---------------------------------------------------------------------------
-def _predicate_statements(dialect, count, seed=0):
+def _predicate_statements(dialect, count):
     """The first *count* generated predicate-family statements."""
     engine = PatternEngine(
-        SeedCollector(dialect).collect(), rng=random.Random(seed),
-        statement_family="predicate",
+        SeedCollector(dialect).collect(), statement_family="predicate",
     )
     out = []
     for case in engine.generate_all():
@@ -357,13 +355,21 @@ class TestSharedParse:
             (expected,) = parse_statements(
                 tlp_partition_statement(BASE_QUERY[:-1], predicate)
             )
-            assert tlp_union(stmt) == expected, sql
+            union = tlp_union(stmt)
+            assert union == expected, sql
+            # the camps share the statement's nodes rather than copy them;
+            # test_shared_tree_survives_both_oracles checks nothing writes
+            # through them
+            camps = (union.left.left, union.left.right, union.right)
+            assert all(camp.from_ is stmt.from_ for camp in camps)
+            assert camps[0].where is stmt.where
             built += 1
         assert built > 250
 
     def test_shared_tree_survives_both_oracles(self):
-        # the NoREC flaw folds NULL comparisons in the optimized arm: the
-        # rewrite must happen on a copy, never on the shared parse
+        # the NoREC flaw folds NULL comparisons in the optimized arm, and
+        # the TLP union executes the parse's own nodes: every rewrite must
+        # happen on a copy, never on the shared parse
         dialect = dialect_by_name("duckdb")
         dialect.install_logic_flaws(predicate_kinds=("tlp", "norec"))
         pipeline = OraclePipeline([TLPOracle(dialect), NoRECOracle(dialect)])
@@ -455,7 +461,7 @@ class TestMetamorphicCampaign:
         )
         seeds = SeedCollector(dialect).collect()
         engine = PatternEngine(
-            seeds, rng=random.Random(3), statement_family="predicate"
+            seeds, statement_family="predicate"
         )
         runner = Runner(dialect, bootstrap_sql=TABLE_SETUP)
         compared = 0

@@ -16,7 +16,7 @@ import textwrap
 
 import pytest
 
-from repro.core.campaign import Campaign, run_campaign
+from repro.core.campaign import Campaign, campaign_spec, run_campaign
 from repro.core.collect import SeedCollector
 from repro.core.config import CampaignConfig
 from repro.core.patterns import GeneratedCase, PatternEngine
@@ -25,7 +25,6 @@ from repro.dialects import dialect_by_name
 from repro.engine.connection import ConnectionClosed
 from repro.perf.parallel import (
     ParallelCampaign,
-    _shard_spec,
     run_parallel_campaign,
     shard_of,
 )
@@ -195,9 +194,12 @@ SIDECAR_SPECS = {
     "default": (
         CampaignConfig(dialect="duckdb", jobs=2),
         0,
-        '{"version": 2, "shard_format": 3, "dialect": "duckdb", "seed": 0, '
-        '"budget": 20000, "max_partners": 48, "enable_coverage": false, '
-        '"jobs": 2, "worker": 0, "oracles": ["crash"]}',
+        '{"dialect": "duckdb", "budget": 20000, "enable_coverage": false, '
+        '"seed": 0, "max_partners": 48, "stop_when_all_found": false, '
+        '"faults": null, "fault_seed": 0, "statement_deadline": 300.0, '
+        '"oracles": ["crash"], "statement_family": "expression", '
+        '"budgets": null, "sandbox": null, '
+        '"shard_format": 4, "jobs": 2, "worker": 0}',
     ),
     "sandboxed": (
         CampaignConfig(
@@ -205,12 +207,14 @@ SIDECAR_SPECS = {
             budgets="depth=64,rows=5000", sandbox=True,
         ),
         2,
-        '{"version": 2, "shard_format": 3, "dialect": "duckdb", "seed": 5, '
-        '"budget": 900, "max_partners": 12, "enable_coverage": false, '
-        '"jobs": 3, "worker": 2, "oracles": ["crash"], '
+        '{"dialect": "duckdb", "budget": 900, "enable_coverage": false, '
+        '"seed": 5, "max_partners": 12, "stop_when_all_found": false, '
+        '"faults": null, "fault_seed": 0, "statement_deadline": 300.0, '
+        '"oracles": ["crash"], "statement_family": "expression", '
         '"budgets": "depth=64,rows=5000", "sandbox": '
         '{"wall_deadline_seconds": 30.0, "breaker_threshold": 3, '
-        '"quarantine": [], "max_message_bytes": 33554432}}',
+        '"quarantine": [], "max_message_bytes": 33554432}, '
+        '"shard_format": 4, "jobs": 3, "worker": 2}',
     ),
     "predicate": (
         CampaignConfig(
@@ -219,11 +223,26 @@ SIDECAR_SPECS = {
             statement_family="predicate", oracles=("crash", "tlp", "norec"),
         ),
         1,
-        '{"version": 2, "shard_format": 3, "dialect": "mysql", "seed": 4, '
-        '"budget": 700, "max_partners": 48, "enable_coverage": true, '
-        '"jobs": 2, "worker": 1, "oracles": ["crash", "tlp", "norec"], '
-        '"budgets": "depth=64,rows=5000", '
-        '"statement_family": "predicate"}',
+        '{"dialect": "mysql", "budget": 700, "enable_coverage": true, '
+        '"seed": 4, "max_partners": 48, "stop_when_all_found": false, '
+        '"faults": null, "fault_seed": 0, "statement_deadline": 300.0, '
+        '"oracles": ["crash", "tlp", "norec"], '
+        '"statement_family": "predicate", '
+        '"budgets": "depth=64,rows=5000", "sandbox": null, '
+        '"shard_format": 4, "jobs": 2, "worker": 1}',
+    ),
+    "faulted": (
+        CampaignConfig(
+            dialect="duckdb", budget=900, jobs=2,
+            faults="hang=0.02,drop=0.02,flaky_crash=0.01", fault_seed=5,
+        ),
+        1,
+        '{"dialect": "duckdb", "budget": 900, "enable_coverage": false, '
+        '"seed": 0, "max_partners": 48, "stop_when_all_found": false, '
+        '"faults": "hang=0.02,drop=0.02,flaky_crash=0.01", "fault_seed": 5, '
+        '"statement_deadline": 300.0, "oracles": ["crash"], '
+        '"statement_family": "expression", "budgets": null, "sandbox": null, '
+        '"shard_format": 4, "jobs": 2, "worker": 1}',
     ),
 }
 
@@ -232,11 +251,11 @@ class TestShardSidecars:
     @pytest.mark.parametrize("name", sorted(SIDECAR_SPECS))
     def test_spec_is_pinned(self, name):
         config, worker, expected = SIDECAR_SPECS[name]
-        assert json.dumps(_shard_spec(config, worker)) == expected
+        assert json.dumps(campaign_spec(config, worker)) == expected
 
     @pytest.mark.parametrize(
         "name, interrupted_budget",
-        [("predicate", 700), ("sandboxed", 500)],
+        [("predicate", 700), ("sandboxed", 500), ("faulted", 900)],
     )
     def test_non_default_config_resumes_to_identical_signature(
         self, tmp_path, name, interrupted_budget

@@ -7,6 +7,7 @@ from dataclasses import asdict
 import pytest
 
 from repro.core.campaign import Campaign, run_campaign
+from repro.core.config import CampaignConfig
 from repro.core.oracles import CrashOracle
 from repro.core.runner import Runner
 from repro.dialects import dialect_by_name
@@ -28,8 +29,6 @@ from repro.robustness import (
     StatementTimeout,
     Watchdog,
     make_fault_injector,
-    rng_state_from_json,
-    rng_state_to_json,
 )
 
 FAULT_SPEC = "hang=0.01,slow=0.02,drop=0.01,flaky=0.01,restart_fail=0.1"
@@ -350,15 +349,14 @@ class TestCheckpointResume:
     def test_checkpoint_file_roundtrip(self, tmp_path):
         path = str(tmp_path / "cp.json")
         cp = CampaignCheckpoint(
-            dialect="duckdb", seed=1, budget=100, max_partners=48,
-            enable_coverage=False, executed=50,
-            outcomes={"ok": 40, "error": 10},
-            rng_state=rng_state_to_json((3, (1, 2, 3), None)),
+            spec={"dialect": "duckdb", "seed": 1, "oracles": ["crash"]},
+            progress={"position": 50, "outcomes": {"ok": 40, "error": 10}},
+            return_types={"abs": "integer"},
+            elapsed_seconds=2.5,
         )
         cp.save(path)
         loaded = CampaignCheckpoint.load(path)
         assert loaded == cp
-        assert rng_state_from_json(loaded.rng_state) == (3, (1, 2, 3), None)
 
     def test_load_rejects_corrupt_file(self, tmp_path):
         path = tmp_path / "cp.json"
@@ -380,13 +378,34 @@ class TestCheckpointResume:
             run_campaign("duckdb", budget=600, seed=4, resume=path)
         with pytest.raises(CheckpointError):
             run_campaign("monetdb", budget=600, seed=3, resume=path)
+        # every field that shapes the stream or the result is checked,
+        # and the error names it
+        for field, options in [
+            ("statement_family", dict(statement_family="predicate")),
+            ("faults", dict(faults=FAULT_SPEC)),
+            ("budgets", dict(budgets="depth=64")),
+        ]:
+            with pytest.raises(CheckpointError, match=f"'{field}'"):
+                run_campaign("duckdb", budget=600, seed=3, resume=path,
+                             **options)
+        # a faulted checkpoint resumes only under the same fault schedule
+        faulted_path = str(tmp_path / "faulted.json")
+        faulted = dict(budget=600, seed=3, faults=FAULT_SPEC, fault_seed=5)
+        run_campaign("duckdb", checkpoint_path=faulted_path,
+                     checkpoint_every=200, **faulted)
+        with pytest.raises(CheckpointError, match="'fault_seed'"):
+            run_campaign("duckdb", resume=faulted_path,
+                         **dict(faulted, fault_seed=6))
+        with pytest.raises(CheckpointError, match="'faults'"):
+            run_campaign("duckdb", resume=faulted_path,
+                         **dict(faulted, faults=None))
 
     def test_resume_is_identical_to_uninterrupted_run(self, tmp_path):
         path = str(tmp_path / "cp.json")
         kwargs = dict(budget=2000, seed=3, faults=FAULT_SPEC, fault_seed=5)
         full = run_campaign("duckdb", checkpoint_path=path, checkpoint_every=700, **kwargs)
         cp = CampaignCheckpoint.load(path)
-        assert 0 < cp.executed < 2000
+        assert 0 < cp.progress["executed"] < 2000
         resumed = run_campaign("duckdb", resume=path, **kwargs)
         assert resumed.signature() == full.signature()
         assert resumed.elapsed_seconds == pytest.approx(full.elapsed_seconds)
@@ -398,8 +417,23 @@ class TestCheckpointResume:
         kwargs = dict(budget=280, seed=3, faults=FAULT_SPEC, fault_seed=5)
         full = run_campaign("duckdb", checkpoint_path=path, checkpoint_every=100, **kwargs)
         cp = CampaignCheckpoint.load(path)
-        assert cp.executed < full.seeds_collected
+        assert cp.progress["executed"] < full.seeds_collected
         resumed = run_campaign("duckdb", resume=path, **kwargs)
+        assert resumed.signature() == full.signature()
+
+    def test_resume_with_a_ready_made_injector(self, tmp_path):
+        # a live FaultInjector enters the checkpoint spec as plan + seed
+        path = str(tmp_path / "cp.json")
+
+        def campaign(**options):
+            injector = FaultInjector(FaultPlan.parse(FAULT_SPEC), seed=5)
+            config = CampaignConfig(
+                dialect="duckdb", budget=900, seed=3, faults=injector, **options
+            )
+            return Campaign(dialect_by_name("duckdb"), config=config)
+
+        full = campaign(checkpoint_path=path, checkpoint_every=300).run()
+        resumed = campaign().run(resume=path)
         assert resumed.signature() == full.signature()
 
     def test_resume_with_coverage_restores_metrics(self, tmp_path):
@@ -434,11 +468,11 @@ class TestCheckpointResume:
                      **options)
         assert len(saved) == 3
         if "oracles" in options:
-            states = saved[-1].oracle["oracles"]
+            states = saved[-1].progress["oracle"]["oracles"]
             assert set(states) == {"crash", "tlp", "norec"}
             assert states["tlp"]["compared"] > 0
         else:
-            assert saved[-1].injector is not None
+            assert saved[-1].progress["injector_counters"]
 
     def test_checkpoint_write_is_atomic(self, tmp_path):
         path = str(tmp_path / "cp.json")
@@ -486,6 +520,20 @@ class TestCLIFlags:
         assert os.path.exists(path)
         assert main(["run", "duckdb", "--budget", "600", "--seed", "3",
                      "--resume", path]) == 0
+
+    def test_mismatched_resume_names_the_flag(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = str(tmp_path / "cp.json")
+        assert main(["run", "duckdb", "--budget", "600", "--seed", "3",
+                     "--checkpoint", path, "--checkpoint-every", "200"]) == 0
+        capsys.readouterr()
+        code = main(["run", "duckdb", "--budget", "600", "--seed", "3",
+                     "--statement-family", "predicate", "--resume", path])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "error:" in out and "--statement-family" in out
+        assert "'statement_family'" not in out
 
     def test_fuzz_bad_fault_spec_is_reported(self, capsys):
         from repro.cli import main
