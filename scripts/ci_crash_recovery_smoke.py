@@ -6,9 +6,10 @@
 2. SIGKILL the server mid-campaign, after at least one checkpoint has
    been written but long before the budget is exhausted;
 3. restart the server on the same data dir: startup recovery must find
-   the orphaned ``running`` job in the journal and re-enqueue it with
-   ``resume=<checkpoint>``;
-4. the recovered job must finish ``done``, with a campaign signature
+   the orphaned ``running`` job in the journal and re-enqueue it;
+4. the recovered job must finish ``done`` with ``resumed: true`` in its
+   summary (it continued from its checkpoint rather than silently
+   starting over, which would sign the same), with a campaign signature
    identical to an uninterrupted in-process control run of the same
    config — resume replays the pre-crash prefix instead of re-fuzzing it;
 5. the bug repository must hold exactly one record per control-run bug
@@ -161,6 +162,9 @@ def main() -> None:
         if final["retries"] < 1:
             fail(f"recovered job should count the orphaning as a retry: "
                  f"{final['retries']}")
+        if final["summary"].get("resumed") is not True:
+            fail(f"recovered job restarted from scratch instead of resuming "
+                 f"from its checkpoint: {final['summary'].get('resumed')!r}")
         digest = final["summary"].get("signature_digest")
         if digest != control_digest:
             fail(f"recovered signature {digest} != control {control_digest} — "

@@ -74,7 +74,7 @@ def main() -> None:
         )
         resumed = run_campaign(
             DIALECT, budget=BUDGET, seed=SEED, faults=FAULTS,
-            fault_seed=FAULT_SEED, resume=path,
+            fault_seed=FAULT_SEED, checkpoint_path=path, resume=True,
         )
     if resumed.signature() != full.signature():
         fail("resumed campaign diverged from uninterrupted run")

@@ -151,7 +151,7 @@ def check_parallel_and_resume(serial) -> None:
         path = os.path.join(tmp, "sandbox.ckpt")
         full = run_campaign(DIALECT, checkpoint_path=path, checkpoint_every=150,
                             **pathological_campaign())
-        resumed = run_campaign(DIALECT, resume=path,
+        resumed = run_campaign(DIALECT, checkpoint_path=path, resume=True,
                                **pathological_campaign())
         if resumed.signature() != full.signature():
             fail("--resume signature diverged from the uninterrupted run")

@@ -97,7 +97,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_run.add_argument("--checkpoint-every", type=int, default=1_000,
                        help="statements between checkpoints (default: 1000)")
     p_run.add_argument("--resume", metavar="PATH", default=None,
-                       help="resume a killed campaign from a checkpoint file")
+                       help="resume a killed campaign from the checkpoint "
+                       "PATH (or, with --jobs, its PATH.shard<w> files) and "
+                       "keep checkpointing there")
     p_run.add_argument("--jobs", type=int, default=1, metavar="N",
                        help="shard the campaign across N worker processes "
                        "(same bug set and signature as the serial run)")
@@ -173,9 +175,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                          f"(default: {_DEFAULT_DATA_DIR})")
     p_audit.add_argument("--repair", action="store_true",
                          help="repair what can be repaired: re-enqueue "
-                         "stale leases, strip unloadable resume pointers, "
-                         "quarantine-and-rebuild corrupt databases, merge "
-                         "duplicate dedup keys, delete orphaned sidecars")
+                         "stale leases, quarantine-and-rebuild corrupt "
+                         "databases, merge duplicate dedup keys, delete "
+                         "orphaned sidecars")
 
     p_bugs = sub.add_parser("bugs", help="browse the persistent bug repository")
     p_bugs.add_argument("--data-dir", default=_DEFAULT_DATA_DIR,
@@ -248,6 +250,19 @@ def _cmd_run(args) -> int:
     if args.jobs < 1:
         print(f"error: --jobs must be >= 1 (got {args.jobs})")
         return 1
+    checkpoint = args.checkpoint
+    if args.resume is not None:
+        # a resumed campaign continues checkpointing where it resumed from
+        if checkpoint is not None and (
+            os.path.abspath(checkpoint) != os.path.abspath(args.resume)
+        ):
+            print(
+                f"error: --checkpoint {checkpoint} and --resume {args.resume} "
+                "name different files; a resumed campaign keeps "
+                "checkpointing to the file it resumes from"
+            )
+            return 1
+        checkpoint = args.resume
     try:
         config = CampaignConfig(
             dialect=args.dialect,
@@ -256,7 +271,7 @@ def _cmd_run(args) -> int:
             seed=args.seed,
             faults=args.faults,
             fault_seed=args.fault_seed,
-            checkpoint_path=args.checkpoint,
+            checkpoint_path=checkpoint,
             checkpoint_every=args.checkpoint_every,
             oracles=args.oracles,
             statement_family=args.statement_family,
@@ -264,7 +279,7 @@ def _cmd_run(args) -> int:
             sandbox=args.sandbox,
             jobs=args.jobs,
         )
-        result = run_scheduled(config, resume=args.resume)
+        result = run_scheduled(config, resume=args.resume is not None)
     except (CheckpointError, ValueError) as exc:
         print(f"error: {_flagify(str(exc))}")
         return 1

@@ -19,12 +19,13 @@ Resilience (the long-campaign survival layer, :mod:`repro.robustness`):
   watchdog kills, crash reconfirmation) so the campaign reports the same
   deduplicated bug set as a fault-free run.
 * ``checkpoint_path`` periodically snapshots the campaign;
-  ``run(resume=...)`` continues a killed campaign deterministically.  The
-  checkpoint's spec must match this campaign's (:func:`campaign_spec`);
-  the resume then replays the (deterministic) generation stream,
-  *skipping* the positions the checkpoint had processed without
-  executing them.  Sharded campaigns save and restore the same state per
-  shard (:func:`progress_snapshot`, :func:`restore_progress`).
+  ``run(resume=True)`` continues a killed campaign deterministically from
+  that same path.  Serial and sharded campaigns name their files with
+  :func:`checkpoint_files` and load them with :func:`load_checkpoints`,
+  which checks each saved spec against this campaign's
+  (:func:`campaign_spec`); the resume then replays the (deterministic)
+  generation stream, *skipping* the positions already processed without
+  executing them (:func:`progress_snapshot`, :func:`restore_progress`).
 * A server that repeatedly fails to restart is quarantined by the circuit
   breaker: the campaign finalizes what it has (``result.quarantined``)
   instead of aborting, so multi-dialect sweeps degrade gracefully.
@@ -36,10 +37,11 @@ Per-fault-class counters are surfaced in ``CampaignResult.outcomes`` under
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..dialects import dialect_by_name
 from ..dialects.base import Dialect
@@ -359,6 +361,49 @@ def campaign_spec(
     return spec
 
 
+def checkpoint_files(
+    config: CampaignConfig, sharded: Optional[bool] = None
+) -> Dict[Optional[int], str]:
+    """Where a campaign under *config* saves its state, by worker.
+
+    ``{None: path}`` for a serial campaign, ``{w: "<path>.shard<w>"}`` for
+    each worker of a sharded one (*sharded* defaults to
+    ``config.parallel``); empty without a ``checkpoint_path``.
+    """
+    path = config.checkpoint_path
+    if path is None:
+        return {}
+    if not (config.parallel if sharded is None else sharded):
+        return {None: path}
+    return {worker: f"{path}.shard{worker}" for worker in range(config.jobs)}
+
+
+def load_checkpoints(
+    config: CampaignConfig, sharded: Optional[bool] = None
+) -> Dict[Optional[int], CampaignCheckpoint]:
+    """Every saved state of *config* that exists, validated against its
+    :func:`campaign_spec`, keyed like :func:`checkpoint_files`.
+
+    The one resume rule: raises :class:`CheckpointError` when no file
+    exists or when any existing file is unusable.  A shard whose own
+    file is missing (it was killed before its first save) starts over.
+    """
+    files = checkpoint_files(config, sharded)
+    if not files:
+        raise CheckpointError("resuming needs the 'checkpoint_path' option")
+    saved: Dict[Optional[int], CampaignCheckpoint] = {}
+    for worker, path in files.items():
+        if os.path.exists(path):
+            saved[worker] = CampaignCheckpoint.load(path)
+            saved[worker].validate_for(campaign_spec(config, worker))
+    if not saved:
+        raise CheckpointError(
+            "no checkpoint to resume from at "
+            + ", ".join(repr(path) for path in files.values())
+        )
+    return saved
+
+
 def progress_snapshot(
     runner: Runner,
     pipeline: OraclePipeline,
@@ -484,19 +529,14 @@ class Campaign:
         self._wall_started = 0.0
 
     # ------------------------------------------------------------------
-    def run(
-        self, resume: Union[None, str, CampaignCheckpoint] = None
-    ) -> CampaignResult:
+    def run(self, resume: bool = False) -> CampaignResult:
+        """Run the campaign; *resume* continues it from the state saved
+        at ``config.checkpoint_path`` (see :func:`load_checkpoints`)."""
         config = self.config
         containment = self.containment
         cp: Optional[CampaignCheckpoint] = None
-        if resume is not None:
-            cp = (
-                resume
-                if isinstance(resume, CampaignCheckpoint)
-                else CampaignCheckpoint.load(resume)
-            )
-            cp.validate_for(campaign_spec(config))
+        if resume:
+            cp = load_checkpoints(config, sharded=False)[None]
         self._started = self.clock.now()
         self._elapsed_offset = 0.0
         self._wall_started = time.monotonic()
@@ -629,7 +669,7 @@ class Campaign:
 def run_campaign(
     dialect_name: Optional[str] = None,
     *,
-    resume: Union[None, str, CampaignCheckpoint] = None,
+    resume: bool = False,
     config: Optional[CampaignConfig] = None,
     **options: Any,
 ) -> CampaignResult:

@@ -223,19 +223,6 @@ class OraclePipeline:
         }
 
     def restore_state(self, state: Dict[str, Any]) -> None:
-        if "oracles" not in state:
-            # legacy checkpoint: a bare CrashOracle state dict written
-            # before the pipeline existed — loadable iff this pipeline is
-            # the legacy crash-only configuration
-            crash = self.get("crash")
-            if crash is None or len(self.oracles) != 1:
-                raise OracleStateError(
-                    "checkpoint carries a single legacy crash-oracle state "
-                    f"but the campaign runs oracles {list(self.names)}; "
-                    "resume it with the default --oracles crash"
-                )
-            crash.restore_state(state)
-            return
         check_state_version(
             state, self.STATE_VERSION, ("names", "oracles"), "oracle pipeline"
         )

@@ -29,9 +29,7 @@ from .base import CaseInfo, Finding, Oracle, check_state_version
 #: matter which concrete boundary value produced it
 _KILL_REASON_RE = re.compile(r"\d+")
 
-#: checkpoint schema version for :meth:`CrashOracle.export_state`; version 1
-#: is the historical unversioned dict, still loadable via the fallback in
-#: :meth:`CrashOracle.restore_state`
+#: checkpoint schema version for :meth:`CrashOracle.export_state`
 ORACLE_STATE_VERSION = 2
 
 _STATE_KEYS = ("dbms", "bugs", "false_positives", "flaky_signals", "fp_seen")
@@ -211,9 +209,6 @@ class CrashOracle(Oracle):
         }
 
     def restore_state(self, state: Dict[str, Any]) -> None:
-        if "version" not in state:
-            self._restore_v1(state)
-            return
         check_state_version(
             state, ORACLE_STATE_VERSION, _STATE_KEYS, "crash oracle"
         )
@@ -222,30 +217,6 @@ class CrashOracle(Oracle):
             (r[0], r[1], r[2]) for r in state["false_positives"]
         ]
         self._flaky_records = [(r[0], r[1]) for r in state["flaky_signals"]]
-        self._seen = {bug.key for bug in self.bugs}
-        self._fp_seen = set(state["fp_seen"])
-
-    def _restore_v1(self, state: Dict[str, Any]) -> None:
-        """Version-1 fallback: the historical unversioned flat-list format
-        (false positives and flaky signals as bare SQL strings)."""
-        from .base import OracleStateError
-
-        unknown = sorted(set(state) - set(_STATE_KEYS))
-        if unknown:
-            raise OracleStateError(
-                f"crash oracle state carries unknown keys {unknown}; "
-                "refusing a partial restore (checkpoint from a newer "
-                "version?)"
-            )
-        self.bugs = [DiscoveredBug.from_dict(d) for d in state["bugs"]]
-        # v1 recorded neither stream indices nor per-kill reasons; the
-        # dedup truth lives in fp_seen, which is restored separately
-        self._fp_records = [
-            (None, sql, "") for sql in state["false_positives"]
-        ]
-        self._flaky_records = [
-            (None, sql) for sql in state.get("flaky_signals", [])
-        ]
         self._seen = {bug.key for bug in self.bugs}
         self._fp_seen = set(state["fp_seen"])
 

@@ -43,10 +43,12 @@ Checkpoint/resume: each worker saves its own sidecar checkpoint
 (``<path>.shard<w>``), a :class:`~repro.robustness.CampaignCheckpoint`
 like a serial campaign's: the campaign spec plus the worker index, and
 the same progress snapshot the shard reports.  On resume the parent
-re-runs its cheap seed phase from scratch (sound: statements are
-history-independent and fault draws are position-keyed) and each worker
-restores its snapshot and skips the prefix of its slice it already
-processed.
+loads and validates every sidecar up front
+(:func:`~repro.core.campaign.load_checkpoints`: no sidecar at all, or
+any unusable one, is a ``CheckpointError``), re-runs its cheap seed phase
+from scratch (sound: statements are history-independent and fault draws
+are position-keyed) and hands each worker its snapshot; the worker
+restores it and skips the prefix of its slice it already processed.
 
 Known semantic divergence: a server quarantine aborts only the shard that
 hit it, so a quarantined parallel run may have executed statements a
@@ -71,7 +73,9 @@ from ..core.campaign import (
     CampaignResult,
     build_runner,
     campaign_spec,
+    checkpoint_files,
     fill_result,
+    load_checkpoints,
     progress_snapshot,
     restore_progress,
     run_contained,
@@ -138,7 +142,7 @@ def _run_shard(
     worker: int,
     seed_count: int,
     return_types: Dict[str, str],
-    resume: bool,
+    saved: Optional[Dict[str, Any]],
     containment_seed: Optional[Dict[str, Any]],
     transport_dir: str,
     stop_after: Optional[int],
@@ -150,7 +154,8 @@ def _run_shard(
     pickled into ``transport_dir`` and only its path goes back through
     the multiprocessing channel.  With a checkpoint path the same
     snapshot is saved as the shard's sidecar checkpoint
-    (``<path>.shard<w>``), which ``resume`` continues from.
+    (``<path>.shard<w>``); ``saved`` is the progress of a loaded sidecar
+    to continue from.
     ``stop_after`` caps how many statements this shard executes before
     returning early — a test hook that simulates a mid-campaign kill for
     resume testing.
@@ -179,16 +184,11 @@ def _run_shard(
     )
 
     spec = campaign_spec(config, worker)
-    sidecar = (
-        f"{config.checkpoint_path}.shard{worker}"
-        if config.checkpoint_path is not None else None
-    )
+    sidecar = checkpoint_files(config, sharded=True).get(worker)
     outcomes: Dict[str, int] = {}
     skip = 0
-    if resume and sidecar is not None and os.path.exists(sidecar):
-        saved = CampaignCheckpoint.load(sidecar)
-        saved.validate_for(spec)
-        skip = restore_progress(saved.progress, runner, pipeline, containment, outcomes)
+    if saved is not None:
+        skip = restore_progress(saved, runner, pipeline, containment, outcomes)
     executed_before = runner.executed
 
     jobs = config.jobs
@@ -293,8 +293,12 @@ class ParallelCampaign:
 
     # ------------------------------------------------------------------
     def run(self, resume: bool = False) -> CampaignResult:
+        """Run the campaign; *resume* continues it from the shard files
+        saved under ``config.checkpoint_path`` (see
+        :func:`~repro.core.campaign.load_checkpoints`)."""
         config = self.config
         wall_started = time.monotonic()
+        saved = load_checkpoints(config, sharded=True) if resume else {}
         # ---- parent: seed phase (positions 0..S-1) -------------------
         pipeline = build_pipeline(self.dialect, config.oracles)
         clock = SimulatedClock()
@@ -337,7 +341,8 @@ class ParallelCampaign:
             with tempfile.TemporaryDirectory(prefix="repro-shards-") as tdir:
                 shard_args = [
                     (
-                        config, worker, seed_count, return_types, resume,
+                        config, worker, seed_count, return_types,
+                        saved[worker].progress if worker in saved else None,
                         containment_seed, tdir, self._stop_after,
                     )
                     for worker in range(config.jobs)

@@ -17,6 +17,11 @@ sharded campaign (``<path>.shard<w>``) are the same
 * for serial campaigns, the seed phase's observed result types and the
   simulated elapsed time.
 
+:func:`repro.core.campaign.checkpoint_files` names a campaign's files
+(its ``checkpoint_path``, or one ``<path>.shard<w>`` per worker) and
+:func:`repro.core.campaign.load_checkpoints` loads them: the one resume
+rule of the CLI, the library and the service.
+
 Resume strategy (see ``Campaign.run``): generation is deterministic, so
 the resumed campaign *re-generates* the statement stream and skips the
 positions it already processed without running them.  No random state
@@ -33,7 +38,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 #: bump when the on-disk layout changes incompatibly.
 #: v2: the fault injector's random stream became position-keyed (see
@@ -108,19 +113,6 @@ class CampaignCheckpoint:
                 f"expected {sorted(known)}"
             )
         return cls(**data)
-
-    @classmethod
-    def try_load(cls, path: str) -> Optional["CampaignCheckpoint"]:
-        """Load a checkpoint if one usably exists, else ``None``.
-
-        The service's crash recovery uses this to decide whether an
-        orphaned job can resume: a missing, corrupt, or wrong-version
-        sidecar means "start the campaign over", not "refuse to run".
-        """
-        try:
-            return cls.load(path)
-        except CheckpointError:
-            return None
 
     # ------------------------------------------------------------------
     def validate_for(self, spec: Dict[str, Any]) -> None:

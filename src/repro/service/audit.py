@@ -1,24 +1,22 @@
 """The service invariant auditor (``repro audit`` + startup hook).
 
-The durable service's correctness rests on invariants that nothing
-checked until this PR: journal states must form legal transition
-chains, ``running`` rows must hold live leases, resume checkpoints must
-exist and parse, bug-repository dedup keys must be unique, and
-checkpoint sidecars must belong to live jobs.  A crash — real or
-injected by the chaos harness — is exactly when those invariants are
-most at risk, so the :class:`ServiceAuditor` runs both **offline**
-(``repro audit --data-dir``, against a dead service's files) and as a
-**startup hook** inside :class:`~repro.service.server.BugService`
-(after crash recovery, with ``repair=True``).
+The durable service's correctness rests on invariants: journal states
+must form legal transition chains, ``running`` rows must hold live
+leases, bug-repository dedup keys must be unique, and checkpoint
+sidecars must belong to live jobs.  A crash — real or injected by the
+chaos harness — is exactly when those invariants are most at risk, so
+the :class:`ServiceAuditor` runs both **offline** (``repro audit
+--data-dir``, against a dead service's files) and as a **startup hook**
+inside :class:`~repro.service.server.BugService` (after crash recovery,
+with ``repair=True``).
 
 Every check yields :class:`AuditFinding` rows.  Violations are either
-*repairable* — re-enqueue a stale lease, strip an unloadable resume
-pointer (the campaign restarts from scratch, still
-signature-identical), quarantine-and-rebuild a corrupt database into
-``<name>.corrupt-<n>``, merge duplicate dedup keys, delete orphaned
-sidecars — or they **fail loudly**: an illegal state transition in the
-audit trail means the journal cannot be trusted and no automatic repair
-is attempted (:attr:`AuditReport.ok` goes ``False``).
+*repairable* — re-enqueue a stale lease, quarantine-and-rebuild a
+corrupt database into ``<name>.corrupt-<n>``, merge duplicate dedup
+keys, delete orphaned sidecars — or they **fail loudly**: an illegal
+state transition in the audit trail means the journal cannot be trusted
+and no automatic repair is attempted (:attr:`AuditReport.ok` goes
+``False``).
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..robustness.chaos import StorageFaultInjector
-from ..robustness.checkpoint import CampaignCheckpoint
 from .bugrepo import BugRepository
 from .jobs import JobStore, TERMINAL_STATES
 from .journal import JobJournal
@@ -163,7 +160,6 @@ class ServiceAuditor:
             rows = journal.load_rows()
             self._check_transitions(report, journal, rows)
             self._check_leases(report, repair, journal, rows)
-            self._check_resume_pointers(report, repair, journal, rows)
             self._check_orphan_sidecars(report, repair, rows)
             if self._owns_journal:
                 journal.close()
@@ -357,47 +353,6 @@ class ServiceAuditor:
                 finding.repair = _offline_reclaim(journal, row, now)
                 finding.repaired = True
 
-    def _check_resume_pointers(
-        self,
-        report: AuditReport,
-        repair: bool,
-        journal: JobJournal,
-        rows: List[Dict[str, Any]],
-    ) -> None:
-        """``params.resume`` checkpoints must exist and parse."""
-        report.checks.append("checkpoints.resume")
-        for row in rows:
-            if row["state"] in TERMINAL_STATES:
-                continue
-            params = _loads(row.get("params"))
-            resume = params.get("resume")
-            if not resume:
-                continue
-            if CampaignCheckpoint.try_load(resume) is not None:
-                continue
-            finding = AuditFinding(
-                "checkpoints.resume", "error", row["job_id"],
-                f"resume checkpoint {resume!r} is missing or unparseable",
-            )
-            report.findings.append(finding)
-            if not repair:
-                continue
-            params.pop("resume", None)
-            if self.store is not None:
-                job = self.store.get(row["job_id"])
-                if job is not None:
-                    job.params.pop("resume", None)
-                    row = dict(row, params=params)
-                    journal.update(row)
-            else:
-                row = dict(row, params=params)
-                journal.update(row)
-            finding.repaired = True
-            finding.repair = (
-                "dropped the resume pointer; the campaign restarts from "
-                "scratch (still signature-identical)"
-            )
-
     def _check_orphan_sidecars(
         self,
         report: AuditReport,
@@ -413,10 +368,8 @@ class ServiceAuditor:
         for row in rows:
             if row["state"] in TERMINAL_STATES:
                 continue
-            params = _loads(row.get("params"))
-            for path in (row.get("checkpoint_path"), params.get("resume")):
-                if path:
-                    referenced.add(os.path.abspath(path))
+            if row.get("checkpoint_path"):
+                referenced.add(os.path.abspath(row["checkpoint_path"]))
         for entry in sorted(glob.glob(os.path.join(directory, "*"))):
             path = os.path.abspath(entry)
             if any(
@@ -481,23 +434,14 @@ def _skips_validation(detail: str) -> bool:
     return str(detail or "").startswith(_SKIP_DETAIL_PREFIXES)
 
 
-def _loads(value: Any) -> Dict[str, Any]:
-    if isinstance(value, str):
-        try:
-            return json.loads(value) if value else {}
-        except ValueError:
-            return {}
-    return dict(value or {})
-
-
 def _offline_reclaim(
     journal: JobJournal, row: Dict[str, Any], now: float
 ) -> str:
     """Repair a stale ``running`` row directly in the journal.
 
     Mirrors :meth:`JobStore._reclaim` semantics at the row level: burn a
-    retry and requeue (resuming from the checkpoint sidecar when it
-    loads), or turn terminal once retries are exhausted.
+    retry and requeue (the campaign resumes from its checkpoint when a
+    worker next starts it), or turn terminal once retries are exhausted.
     """
     retries = int(row.get("retries") or 0)
     max_retries = int(row.get("max_retries") or 0)
@@ -514,15 +458,8 @@ def _offline_reclaim(
     row["state"] = "queued"
     row["next_attempt_at"] = now
     row["error"] = "reclaimed by audit; attempt abandoned"
-    params = _loads(row.get("params"))
-    path = row.get("checkpoint_path")
-    resumed = False
-    if path and CampaignCheckpoint.try_load(path) is not None:
-        params["resume"] = path
-        resumed = True
-    row["params"] = params
     journal.update(row, transition="reclaimed by audit", at=now)
-    return "requeued with resume" if resumed else "requeued from scratch"
+    return "requeued"
 
 
 def rebuild_journal(

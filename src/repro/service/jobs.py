@@ -17,7 +17,7 @@ in-memory version:
   :class:`~repro.service.journal.JobJournal`; on startup the store
   rebuilds its registry from the journal and
   :meth:`JobStore.recover` re-enqueues jobs a dead process left in
-  ``running`` (resuming campaigns from their checkpoint sidecars).
+  ``running`` (a campaign resumes from its checkpoint when it next runs).
 * **Leases.**  Workers *claim* jobs (:meth:`JobStore.claim` — a
   compare-and-swap on the ``queued`` state, so a job can never run
   twice concurrently) and must heartbeat to keep the lease; an expired
@@ -47,7 +47,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.config import CampaignConfig
-from ..robustness.checkpoint import CampaignCheckpoint
 from ..robustness.governor import ResourceBudgets
 from .journal import JobJournal
 
@@ -363,13 +362,14 @@ class Job:
             return self.to_row()
 
     def _gc_sidecars(self) -> None:
-        """Delete checkpoint sidecars once the job is terminal.
+        """Delete checkpoint files once the job is terminal.
 
         Only store-owned paths (directly under the store's checkpoint
         directory) are touched — a user-specified ``checkpoint_path``
-        outside it is the user's file to keep.  Removes the sidecar, its
-        ``.shardN`` companions (sharded campaigns), and any leftover
-        atomic-write temp file.  Caller holds ``_lock``.
+        outside it is the user's file to keep.  Removes the checkpoint
+        and every ``<path>.*`` companion (shard files, atomic-write temp
+        files): the ownership rule the auditor's orphan sweep uses too.
+        Caller holds ``_lock``.
         """
         path = self.checkpoint_path
         if not path or not self._sidecar_dir:
@@ -377,9 +377,7 @@ class Job:
         owned = os.path.abspath(self._sidecar_dir)
         if os.path.dirname(os.path.abspath(path)) != owned:
             return
-        victims = [path, path + ".tmp"]
-        victims.extend(glob.glob(glob.escape(path) + ".shard*"))
-        for victim in victims:
+        for victim in [path] + glob.glob(glob.escape(path) + ".*"):
             try:
                 os.remove(victim)
             except OSError:
@@ -468,7 +466,6 @@ class Job:
         lease_seq: Optional[int] = None,
         backoff_base: float = DEFAULT_BACKOFF_BASE,
         backoff_cap: float = DEFAULT_BACKOFF_CAP,
-        resume: Optional[str] = None,
         expired_only: bool = False,
     ) -> str:
         """Record a failed attempt: requeue with capped exponential
@@ -501,8 +498,6 @@ class Job:
             self.next_attempt_at = time.time() + delay
             self.error = error
             self.state = "queued"
-            if resume:
-                self.params["resume"] = resume
             self._clear_lease()
             self._persist(
                 f"retry {self.retries}/{self.max_retries} in {delay:.1f}s"
@@ -510,8 +505,7 @@ class Job:
             return self.state
 
     def requeue(
-        self, lease_seq: Optional[int] = None, resume: Optional[str] = None,
-        detail: str = "requeued",
+        self, lease_seq: Optional[int] = None, detail: str = "requeued"
     ) -> bool:
         """``running → queued`` without burning a retry (graceful drain)."""
         with self._lock:
@@ -520,8 +514,6 @@ class Job:
             if lease_seq is not None and self.lease_seq != lease_seq:
                 return False
             self.state = "queued"
-            if resume:
-                self.params["resume"] = resume
             self._clear_lease()
             self._persist(detail)
             return True
@@ -722,9 +714,9 @@ class JobStore:
         """Re-enqueue work a dead process left behind.
 
         Jobs journaled as ``running`` are orphans (no worker of *this*
-        process holds their lease): they go back to ``queued`` with
-        ``resume=<checkpoint>`` when a loadable checkpoint sidecar
-        exists, burning one retry; jobs whose retries are exhausted turn
+        process holds their lease): they go back to ``queued``, burning
+        one retry, and a campaign resumes from its checkpoint when a
+        worker next starts it; jobs whose retries are exhausted turn
         terminal ``failed``.  Already-``queued`` jobs just re-enter the
         wake queue.  Returns ``{"requeued": [...], "failed": [...]}``.
         """
@@ -990,17 +982,12 @@ class JobStore:
             return dict(self._tenant_statements)
 
     def _reclaim(self, job: Job, detail: str, expired_only: bool = False) -> str:
-        """Shared requeue-with-resume path for recovery and expiry."""
-        resume = None
-        path = job.checkpoint_path
-        if path and CampaignCheckpoint.try_load(path) is not None:
-            resume = path
+        """Shared requeue path for recovery and expiry."""
         return job.mark_retrying(
             f"{detail}; attempt abandoned",
             lease_seq=None,
             backoff_base=self.backoff_base,
             backoff_cap=self.backoff_cap,
-            resume=resume,
             expired_only=expired_only,
         )
 

@@ -17,9 +17,14 @@ same door:
   retry-with-backoff vs. terminal ``failed``.
 * :class:`SchedulerPool` — N workers over one store; knows how to stop
   hard (tests) or **drain** gracefully: stop claiming, interrupt running
-  campaigns at their next progress beat, requeue them with
-  ``resume=<checkpoint>`` so a restarted service continues where this
-  one stopped.
+  campaigns at their next progress beat and requeue them, so a restarted
+  service continues where this one stopped.
+
+A campaign job keeps no resume pointer.  When a worker starts one, it
+resumes exactly when :func:`~repro.core.campaign.load_checkpoints`
+accepts the saved state at the config's ``checkpoint_path`` (tenant
+budgets applied) and otherwise starts over, so an unusable checkpoint
+never costs a retry.  The job summary's ``resumed`` records the choice.
 
 Serial campaigns stream findings live through ``Campaign.on_finding``
 and are interruptible at every ``on_progress`` beat; sharded campaigns
@@ -34,12 +39,12 @@ import threading
 import traceback
 from typing import Any, Callable, List, Optional, Union
 
-from ..core.campaign import Campaign, CampaignResult
+from ..core.campaign import Campaign, CampaignResult, load_checkpoints
 from ..core.config import CampaignConfig
 from ..dialects import dialect_by_name
 from ..perf.parallel import ParallelCampaign
 from ..robustness.chaos import SimulatedCrash
-from ..robustness.checkpoint import CampaignCheckpoint
+from ..robustness.checkpoint import CheckpointError
 from .bugrepo import BugRepository
 from .jobs import Job, JobStore, TenantBudgetExceeded, result_to_summary
 from .storage import StorageError
@@ -74,19 +79,15 @@ def build_campaign(config: CampaignConfig) -> Union[Campaign, "ParallelCampaign"
 
 def run_scheduled(
     config: CampaignConfig,
-    resume: Optional[str] = None,
+    resume: bool = False,
     on_finding: Optional[Callable[[Any, int], None]] = None,
     on_progress: Optional[Callable[[dict], None]] = None,
 ) -> CampaignResult:
     """Run one campaign end to end with optional streaming hooks.
 
-    *resume* is a checkpoint path; serial campaigns load it directly,
-    sharded campaigns re-point their checkpoint at it and resume their
-    per-shard sidecars (the CLI's historical ``--resume`` semantics).
+    *resume* continues it from the state saved at
+    ``config.checkpoint_path``, serial or sharded alike.
     """
-    if resume is not None and config.parallel:
-        # sharded resume: the checkpoint path *is* the resume path
-        config = config.replace(checkpoint_path=resume)
     campaign = build_campaign(config)
     if isinstance(campaign, Campaign):
         if on_finding is not None:
@@ -94,7 +95,7 @@ def run_scheduled(
         if on_progress is not None:
             campaign.on_progress = on_progress
         return campaign.run(resume=resume)
-    result = campaign.run(resume=resume is not None)
+    result = campaign.run(resume=resume)
     # shards ran out of process: backfill the stream at merge time
     if on_finding is not None:
         for finding in list(result.bugs) + list(result.findings):
@@ -174,21 +175,13 @@ class SchedulerWorker:
             if interrupt.reason == "cancel":
                 job.finish_cancelled(lease_seq)
             elif interrupt.reason == "preempt":
-                # yield the worker to a higher-priority job: requeue with
-                # a resume checkpoint, no retry burned, and wake a worker
-                # so both the preemptor and the victim get claimed
-                job.requeue(
-                    lease_seq,
-                    resume=self._resumable(job),
-                    detail="preempted by higher-priority job",
-                )
+                # yield the worker to a higher-priority job: requeue, no
+                # retry burned, and wake a worker so both the preemptor
+                # and the victim get claimed
+                job.requeue(lease_seq, detail="preempted by higher-priority job")
                 self.store.notify(job.job_id)
             else:  # drain: hand the job to the next service incarnation
-                job.requeue(
-                    lease_seq,
-                    resume=self._resumable(job),
-                    detail="requeued by drain",
-                )
+                job.requeue(lease_seq, detail="requeued by drain")
         except TenantBudgetExceeded as exc:
             # terminal, not retried: the budget cannot un-exhaust itself
             job.mark_failed(str(exc), lease_seq)
@@ -199,16 +192,7 @@ class SchedulerWorker:
                 lease_seq=lease_seq,
                 backoff_base=self.store.backoff_base,
                 backoff_cap=self.store.backoff_cap,
-                resume=self._resumable(job),
             )
-
-    @staticmethod
-    def _resumable(job: Job) -> Optional[str]:
-        """The job's checkpoint path, if a loadable snapshot exists."""
-        path = job.checkpoint_path
-        if path and CampaignCheckpoint.try_load(path) is not None:
-            return path
-        return None
 
     def _hooks(self, job: Job, lease_seq: int):
         """The streaming callbacks, wired for leases + cooperative stop."""
@@ -232,10 +216,15 @@ class SchedulerWorker:
         if denial is not None:
             raise TenantBudgetExceeded(denial)
         run_config = self.store.apply_tenant_budgets(config)
+        try:
+            load_checkpoints(run_config)
+            resumed = True
+        except CheckpointError:
+            resumed = False  # none saved yet, or unusable: start over
         on_finding, on_progress = self._hooks(job, lease_seq)
         result = run_scheduled(
             run_config,
-            resume=job.params.get("resume"),
+            resume=resumed,
             on_finding=on_finding,
             on_progress=on_progress,
         )
@@ -255,7 +244,7 @@ class SchedulerWorker:
             self.repo.storage.health.note_lost_write()
             ingest = {"new_records": 0, "duplicates": 0, "error": str(exc)}
         job.set_ingest(ingest)
-        job.mark_done(result_to_summary(result), lease_seq)
+        job.mark_done(dict(result_to_summary(result), resumed=resumed), lease_seq)
 
     def _run_replay_job(self, job: Job, lease_seq: int) -> None:
         # replays execute every stored trigger without progress beats
@@ -306,9 +295,9 @@ class SchedulerPool:
         """Stop all workers.
 
         With *drain* (the default), running campaigns are interrupted at
-        their next progress beat and requeued with ``resume`` pointing at
-        their checkpoint sidecar — the journal then carries them to the
-        next service start.  Without it, workers still exit between jobs
+        their next progress beat and requeued — the journal then carries
+        them to the next service start, which resumes each from its
+        checkpoint.  Without it, workers still exit between jobs
         but running campaigns run to completion first (tests' hard-stop).
         """
         if drain:

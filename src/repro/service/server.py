@@ -39,8 +39,10 @@ Robustness (the durable-service layer):
   submissions get **HTTP 429** with a ``Retry-After`` header; request
   bodies past ``max_body_bytes`` get **HTTP 413** before being read;
 * shutdown drains gracefully: stop admitting (503), interrupt running
-  campaigns at their next progress beat, journal them as ``queued``
-  with ``resume=<checkpoint>`` for the next incarnation.
+  campaigns at their next progress beat, journal them as ``queued`` for
+  the next incarnation, which resumes each from its checkpoint (a
+  campaign resumes exactly when its ``config.checkpoint_path`` state
+  loads; the job summary's ``resumed`` says whether it did).
 
 Storage failure handling (the chaos-harness layer):
 
@@ -228,8 +230,8 @@ class BugService:
         Ordered so nothing is lost: (1) stop admitting (submissions get
         503 while existing reads still answer), (2) drain the worker
         pool — running campaigns are interrupted at their next progress
-        beat and journaled back to ``queued`` with a resume checkpoint,
-        (3) stop the HTTP listener, (4) close the journal.
+        beat and journaled back to ``queued``, to resume from their
+        checkpoints, (3) stop the HTTP listener, (4) close the journal.
         """
         self._draining.set()
         self.pool.stop(timeout=timeout, drain=drain)
@@ -396,11 +398,14 @@ class BugService:
             # top-level submission fields win; config carries the defaults
             submitter = submitter or config.submitter
             priority = priority or config.priority
-            params = {}
-            if body.get("resume"):
-                params["resume"] = str(body["resume"])
+            if "resume" in body:
+                raise ServiceError(
+                    400, "'resume' is not a submission field: a campaign "
+                    "resumes from its config.checkpoint_path whenever the "
+                    "state saved there loads"
+                )
             job = self._admit(
-                "campaign", config=config, params=params,
+                "campaign", config=config,
                 submitter=submitter, priority=priority,
             )
         elif kind == "replay":

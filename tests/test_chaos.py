@@ -13,7 +13,6 @@ below the service loop.
 """
 
 import errno
-import json
 import os
 import sqlite3
 import threading
@@ -473,7 +472,7 @@ class TestServiceAuditor:
         assert set(report.checks) >= {
             "journal.integrity", "bugrepo.integrity",
             "journal.transitions", "journal.leases",
-            "checkpoints.resume", "bugrepo.dedup",
+            "bugrepo.dedup",
         }
 
     def test_illegal_transition_fails_loudly(self, tmp_path):
@@ -530,23 +529,6 @@ class TestServiceAuditor:
         (row,) = reopened.load_rows()
         assert row["state"] == "failed"
         assert "retries exhausted" in row["error"]
-        reopened.close()
-
-    def test_unloadable_resume_pointer_is_stripped(self, tmp_path):
-        missing = str(tmp_path / "nowhere.ckpt")
-
-        def mutate(journal, job):
-            job.params["resume"] = missing
-            journal.update(job.to_row())
-
-        _seed_journal(tmp_path, mutate)
-        report = ServiceAuditor(data_dir=str(tmp_path)).run(repair=True)
-        assert report.ok
-        resume = [f for f in report.findings if f.check == "checkpoints.resume"]
-        assert len(resume) == 1 and resume[0].repaired
-        reopened = JobJournal(str(tmp_path / "jobs.sqlite"))
-        (row,) = reopened.load_rows()
-        assert "resume" not in json.loads(row["params"])
         reopened.close()
 
     def test_orphan_sidecars_reported_and_swept(self, tmp_path):

@@ -486,7 +486,7 @@ class TestMetamorphicCampaign:
         )
         full = run_campaign(config=config)
         assert full.findings  # premise: this budget finds the flaws
-        resumed = run_campaign(config=config, resume=path)
+        resumed = run_campaign(config=config, resume=True)
         assert resumed.signature() == full.signature()
         assert [f.signature_tuple() for f in resumed.findings] == \
             [f.signature_tuple() for f in full.findings]

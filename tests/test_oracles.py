@@ -1,7 +1,7 @@
 """Oracle pipeline: protocol, state round-trips, fan-out, and discovery.
 
 Covers the pluggable-oracle refactor: CrashOracle state versioning (v2
-round-trip, v1 fallback, loud failures on unknown versions/keys), pipeline
+round-trip, loud failures on unknown versions/keys), pipeline
 fan-out ordering, the differential/conformance oracles finding every seeded
 logic flaw, and zero differential false positives on flaw-free dialects.
 """
@@ -106,22 +106,6 @@ class TestCrashOracleState:
             "SELECT REPEAT('b', 12345);", "memory limit: 12345 bytes"
         )
 
-    def test_v1_fallback_restores_bare_lists(self):
-        oracle = self._populated()
-        v2 = oracle.export_state()
-        v1 = {
-            "dbms": v2["dbms"],
-            "bugs": v2["bugs"],
-            "false_positives": [r[1] for r in v2["false_positives"]],
-            "flaky_signals": [r[1] for r in v2["flaky_signals"]],
-            "fp_seen": v2["fp_seen"],
-        }
-        restored = CrashOracle("duckdb")
-        restored.restore_state(v1)
-        assert restored.false_positives == oracle.false_positives
-        assert restored.flaky_signals == oracle.flaky_signals
-        assert restored._fp_seen == oracle._fp_seen
-
     def test_unknown_version_is_a_hard_error(self):
         state = self._populated().export_state()
         state["version"] = 99
@@ -195,17 +179,6 @@ class TestOraclePipeline:
         crash_only = build_pipeline(dialect_by_name("duckdb"), "crash")
         with pytest.raises(OracleStateError, match="--oracles"):
             crash_only.restore_state(full.export_state())
-
-    def test_legacy_bare_crash_state_loads_into_crash_only_pipeline(self):
-        oracle = CrashOracle("duckdb")
-        oracle.observe(_crash_outcome(), CaseInfo("P1.2", "repeat"), 7)
-        legacy = oracle.export_state()
-        pipeline = build_pipeline(dialect_by_name("duckdb"), "crash")
-        pipeline.restore_state(legacy)
-        assert len(pipeline.get("crash").bugs) == 1
-        full = build_pipeline(dialect_by_name("duckdb"), ALL_ORACLES)
-        with pytest.raises(OracleStateError, match="legacy"):
-            full.restore_state(legacy)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +254,7 @@ class TestLogicFlawDiscovery:
         kwargs = dict(budget=2_000, seed=3, oracles=ALL_ORACLES)
         full = run_campaign("duckdb", checkpoint_path=path, checkpoint_every=500,
                             **kwargs)
-        resumed = run_campaign("duckdb", resume=path, **kwargs)
+        resumed = run_campaign("duckdb", checkpoint_path=path, resume=True, **kwargs)
         assert resumed.signature() == full.signature()
         assert [f.signature_tuple() for f in resumed.findings] == \
             [f.signature_tuple() for f in full.findings]

@@ -375,9 +375,11 @@ class TestCheckpointResume:
         run_campaign("duckdb", budget=600, seed=3, checkpoint_path=path,
                      checkpoint_every=200)
         with pytest.raises(CheckpointError):
-            run_campaign("duckdb", budget=600, seed=4, resume=path)
+            run_campaign("duckdb", budget=600, seed=4, checkpoint_path=path,
+                         resume=True)
         with pytest.raises(CheckpointError):
-            run_campaign("monetdb", budget=600, seed=3, resume=path)
+            run_campaign("monetdb", budget=600, seed=3, checkpoint_path=path,
+                         resume=True)
         # every field that shapes the stream or the result is checked,
         # and the error names it
         for field, options in [
@@ -386,18 +388,18 @@ class TestCheckpointResume:
             ("budgets", dict(budgets="depth=64")),
         ]:
             with pytest.raises(CheckpointError, match=f"'{field}'"):
-                run_campaign("duckdb", budget=600, seed=3, resume=path,
-                             **options)
+                run_campaign("duckdb", budget=600, seed=3, checkpoint_path=path,
+                             resume=True, **options)
         # a faulted checkpoint resumes only under the same fault schedule
         faulted_path = str(tmp_path / "faulted.json")
         faulted = dict(budget=600, seed=3, faults=FAULT_SPEC, fault_seed=5)
         run_campaign("duckdb", checkpoint_path=faulted_path,
                      checkpoint_every=200, **faulted)
         with pytest.raises(CheckpointError, match="'fault_seed'"):
-            run_campaign("duckdb", resume=faulted_path,
+            run_campaign("duckdb", checkpoint_path=faulted_path, resume=True,
                          **dict(faulted, fault_seed=6))
         with pytest.raises(CheckpointError, match="'faults'"):
-            run_campaign("duckdb", resume=faulted_path,
+            run_campaign("duckdb", checkpoint_path=faulted_path, resume=True,
                          **dict(faulted, faults=None))
 
     def test_resume_is_identical_to_uninterrupted_run(self, tmp_path):
@@ -406,7 +408,7 @@ class TestCheckpointResume:
         full = run_campaign("duckdb", checkpoint_path=path, checkpoint_every=700, **kwargs)
         cp = CampaignCheckpoint.load(path)
         assert 0 < cp.progress["executed"] < 2000
-        resumed = run_campaign("duckdb", resume=path, **kwargs)
+        resumed = run_campaign("duckdb", checkpoint_path=path, resume=True, **kwargs)
         assert resumed.signature() == full.signature()
         assert resumed.elapsed_seconds == pytest.approx(full.elapsed_seconds)
 
@@ -418,7 +420,7 @@ class TestCheckpointResume:
         full = run_campaign("duckdb", checkpoint_path=path, checkpoint_every=100, **kwargs)
         cp = CampaignCheckpoint.load(path)
         assert cp.progress["executed"] < full.seeds_collected
-        resumed = run_campaign("duckdb", resume=path, **kwargs)
+        resumed = run_campaign("duckdb", checkpoint_path=path, resume=True, **kwargs)
         assert resumed.signature() == full.signature()
 
     def test_resume_with_a_ready_made_injector(self, tmp_path):
@@ -433,14 +435,15 @@ class TestCheckpointResume:
             return Campaign(dialect_by_name("duckdb"), config=config)
 
         full = campaign(checkpoint_path=path, checkpoint_every=300).run()
-        resumed = campaign().run(resume=path)
+        resumed = campaign(checkpoint_path=path).run(resume=True)
         assert resumed.signature() == full.signature()
 
     def test_resume_with_coverage_restores_metrics(self, tmp_path):
         path = str(tmp_path / "cp.json")
         kwargs = dict(budget=800, seed=2, enable_coverage=True)
         full = run_campaign("monetdb", checkpoint_path=path, checkpoint_every=300, **kwargs)
-        resumed = run_campaign("monetdb", resume=path, **kwargs)
+        resumed = run_campaign("monetdb", checkpoint_path=path, resume=True,
+                               **kwargs)
         assert resumed.branch_coverage == full.branch_coverage
         assert resumed.triggered_functions == full.triggered_functions
 
@@ -534,6 +537,53 @@ class TestCLIFlags:
         assert code == 1
         assert "error:" in out and "--statement-family" in out
         assert "'statement_family'" not in out
+
+    def test_sharded_resume_of_a_missing_checkpoint_fails(self, tmp_path, capsys):
+        from repro.cli import main
+
+        missing = str(tmp_path / "missing.json")
+        code = main(["run", "duckdb", "--budget", "600", "--jobs", "2",
+                     "--resume", missing])
+        assert code == 1
+        assert "error:" in capsys.readouterr().out
+
+    def test_serial_resume_keeps_checkpointing(self, tmp_path, capsys):
+        from repro.cli import main
+
+        class Killed(Exception):
+            pass
+
+        def kill(snapshot):
+            if snapshot["position"] >= 400:
+                raise Killed
+
+        path = str(tmp_path / "cp.json")
+        campaign = Campaign(
+            dialect_by_name("duckdb"),
+            config=CampaignConfig(dialect="duckdb", budget=900, seed=3,
+                                  checkpoint_path=path, checkpoint_every=200),
+        )
+        campaign.on_progress = kill
+        with pytest.raises(Killed):
+            campaign.run()
+        killed_at = CampaignCheckpoint.load(path).progress["position"]
+        assert 0 < killed_at < 400
+        assert main(["run", "duckdb", "--budget", "900", "--seed", "3",
+                     "--checkpoint-every", "200", "--resume", path]) == 0
+        assert CampaignCheckpoint.load(path).progress["position"] > killed_at
+
+    def test_checkpoint_and_resume_must_name_one_file(self, tmp_path, capsys):
+        from repro.cli import main
+
+        saved, other = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+        assert main(["run", "duckdb", "--budget", "600", "--seed", "3",
+                     "--checkpoint", saved, "--checkpoint-every", "200"]) == 0
+        capsys.readouterr()
+        code = main(["run", "duckdb", "--budget", "600", "--seed", "3",
+                     "--checkpoint", other, "--resume", saved])
+        assert code == 1
+        assert "error:" in capsys.readouterr().out
+        assert not os.path.exists(other)
 
     def test_fuzz_bad_fault_spec_is_reported(self, capsys):
         from repro.cli import main

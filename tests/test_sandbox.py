@@ -327,7 +327,7 @@ class TestSandboxCampaign:
                       sandbox=SandboxConfig(quarantine=(sql0,)))
         full = run_campaign("duckdb", checkpoint_path=path, checkpoint_every=150,
                             **kwargs)
-        resumed = run_campaign("duckdb", resume=path, **kwargs)
+        resumed = run_campaign("duckdb", checkpoint_path=path, resume=True, **kwargs)
         assert resumed.signature() == full.signature()
         assert resumed.skipped_statements == full.skipped_statements >= 1
 

@@ -22,6 +22,8 @@ import urllib.request
 import pytest
 
 from repro.core import CampaignConfig, run_campaign
+from repro.core.campaign import load_checkpoints
+from repro.perf.parallel import ParallelCampaign
 from repro.robustness.chaos import SimulatedCrash, StorageFaultInjector
 from repro.service import BugService
 from repro.service.audit import ServiceAuditor
@@ -164,6 +166,13 @@ class TestServiceEndToEnd:
             {"kind": "campaign", "config": {"dialect": "duckdb", "bogus": 1}},
         )
         assert status == 400 and "bogus" in body["error"]
+        # a campaign resumes from its own checkpoint path, never a pointer
+        status, body = _request(
+            service, "POST", "/jobs",
+            {"kind": "campaign", "config": {"dialect": "duckdb"},
+             "resume": "elsewhere.ckpt"},
+        )
+        assert status == 400 and "config.checkpoint_path" in body["error"]
         status, body = _request(
             service, "POST", "/jobs", {"kind": "sabotage"}
         )
@@ -603,7 +612,89 @@ class TestDurabilityAndRecovery:
         pool.stop(drain=True)
         assert job.state == "queued"
         assert job.retries == 0  # drain is not a failure
-        assert job.params.get("resume") == job.checkpoint_path
+        # the next start resumes from the state saved at the config's path
+        assert load_checkpoints(job.config)
+
+    def test_interrupted_sharded_job_resumes(self, tmp_path):
+        path = str(tmp_path / "jobs.sqlite")
+        ckpt = str(tmp_path / "ckpt")
+        journal = JobJournal(path)
+        store = JobStore(journal=journal, checkpoint_dir=ckpt)
+        job = store.submit(
+            "campaign",
+            config=CampaignConfig(
+                dialect="virtuoso", budget=1_500, jobs=2, checkpoint_every=100
+            ),
+        )
+        assert store.claim(owner="doomed") is not None
+        # the doomed worker's shards save their state, then the host dies
+        interrupted = ParallelCampaign(config=job.config)
+        interrupted._stop_after = 150
+        assert interrupted.run().queries_executed < 1_500
+        journal.close()
+
+        reborn = JobStore(
+            journal=JobJournal(path), checkpoint_dir=ckpt, backoff_base=0.0
+        )
+        assert reborn.recover()["requeued"] == [job.job_id]
+        twin = reborn.get(job.job_id)
+        repo = BugRepository(str(tmp_path / "bugs.sqlite"), minimize=False)
+        pool = SchedulerPool(reborn, repo, workers=1).start()
+        try:
+            end = time.monotonic() + 60
+            while twin.state != "done" and time.monotonic() < end:
+                time.sleep(0.02)
+            assert twin.state == "done", twin.error
+            assert twin.summary["resumed"] is True
+            control = run_scheduled(twin.config.replace(checkpoint_path=None))
+            assert twin.summary["signature_digest"] == signature_digest(control)
+        finally:
+            pool.stop(drain=False)
+
+    def test_drained_job_with_an_old_format_checkpoint_starts_over(
+        self, tmp_path
+    ):
+        path = str(tmp_path / "jobs.sqlite")
+        ckpt = str(tmp_path / "ckpt")
+        journal = JobJournal(path)
+        store = JobStore(journal=journal, checkpoint_dir=ckpt)
+        repo = BugRepository(str(tmp_path / "bugs.sqlite"), minimize=False)
+        pool = SchedulerPool(store, repo, workers=1).start()
+        job = store.submit(
+            "campaign",
+            config=CampaignConfig(
+                dialect="virtuoso", budget=3_000, checkpoint_every=200
+            ),
+        )
+        end = time.monotonic() + 30
+        while not os.path.exists(job.checkpoint_path) and time.monotonic() < end:
+            time.sleep(0.02)
+        pool.stop(drain=True)
+        assert job.state == "queued"
+        # an upgrade leaves the checkpoint in an older, unloadable format
+        with open(job.checkpoint_path, encoding="utf-8") as handle:
+            payload = json.load(handle)
+        payload["version"] = 2
+        with open(job.checkpoint_path, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle)
+        journal.close()
+
+        reborn = JobStore(
+            journal=JobJournal(path), checkpoint_dir=ckpt, backoff_base=0.0
+        )
+        reborn.recover()
+        twin = reborn.get(job.job_id)
+        pool = SchedulerPool(reborn, repo, workers=1).start()
+        try:
+            end = time.monotonic() + 60
+            while twin.state not in TERMINAL_STATES and time.monotonic() < end:
+                time.sleep(0.02)
+            assert twin.state == "done", twin.error
+            assert twin.retries == 0
+            control = run_scheduled(twin.config.replace(checkpoint_path=None))
+            assert twin.summary["signature_digest"] == signature_digest(control)
+        finally:
+            pool.stop(drain=False)
 
 
 class TestServiceOverloadProtection:
