@@ -564,15 +564,18 @@ class Campaign:
         def record(outcome: Outcome, case: CaseInfo, position: int) -> None:
             self._record(result, pipeline, outcome, case, position)
 
-        def checkpoint(position: int) -> None:
+        def advance(position: int) -> None:
+            # a save due at this position lands before on_progress fires,
+            # so a hook that stops the run (drain, preempt) loses nothing
             self._maybe_checkpoint(runner, pipeline, result, return_types, position)
+            self._report_progress(result, position)
 
         try:
             # step 0: the regression-suite seeds, observing each function's
             # result type (used to order partner enumeration)
             position = run_seed_phase(
                 runner, containment, seeds, config.budget, return_types,
-                record, skip=skip, after=checkpoint,
+                record, skip=skip, after=advance,
             )
             engine = PatternEngine(
                 seeds,
@@ -592,6 +595,7 @@ class Campaign:
                 )
                 record(outcome, info, position)
                 position += 1
+                advance(position)
                 if (
                     config.stop_when_all_found
                     and expected
@@ -599,7 +603,6 @@ class Campaign:
                     and crash_oracle.recall_against(expected) >= 1.0
                 ):
                     break
-                checkpoint(position)
         except ServerQuarantined as exc:
             # the in-flight statement never completed; keep the outcome
             # accounting consistent with queries_executed
@@ -629,14 +632,18 @@ class Campaign:
         if self.on_finding is not None:
             for finding in found:
                 self.on_finding(finding, position)
+
+    def _report_progress(self, result: CampaignResult, position: int) -> None:
+        """Fire ``on_progress`` when *position*, the next stream position,
+        is a multiple of ``progress_every``."""
         if (
             self.on_progress is not None
             and self.progress_every > 0
-            and (position + 1) % self.progress_every == 0
+            and position % self.progress_every == 0
         ):
             self.on_progress(
                 {
-                    "position": position + 1,
+                    "position": position,
                     "budget": self.config.budget,
                     "outcomes": dict(result.outcomes),
                 }

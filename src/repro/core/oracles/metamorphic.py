@@ -121,9 +121,11 @@ def _partitionable(stmt: Statement) -> bool:
     return isinstance(stmt, Select) and stmt.where is not None and bool(stmt.from_)
 
 
-def parsed_statements(outcome: Outcome) -> List[Statement]:
+def parsed_statements(outcome: Outcome) -> Sequence[Statement]:
     """``outcome.sql`` parsed once per outcome, for every oracle that asks.
 
+    An in-process run hands over the parse it executed
+    (``Outcome.statements``), so only sandboxed outcomes are parsed here.
     The parse goes through ``engine.connection.parse_statements``, the
     engine's own entry point, looked up at call time so that anything
     wrapping it (``benchmarks/e2e/trace.py``) sees this parse too.  Text

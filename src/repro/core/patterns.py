@@ -42,7 +42,7 @@ from ..sqlast import (
     parse_expression,
     to_sql,
 )
-from ..sqlast.visitor import clone, count_function_calls, replace_node
+from ..sqlast.visitor import count_function_calls
 from .clauses import comparison_bound_texts
 from .collect import Seed
 from .literals import boundary_literals, boundary_repeat_counts
@@ -82,10 +82,12 @@ class GeneratedCase:
     """One generated test statement.
 
     The statement text is materialized lazily: pattern generators describe
-    the AST surgery as a thunk, and the clone/splice/print work only runs
-    when :attr:`sql` is first read.  Parallel shard workers enumerate the
-    full generation stream but execute only their own shard's cases, so
-    skipped cases must cost an allocation, not a tree build.
+    the AST surgery as a thunk, and the splice/print work only runs when
+    :attr:`sql` is first read.  The thunks build a new call around the
+    seed's own argument nodes (see :func:`_with_arg`) instead of copying
+    the seed.  Parallel shard workers enumerate the full generation stream
+    but execute only their own shard's cases, so skipped cases must cost
+    an allocation, not a tree build.
     """
 
     __slots__ = ("_sql", "_build", "pattern", "seed_function", "seed_family")
@@ -130,6 +132,15 @@ class GeneratedCase:
 
 def _as_statement(expr: Expr) -> str:
     return f"SELECT {to_sql(expr)};"
+
+
+def _with_arg(call: FuncCall, index: int, replacement: Expr) -> FuncCall:
+    """*call* with argument *index* replaced.  The other arguments (and
+    *replacement*) are shared, not copied: a generated tree is only
+    printed, never changed."""
+    args = list(call.args)
+    args[index] = replacement
+    return FuncCall(call.name, args, distinct=call.distinct)
 
 
 def _literal_args(call: FuncCall) -> List[int]:
@@ -370,9 +381,9 @@ class PatternEngine:
             for literal in self.pool:
                 # default-arg binding freezes the loop variables per case
                 def build(seed=seed, arg_index=arg_index, literal=literal):
-                    tree = clone(seed.expression)
-                    replace_node(tree, tree.args[arg_index], clone(literal))
-                    return _as_statement(tree)
+                    return _as_statement(
+                        _with_arg(seed.expression, arg_index, literal)
+                    )
 
                 yield GeneratedCase.deferred(
                     build, "P1.2", seed.function, seed.family
@@ -402,9 +413,9 @@ class PatternEngine:
                     ):
                         mutated = text[:position] + run + text[position + 1 :]
                         replacement = self._reparse_literal(mutated, quote=quote)
-                        tree = clone(seed.expression)
-                        replace_node(tree, tree.args[arg_index], replacement)
-                        return _as_statement(tree)
+                        return _as_statement(
+                            _with_arg(seed.expression, arg_index, replacement)
+                        )
 
                     yield GeneratedCase.deferred(
                         build, "P1.3", seed.function, seed.family
@@ -444,9 +455,9 @@ class PatternEngine:
                             + text[position + 1 :]
                         )
                         replacement = self._reparse_literal(mutated, quote=quote)
-                        tree = clone(seed.expression)
-                        replace_node(tree, tree.args[arg_index], replacement)
-                        return _as_statement(tree)
+                        return _as_statement(
+                            _with_arg(seed.expression, arg_index, replacement)
+                        )
 
                     yield GeneratedCase.deferred(
                         build, "P1.4", seed.function, seed.family
@@ -474,14 +485,9 @@ class PatternEngine:
         for arg_index in range(len(seed.expression.args)):
             for target in CAST_TARGETS:
                 def build(seed=seed, arg_index=arg_index, target=target):
-                    tree = clone(seed.expression)
-                    original = tree.args[arg_index]
-                    replace_node(
-                        tree,
-                        original,
-                        Cast(original, TypeName(target.name, list(target.params))),
-                    )
-                    return _as_statement(tree)
+                    call = seed.expression
+                    cast = Cast(call.args[arg_index], target)
+                    return _as_statement(_with_arg(call, arg_index, cast))
 
                 yield GeneratedCase.deferred(
                     build, "P2.1", seed.function, seed.family
@@ -501,23 +507,17 @@ class PatternEngine:
         for arg_index in range(len(seed.expression.args)):
             for other in others:
                 def build(seed=seed, arg_index=arg_index, other=other):
-                    tree = clone(seed.expression)
-                    original = tree.args[arg_index]
-                    if other is None:
-                        union: SetOp = SetOp(
-                            "UNION",
-                            Select([SelectItem(original)]),
-                            Select([SelectItem(clone(original))]),
-                            all=True,
-                        )
-                    else:
-                        union = SetOp(
-                            "UNION",
-                            Select([SelectItem(original)]),
-                            Select([SelectItem(clone(other))]),
-                        )
-                    replace_node(tree, original, SubqueryExpr(union))
-                    return _as_statement(tree)
+                    call = seed.expression
+                    original = call.args[arg_index]
+                    union = SetOp(
+                        "UNION",
+                        Select([SelectItem(original)]),
+                        Select([SelectItem(original if other is None else other)]),
+                        all=other is None,
+                    )
+                    return _as_statement(
+                        _with_arg(call, arg_index, SubqueryExpr(union))
+                    )
 
                 yield GeneratedCase.deferred(
                     build, "P2.2", seed.function, seed.family
@@ -534,9 +534,7 @@ class PatternEngine:
         for donor in self._donors:
             for arg_index in range(arity):
                 def build(call=call, arg_index=arg_index, donor=donor):
-                    tree = clone(call)
-                    replace_node(tree, tree.args[arg_index], clone(donor))
-                    return _as_statement(tree)
+                    return _as_statement(_with_arg(call, arg_index, donor))
 
                 yield GeneratedCase.deferred(
                     build, "P2.3", seed.function, seed.family
@@ -547,9 +545,7 @@ class PatternEngine:
             if partner_args and len(partner_args) == arity:
                 def build(call=call, partner_args=partner_args):
                     tree = FuncCall(
-                        call.name,
-                        [clone(a) for a in partner_args],
-                        distinct=call.distinct,
+                        call.name, list(partner_args), distinct=call.distinct
                     )
                     return _as_statement(tree)
 
@@ -576,12 +572,12 @@ class PatternEngine:
                     def build(
                         seed=seed, arg_index=arg_index, prefix=prefix, count=count
                     ):
-                        tree = clone(seed.expression)
                         repeat = FuncCall(
                             "REPEAT", [StringLit(prefix), IntegerLit(str(count))]
                         )
-                        replace_node(tree, tree.args[arg_index], repeat)
-                        return _as_statement(tree)
+                        return _as_statement(
+                            _with_arg(seed.expression, arg_index, repeat)
+                        )
 
                     yield GeneratedCase.deferred(
                         build, "P3.1", seed.function, seed.family
@@ -600,13 +596,9 @@ class PatternEngine:
                 continue
             for arg_index in range(len(call.args)):
                 def build(call=call, arg_index=arg_index, inner_proto=inner_proto):
-                    tree = clone(call)
-                    original = tree.args[arg_index]
-                    inner_args: List[Expr] = [original]
-                    inner_args.extend(clone(a) for a in inner_proto.args[1:])
+                    inner_args = [call.args[arg_index], *inner_proto.args[1:]]
                     wrapped = FuncCall(inner_proto.name, inner_args)
-                    replace_node(tree, original, wrapped)
-                    return _as_statement(tree)
+                    return _as_statement(_with_arg(call, arg_index, wrapped))
 
                 yield GeneratedCase.deferred(
                     build, "P3.2", seed.function, seed.family
@@ -624,11 +616,9 @@ class PatternEngine:
                 continue
             for arg_index in range(len(call.args)):
                 def build(call=call, arg_index=arg_index, partner=partner):
-                    tree = clone(call)
-                    replace_node(
-                        tree, tree.args[arg_index], clone(partner.expression)
+                    return _as_statement(
+                        _with_arg(call, arg_index, partner.expression)
                     )
-                    return _as_statement(tree)
 
                 yield GeneratedCase.deferred(
                     build, "P3.3", seed.function, seed.family

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from ..dialects.base import Dialect
 from ..engine.connection import (
@@ -78,10 +78,10 @@ class Outcome:
     #: result-set fingerprint, computed only when an oracle asks for it
     #: (Runner.capture_fingerprints) — None otherwise
     fingerprint: Optional["ResultFingerprint"] = None
-    #: parse of ``sql``, made on first use by the oracles that re-execute
-    #: the statement (metamorphic.parsed_statements) and shared by all of
-    #: them — None until one asks
-    statements: Optional[List[Statement]] = None
+    #: parse of ``sql``, shared by the oracles that re-execute the
+    #: statement: the parse the in-process run made, or (sandboxed runs)
+    #: made on first use by metamorphic.parsed_statements — None until then
+    statements: Optional[Sequence[Statement]] = None
 
     @property
     def is_crash(self) -> bool:
@@ -259,7 +259,14 @@ class Runner:
         fingerprint = (
             fingerprint_result(result) if self.capture_fingerprints else None
         )
-        return Outcome("ok", sql, result_type=result_type, fingerprint=fingerprint)
+        # an in-process run parsed sql already; its parse is the oracles' too
+        statements = (
+            self.connection.last_statements if self.sandbox is None else None
+        )
+        return Outcome(
+            "ok", sql, result_type=result_type, fingerprint=fingerprint,
+            statements=statements,
+        )
 
     def _count(self, kind: str) -> None:
         self.fault_counters[kind] = self.fault_counters.get(kind, 0) + 1

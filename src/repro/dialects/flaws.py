@@ -61,6 +61,7 @@ from ..engine.values import (
     SQLString,
     SQLValue,
     is_numeric,
+    numeric_value,
 )
 
 Trigger = Callable[[ExecutionContext, List[SQLValue]], bool]
@@ -236,9 +237,7 @@ def trig_zero_div(index: int = 1) -> Trigger:
         value = _arg(args, index)
         if value is None or not is_numeric(value):
             return False
-        from ..engine.values import numeric_as_decimal
-
-        return numeric_as_decimal(value) == 0
+        return numeric_value(value) == 0
 
     return trigger
 
@@ -248,9 +247,7 @@ def trig_negative(index: int = 0) -> Trigger:
         value = _arg(args, index)
         if value is None or not is_numeric(value):
             return False
-        from ..engine.values import numeric_as_decimal
-
-        return numeric_as_decimal(value) < 0
+        return numeric_value(value) < 0
 
     return trigger
 
@@ -260,9 +257,7 @@ def trig_big_value(threshold: int, index: int = 0) -> Trigger:
         value = _arg(args, index)
         if value is None or not is_numeric(value):
             return False
-        from ..engine.values import numeric_as_decimal
-
-        return numeric_as_decimal(value) >= threshold
+        return numeric_value(value) >= threshold
 
     return trigger
 

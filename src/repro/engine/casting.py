@@ -50,6 +50,8 @@ from .values import (
     int_text,
     is_numeric,
     numeric_as_decimal,
+    numeric_as_float,
+    numeric_value,
     validate_civil,
 )
 
@@ -225,7 +227,7 @@ def _to_decimal(ctx: "ExecutionContext", value: SQLValue, tn: TypeName) -> SQLVa
 def _to_double(ctx: "ExecutionContext", value: SQLValue, tn: TypeName) -> SQLValue:
     if is_numeric(value):
         try:
-            return SQLDouble(float(numeric_as_decimal(value)))
+            return SQLDouble(numeric_as_float(value))
         except OverflowError:
             raise ValueError_("value out of double range")
     if isinstance(value, SQLString):
@@ -264,7 +266,7 @@ def _to_boolean(ctx: "ExecutionContext", value: SQLValue, tn: TypeName) -> SQLVa
     if isinstance(value, SQLBoolean):
         return value
     if is_numeric(value):
-        return TRUE if numeric_as_decimal(value) != 0 else FALSE
+        return TRUE if numeric_value(value) != 0 else FALSE
     if isinstance(value, SQLString):
         word = value.value.strip().lower()
         if word in ("t", "true", "yes", "on", "1"):
@@ -364,6 +366,8 @@ def _to_json(ctx: "ExecutionContext", value: SQLValue, tn: TypeName) -> SQLValue
             function="cast_to_json",
         )
         return SQLJson(document)
+    if isinstance(value, (SQLInteger, SQLBoolean)):
+        return SQLJson(int(value.value))
     if is_numeric(value):
         dec = numeric_as_decimal(value)
         if not dec.is_finite():

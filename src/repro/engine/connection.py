@@ -140,6 +140,10 @@ class Connection:
 
     def __init__(self, server: Server) -> None:
         self.server = server
+        #: the statements the last :meth:`execute_parsed` call ran (the
+        #: parse it made, or the one it was given); the runner hands it to
+        #: the oracles that re-execute a statement
+        self.last_statements: Optional[Sequence[n.Statement]] = None
 
     # ------------------------------------------------------------------
     def execute(self, sql: str) -> Result:
@@ -178,6 +182,7 @@ class Connection:
                 hook.on_execute(self, sql)
             if statements is None:
                 statements = self._parse(sql)
+            self.last_statements = statements
             result = Result()
             executor = Executor(ctx, server.database)
             for stmt in statements:

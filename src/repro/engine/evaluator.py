@@ -52,6 +52,7 @@ from .values import (
     is_numeric,
     literal_to_int,
     numeric_as_decimal,
+    numeric_as_float,
     numeric_as_int,
 )
 
@@ -546,7 +547,7 @@ def _as_double(value: SQLValue) -> float:
             return float(value.value.strip() or "0")
         except ValueError:
             return 0.0
-    return float(numeric_as_decimal(value))
+    return numeric_as_float(value)
 
 
 def apply_binary(ctx: ExecutionContext, op: str, left: SQLValue, right: SQLValue) -> SQLValue:
@@ -759,8 +760,16 @@ def _comparison(ctx: ExecutionContext, op: str, left: SQLValue, right: SQLValue)
     return TRUE if result else FALSE
 
 
+#: the value types whose ``value`` is a Python int (``bool`` is one)
+_INTEGRAL = (SQLInteger, SQLBoolean)
+
+
 def compare_values(ctx: ExecutionContext, left: SQLValue, right: SQLValue) -> int:
     """Three-way comparison; raises ``TypeError_`` for incomparable types."""
+    if isinstance(left, _INTEGRAL) and isinstance(right, _INTEGRAL):
+        # integers compare as ints: Decimal(int) is quadratic in the digits
+        a, b = left.value, right.value
+        return (a > b) - (a < b)
     if is_numeric(left) and is_numeric(right):
         a, b = numeric_as_decimal(left), numeric_as_decimal(right)
         if a.is_nan() or b.is_nan():
@@ -771,10 +780,10 @@ def compare_values(ctx: ExecutionContext, left: SQLValue, right: SQLValue) -> in
             return 1 if a.is_nan() else -1
         return (a > b) - (a < b)
     if is_numeric(left) and isinstance(right, SQLString):
-        a, b = float(numeric_as_decimal(left)), _as_double(right)
+        a, b = numeric_as_float(left), _as_double(right)
         return (a > b) - (a < b)
     if isinstance(left, SQLString) and is_numeric(right):
-        a, b = _as_double(left), float(numeric_as_decimal(right))
+        a, b = _as_double(left), numeric_as_float(right)
         return (a > b) - (a < b)
     if isinstance(left, SQLString) and isinstance(right, SQLString):
         return (left.value > right.value) - (left.value < right.value)

@@ -10,6 +10,7 @@ for MariaDB-style crashes where non-geometry byte blobs (e.g. the output of
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -132,6 +133,11 @@ def _fmt(value: float) -> str:
 # ---------------------------------------------------------------------------
 # WKT parsing
 # ---------------------------------------------------------------------------
+#: a run of word characters that are neither digits nor ``_`` -- every
+#: letter, and a few other alphanumerics (see :meth:`_WktScanner.word`)
+_LETTER_RUN = re.compile(r"[^\W\d_]*")
+
+
 class _WktScanner:
     def __init__(self, text: str) -> None:
         self.text = text
@@ -142,10 +148,21 @@ class _WktScanner:
             self.pos += 1
 
     def word(self) -> str:
+        """The run of letters (``str.isalpha``) at the cursor, upper-cased.
+
+        One compiled match finds the run of word characters that are not
+        digits or ``_``; when all of them are letters, that is the run.
+        Such a run can also hold a word character that is not a letter
+        (``²``, ``Ⅳ``); then the per-character loop decides.
+        """
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isalpha():
-            self.pos += 1
+        end = _LETTER_RUN.match(self.text, start).end()
+        if self.text[start:end].isalpha():
+            self.pos = end
+        else:
+            while self.pos < len(self.text) and self.text[self.pos].isalpha():
+                self.pos += 1
         return self.text[start : self.pos].upper()
 
     def expect(self, ch: str) -> None:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import decimal
 import functools
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -113,7 +114,8 @@ class SQLInteger(SQLValue):
         return render_int(self.value)
 
     def sort_key(self) -> Tuple:
-        return ("num", decimal.Decimal(self.value))
+        # an int key, not Decimal(value): it compares and hashes the same
+        return ("num", self.value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -563,6 +565,27 @@ def numeric_as_decimal(value: SQLValue) -> decimal.Decimal:
     raise TypeError_(f"{value.type_name} is not numeric")
 
 
+def numeric_value(value: SQLValue) -> Union[int, decimal.Decimal]:
+    """The exact value of a numeric: an ``int`` for integers and booleans
+    (no ``Decimal(int)``, which is quadratic), else
+    :func:`numeric_as_decimal`.  Both compare exactly with ints."""
+    if isinstance(value, (SQLInteger, SQLBoolean)):
+        return int(value.value)
+    return numeric_as_decimal(value)
+
+
+def numeric_as_float(value: SQLValue) -> float:
+    """``float(numeric_as_decimal(value))`` without widening integers
+    first: ``float(int)`` rounds the same way, and an integer past a
+    double's range gives the signed infinity the Decimal gave."""
+    if isinstance(value, SQLInteger):
+        try:
+            return float(value.value)
+        except OverflowError:
+            return math.inf if value.value > 0 else -math.inf
+    return float(numeric_as_decimal(value))
+
+
 # ---------------------------------------------------------------------------
 # the big-number boundary: Decimal / digit text -> int
 #
@@ -571,16 +594,30 @@ def numeric_as_decimal(value: SQLValue) -> decimal.Decimal:
 # ~0.4 s at 10^5 digits, and ``int(str)`` refuses more than 4,300 digits.
 # Every engine site that turns a Decimal or a digit string into an int goes
 # through these two functions instead.  Both are exact; below a few
-# thousand digits they are the plain built-in call.  Longer digit texts go
-# through a small LRU memo: the boundary-literal pool hands the same
-# 10^5-digit text to many functions, so a campaign converts a dozen
-# distinct texts dozens of times.
+# thousand digits they are the plain built-in call.
+#
+# Longer digit texts are nearly always built by repetition (Pattern 3.1's
+# ``REPEAT(prefix, 99999)``), so they start with a long run of one short
+# unit, or end in a long run of zeros.  Such a run converts in one power of
+# ten: ``k`` copies of a ``w``-digit unit are ``unit * (10**(w*k) - 1) //
+# (10**w - 1)``, and ``z`` trailing zeros are a factor ``10**z``.  What is
+# left goes through divide and conquer, which is subquadratic too.  A small
+# LRU memo sits on top: the boundary-literal pool hands the same 10^5-digit
+# text to many functions, so a campaign converts a dozen distinct texts
+# dozens of times.
+#
+# Integers are compared, ordered and hashed as ``int`` (``SQLInteger.
+# sort_key`` is ``("num", int)``): Python compares ``int`` with ``Decimal``
+# exactly and ``hash(Decimal(n)) == hash(n)``, while ``Decimal(int)`` is
+# quadratic too.
 # ---------------------------------------------------------------------------
 #: digit-text length that ``int()`` converts directly (under 4,300, the
 #: interpreter's default int<->str limit)
 _INT_CHUNK_DIGITS = 2000
 #: integer digits below which ``int(Decimal)`` is already cheap
 _INT_FAST_DIGITS = 3000
+#: longest repeated unit :func:`_big_digits_to_int` looks for
+_RUN_UNIT_DIGITS = 16
 
 
 def digits_to_int(text: str) -> int:
@@ -594,13 +631,83 @@ def digits_to_int(text: str) -> int:
     return _big_digits_to_int(text)
 
 
+def _pow10(n: int) -> int:
+    """``10**n``, formed as ``5**n << n`` (a smaller power to raise)."""
+    return 5**n << n
+
+
 @functools.lru_cache(maxsize=8)
 def _big_digits_to_int(text: str) -> int:
+    """``int(text)`` for a long text: trailing zeros and a leading run of a
+    repeated unit are converted in one power each (see the comment block
+    above), the rest by :func:`_digits_by_halves`.  Only all-decimal texts
+    take the shortcuts, so a malformed text raises the ``ValueError`` it
+    always raised, and is not cached.
+    """
+    if not text.isdecimal():
+        return _digits_by_halves(text)
+    core = text.rstrip("0")
+    zeros = len(text) - len(core)
+    if zeros <= _INT_CHUNK_DIGITS:
+        return _periodic_digits_to_int(text)
+    if not core:
+        return 0
+    return _periodic_digits_to_int(core) * _pow10(zeros)
+
+
+def _periodic_digits_to_int(text: str) -> int:
+    """``int(text)`` for decimal digits, converting the longest leading run
+    of copies of one unit of at most ``_RUN_UNIT_DIGITS`` digits as a
+    repunit multiple when that run is longer than ``_INT_CHUNK_DIGITS``."""
+    if len(text) <= _INT_CHUNK_DIGITS:
+        return int(text)
+    limit = len(text) - _INT_CHUNK_DIGITS
+    width = run = 0
+    for candidate in range(1, _RUN_UNIT_DIGITS + 1):
+        length = _periodic_prefix(text, candidate)
+        if length > run:
+            width, run = candidate, length
+            if run >= limit:
+                break  # what is left is one int() call
+    if run <= _INT_CHUNK_DIGITS:
+        return _digits_by_halves(text)
+    value = int(text[:width]) * (_pow10(run) - 1) // (_pow10(width) - 1)
+    rest = text[run:]
+    if not rest:
+        return value
+    return value * _pow10(len(rest)) + _digits_by_halves(rest)
+
+
+def _periodic_prefix(text: str, width: int) -> int:
+    """Length of the longest prefix of *text* made of whole copies of
+    ``text[:width]``: a prefix of ``m`` characters is such a run exactly
+    when ``text[width:m] == text[:m - width]``.  Doubling, then bisection,
+    finds the longest run in logarithmically many slice comparisons.
+    *text* is longer than *width*."""
+    n = len(text)
+
+    def periodic(copies: int) -> bool:
+        m = copies * width
+        return m <= n and text[width:m] == text[: m - width]
+
+    good, bad = 1, 2
+    while periodic(bad):
+        good, bad = bad, bad * 2
+    while bad - good > 1:
+        middle = (good + bad) // 2
+        if periodic(middle):
+            good = middle
+        else:
+            bad = middle
+    return good * width
+
+
+def _digits_by_halves(text: str) -> int:
     """Divide and conquer: the high half times ``10**k`` plus the low ``k``
     digits, with ``10**k`` formed as ``5**k << k``.  With Karatsuba
     multiplication this is subquadratic, and it never meets the
     interpreter's int<->str digit limit.  The powers are memoized for this
-    call only; a malformed text raises ``ValueError`` and is not cached.
+    call only.
     """
     fives: Dict[int, int] = {}
 

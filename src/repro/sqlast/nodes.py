@@ -2,8 +2,10 @@
 
 Every node derives from :class:`Node` and implements ``children()`` so that
 generic traversal (:mod:`repro.sqlast.visitor`) works without per-node code.
-Nodes are plain mutable dataclasses: SOFT's pattern transformations clone the
-tree (:func:`repro.sqlast.visitor.clone`) and then splice replacements in.
+Nodes are plain mutable dataclasses: the PoC minimizer clones a tree
+(:func:`repro.sqlast.visitor.clone`) and then splices replacements in, while
+SOFT's pattern transformations build new calls around a seed's own nodes and
+never write through them.
 """
 
 from __future__ import annotations

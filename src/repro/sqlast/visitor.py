@@ -1,12 +1,12 @@
 """Generic AST traversal, cloning, and in-place transformation helpers.
 
-SOFT's patterns need three operations:
+SOFT's PoC minimizer and the optimizer need three operations:
 
 * :func:`walk` — preorder iteration over a tree;
-* :func:`clone` — structural deep copy so generated variants never alias
-  the seed;
-* :func:`replace` / :func:`transform` — splice a replacement subtree into a
-  cloned tree at a given position.
+* :func:`clone` — structural deep copy so a reduced candidate never aliases
+  the statement it came from;
+* :func:`replace_node` / :func:`transform` — splice a replacement subtree
+  into a cloned tree at a given position, or rewrite a fresh copy.
 
 Positions are identified by *node identity* after cloning: callers clone the
 seed once, walk the clone to pick targets, and mutate in place.

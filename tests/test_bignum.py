@@ -1,10 +1,14 @@
 """The engine's big-number boundary (``decimal_to_int`` / ``digits_to_int``).
 
 The boundary patterns feed built-ins 10^5-digit numeric strings.  These
-tests pin four things:
+tests pin five things:
 
 * the two conversions are exactly ``int()``, and long digit texts are
-  memoized (at most eight, never a short or malformed text);
+  memoized (at most eight, never a short or malformed text); repeated,
+  nearly repeated and zero-padded texts, which take the one-power
+  shortcuts, convert exactly as plain divide and conquer does;
+* integers compare, order and hash as ints exactly as they did as
+  Decimals, against every other numeric kind;
 * every converted engine site computes what its old ``int(Decimal)``
   formula computed, at 5,000 and 99,999 digits;
 * integers past the interpreter's 4,300-digit int<->str limit surface as
@@ -19,23 +23,33 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.campaign import Campaign
 from repro.core.collect import SeedCollector
 from repro.core.config import CampaignConfig
 from repro.dialects import all_dialect_classes, dialect_by_name
 from repro.engine import ServerCrashed
+from repro.engine.context import ExecutionContext
 from repro.engine.errors import SQLError
+from repro.engine.evaluator import compare_values
 from repro.engine.fingerprint import fingerprint_result
+from repro.engine.functions import build_base_registry
 from repro.engine.values import (
     DECIMAL_CONTEXT,
     NULL,
+    SQLBoolean,
+    SQLDecimal,
+    SQLDouble,
     SQLInteger,
     SQLInterval,
     SQLJson,
     _big_digits_to_int,
+    _digits_by_halves,
     decimal_to_int,
     digits_to_int,
+    numeric_as_decimal,
 )
 
 D = decimal.Decimal
@@ -131,6 +145,107 @@ class TestDigitsToIntMemo:
             with pytest.raises(ValueError):
                 digits_to_int(text)
         assert _big_digits_to_int.cache_info().currsize == 0
+
+
+@st.composite
+def repetitive_digits(draw):
+    """Digit texts shaped like the boundary patterns' arguments: leading
+    zeros, copies of a 1-16 digit unit filling about 2,000 or 8,000
+    digits, maybe one changed digit, a short tail and trailing zeros."""
+    unit = draw(st.text("0123456789", min_size=1, max_size=16))
+    length = draw(st.sampled_from([2000, 8000])) + draw(st.integers(-40, 40))
+    body = (unit * (length // len(unit) + 1))[:length]
+    if draw(st.booleans()):
+        at = draw(st.integers(0, length - 1))
+        body = body[:at] + draw(st.sampled_from("0123456789")) + body[at + 1:]
+    return (
+        "0" * draw(st.sampled_from([0, 1, 3]))
+        + body
+        + draw(st.text("0123456789", max_size=40))
+        + "0" * draw(st.sampled_from([0, 7, 1999, 2000, 2001, 2600]))
+    )
+
+
+class TestRepetitiveDigits:
+    """The one-power shortcuts agree with plain divide and conquer."""
+
+    @given(repetitive_digits())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_divide_and_conquer(self, text):
+        _big_digits_to_int.cache_clear()
+        assert digits_to_int(text) == _digits_by_halves(text)
+
+    @pytest.mark.parametrize("n", [2001, 2600, 8000])
+    def test_all_zeros(self, n):
+        assert digits_to_int("0" * n) == 0
+
+    def test_non_ascii_decimals_take_the_shortcut_exactly(self):
+        # int() reads every Unicode decimal digit; so does the shortcut
+        text = "\u0663" * 3000  # ARABIC-INDIC DIGIT THREE
+        assert digits_to_int(text) == 3 * repunit(3000)
+
+
+# ---------------------------------------------------------------------------
+# integers compared as ints agree with the Decimal path
+# ---------------------------------------------------------------------------
+def _decimal_compare(a, b):
+    """The three-way comparison of two numerics as Decimals, with NaN
+    after every number and equal to itself."""
+    x, y = numeric_as_decimal(a), numeric_as_decimal(b)
+    if x.is_nan() or y.is_nan():
+        return (x.is_nan() and not y.is_nan()) - (y.is_nan() and not x.is_nan())
+    return (x > y) - (x < y)
+
+
+def _decimal_key(value):
+    """``sort_key`` with an integer widened to Decimal."""
+    if isinstance(value, SQLInteger):
+        return ("num", D(value.value))
+    return value.sort_key()
+
+
+def _outcome_of(call):
+    try:
+        return ("value", call())
+    except Exception as exc:  # the Decimal path raises on NaN ordering
+        return ("raises", type(exc))
+
+
+_big_ints = st.integers(1, 10**4).flatmap(
+    lambda digits: st.integers(-(10**digits), 10**digits)
+)
+numerics = st.one_of(
+    _big_ints.map(SQLInteger),
+    st.integers(-3, 3).map(SQLInteger),
+    st.booleans().map(SQLBoolean),
+    st.decimals(allow_nan=False, allow_infinity=False, places=3).map(SQLDecimal),
+    _big_ints.map(lambda n: SQLDecimal(D(n).scaleb(-2, DECIMAL_CONTEXT))),
+    st.floats(allow_nan=False, allow_infinity=False).map(SQLDouble),
+    st.sampled_from([D("NaN"), D("Infinity"), D("-Infinity")]).map(SQLDecimal),
+)
+
+
+class TestIntegersCompareAsIntegers:
+    CTX = ExecutionContext(build_base_registry())
+
+    @given(numerics, numerics)
+    @settings(max_examples=300, deadline=None)
+    def test_compare_values_agrees(self, a, b):
+        assert compare_values(self.CTX, a, b) == _decimal_compare(a, b)
+
+    @given(numerics, numerics)
+    @settings(max_examples=300, deadline=None)
+    def test_sort_key_and_hash_agree(self, a, b):
+        key_a, key_b = a.sort_key(), b.sort_key()
+        old_a, old_b = _decimal_key(a), _decimal_key(b)
+        assert (key_a == key_b) == (old_a == old_b) == (a == b)
+        assert hash(key_a) == hash(old_a) == hash(a)
+        assert _outcome_of(lambda: key_a < key_b) == _outcome_of(lambda: old_a < old_b)
+
+    def test_equal_integers_share_a_group_with_equal_decimals(self):
+        n = 7 * repunit(5000)
+        keys = {SQLInteger(n), SQLDecimal(D(n)), SQLInteger(-n)}
+        assert len(keys) == 2
 
 
 # ---------------------------------------------------------------------------

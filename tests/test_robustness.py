@@ -484,6 +484,30 @@ class TestCheckpointResume:
         assert not os.path.exists(path + ".tmp")
         CampaignCheckpoint.load(path)  # parses cleanly
 
+    @pytest.mark.parametrize("stop_at", [200, 400], ids=["seed-phase", "cases"])
+    def test_a_due_save_lands_before_on_progress(self, tmp_path, stop_at):
+        # duckdb replays 299 seeds first: position 200 is a seed, 400 a
+        # generated case; a hook that stops the run at the beat of a due
+        # save must find that save already made
+        class Stopped(Exception):
+            pass
+
+        def stop(snapshot):
+            if snapshot["position"] == stop_at:
+                raise Stopped
+
+        path = str(tmp_path / "cp.json")
+        campaign = Campaign(
+            dialect_by_name("duckdb"),
+            config=CampaignConfig(dialect="duckdb", budget=900,
+                                  checkpoint_path=path, checkpoint_every=200),
+        )
+        campaign.on_progress = stop
+        with pytest.raises(Stopped):
+            campaign.run()
+        progress = CampaignCheckpoint.load(path).progress
+        assert (progress["position"], progress["executed"]) == (stop_at, stop_at)
+
 
 class TestOracleState:
     def test_export_restore_roundtrip(self):
@@ -567,7 +591,7 @@ class TestCLIFlags:
         with pytest.raises(Killed):
             campaign.run()
         killed_at = CampaignCheckpoint.load(path).progress["position"]
-        assert 0 < killed_at < 400
+        assert killed_at == 400
         assert main(["run", "duckdb", "--budget", "900", "--seed", "3",
                      "--checkpoint-every", "200", "--resume", path]) == 0
         assert CampaignCheckpoint.load(path).progress["position"] > killed_at

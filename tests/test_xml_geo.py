@@ -1,6 +1,8 @@
 """Unit tests for the XML and geometry substrates."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.errors import StackOverflow, ValueError_
 from repro.engine.geo import (
@@ -9,6 +11,7 @@ from repro.engine.geo import (
     MultiPoint,
     Point,
     Polygon,
+    _WktScanner,
     geometry_from_bytes,
     geometry_to_bytes,
     wkt_parse,
@@ -143,6 +146,50 @@ class TestWkt:
         for text in ("POINT(1 2)", "LINESTRING(0 0, 1 1, 2 0)",
                      "POLYGON((0 0, 1 0, 1 1, 0 0))"):
             assert wkt_parse(text).to_wkt() == text
+
+
+def _word_by_characters(text: str, pos: int):
+    """The scanner's word rule one character at a time: the run of
+    ``str.isalpha`` characters at *pos* and the position after it."""
+    end = pos
+    while end < len(text) and text[end].isalpha():
+        end += 1
+    return text[pos:end].upper(), end
+
+
+class TestWktWord:
+    """``_WktScanner.word`` matches letter runs with one compiled pattern;
+    it must accept exactly the characters the per-character loop does."""
+
+    @given(
+        st.text(
+            alphabet=st.one_of(
+                st.sampled_from("aZé²Ⅳ_9٣ ( ,ǅʰ"), st.characters()
+            ),
+            max_size=30,
+        ),
+        st.integers(0, 5),
+    )
+    @settings(max_examples=500)
+    def test_matches_the_character_loop(self, text, skip):
+        scanner = _WktScanner(text)
+        scanner.pos = min(skip, len(text))
+        scanner.skip_ws()
+        expected = _word_by_characters(text, scanner.pos)
+        assert (scanner.word(), scanner.pos) == expected
+
+    @pytest.mark.parametrize(
+        "text", ["POINT²(1 2)", "LINEⅣ", "éPOLYGON", "POINT_X", "point"]
+    )
+    def test_non_letters_end_a_word(self, text):
+        scanner = _WktScanner(text)
+        assert (scanner.word(), scanner.pos) == _word_by_characters(text, 0)
+
+    def test_long_letter_run(self):
+        text = "é" * 100_000 + "(1 2)"
+        scanner = _WktScanner(text)
+        assert scanner.word() == "É" * 100_000
+        assert scanner.pos == 100_000
 
 
 class TestBoundaries:
