@@ -149,7 +149,7 @@ class Runner:
         self.sandbox: Optional[SandboxedConnection] = None
         if sandbox_config is not None:
             self.sandbox = SandboxedConnection(
-                dialect.name,
+                dialect,
                 config=sandbox_config,
                 budgets=budgets,
             )

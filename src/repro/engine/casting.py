@@ -366,15 +366,15 @@ def _to_json(ctx: "ExecutionContext", value: SQLValue, tn: TypeName) -> SQLValue
             function="cast_to_json",
         )
         return SQLJson(document)
-    if isinstance(value, (SQLInteger, SQLBoolean)):
+    if isinstance(value, SQLBoolean):
+        return SQLJson(value.value)
+    if isinstance(value, SQLInteger):
         return SQLJson(int(value.value))
     if is_numeric(value):
         dec = numeric_as_decimal(value)
         if not dec.is_finite():
             raise ValueError_(f"cannot cast {value.render()} to json")
         return SQLJson(decimal_to_int(dec) if dec == dec.to_integral_value() else float(dec))
-    if isinstance(value, SQLBoolean):
-        return SQLJson(value.value)
     if isinstance(value, SQLArray):
         return SQLJson([_json_doc(ctx, item) for item in value.items])
     raise TypeError_(f"cannot cast {value.type_name} to json")

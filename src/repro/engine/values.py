@@ -393,7 +393,11 @@ class SQLArray(SQLValue):
         return bool(self.items)
 
     def render(self) -> str:
-        return "[" + ", ".join(render_quoted(v) for v in self.items) + "]"
+        items = self._items
+        if type(items) is range:
+            # a series renders as its integers without building them
+            return "[" + ", ".join(map(render_int, items)) + "]"
+        return "[" + ", ".join(render_quoted(v) for v in items) + "]"
 
     def sort_key(self) -> Tuple:
         return ("array", tuple(v.sort_key() for v in self.items))

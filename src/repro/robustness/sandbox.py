@@ -33,8 +33,9 @@ checkpoint/resume), and per-function-family circuit breakers
 (:class:`~repro.robustness.policy.CircuitBreaker`) open after N consecutive
 worker kills on one family, skipping the rest of that family's stream.
 
-The sandbox requires the ``fork`` start method (workers inherit the loaded
-dialect registries; sockets don't cross a ``spawn`` boundary) and is
+The sandbox requires the ``fork`` start method (workers inherit the
+campaign's dialect instance, with any logic flaws the oracle pipeline
+installed on it; sockets don't cross a ``spawn`` boundary) and is
 mutually exclusive with fault injection and coverage tracking — the fault
 injector simulates infra noise in-process, while the sandbox contains the
 real thing.
@@ -50,7 +51,9 @@ import struct
 import sys
 import traceback
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple,
+)
 
 from ..engine.connection import ConnectionClosed, ServerCrashed
 from ..engine.errors import (
@@ -63,6 +66,9 @@ from ..engine.errors import (
 from .governor import ResourceBudgets, make_governor
 from .policy import CircuitBreaker
 from .watchdog import DEFAULT_REAL_DEADLINE_SECONDS, RealDeadline
+
+if TYPE_CHECKING:
+    from ..dialects.base import Dialect
 
 _HEADER = struct.Struct("!I")
 
@@ -188,7 +194,7 @@ def _crash_from_wire(data: Dict[str, Any]) -> CrashSignal:
 
 def _worker_main(
     sock: socket.socket,
-    dialect_name: str,
+    dialect: "Dialect",
     budgets_spec: Optional[str],
     max_message_bytes: int,
 ) -> None:
@@ -200,11 +206,8 @@ def _worker_main(
     respawns it with a clean interpreter — in-process, the same exception
     would have killed the campaign.
     """
-    # local import: the robustness package must stay importable without
-    # dragging the dialect registry in (and fork workers already share it)
-    from ..dialects import dialect_by_name
-
-    dialect = dialect_by_name(dialect_name)
+    # the forked worker shares the campaign's dialect instance, logic
+    # flaws installed by the oracle pipeline included
     server = dialect.create_server()
     governor = make_governor(budgets_spec)
     if governor is not None:
@@ -313,11 +316,11 @@ class SandboxedConnection:
 
     def __init__(
         self,
-        dialect_name: str,
+        dialect: "Dialect",
         config: Optional[SandboxConfig] = None,
         budgets: Optional[ResourceBudgets] = None,
     ) -> None:
-        self.dialect_name = dialect_name
+        self.dialect = dialect
         self.config = config if config is not None else SandboxConfig()
         self._budgets_spec = (
             budgets.to_spec() if budgets is not None and budgets.enabled else None
@@ -351,7 +354,7 @@ class SandboxedConnection:
         proc = ctx.Process(
             target=_worker_main,
             args=(
-                child_sock, self.dialect_name, self._budgets_spec,
+                child_sock, self.dialect, self._budgets_spec,
                 self.config.max_message_bytes,
             ),
             daemon=True,
@@ -392,7 +395,7 @@ class SandboxedConnection:
             self.worker_deaths += 1
             self._respawn()
             raise WorkerCrashed(
-                f"sandbox worker for {self.dialect_name!r} died between "
+                f"sandbox worker for {self.dialect.name!r} died between "
                 "statements; respawned"
             )
         # one real-time deadline bounds the whole round trip — send,

@@ -163,6 +163,15 @@ class TestDocumentCasts:
         result = cast(ctx, SQLString('{"a": [1, 2]}'), "JSON")
         assert result.document == {"a": [1, 2]}
 
+    @pytest.mark.parametrize("flag, text", [(True, "true"), (False, "false")])
+    def test_json_from_boolean_is_a_json_boolean(self, ctx, flag, text):
+        result = cast(ctx, SQLBoolean(flag), "JSON")
+        assert result.document is flag
+        assert result.render() == text
+
+    def test_json_from_integer_stays_a_number(self, ctx):
+        assert cast(ctx, SQLInteger(1), "JSON").render() == "1"
+
     def test_json_invalid_rejected(self, ctx):
         with pytest.raises(ValueError_):
             cast(ctx, SQLString("{oops"), "JSON")

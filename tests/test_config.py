@@ -153,12 +153,3 @@ class TestParity:
             config=CampaignConfig(dialect="duckdb", budget=600, seed=3)
         )
         assert legacy.signature() == config.signature()
-
-    def test_serial_and_sharded_config_campaigns_agree(self):
-        serial = run_campaign(
-            config=CampaignConfig(dialect="duckdb", budget=600)
-        )
-        sharded = run_parallel_campaign(
-            config=CampaignConfig(dialect="duckdb", budget=600, jobs=4)
-        )
-        assert serial.signature() == sharded.signature()

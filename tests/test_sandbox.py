@@ -1,6 +1,9 @@
 """Tests for the execution sandbox: resource governor, subprocess workers,
 crash-loop containment, and their campaign/parallel integration."""
 
+import os
+import signal
+
 import pytest
 
 from repro.core.campaign import Campaign, run_campaign
@@ -89,7 +92,7 @@ class TestResourceGovernor:
 # ---------------------------------------------------------------------------
 class TestSandboxedConnection:
     def test_execute_mirrors_connection_contract(self):
-        sandbox = SandboxedConnection("mariadb")
+        sandbox = SandboxedConnection(dialect_by_name("mariadb"))
         try:
             result = sandbox.execute("SELECT UPPER('a');")
             assert result.rows
@@ -103,7 +106,7 @@ class TestSandboxedConnection:
     def test_crash_and_restart_round_trip(self):
         from repro.engine.connection import ServerCrashed
 
-        sandbox = SandboxedConnection("mariadb")
+        sandbox = SandboxedConnection(dialect_by_name("mariadb"))
         try:
             with pytest.raises(ServerCrashed) as excinfo:
                 sandbox.execute("SELECT REVERSE('');")
@@ -115,7 +118,7 @@ class TestSandboxedConnection:
             sandbox.close()
 
     def test_triggered_functions_relayed_to_sink(self):
-        sandbox = SandboxedConnection("mariadb")
+        sandbox = SandboxedConnection(dialect_by_name("mariadb"))
         sink = set()
         sandbox.triggered_sink = sink
         try:
@@ -125,7 +128,7 @@ class TestSandboxedConnection:
             sandbox.close()
 
     def test_worker_kill_surfaces_as_crash_then_recovers(self):
-        sandbox = SandboxedConnection("mariadb")
+        sandbox = SandboxedConnection(dialect_by_name("mariadb"))
         try:
             assert sandbox.execute("SELECT 1;").rows
             sandbox.kill_worker()
@@ -139,19 +142,23 @@ class TestSandboxedConnection:
             sandbox.close()
 
     def test_blown_wall_deadline_sigkills_the_worker(self):
-        config = SandboxConfig(wall_deadline_seconds=1e-05)
-        sandbox = SandboxedConnection("mariadb", config=config)
+        config = SandboxConfig(wall_deadline_seconds=0.05)
+        sandbox = SandboxedConnection(dialect_by_name("mariadb"), config=config)
         try:
+            # a stopped worker cannot answer, however short the statement;
+            # a tiny deadline alone races a fast reply (poll waits >= 1 ms)
+            os.kill(sandbox.pid, signal.SIGSTOP)
             with pytest.raises(WorkerHung):
                 sandbox.execute("SELECT 1;")
             assert sandbox.kills == 1
             assert sandbox.respawns == 1
+            assert sandbox.execute("SELECT 1;").rows
         finally:
             sandbox.close()
 
     def test_oversized_reply_becomes_resource_error(self):
         config = SandboxConfig(max_message_bytes=4096)
-        sandbox = SandboxedConnection("mariadb", config=config)
+        sandbox = SandboxedConnection(dialect_by_name("mariadb"), config=config)
         try:
             with pytest.raises(ResourceError, match="channel cap"):
                 sandbox.execute("SELECT REPEAT('a', 100000);")
@@ -163,7 +170,7 @@ class TestSandboxedConnection:
 
     def test_budgets_apply_inside_the_worker(self):
         sandbox = SandboxedConnection(
-            "mariadb", budgets=ResourceBudgets.parse("depth=64")
+            dialect_by_name("mariadb"), budgets=ResourceBudgets.parse("depth=64")
         )
         try:
             with pytest.raises(ResourceExhausted) as excinfo:
