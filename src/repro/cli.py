@@ -295,7 +295,7 @@ def _cmd_run(args) -> int:
             print(render_bug_report(bug))
         else:
             print(f"  [{bug.crash_code}] {bug.function} via {bug.pattern}: {bug.sql}")
-    findings = getattr(result, "findings", [])
+    findings = result.findings
     if findings:
         print(f"  logic-oracle findings: {len(findings)}")
         for finding in findings:

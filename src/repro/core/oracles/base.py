@@ -6,25 +6,28 @@ and accumulates :class:`Finding` objects; the :class:`OraclePipeline` fans
 each outcome to all registered oracles and owns their checkpoint state as
 one unit.
 
-The protocol has three obligations beyond ``observe``:
+A new oracle supplies three things:
 
-* **Checkpointing** — ``export_state``/``restore_state`` round-trip the
-  oracle through JSON; every state dict carries a ``version`` field and
-  restoring an unknown version (or unknown keys) is a hard error, never a
-  silent partial restore.
-* **Shard merge** — ``merge(shard_states)`` folds the states of workers
-  that each saw a disjoint slice of the statement stream into this oracle,
-  replaying records in global stream order so first-occurrence dedup gives
-  byte-identical findings to a serial run.
-* **Determinism** — observing the same outcome stream must produce the
-  same findings regardless of what other statements ran in between; the
-  campaign's parallel-vs-serial signature parity rests on it.
+* ``observe``, which hands each new finding to :meth:`Oracle._keep`;
+* a dataclass :class:`Finding` subclass with a dedup ``key``;
+* that class's attribution hook, :meth:`Finding.lookup_attribution`.
+
+The base class does the rest once for every oracle: first-by-key dedup,
+attribution of kept findings, JSON round-trips of findings and oracle
+state (every state dict carries a ``version``; an unknown version or
+unknown keys are a hard error, never a silent partial restore), and
+shard merge, which replays findings in global stream order so that
+first-occurrence dedup gives byte-identical findings to a serial run.
+Determinism is the one obligation left to ``observe``: the same outcome
+stream must produce the same findings regardless of what other
+statements ran in between, because serial-vs-sharded signature parity
+rests on it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, fields
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Type, Union
 
 from ...dialects.base import Dialect
 from ..runner import Outcome
@@ -55,12 +58,20 @@ class Finding:
 
     #: short oracle-specific discriminator ("crash", "divergence", ...)
     kind = "finding"
+    #: the dataclass field holding the attribution; it is never saved,
+    #: :meth:`from_dict` re-resolves it through :meth:`lookup_attribution`
+    attribution_field = "flaw"
 
     # -- polymorphic surface ------------------------------------------------
     @property
     def key(self) -> Tuple:
         """Dedup identity within one oracle."""
         raise NotImplementedError
+
+    def lookup_attribution(self):
+        """The injected ground-truth entry this finding matches, looked up
+        in the dialect's registry (``None`` when it matches none)."""
+        return None
 
     @property
     def bug_type_label(self) -> str:
@@ -70,7 +81,7 @@ class Finding:
     @property
     def attribution(self):
         """The injected ground-truth entry this finding matches, if any."""
-        return None
+        return getattr(self, self.attribution_field, None)
 
     @property
     def family(self) -> str:
@@ -95,6 +106,33 @@ class Finding:
             f"[{self.bug_type_label}] {self.function} "
             f"via {self.pattern}: {self.sql}"
         )
+
+    # -- serialization ------------------------------------------------------
+    def to_dict(self) -> Dict[str, Any]:
+        """JSON form: every dataclass field but the attribution, in field
+        order (used by checkpoints and shard sidecars)."""
+        return {
+            f.name: _plain(getattr(self, f.name))
+            for f in fields(self)
+            if f.name != self.attribution_field
+        }
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, Any]) -> "Finding":
+        """Rebuild a finding saved by :meth:`to_dict`, attribution included."""
+        finding = cls(**data)
+        finding.attribute()
+        return finding
+
+    def attribute(self) -> None:
+        """Set the attribution field from :meth:`lookup_attribution`."""
+        setattr(self, self.attribution_field, self.lookup_attribution())
+
+
+def _plain(value: Any) -> Any:
+    """A copy of a list field, so saved state never shares one with the
+    finding; any other field value as it is."""
+    return list(value) if isinstance(value, list) else value
 
 
 def check_state_version(
@@ -124,14 +162,44 @@ def check_state_version(
         )
 
 
+#: additive per-statement diagnostics of the replaying oracles: saved
+#: with the findings and summed on merge, never part of a signature
+DIAGNOSTICS = ("checked", "compared", "skipped")
+
+
 class Oracle:
-    """Base class for pluggable detection oracles."""
+    """Base class for pluggable detection oracles.
+
+    Owns the findings bookkeeping every oracle shares: dedup, attribution,
+    checkpoint state and shard merge (see the module docstring).
+    """
 
     #: registry name, also the key inside pipeline checkpoint state
     name = "oracle"
     #: set when observe() reads ``outcome.fingerprint`` — the runner only
     #: computes fingerprints when some registered oracle asks for them
     needs_fingerprints = False
+    #: the :class:`Finding` subclass this oracle reports
+    finding_class: Type[Finding] = Finding
+    #: checkpoint schema version of :meth:`export_state`
+    state_version = 1
+    #: the state key holding the saved findings
+    findings_key = "findings"
+    #: integer attributes saved with the findings and summed on merge
+    counters: Tuple[str, ...] = ()
+    #: state keys a subclass adds in its :meth:`export_state` extension
+    extra_state_keys: Tuple[str, ...] = ()
+
+    def __init__(self, dbms: str) -> None:
+        self.dbms = dbms
+        self._reset()
+
+    def _reset(self) -> None:
+        """Forget everything observed: the state of a new oracle."""
+        self._findings: List[Finding] = []
+        self._seen: Set[Tuple] = set()
+        for counter in self.counters:
+            setattr(self, counter, 0)
 
     def observe(
         self, outcome: Outcome, case: CaseInfo, index: int
@@ -146,18 +214,61 @@ class Oracle:
 
     def findings(self) -> List[Finding]:
         """Everything this oracle has reported, in discovery order."""
-        raise NotImplementedError
+        return list(self._findings)
+
+    def _keep(self, finding: Finding) -> Optional[Finding]:
+        """Keep *finding* unless an earlier one had its key; returns it
+        when kept.  Only a kept finding pays its attribution lookup."""
+        key = finding.key
+        if key in self._seen:
+            return None
+        self._seen.add(key)
+        finding.attribute()
+        self._findings.append(finding)
+        return finding
 
     # -- checkpoint/merge ---------------------------------------------------
     def export_state(self) -> Dict[str, Any]:
-        raise NotImplementedError
+        """Everything needed to rebuild this oracle (JSON-serializable)."""
+        state: Dict[str, Any] = {
+            "version": self.state_version,
+            "dbms": self.dbms,
+            self.findings_key: [f.to_dict() for f in self._findings],
+        }
+        for counter in self.counters:
+            state[counter] = getattr(self, counter)
+        return state
 
     def restore_state(self, state: Dict[str, Any]) -> None:
-        raise NotImplementedError
+        """Replace this oracle's state: a merge into an empty oracle."""
+        self._reset()
+        self.merge([state])
 
     def merge(self, shard_states: Sequence[Dict[str, Any]]) -> None:
-        """Fold shard-exported states into this oracle, in stream order."""
-        raise NotImplementedError
+        """Fold shard-exported states into this oracle, in stream order.
+
+        Each shard deduplicated within its own slice; re-sorting all
+        findings by stream index and deduplicating again keeps exactly the
+        finding a serial run would have kept (the globally first
+        occurrence of each key is necessarily the first within its shard).
+        """
+        known = ("dbms", self.findings_key) + self.counters + self.extra_state_keys
+        collected = list(self._findings)
+        for state in shard_states:
+            check_state_version(
+                state, self.state_version, known, f"{self.name} oracle"
+            )
+            collected.extend(
+                self.finding_class(**row)
+                for row in state.get(self.findings_key, [])
+            )
+            for counter in self.counters:
+                total = getattr(self, counter) + int(state.get(counter, 0))
+                setattr(self, counter, total)
+        collected.sort(key=lambda finding: finding.query_index)
+        self._findings, self._seen = [], set()
+        for finding in collected:
+            self._keep(finding)
 
 
 class OraclePipeline:

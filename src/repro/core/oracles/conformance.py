@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Tuple
 
 from ...dialects.base import Dialect
 from ...dialects.bugs import LogicFlaw, find_logic_flaw
 from ...sqlast import FuncCall, ParseError, parse_expression, to_sql
 from ...sqlast.lexer import LexError
 from ..runner import Outcome
-from .base import CaseInfo, Finding, Oracle, check_state_version
+from .base import CaseInfo, Finding, Oracle
 from .guards import INCOMPARABLE_FAMILIES
 
 #: collapse counters/limits inside error messages so "beyond 10" and
@@ -64,9 +64,8 @@ class ConformanceFinding(Finding):
     def bug_type_label(self) -> str:
         return "STRICT"
 
-    @property
-    def attribution(self) -> Optional[LogicFlaw]:
-        return self.flaw
+    def lookup_attribution(self) -> Optional[LogicFlaw]:
+        return find_logic_flaw(self.dbms, self.function, kind="strict")
 
     def one_liner(self) -> str:
         return (
@@ -74,43 +73,16 @@ class ConformanceFinding(Finding):
             f"{self.sql} -> {self.message}"
         )
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "dbms": self.dbms,
-            "function": self.function,
-            "pattern": self.pattern,
-            "sql": self.sql,
-            "message": self.message,
-            "query_index": self.query_index,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ConformanceFinding":
-        return cls(
-            dbms=data["dbms"],
-            function=data["function"],
-            pattern=data["pattern"],
-            sql=data["sql"],
-            message=data["message"],
-            query_index=int(data["query_index"]),
-            flaw=find_logic_flaw(data["dbms"], data["function"], kind="strict"),
-        )
-
-
-ORACLE_STATE_VERSION = 1
-_STATE_KEYS = ("dbms", "findings")
-
 
 class ErrorConformanceOracle(Oracle):
     """Flags errors on statements the documentation declares well-defined."""
 
     name = "conformance"
+    finding_class = ConformanceFinding
 
     def __init__(self, dialect: Dialect) -> None:
-        self.dbms = dialect.name
+        super().__init__(dialect.name)
         self._documented = self._documented_statements(dialect)
-        self._findings: List[ConformanceFinding] = []
-        self._seen: Set[Tuple] = set()
 
     @staticmethod
     def _documented_statements(dialect: Dialect) -> Dict[str, str]:
@@ -148,57 +120,13 @@ class ErrorConformanceOracle(Oracle):
         # are resilience events, not conformance verdicts
         if "connection" in outcome.message.lower():
             return None
-        finding = ConformanceFinding(
-            dbms=self.dbms,
-            function=function,
-            pattern=case.pattern,
-            sql=outcome.sql,
-            message=outcome.message,
-            query_index=index + 1,
-        )
-        if finding.key in self._seen:
-            return None
-        finding.flaw = find_logic_flaw(self.dbms, function, kind="strict")
-        self._seen.add(finding.key)
-        self._findings.append(finding)
-        return finding
-
-    def findings(self) -> List[Finding]:
-        return list(self._findings)
-
-    # -- checkpoint/merge ---------------------------------------------------
-    def export_state(self) -> Dict[str, Any]:
-        return {
-            "version": ORACLE_STATE_VERSION,
-            "dbms": self.dbms,
-            "findings": [f.to_dict() for f in self._findings],
-        }
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        check_state_version(
-            state, ORACLE_STATE_VERSION, _STATE_KEYS, "conformance oracle"
-        )
-        self._findings = [
-            ConformanceFinding.from_dict(row) for row in state.get("findings", [])
-        ]
-        self._seen = {f.key for f in self._findings}
-
-    def merge(self, shard_states: Sequence[Dict[str, Any]]) -> None:
-        """Replay shard findings in global stream order (first keeps)."""
-        collected = list(self._findings)
-        for state in shard_states:
-            check_state_version(
-                state, ORACLE_STATE_VERSION, _STATE_KEYS, "conformance oracle"
+        return self._keep(
+            ConformanceFinding(
+                dbms=self.dbms,
+                function=function,
+                pattern=case.pattern,
+                sql=outcome.sql,
+                message=outcome.message,
+                query_index=index + 1,
             )
-            collected.extend(
-                ConformanceFinding.from_dict(row)
-                for row in state.get("findings", [])
-            )
-        collected.sort(key=lambda f: f.query_index)
-        self._findings = []
-        self._seen = set()
-        for finding in collected:
-            if finding.key in self._seen:
-                continue
-            self._seen.add(finding.key)
-            self._findings.append(finding)
+        )

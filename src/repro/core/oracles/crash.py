@@ -22,17 +22,12 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 from ...dialects.bugs import InjectedBug, find_bug
 from ...engine.errors import CrashSignal
 from ..runner import Outcome
-from .base import CaseInfo, Finding, Oracle, check_state_version
+from .base import CaseInfo, Finding, Oracle
 
 #: kill-reason normalisation, hoisted to import time: digit runs collapse to
 #: ``N`` so one runaway argument pattern counts as one false positive no
 #: matter which concrete boundary value produced it
 _KILL_REASON_RE = re.compile(r"\d+")
-
-#: checkpoint schema version for :meth:`CrashOracle.export_state`
-ORACLE_STATE_VERSION = 2
-
-_STATE_KEYS = ("dbms", "bugs", "false_positives", "flaky_signals", "fp_seen")
 
 
 @dataclass
@@ -51,6 +46,7 @@ class DiscoveredBug(Finding):
     injected: Optional[InjectedBug] = None
 
     kind = "crash"
+    attribution_field = "injected"
 
     @property
     def key(self) -> Tuple[str, str]:
@@ -60,44 +56,21 @@ class DiscoveredBug(Finding):
     def bug_type_label(self) -> str:
         return self.crash_code
 
-    @property
-    def attribution(self) -> Optional[InjectedBug]:
-        return self.injected
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-serializable form (used by campaign checkpoints)."""
-        return {
-            "dbms": self.dbms,
-            "function": self.function,
-            "crash_code": self.crash_code,
-            "pattern": self.pattern,
-            "sql": self.sql,
-            "stage": self.stage,
-            "backtrace": list(self.backtrace),
-            "message": self.message,
-            "query_index": self.query_index,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "DiscoveredBug":
-        """Rebuild a discovery; the injected-bug link is re-resolved from
-        the registry rather than serialized."""
-        bug = cls(**data)  # type: ignore[arg-type]
-        bug.backtrace = list(bug.backtrace)
-        bug.injected = find_bug(bug.dbms, bug.function, bug.crash_code)
-        return bug
+    def lookup_attribution(self) -> Optional[InjectedBug]:
+        return find_bug(self.dbms, self.function, self.crash_code)
 
 
 class CrashOracle(Oracle):
     """Deduplicates crashes and tracks false positives for one dialect."""
 
     name = "crash"
-    needs_fingerprints = False
+    finding_class = DiscoveredBug
+    state_version = 2
+    findings_key = "bugs"
+    extra_state_keys = ("false_positives", "flaky_signals", "fp_seen")
 
-    def __init__(self, dbms: str) -> None:
-        self.dbms = dbms
-        self.bugs: List[DiscoveredBug] = []
-        self._seen: Set[Tuple[str, str]] = set()
+    def _reset(self) -> None:
+        super()._reset()
         self._fp_seen: Set[str] = set()
         #: deduplicated (stream index, sql, normalized reason) kill records;
         #: the index is what lets shard merges replay global stream order
@@ -106,6 +79,10 @@ class CrashOracle(Oracle):
         self._flaky_records: List[Tuple[Optional[int], str]] = []
 
     # -- legacy list views (the public pre-pipeline surface) ---------------
+    @property
+    def bugs(self) -> List[DiscoveredBug]:
+        return self._findings  # type: ignore[return-value]
+
     @property
     def false_positives(self) -> List[str]:
         return [sql for _, sql, _ in self._fp_records]
@@ -131,9 +108,6 @@ class CrashOracle(Oracle):
             self._flaky_records.append((index, outcome.sql))
         return None
 
-    def findings(self) -> List[DiscoveredBug]:
-        return list(self.bugs)
-
     # ------------------------------------------------------------------
     # direct observation API (used by baselines/benchmarks and the legacy
     # call sites; indices default to "unknown")
@@ -145,25 +119,19 @@ class CrashOracle(Oracle):
         query_index: int,
     ) -> Optional[DiscoveredBug]:
         """Record a crash; returns the discovery when it is new."""
-        function = (crash.function or "unknown").lower()
-        key = (function, crash.code)
-        if key in self._seen:
-            return None
-        self._seen.add(key)
-        discovery = DiscoveredBug(
-            dbms=self.dbms,
-            function=function,
-            crash_code=crash.code,
-            pattern=pattern,
-            sql=sql,
-            stage=crash.stage or "execute",
-            backtrace=list(crash.backtrace),
-            message=crash.message,
-            query_index=query_index,
-            injected=find_bug(self.dbms, function, crash.code),
+        return self._keep(  # type: ignore[return-value]
+            DiscoveredBug(
+                dbms=self.dbms,
+                function=(crash.function or "unknown").lower(),
+                crash_code=crash.code,
+                pattern=pattern,
+                sql=sql,
+                stage=crash.stage or "execute",
+                backtrace=list(crash.backtrace),
+                message=crash.message,
+                query_index=query_index,
+            )
         )
-        self.bugs.append(discovery)
-        return discovery
 
     def observe_resource_kill(self, sql: str, message: str = "") -> bool:
         """Record a forcibly-terminated query (false-positive candidate).
@@ -179,6 +147,9 @@ class CrashOracle(Oracle):
         self, sql: str, message: str, index: Optional[int]
     ) -> bool:
         reason = _KILL_REASON_RE.sub("N", message or sql.split("(", 1)[0]).lower()
+        return self._record_fp(index, sql, reason)
+
+    def _record_fp(self, index: Optional[int], sql: str, reason: str) -> bool:
         if reason in self._fp_seen:
             return False
         self._fp_seen.add(reason)
@@ -196,71 +167,31 @@ class CrashOracle(Oracle):
         self._flaky_records.append((None, sql))
 
     # ------------------------------------------------------------------
-    # checkpoint support
+    # checkpoint support: the base saves and merges the bugs
     def export_state(self) -> Dict[str, Any]:
-        """Everything needed to rebuild this oracle (JSON-serializable)."""
-        return {
-            "version": ORACLE_STATE_VERSION,
-            "dbms": self.dbms,
-            "bugs": [bug.to_dict() for bug in self.bugs],
-            "false_positives": [list(r) for r in self._fp_records],
-            "flaky_signals": [list(r) for r in self._flaky_records],
-            "fp_seen": sorted(self._fp_seen),
-        }
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        check_state_version(
-            state, ORACLE_STATE_VERSION, _STATE_KEYS, "crash oracle"
-        )
-        self.bugs = [DiscoveredBug.from_dict(d) for d in state["bugs"]]
-        self._fp_records = [
-            (r[0], r[1], r[2]) for r in state["false_positives"]
-        ]
-        self._flaky_records = [(r[0], r[1]) for r in state["flaky_signals"]]
-        self._seen = {bug.key for bug in self.bugs}
-        self._fp_seen = set(state["fp_seen"])
+        state = super().export_state()
+        state["false_positives"] = [list(r) for r in self._fp_records]
+        state["flaky_signals"] = [list(r) for r in self._flaky_records]
+        state["fp_seen"] = sorted(self._fp_seen)
+        return state
 
     def merge(self, shard_states: Sequence[Dict[str, Any]]) -> None:
-        """Fold shard states in, replaying records in global stream order.
-
-        Each shard deduplicated within its own slice; re-sorting the kept
-        records by stream index and re-deduplicating keeps exactly the
-        record a serial run would have kept (the globally first occurrence
-        of each identity is necessarily the first within its shard).
-        """
-        bug_records: List[Tuple[int, DiscoveredBug]] = [
-            (bug.query_index, bug) for bug in self.bugs
-        ]
+        """Fold shard states in; the kill and flaky records replay in
+        global stream order like the bugs (first kill reason keeps)."""
+        super().merge(shard_states)
         fp_records = list(self._fp_records)
         flaky_records = list(self._flaky_records)
         for state in shard_states:
-            check_state_version(
-                state, ORACLE_STATE_VERSION, _STATE_KEYS, "crash oracle shard"
-            )
-            for data in state["bugs"]:
-                bug = DiscoveredBug.from_dict(data)
-                bug_records.append((bug.query_index, bug))
             fp_records.extend((r[0], r[1], r[2]) for r in state["false_positives"])
             flaky_records.extend((r[0], r[1]) for r in state["flaky_signals"])
 
-        def order(index: Optional[int]) -> int:
-            return -1 if index is None else index
+        def order(record: Tuple) -> int:
+            return -1 if record[0] is None else record[0]
 
-        self.bugs = []
-        self._seen = set()
-        for _, bug in sorted(bug_records, key=lambda r: order(r[0])):
-            if bug.key in self._seen:
-                continue
-            self._seen.add(bug.key)
-            self.bugs.append(bug)
-        self._fp_records = []
-        self._fp_seen = set()
-        for index, sql, reason in sorted(fp_records, key=lambda r: order(r[0])):
-            if reason in self._fp_seen:
-                continue
-            self._fp_seen.add(reason)
-            self._fp_records.append((index, sql, reason))
-        self._flaky_records = sorted(flaky_records, key=lambda r: order(r[0]))
+        self._fp_records, self._fp_seen = [], set()
+        for index, sql, reason in sorted(fp_records, key=order):
+            self._record_fp(index, sql, reason)
+        self._flaky_records = sorted(flaky_records, key=order)
 
     # ------------------------------------------------------------------
     @property

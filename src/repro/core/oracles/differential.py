@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ...dialects import dialect_names
 from ...dialects.base import Dialect
@@ -48,9 +48,10 @@ from ...engine.fingerprint import (
     divergence_class,
     fingerprint_result,
 )
+from ...sqlast import Statement
 from ..runner import Outcome
-from .base import CaseInfo, Finding, Oracle, check_state_version
-from .guards import INCOMPARABLE_FAMILIES, called_functions
+from .base import DIAGNOSTICS, CaseInfo, Finding, Oracle
+from .guards import INCOMPARABLE_FAMILIES, called_functions, parsed_statements
 
 #: report labels per divergence class (most blatant first)
 _LABELS = {"cardinality": "WRONGCARD", "type": "WRONGTYPE", "value": "WRONG"}
@@ -83,9 +84,8 @@ class DivergenceFinding(Finding):
     def bug_type_label(self) -> str:
         return _LABELS[self.divergence]
 
-    @property
-    def attribution(self) -> Optional[LogicFlaw]:
-        return self.flaw
+    def lookup_attribution(self) -> Optional[LogicFlaw]:
+        return find_logic_flaw(self.dbms, self.function)
 
     def one_liner(self) -> str:
         return (
@@ -93,60 +93,24 @@ class DivergenceFinding(Finding):
             f"via {self.pattern}: {self.sql}"
         )
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "dbms": self.dbms,
-            "peer": self.peer,
-            "function": self.function,
-            "divergence": self.divergence,
-            "pattern": self.pattern,
-            "sql": self.sql,
-            "query_index": self.query_index,
-            "own_digest": self.own_digest,
-            "peer_digest": self.peer_digest,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "DivergenceFinding":
-        return cls(
-            dbms=data["dbms"],
-            peer=data["peer"],
-            function=data["function"],
-            divergence=data["divergence"],
-            pattern=data["pattern"],
-            sql=data["sql"],
-            query_index=int(data["query_index"]),
-            own_digest=data["own_digest"],
-            peer_digest=data["peer_digest"],
-            flaw=find_logic_flaw(data["dbms"], data["function"]),
-        )
-
-
-ORACLE_STATE_VERSION = 1
-_STATE_KEYS = ("dbms", "findings", "checked", "compared", "skipped")
-
 
 class DifferentialOracle(Oracle):
     """Replays successful statements on peer dialects and compares."""
 
     name = "differential"
     needs_fingerprints = True
+    finding_class = DivergenceFinding
+    counters = DIAGNOSTICS
 
     def __init__(self, dialect: Dialect) -> None:
+        super().__init__(dialect.name)
         self.dialect = dialect
-        self.dbms = dialect.name
         self.peer_names = [n for n in dialect_names() if n != dialect.name]
-        self._findings: List[DivergenceFinding] = []
-        self._seen: Set[Tuple] = set()
         # peer name -> (dialect, server, connection); created on first use so
         # a campaign that never produces a comparable statement pays nothing
         self._peers: Dict[str, Tuple] = {}
         # (function, peer) -> comparability verdict
         self._comparable_cache: Dict[Tuple[str, str], bool] = {}
-        # diagnostics (merged additively across shards, never in signatures)
-        self.checked = 0
-        self.compared = 0
-        self.skipped = 0
 
     # ------------------------------------------------------------------
     def observe(
@@ -166,14 +130,11 @@ class DifferentialOracle(Oracle):
         first: Optional[DivergenceFinding] = None
         for peer_name in self.peer_names:
             finding = self._compare_against(
-                peer_name, outcome.fingerprint, sql, called, case, index
+                peer_name, outcome, called, case, index
             )
             if finding is not None and first is None:
                 first = finding
         return first
-
-    def findings(self) -> List[Finding]:
-        return list(self._findings)
 
     # ------------------------------------------------------------------
     def _called_functions(self, sql: str) -> List[str]:
@@ -205,12 +166,12 @@ class DifferentialOracle(Oracle):
     def _compare_against(
         self,
         peer_name: str,
-        own_fp: ResultFingerprint,
-        sql: str,
+        outcome: Outcome,
         called: Sequence[str],
         case: CaseInfo,
         index: int,
-    ) -> Optional[DivergenceFinding]:
+    ) -> Optional[Finding]:
+        sql = outcome.sql
         peer_dialect, _, _ = self._peer(peer_name)
         for function in called:
             if not self._comparable(function, peer_name, peer_dialect):
@@ -224,32 +185,28 @@ class DifferentialOracle(Oracle):
         if re.search(r"\d{%d,}" % narrow, sql):
             self.skipped += 1
             return None
-        peer_fp = self._execute_on_peer(peer_name, sql)
+        peer_fp = self._execute_on_peer(peer_name, sql, parsed_statements(outcome))
         if peer_fp is None:
             self.skipped += 1
             return None
         self.compared += 1
+        own_fp = outcome.fingerprint
         divergence = divergence_class(own_fp, peer_fp)
         if divergence is None:
             return None
-        function = case.function if case.function in called else called[0]
-        finding = DivergenceFinding(
-            dbms=self.dbms,
-            peer=peer_name,
-            function=function,
-            divergence=divergence,
-            pattern=case.pattern,
-            sql=sql,
-            query_index=index + 1,
-            own_digest=own_fp.digest,
-            peer_digest=peer_fp.digest,
+        return self._keep(
+            DivergenceFinding(
+                dbms=self.dbms,
+                peer=peer_name,
+                function=case.function if case.function in called else called[0],
+                divergence=divergence,
+                pattern=case.pattern,
+                sql=sql,
+                query_index=index + 1,
+                own_digest=own_fp.digest,
+                peer_digest=peer_fp.digest,
+            )
         )
-        if finding.key in self._seen:
-            return None
-        finding.flaw = find_logic_flaw(self.dbms, function)
-        self._seen.add(finding.key)
-        self._findings.append(finding)
-        return finding
 
     # -- peer lifecycle -----------------------------------------------------
     def _peer(self, name: str) -> Tuple:
@@ -263,14 +220,21 @@ class DifferentialOracle(Oracle):
             self._peers[name] = peer
         return peer
 
-    def _execute_on_peer(self, name: str, sql: str) -> Optional[ResultFingerprint]:
+    def _execute_on_peer(
+        self, name: str, sql: str, statements: Sequence[Statement]
+    ) -> Optional[ResultFingerprint]:
+        """Fingerprint of *sql* on peer *name*, replaying *statements*
+        (the campaign's parse of *sql*; parsing is dialect-independent and
+        the trees are only read); ``None`` when the peer cannot answer."""
+        if not statements:
+            return None
         dialect, server, conn = self._peer(name)
         # pure functions cannot read sequence state, but clearing it keeps
         # the peer history-independent no matter what ran before
         server.ctx.clear_sequence_state()
         try:
             # rendering is inside: a result can be too large to render
-            return fingerprint_result(conn.execute(sql))
+            return fingerprint_result(conn.execute_parsed(sql, statements))
         except SQLError:
             return None
         except ServerCrashed:
@@ -281,49 +245,3 @@ class DifferentialOracle(Oracle):
         except RecursionError:
             del self._peers[name]
             return None
-
-    # -- checkpoint/merge ---------------------------------------------------
-    def export_state(self) -> Dict[str, Any]:
-        return {
-            "version": ORACLE_STATE_VERSION,
-            "dbms": self.dbms,
-            "findings": [f.to_dict() for f in self._findings],
-            "checked": self.checked,
-            "compared": self.compared,
-            "skipped": self.skipped,
-        }
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        check_state_version(
-            state, ORACLE_STATE_VERSION, _STATE_KEYS, "differential oracle"
-        )
-        self._findings = [
-            DivergenceFinding.from_dict(row) for row in state.get("findings", [])
-        ]
-        self._seen = {f.key for f in self._findings}
-        self.checked = int(state.get("checked", 0))
-        self.compared = int(state.get("compared", 0))
-        self.skipped = int(state.get("skipped", 0))
-
-    def merge(self, shard_states: Sequence[Dict[str, Any]]) -> None:
-        """Replay shard findings in global stream order (first keeps)."""
-        collected = list(self._findings)
-        for state in shard_states:
-            check_state_version(
-                state, ORACLE_STATE_VERSION, _STATE_KEYS, "differential oracle"
-            )
-            collected.extend(
-                DivergenceFinding.from_dict(row)
-                for row in state.get("findings", [])
-            )
-            self.checked += int(state.get("checked", 0))
-            self.compared += int(state.get("compared", 0))
-            self.skipped += int(state.get("skipped", 0))
-        collected.sort(key=lambda f: f.query_index)
-        self._findings = []
-        self._seen = set()
-        for finding in collected:
-            if finding.key in self._seen:
-                continue
-            self._seen.add(finding.key)
-            self._findings.append(finding)

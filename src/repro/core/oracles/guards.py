@@ -11,13 +11,20 @@ from ambient state no replay can reproduce.
 
 This module is the single home for that exclusion logic, so the
 differential, conformance, TLP, and NoREC oracles cannot drift apart on
-what counts as replay-safe.
+what counts as replay-safe.  It also holds the one parse of a statement
+that every re-executing oracle replays (:func:`parsed_statements`).
 """
 
 from __future__ import annotations
 
 import re
 from typing import List, Sequence
+
+from ...engine import connection
+from ...sqlast import Statement
+from ...sqlast.lexer import LexError
+from ...sqlast.parser import ParseError
+from ..runner import Outcome
 
 #: ``name(`` shapes — how an oracle learns which functions a statement calls
 CALL_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*\(")
@@ -52,3 +59,24 @@ def replay_safe(called: Sequence[str], registry) -> bool:
         if not definition.pure or definition.family in INCOMPARABLE_FAMILIES:
             return False
     return True
+
+
+def parsed_statements(outcome: Outcome) -> Sequence[Statement]:
+    """``outcome.sql`` parsed once per outcome, for every oracle that asks.
+
+    An in-process run hands over the parse it executed
+    (``Outcome.statements``), so only sandboxed outcomes are parsed here.
+    The parse goes through ``engine.connection.parse_statements``, the
+    engine's own entry point, looked up at call time so that anything
+    wrapping it (``benchmarks/e2e/trace.py``) sees this parse too.  Text
+    that does not parse, or nests too deep, gives an empty list: nothing
+    can be replayed from it.
+    """
+    statements = outcome.statements
+    if statements is None:
+        try:
+            statements = connection.parse_statements(outcome.sql)
+        except (LexError, ParseError, RecursionError):
+            statements = []
+        outcome.statements = statements
+    return statements

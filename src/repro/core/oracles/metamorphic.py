@@ -38,11 +38,10 @@ business); an arm that crashes is rebuilt and the statement skipped
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ...dialects.base import Dialect
 from ...dialects.bugs import LogicFlaw, find_predicate_flaw
-from ...engine import connection
 from ...engine.connection import ServerCrashed
 from ...engine.errors import SQLError
 from ...engine.fingerprint import (
@@ -64,8 +63,8 @@ from ...sqlast.lexer import LexError
 from ...sqlast.parser import ParseError
 from ..runner import Outcome
 from ..tables import BASE_QUERY, PREDICATE_PREFIX, TABLE_SETUP
-from .base import CaseInfo, Finding, Oracle, check_state_version
-from .guards import called_functions, replay_safe
+from .base import DIAGNOSTICS, CaseInfo, Finding, Oracle
+from .guards import called_functions, parsed_statements, replay_safe
 
 #: report labels per divergence class (same vocabulary as the differential
 #: oracle — a broken law is a wrong result, whoever noticed it)
@@ -121,27 +120,6 @@ def _partitionable(stmt: Statement) -> bool:
     return isinstance(stmt, Select) and stmt.where is not None and bool(stmt.from_)
 
 
-def parsed_statements(outcome: Outcome) -> Sequence[Statement]:
-    """``outcome.sql`` parsed once per outcome, for every oracle that asks.
-
-    An in-process run hands over the parse it executed
-    (``Outcome.statements``), so only sandboxed outcomes are parsed here.
-    The parse goes through ``engine.connection.parse_statements``, the
-    engine's own entry point, looked up at call time so that anything
-    wrapping it (``benchmarks/e2e/trace.py``) sees this parse too.  Text
-    that does not parse, or nests too deep, gives an empty list: no law
-    can be checked on it.
-    """
-    statements = outcome.statements
-    if statements is None:
-        try:
-            statements = connection.parse_statements(outcome.sql)
-        except (LexError, ParseError, RecursionError):
-            statements = []
-        outcome.statements = statements
-    return statements
-
-
 @dataclass
 class MetamorphicFinding(Finding):
     """One violated metamorphic law on the campaign dialect."""
@@ -172,9 +150,8 @@ class MetamorphicFinding(Finding):
     def bug_type_label(self) -> str:
         return _LABELS[self.divergence]
 
-    @property
-    def attribution(self) -> Optional[LogicFlaw]:
-        return self.flaw
+    def lookup_attribution(self) -> Optional[LogicFlaw]:
+        return find_predicate_flaw(self.dbms, self.oracle)
 
     def one_liner(self) -> str:
         law = "partition law" if self.oracle == "tlp" else "optimization identity"
@@ -183,57 +160,21 @@ class MetamorphicFinding(Finding):
             f"via {self.pattern}: {self.sql}"
         )
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "dbms": self.dbms,
-            "function": self.function,
-            "oracle": self.oracle,
-            "divergence": self.divergence,
-            "pattern": self.pattern,
-            "sql": self.sql,
-            "query_index": self.query_index,
-            "own_digest": self.own_digest,
-            "variant_digest": self.variant_digest,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "MetamorphicFinding":
-        return cls(
-            dbms=data["dbms"],
-            function=data["function"],
-            oracle=data["oracle"],
-            divergence=data["divergence"],
-            pattern=data["pattern"],
-            sql=data["sql"],
-            query_index=int(data["query_index"]),
-            own_digest=data["own_digest"],
-            variant_digest=data["variant_digest"],
-            flaw=find_predicate_flaw(data["dbms"], data["oracle"]),
-        )
-
-
-ORACLE_STATE_VERSION = 1
-_STATE_KEYS = ("dbms", "findings", "checked", "compared", "skipped")
-
 
 class _MetamorphicOracle(Oracle):
-    """Shared harness: arm servers, FP guards, checkpoint/merge."""
+    """Shared harness: arm servers and FP guards."""
 
+    finding_class = MetamorphicFinding
+    counters = DIAGNOSTICS
     #: finding discriminator and PREDICATE_KINDS entry ("tlp" | "norec")
     oracle_kind = ""
 
     def __init__(self, dialect: Dialect) -> None:
+        super().__init__(dialect.name)
         self.dialect = dialect
-        self.dbms = dialect.name
-        self._findings: List[MetamorphicFinding] = []
-        self._seen: Set[Tuple] = set()
         # arm key -> (server, connection); built on first use so a campaign
         # that never emits a predicate statement pays nothing
         self._arms: Dict[str, Tuple] = {}
-        # diagnostics (merged additively across shards, never in signatures)
-        self.checked = 0
-        self.compared = 0
-        self.skipped = 0
 
     # ------------------------------------------------------------------
     def observe(
@@ -258,27 +199,19 @@ class _MetamorphicOracle(Oracle):
         divergence = divergence_class(own_fp, variant_fp)
         if divergence is None:
             return None
-        finding = MetamorphicFinding(
-            dbms=self.dbms,
-            function=case.function,
-            oracle=self.oracle_kind,
-            divergence=divergence,
-            pattern=case.pattern,
-            sql=sql,
-            query_index=index + 1,
-            own_digest=own_fp.digest,
-            variant_digest=variant_fp.digest,
+        return self._keep(
+            MetamorphicFinding(
+                dbms=self.dbms,
+                function=case.function,
+                oracle=self.oracle_kind,
+                divergence=divergence,
+                pattern=case.pattern,
+                sql=sql,
+                query_index=index + 1,
+                own_digest=own_fp.digest,
+                variant_digest=variant_fp.digest,
+            )
         )
-        if finding.key in self._seen:
-            return None
-        # attribute only new findings: repeats of a broken law are common
-        finding.flaw = find_predicate_flaw(self.dbms, self.oracle_kind)
-        self._seen.add(finding.key)
-        self._findings.append(finding)
-        return finding
-
-    def findings(self) -> List[Finding]:
-        return list(self._findings)
 
     def _check(
         self, outcome: Outcome
@@ -329,52 +262,6 @@ class _MetamorphicOracle(Oracle):
         except RecursionError:
             self._arms.pop(key, None)
             return None
-
-    # -- checkpoint/merge ---------------------------------------------------
-    def export_state(self) -> Dict[str, Any]:
-        return {
-            "version": ORACLE_STATE_VERSION,
-            "dbms": self.dbms,
-            "findings": [f.to_dict() for f in self._findings],
-            "checked": self.checked,
-            "compared": self.compared,
-            "skipped": self.skipped,
-        }
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        check_state_version(
-            state, ORACLE_STATE_VERSION, _STATE_KEYS, f"{self.name} oracle"
-        )
-        self._findings = [
-            MetamorphicFinding.from_dict(row) for row in state.get("findings", [])
-        ]
-        self._seen = {f.key for f in self._findings}
-        self.checked = int(state.get("checked", 0))
-        self.compared = int(state.get("compared", 0))
-        self.skipped = int(state.get("skipped", 0))
-
-    def merge(self, shard_states: Sequence[Dict[str, Any]]) -> None:
-        """Replay shard findings in global stream order (first keeps)."""
-        collected = list(self._findings)
-        for state in shard_states:
-            check_state_version(
-                state, ORACLE_STATE_VERSION, _STATE_KEYS, f"{self.name} oracle"
-            )
-            collected.extend(
-                MetamorphicFinding.from_dict(row)
-                for row in state.get("findings", [])
-            )
-            self.checked += int(state.get("checked", 0))
-            self.compared += int(state.get("compared", 0))
-            self.skipped += int(state.get("skipped", 0))
-        collected.sort(key=lambda f: f.query_index)
-        self._findings = []
-        self._seen = set()
-        for finding in collected:
-            if finding.key in self._seen:
-                continue
-            self._seen.add(finding.key)
-            self._findings.append(finding)
 
 
 class TLPOracle(_MetamorphicOracle):

@@ -86,7 +86,7 @@ def render_finding(finding: Finding, version: Optional[str] = None) -> str:
 
 def format_findings(result: CampaignResult) -> str:
     """The campaign's logic-oracle findings section (CLI surface)."""
-    findings = getattr(result, "findings", [])
+    findings = result.findings
     lines = [f"Logic findings — {result.dialect}: {len(findings)}"]
     lines.extend(f"  {finding.one_liner()}" for finding in findings)
     return "\n".join(lines)
@@ -131,7 +131,7 @@ def table4_rows(results: Sequence[CampaignResult]) -> List[Table4Row]:
     """
     cells: Dict[Tuple[str, str], List[Finding]] = {}
     for result in results:
-        for bug in list(result.bugs) + list(getattr(result, "findings", [])):
+        for bug in list(result.bugs) + list(result.findings):
             if bug.attribution is None:
                 continue
             cells.setdefault((bug.dbms, bug.family), []).append(bug)
@@ -189,11 +189,7 @@ def format_table4(rows: Sequence[Table4Row]) -> str:
 # Campaign health / resilience roll-up
 # ---------------------------------------------------------------------------
 def resilience_summary(results: Sequence[CampaignResult]) -> Dict[str, object]:
-    """Aggregate infrastructure-noise accounting across campaigns.
-
-    Uses ``getattr`` defaults so results produced (and cached) before the
-    robustness layer existed still aggregate cleanly.
-    """
+    """Aggregate infrastructure-noise accounting across campaigns."""
     fault_totals: Dict[str, int] = {}
     quarantined: List[str] = []
     flaky = 0
@@ -206,20 +202,20 @@ def resilience_summary(results: Sequence[CampaignResult]) -> Dict[str, object]:
     skipped = 0
     sandbox_active = False
     for result in results:
-        for kind, count in getattr(result, "fault_counters", {}).items():
+        for kind, count in result.fault_counters.items():
             fault_totals[kind] = fault_totals.get(kind, 0) + count
-        flaky += len(getattr(result, "flaky_signals", []))
-        timeouts += getattr(result, "outcomes", {}).get("timeout", 0)
-        if getattr(result, "quarantined", False):
+        flaky += len(result.flaky_signals)
+        timeouts += result.outcomes.get("timeout", 0)
+        if result.quarantined:
             quarantined.append(result.dialect)
-        if getattr(result, "sandbox_active", False):
+        if result.sandbox_active:
             sandbox_active = True
-            sandbox_kills += getattr(result, "sandbox_kills", 0)
-            worker_deaths += getattr(result, "sandbox_worker_deaths", 0)
-            respawns += getattr(result, "sandbox_respawns", 0)
-            open_breakers.extend(getattr(result, "open_breakers", []))
-            quarantined_statements += getattr(result, "quarantined_statements", 0)
-            skipped += getattr(result, "skipped_statements", 0)
+            sandbox_kills += result.sandbox_kills
+            worker_deaths += result.sandbox_worker_deaths
+            respawns += result.sandbox_respawns
+            open_breakers.extend(result.open_breakers)
+            quarantined_statements += result.quarantined_statements
+            skipped += result.skipped_statements
     return {
         "fault_counters": fault_totals,
         "flaky_signals": flaky,
@@ -250,13 +246,13 @@ def format_resilience(result: CampaignResult) -> str:
         f"(0 promoted to bugs)"
     )
     lines.append(f"  statements timed out: {summary['timeouts']}")
-    qps = getattr(result, "statements_per_second", 0.0)
+    qps = result.statements_per_second
     if qps:
         lines.append(
             f"  throughput: {qps:,.0f} statements/s "
-            f"({getattr(result, 'wall_seconds', 0.0):.2f}s wall)"
+            f"({result.wall_seconds:.2f}s wall)"
         )
-    if getattr(result, "quarantined", False):
+    if result.quarantined:
         lines.append(f"  QUARANTINED: {result.quarantine_reason}")
     if summary["sandbox_active"]:
         lines.append("  sandbox supervisor:")

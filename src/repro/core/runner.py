@@ -80,7 +80,7 @@ class Outcome:
     fingerprint: Optional["ResultFingerprint"] = None
     #: parse of ``sql``, shared by the oracles that re-execute the
     #: statement: the parse the in-process run made, or (sandboxed runs)
-    #: made on first use by metamorphic.parsed_statements — None until then
+    #: made on first use by guards.parsed_statements — None until then
     statements: Optional[Sequence[Statement]] = None
 
     @property

@@ -62,6 +62,7 @@ from ..dialects import dialect_by_name, dialect_names
 from ..engine.connection import ServerCrashed
 from ..engine.errors import SQLError
 from ..robustness.chaos import StorageFaultInjector
+from .jobs import finding_to_dict
 from .storage import CorruptionDetected, SqliteStorage
 
 #: triage workflow states
@@ -574,27 +575,16 @@ class BugRepository:
 # ---------------------------------------------------------------------------
 def _finding_info(finding: Any) -> Dict[str, str]:
     """Normalize a Finding (or plain dict) into the ingest fields."""
-    if isinstance(finding, dict):
-        data = finding
-        return {
-            "dialect": str(data.get("dialect") or data.get("dbms") or ""),
-            "function": str(data.get("function", "")).lower(),
-            "sql": str(data.get("sql", "")),
-            "kind": str(data.get("kind", "crash")),
-            "label": str(data.get("label") or data.get("bug_type_label") or ""),
-            "pattern": str(data.get("pattern", "")),
-            "peer": str(data.get("peer", "")),
-            "message": str(data.get("message", "")),
-        }
+    data = finding if isinstance(finding, dict) else finding_to_dict(finding)
     return {
-        "dialect": getattr(finding, "dbms", ""),
-        "function": getattr(finding, "function", "").lower(),
-        "sql": getattr(finding, "sql", ""),
-        "kind": getattr(finding, "kind", "crash"),
-        "label": finding.bug_type_label,
-        "pattern": getattr(finding, "pattern", ""),
-        "peer": getattr(finding, "peer", "") or "",
-        "message": getattr(finding, "message", "") or "",
+        "dialect": str(data.get("dialect") or data.get("dbms") or ""),
+        "function": str(data.get("function", "")).lower(),
+        "sql": str(data.get("sql", "")),
+        "kind": str(data.get("kind", "crash")),
+        "label": str(data.get("label") or data.get("bug_type_label") or ""),
+        "pattern": str(data.get("pattern", "")),
+        "peer": str(data.get("peer", "")),
+        "message": str(data.get("message", "")),
     }
 
 

@@ -174,15 +174,16 @@ class TenantBudget:
 def finding_to_dict(finding: Any) -> Dict[str, Any]:
     """Serialize any oracle finding for the wire (stable JSON shape)."""
     return {
-        "kind": getattr(finding, "kind", "crash"),
+        "kind": finding.kind,
         "label": finding.bug_type_label,
-        "dialect": getattr(finding, "dbms", ""),
-        "function": getattr(finding, "function", ""),
-        "pattern": getattr(finding, "pattern", ""),
-        "sql": getattr(finding, "sql", ""),
+        "dialect": finding.dbms,
+        "function": finding.function,
+        "pattern": finding.pattern,
+        "sql": finding.sql,
+        # only some finding classes name a peer or carry an error text
         "peer": getattr(finding, "peer", "") or "",
         "message": getattr(finding, "message", "") or "",
-        "query_index": getattr(finding, "query_index", -1),
+        "query_index": finding.query_index,
     }
 
 

@@ -12,6 +12,7 @@ tlp/norec records.
 
 from collections import Counter
 from decimal import Decimal
+from itertools import islice
 
 import pytest
 
@@ -412,6 +413,28 @@ class TestSharedParse:
             Counter(statements)
         assert len(checked) >= tlp.compared > 50
         assert len(checked) >= norec.compared > 50
+
+    def test_differential_replays_the_runners_parse(self, monkeypatch):
+        # the differential oracle runs the runner's parse on every peer:
+        # each expression-family statement is parsed once, by its own run
+        parsed = []
+        parse = connection.parse_statements
+
+        def counting_parse(sql, *args, **kwargs):
+            parsed.append(sql)
+            return parse(sql, *args, **kwargs)
+
+        monkeypatch.setattr(connection, "parse_statements", counting_parse)
+        dialect = dialect_by_name("duckdb")
+        pipeline = build_pipeline(dialect, "differential")
+        runner = Runner(dialect)
+        runner.capture_fingerprints = True
+        engine = PatternEngine(SeedCollector(dialect).collect())
+        statements = [case.sql for case in islice(engine.generate_all(), 400)]
+        for index, sql in enumerate(statements):
+            pipeline.observe(runner.run(sql), CaseInfo("P1.1"), index)
+        assert Counter(parsed) == Counter(statements)
+        assert pipeline.get("differential").compared > 100
 
     def test_norec_reference_arm_still_diverges(self):
         # with only the fold flaw installed, the reference arm must still

@@ -27,13 +27,20 @@ from repro.perf.parallel import ParallelCampaign
 from repro.robustness.chaos import SimulatedCrash, StorageFaultInjector
 from repro.service import BugService
 from repro.service.audit import ServiceAuditor
-from repro.service.bugrepo import BugRepository
+from repro.core.oracles import (
+    ConformanceFinding,
+    DiscoveredBug,
+    DivergenceFinding,
+    MetamorphicFinding,
+)
+from repro.service.bugrepo import BugRepository, _finding_info
 from repro.service.jobs import (
     JOB_STATES,
     TERMINAL_STATES,
     Job,
     JobStore,
     QueueFull,
+    finding_to_dict,
     signature_digest,
 )
 from repro.service.journal import JobJournal
@@ -189,6 +196,72 @@ class TestServiceEndToEnd:
         )
         assert status == 400
         assert "mutually exclusive" in body["error"]
+
+
+#: one finding of each kind, and its wire form (key order included)
+WIRE_CASES = [
+    (
+        DiscoveredBug(
+            dbms="mariadb", function="reverse", crash_code="NPD",
+            pattern="P1.2", sql="SELECT REVERSE('');", stage="execute",
+            backtrace=["f0"], message="boom", query_index=8,
+        ),
+        {"kind": "crash", "label": "NPD", "dialect": "mariadb",
+         "function": "reverse", "pattern": "P1.2",
+         "sql": "SELECT REVERSE('');", "peer": "", "message": "boom",
+         "query_index": 8},
+    ),
+    (
+        DivergenceFinding(
+            dbms="duckdb", peer="mysql", function="abs", divergence="value",
+            pattern="P2.1", sql="SELECT ABS(-1);", query_index=3,
+            own_digest="a", peer_digest="b",
+        ),
+        {"kind": "divergence", "label": "WRONG", "dialect": "duckdb",
+         "function": "abs", "pattern": "P2.1", "sql": "SELECT ABS(-1);",
+         "peer": "mysql", "message": "", "query_index": 3},
+    ),
+    (
+        ConformanceFinding(
+            dbms="mysql", function="left", pattern="seed",
+            sql="SELECT LEFT('ab', 1);", message="out of range",
+            query_index=12,
+        ),
+        {"kind": "conformance", "label": "STRICT", "dialect": "mysql",
+         "function": "left", "pattern": "seed",
+         "sql": "SELECT LEFT('ab', 1);", "peer": "",
+         "message": "out of range", "query_index": 12},
+    ),
+    (
+        MetamorphicFinding(
+            dbms="duckdb", function="abs", oracle="tlp",
+            divergence="cardinality", pattern="P1.1",
+            sql="SELECT k FROM fuzz_t WHERE (i) > 0;", query_index=40,
+            own_digest="a", variant_digest="b",
+        ),
+        {"kind": "tlp", "label": "WRONGCARD", "dialect": "duckdb",
+         "function": "abs", "pattern": "P1.1",
+         "sql": "SELECT k FROM fuzz_t WHERE (i) > 0;", "peer": "",
+         "message": "", "query_index": 40},
+    ),
+]
+
+
+class TestFindingWireForm:
+    @pytest.mark.parametrize(
+        "finding,wire", WIRE_CASES, ids=[wire["kind"] for _, wire in WIRE_CASES]
+    )
+    def test_one_wire_form_for_jobs_and_ingest(self, finding, wire):
+        data = finding_to_dict(finding)
+        assert list(data.items()) == list(wire.items())
+        # bug-repository ingest reads the same fields, object or wire dict
+        info = _finding_info(finding)
+        assert info == _finding_info(data)
+        assert info == {
+            key: str(wire[key]) for key in
+            ("dialect", "function", "sql", "kind", "label", "pattern",
+             "peer", "message")
+        }
 
 
 class TestJobModel:
