@@ -100,9 +100,10 @@ def tlp_union(stmt: Select) -> SetOp:
     Equal to the parse of ``tlp_partition_statement(head, predicate)``
     for *stmt*'s head and WHERE, without lexing text that repeats the
     predicate three times.  The camps share *stmt*'s head and predicate
-    nodes instead of copying them: execution only reads a tree (the
-    optimizer rewrites a copy), so running the union never changes
-    *stmt*.
+    nodes instead of copying them, and keep sharing them through
+    optimization: the optimizer rewrites copy-on-write and never modifies
+    its input, and execution only reads a tree, so running the union never
+    changes *stmt*.
     """
     predicate = stmt.where
 
@@ -311,9 +312,9 @@ class NoRECOracle(_MetamorphicOracle):
     def _check(
         self, outcome: Outcome
     ) -> Optional[Tuple[ResultFingerprint, ResultFingerprint]]:
-        # both arms run the one parse: the optimized arm rewrites a copy
-        # (optimize_statement never changes its input), the reference arm
-        # executes the tree as parsed
+        # both arms run the one parse: the optimized arm runs the
+        # optimizer's copy-on-write rewrite of it (optimize_statement never
+        # changes its input), the reference arm executes the tree as parsed
         statements = parsed_statements(outcome)
         if not statements:
             return None

@@ -156,8 +156,9 @@ class Connection:
         """Execute *statements*, the parse of *sql*, without parsing again.
 
         ``None`` parses *sql* here, after the fault hook.  The statements
-        are only read (the optimizer rewrites a copy), so one parse can run
-        on several connections; *sql* still keys the per-statement RNG.
+        are only read (the optimizer rewrites copy-on-write and never
+        modifies its input), so one parse can run on several connections;
+        *sql* still keys the per-statement RNG.
         """
         server = self.server
         if not server.alive:

@@ -18,6 +18,7 @@ from .context import ExecutionContext
 from .errors import (
     DivisionByZeroError_,
     NameError_,
+    SQLError,
     TypeError_,
     ValueError_,
 )
@@ -60,47 +61,131 @@ from .values import (
 #: sentinel distinguishing "absent" from any bound value in scope lookups
 _MISSING = object()
 
+#: memo sentinels: a node the memo does not cover, and a covered node not
+#: evaluated yet
+_VARIANT = object()
+_UNSET = object()
+
+#: nodes whose value can change from row to row, or that the memo must not
+#: cover: column and parameter references, stars and subqueries
+_ROW_VARIANT = frozenset(
+    (n.ColumnRef, n.ParamRef, n.Star, n.SubqueryExpr, n.ExistsExpr)
+)
+_LITERALS = frozenset(
+    (n.IntegerLit, n.DecimalLit, n.StringLit, n.NullLit, n.BooleanLit)
+)
+
+
+def row_invariant_memo(
+    ctx: ExecutionContext, exprs: Sequence[n.Expr]
+) -> Dict[int, object]:
+    """An empty memo covering the maximal row-invariant subtrees of *exprs*.
+
+    A subtree is row-invariant when it holds no column reference, subquery,
+    ``*``, parameter, aggregate or impure function (the ``pure`` flag the
+    optimizer's function fold trusts), so every row of a scan computes the
+    same value for it.  An :class:`Evaluator` holding the memo evaluates
+    each covered subtree on its first reach, in normal order, and reuses
+    the value after that; errors are never stored, so short-circuits and
+    the order of errors and crashes stay those of plain evaluation.
+    """
+    memo: Dict[int, object] = {}
+    lookup = ctx.registry.lookup
+
+    def invariant(node: n.Node) -> bool:
+        cls = node.__class__
+        if cls in _LITERALS:
+            return True
+        if cls in _ROW_VARIANT:
+            return False
+        own = True
+        if cls is n.FuncCall:
+            try:
+                definition = lookup(node.name)
+            except SQLError:
+                own = False
+            else:
+                if definition.is_aggregate:
+                    return False
+                own = definition.pure
+        children = node.children()
+        kept = []
+        for child in children:
+            if invariant(child):
+                kept.append(child)
+        if own and len(kept) == len(children):
+            return True
+        for child in kept:
+            memo[id(child)] = _UNSET
+        return False
+
+    for expr in exprs:
+        if invariant(expr):
+            memo[id(expr)] = _UNSET
+    return memo
+
 
 class RowScope:
-    """Column-name → value binding for the current row."""
+    """One row's column bindings: a name → slot map plus the row's values.
 
-    __slots__ = ("columns", "parent")
+    A scan builds its slot map once (lowered names, bare and qualified) and
+    binds every row through it with :meth:`bind`, so all rows of a scan
+    share one map and each holds only its value list (for a table scan,
+    the stored row itself).  ``RowScope({"c0": value})`` builds a one-row
+    scope from a name → value dict.
+    """
+
+    __slots__ = ("slots", "values", "parent")
 
     def __init__(
         self,
         columns: Optional[Dict[str, SQLValue]] = None,
         parent: Optional["RowScope"] = None,
-        *,
-        lowered: bool = False,
     ) -> None:
-        # callers that built the dict from already-lowered keys (the
-        # executor's binders) pass lowered=True to skip re-lowering
-        if columns is None:
-            self.columns: Dict[str, SQLValue] = {}
-        elif lowered:
-            self.columns = columns
-        else:
-            self.columns = {k.lower(): v for k, v in columns.items()}
+        self.slots: Dict[str, int] = {}
+        self.values: List[SQLValue] = []
+        if columns:
+            for index, (name, value) in enumerate(columns.items()):
+                self.slots[name.lower()] = index
+                self.values.append(value)
         self.parent = parent
 
-    def lookup(self, name: str) -> SQLValue:
-        key = name.lower()
-        # fast path: single-scope lookups (the overwhelmingly common case —
-        # bare SELECTs and unjoined FROMs have no parent chain) resolve with
-        # one dict probe and no loop
-        found = self.columns.get(key, _MISSING)
-        if found is not _MISSING:
-            return found
-        scope = self.parent
-        while scope is not None:
-            found = scope.columns.get(key, _MISSING)
-            if found is not _MISSING:
-                return found
-            scope = scope.parent
-        raise NameError_(f"unknown column {name!r}")
+    @classmethod
+    def bind(
+        cls,
+        slots: Dict[str, int],
+        values: List[SQLValue],
+        parent: Optional["RowScope"] = None,
+    ) -> "RowScope":
+        """A scope for *values* under a scan's shared *slots* map."""
+        scope = cls.__new__(cls)
+        scope.slots = slots
+        scope.values = values
+        scope.parent = parent
+        return scope
 
-    def names(self) -> List[str]:
-        return list(self.columns)
+    def find(self, key: str):
+        """The value bound to lowered *key* here or in a parent scope,
+        else ``_MISSING``."""
+        scope = self
+        while scope is not None:
+            slot = scope.slots.get(key)
+            if slot is not None:
+                return scope.values[slot]
+            scope = scope.parent
+        return _MISSING
+
+    def lookup(self, name: str) -> SQLValue:
+        found = self.find(name.lower())
+        if found is _MISSING:
+            raise NameError_(f"unknown column {name!r}")
+        return found
+
+    def unqualified(self) -> List[SQLValue]:
+        """The values of the bare (unqualified) names, in binding order:
+        what ``SELECT *`` expands to."""
+        values = self.values
+        return [values[slot] for name, slot in self.slots.items() if "." not in name]
 
 
 class Evaluator:
@@ -117,16 +202,32 @@ class Evaluator:
         #: rows belonging to the current group; None means "not grouping",
         #: in which case an aggregate sees the single current row.
         self.group_rows = group_rows
+        #: values of row-invariant subtrees, keyed by node id (see
+        #: :func:`row_invariant_memo`); None evaluates every node every
+        #: time.  Only set while no governor is attached: the governor's
+        #: budgets tick once per evaluation.
+        self.memo: Optional[Dict[int, object]] = None
 
     # ------------------------------------------------------------------
     def eval(self, expr: n.Expr) -> SQLValue:
+        memo = self.memo
+        if memo is not None:
+            value = memo.get(id(expr), _VARIANT)
+            if value is not _VARIANT and value is not _UNSET:
+                return value
         try:
             method = _DISPATCH[type(expr)]
         except KeyError:
             raise TypeError_(f"cannot evaluate {type(expr).__name__}") from None
         governor = self.ctx.governor
         if governor is None:
-            return method(self, expr)
+            if memo is None or value is _VARIANT:
+                return method(self, expr)
+            # first reach of a covered subtree: evaluated in this very
+            # frame, so an error or a crash (and its backtrace) is exactly
+            # the unmemoized one
+            value = memo[id(expr)] = method(self, expr)
+            return value
         # governed path: depth/cells/wall budgets tick once per evaluation
         governor.enter_eval()
         try:
@@ -168,16 +269,17 @@ class Evaluator:
 
     # -- references ---------------------------------------------------------
     def _column(self, expr: n.ColumnRef) -> SQLValue:
-        if self.scope is None:
-            raise NameError_(f"unknown column {expr.name!r} (no FROM clause)")
-        if len(expr.parts) > 1:
+        scope = self.scope
+        parts = expr.parts
+        if scope is None:
+            raise NameError_(f"unknown column {parts[-1]!r} (no FROM clause)")
+        if len(parts) > 1:
             # qualified references bind to the qualified slot first, so
             # `l.id = r.id` stays distinct after a join merges bindings
-            try:
-                return self.scope.lookup(".".join(expr.parts))
-            except NameError_:
-                return self.scope.lookup(expr.name)
-        return self.scope.lookup(expr.name)
+            found = scope.find(".".join(parts).lower())
+            if found is not _MISSING:
+                return found
+        return scope.lookup(parts[-1])
 
     # -- calls ---------------------------------------------------------------
     def _func(self, expr: n.FuncCall) -> SQLValue:

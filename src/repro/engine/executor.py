@@ -13,18 +13,20 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..sqlast import nodes as n
-from ..sqlast.visitor import walk
 from .casting import cast_value
 from .catalog import Database, Table
 from .context import ExecutionContext
 from .errors import NameError_, ResourceError, SQLError, TypeError_, ValueError_
-from .evaluator import Evaluator, RowScope, compare_values
+from .evaluator import Evaluator, RowScope, compare_values, row_invariant_memo
 from .values import (
     NULL, SQLString, SQLValue, int_text, is_numeric, literal_to_int,
 )
 
 #: guard against cartesian blowups in generated queries
 MAX_RESULT_ROWS = 100_000
+
+#: one resolved FROM source: its name → slot map, its row width, its rows
+Scan = Tuple[Dict[str, int], int, List[List[SQLValue]]]
 
 
 @dataclass
@@ -165,22 +167,28 @@ class Executor:
         self, stmt: n.Select, outer_scope: Optional[RowScope]
     ) -> Tuple[List[str], List[List[SQLValue]]]:
         scopes = self._resolve_from(stmt.from_, outer_scope)
+        # one evaluator serves the WHERE and the projection of every row
+        evaluator = Evaluator(self.ctx)
+        if len(scopes) > 1 and self.ctx.governor is None:
+            # what reads no row is computed once per SELECT; governed runs
+            # skip the memo so their budgets tick on every evaluation
+            exprs = [item.expr for item in stmt.items]
+            if stmt.where is not None:
+                exprs.append(stmt.where)
+            evaluator.memo = row_invariant_memo(self.ctx, exprs)
         if stmt.where is not None:
             filtered = []
             for scope in scopes:
-                value = Evaluator(self.ctx, scope).eval(stmt.where)
+                evaluator.scope = scope
+                value = evaluator.eval(stmt.where)
                 if not value.is_null and value.as_bool():
                     filtered.append(scope)
             scopes = filtered
 
-        has_aggregate = any(
-            self._is_aggregate_call(e)
-            for item in stmt.items
-            for e in walk(item.expr)
-        ) or (
-            stmt.having is not None
-            and any(self._is_aggregate_call(e) for e in walk(stmt.having))
-        )
+        aggregated = [item.expr for item in stmt.items]
+        if stmt.having is not None:
+            aggregated.append(stmt.having)
+        has_aggregate = self._calls_aggregate(aggregated)
 
         columns = self._output_names(stmt, scopes)
         rows: List[List[SQLValue]] = []
@@ -201,7 +209,7 @@ class Executor:
                     governor.on_rows()
         else:
             for scope in scopes:
-                evaluator = Evaluator(self.ctx, scope)
+                evaluator.scope = scope
                 rows.append(self._project(stmt, evaluator, scope))
                 row_scopes.append(scope)
                 if governor is not None:
@@ -210,8 +218,11 @@ class Executor:
                     raise ResourceError("result set exceeds row limit")
 
         if stmt.distinct:
-            rows = _distinct_rows(rows)
-            row_scopes = row_scopes[: len(rows)]
+            # keep each surviving row's own scope: ORDER BY may read columns
+            # the projection dropped
+            keep = _first_distinct(rows)
+            rows = [rows[i] for i in keep]
+            row_scopes = [row_scopes[i] for i in keep]
         if stmt.order_by:
             rows = self._order(stmt, columns, rows, row_scopes)
         if stmt.offset is not None:
@@ -233,6 +244,17 @@ class Executor:
             raise ValueError_("LIMIT/OFFSET must be non-negative")
         return amount
 
+    def _calls_aggregate(self, exprs: List[n.Node]) -> bool:
+        """Whether an aggregate is called anywhere in *exprs*, subqueries
+        included."""
+        stack = list(exprs)
+        while stack:
+            node = stack.pop()
+            if node.__class__ is n.FuncCall and self._is_aggregate_call(node):
+                return True
+            stack.extend(node.children())
+        return False
+
     def _is_aggregate_call(self, expr: n.Node) -> bool:
         if not isinstance(expr, n.FuncCall):
             return False
@@ -242,86 +264,84 @@ class Executor:
             return False
 
     # -- FROM resolution ----------------------------------------------------
+    # Every FROM shape resolves to a Scan: one name → slot map shared by all
+    # of its rows, and the rows as plain value lists (a table scan hands out
+    # the stored rows themselves).  Each row is then bound as a RowScope
+    # over the shared map.
     def _resolve_from(
         self, sources: List[n.Node], outer_scope: Optional[RowScope]
     ) -> List[RowScope]:
         if not sources:
             return [RowScope(parent=outer_scope)]
-        scope_sets: List[List[Dict[str, SQLValue]]] = []
+        scans: List[Scan] = []
         for source in sources:
-            scope_sets.append(self._resolve_source(source, outer_scope))
+            scans.append(self._resolve_source(source, outer_scope))
         # cartesian product across comma-separated sources
         governor = self.ctx.governor
-        combined: List[Dict[str, SQLValue]] = [{}]
-        for scope_set in scope_sets:
+        slots: Dict[str, int] = {}
+        width = 0
+        combined: List[List[SQLValue]] = [[]]
+        for scan_slots, scan_width, scan_rows in scans:
             next_combined = []
             for base in combined:
-                for bindings in scope_set:
-                    merged = dict(base)
-                    merged.update(bindings)
-                    next_combined.append(merged)
+                for values in scan_rows:
+                    next_combined.append(base + values if base else values)
                     if governor is not None:
                         governor.on_rows()
                     if len(next_combined) > MAX_RESULT_ROWS:
                         raise ResourceError("join produces too many rows")
             combined = next_combined
-        # binder output keys are already lowercased (see _bind_row)
-        return [
-            RowScope(bindings, parent=outer_scope, lowered=True)
-            for bindings in combined
-        ]
+            slots = _merge_slots(slots, width, scan_slots)
+            width += scan_width
+        bind = RowScope.bind
+        return [bind(slots, values, outer_scope) for values in combined]
 
     def _resolve_source(
         self, source: n.Node, outer_scope: Optional[RowScope]
-    ) -> List[Dict[str, SQLValue]]:
+    ) -> Scan:
         if isinstance(source, n.TableRef):
             table = self.database.get_table(source.name)
             alias = source.alias or source.name
-            return [self._bind_row(table, alias, row) for row in table.rows]
+            return (
+                _table_slots(table, alias), len(table.columns), table.rows
+            )
         if isinstance(source, n.SubqueryRef):
             columns, rows = self._run_select_like(source.query, outer_scope)
             alias = source.alias or "sq"
-            out = []
-            for row in rows:
-                bindings: Dict[str, SQLValue] = {}
-                for name, value in zip(columns, row):
-                    bindings[name.lower()] = value
-                    bindings[f"{alias}.{name}".lower()] = value
-                out.append(bindings)
-            return out
+            # a set operation whose left branch is empty takes its width
+            # from the right branch; bind no more names than values
+            width = len(rows[0]) if rows else len(columns)
+            return _name_slots(columns[:width], alias), width, rows
         if isinstance(source, n.JoinRef):
             return self._resolve_join(source, outer_scope)
         raise TypeError_(f"unsupported FROM source {type(source).__name__}")
 
-    def _bind_row(self, table: Table, alias: str, row: List[SQLValue]) -> Dict[str, SQLValue]:
-        bindings: Dict[str, SQLValue] = {}
-        for column, value in zip(table.columns, row):
-            bindings[column.name.lower()] = value
-            bindings[f"{alias}.{column.name}".lower()] = value
-        return bindings
-
     def _resolve_join(
         self, join: n.JoinRef, outer_scope: Optional[RowScope]
-    ) -> List[Dict[str, SQLValue]]:
-        left_rows = self._resolve_source(join.left, outer_scope)
-        right_rows = self._resolve_source(join.right, outer_scope)
-        out: List[Dict[str, SQLValue]] = []
-        null_right = (
-            {key: NULL for bindings in right_rows[:1] for key in bindings}
-            if right_rows
-            else {}
+    ) -> Scan:
+        left_slots, left_width, left_rows = self._resolve_source(
+            join.left, outer_scope
         )
+        right_slots, right_width, right_rows = self._resolve_source(
+            join.right, outer_scope
+        )
+        if right_rows:
+            slots = _merge_slots(left_slots, left_width, right_slots)
+            width = left_width + right_width
+        else:
+            # no right row to take names from: the right side binds nothing
+            slots, width, right_width = left_slots, left_width, 0
+        null_right = [NULL] * right_width
+        out: List[List[SQLValue]] = []
+        evaluator = Evaluator(self.ctx)
         governor = self.ctx.governor
         for left in left_rows:
             matched = False
             for right in right_rows:
-                merged = dict(left)
-                merged.update(right)
+                merged = left + right
                 if join.on is not None:
-                    value = Evaluator(
-                        self.ctx,
-                        RowScope(merged, parent=outer_scope, lowered=True),
-                    ).eval(join.on)
+                    evaluator.scope = RowScope.bind(slots, merged, outer_scope)
+                    value = evaluator.eval(join.on)
                     if value.is_null or not value.as_bool():
                         continue
                 matched = True
@@ -331,10 +351,8 @@ class Executor:
                 if len(out) > MAX_RESULT_ROWS:
                     raise ResourceError("join produces too many rows")
             if not matched and join.kind == "LEFT":
-                merged = dict(left)
-                merged.update(null_right)
-                out.append(merged)
-        return out
+                out.append(left + null_right)
+        return slots, width, out
 
     # -- grouping -------------------------------------------------------------
     def _group_rows(self, stmt: n.Select, scopes: List[RowScope]) -> List[List[RowScope]]:
@@ -354,7 +372,7 @@ class Executor:
             if isinstance(item.expr, n.Star):
                 if scopes:
                     names.extend(
-                        name for name in scopes[0].columns if "." not in name
+                        name for name in scopes[0].slots if "." not in name
                     )
                 continue
             if item.alias:
@@ -371,13 +389,9 @@ class Executor:
         row: List[SQLValue] = []
         for item in stmt.items:
             if isinstance(item.expr, n.Star):
-                if scope is None or not scope.columns:
+                if scope is None or not scope.slots:
                     raise NameError_("SELECT * with no FROM clause")
-                row.extend(
-                    value
-                    for name, value in scope.columns.items()
-                    if "." not in name
-                )
+                row.extend(scope.unqualified())
                 continue
             row.append(evaluator.eval(item.expr))
         return row
@@ -392,6 +406,9 @@ class Executor:
     ) -> List[List[SQLValue]]:
         import functools
 
+        # the output columns by name, over the row's own scope
+        slots = _name_slots(columns[: len(rows[0])] if rows else [], None)
+
         def sort_value(index: int, item: n.OrderItem) -> SQLValue:
             row = rows[index]
             # ORDER BY <position> and ORDER BY <alias> conveniences
@@ -405,7 +422,7 @@ class Executor:
             if isinstance(item.expr, n.ColumnRef) and item.expr.name in columns:
                 return row[columns.index(item.expr.name)]
             parent = row_scopes[index] if index < len(row_scopes) else None
-            scope = RowScope(dict(zip(columns, row)), parent=parent)
+            scope = RowScope.bind(slots, row, parent)
             return Evaluator(self.ctx, scope).eval(item.expr)
 
         def cmp(a: int, b: int) -> int:
@@ -452,10 +469,8 @@ class Executor:
                 steps.append("scan(<virtual single row>)")
             if optimized.where is not None:
                 steps.append(f"filter({to_sql(optimized.where)})")
-            if optimized.group_by or any(
-                self._is_aggregate_call(e)
-                for item in optimized.items
-                for e in walk(item.expr)
+            if optimized.group_by or self._calls_aggregate(
+                [item.expr for item in optimized.items]
             ):
                 keys = ", ".join(to_sql(g) for g in optimized.group_by) or "<all rows>"
                 steps.append(f"aggregate(keys: {keys})")
@@ -478,15 +493,18 @@ class Executor:
     def _run_update(self, stmt: n.Update) -> Result:
         table = self.database.get_table(stmt.table)
         indexes = [table.column_index(col) for col, _ in stmt.assignments]
+        slots = _table_slots(table, stmt.table)
+        evaluator = Evaluator(self.ctx)
         updated = 0
         for row in table.rows:
-            scope = RowScope(self._bind_row(table, stmt.table, row), lowered=True)
+            # every assignment reads the row as it was before the update
+            evaluator.scope = RowScope.bind(slots, list(row))
             if stmt.where is not None:
-                keep = Evaluator(self.ctx, scope).eval(stmt.where)
+                keep = evaluator.eval(stmt.where)
                 if keep.is_null or not keep.as_bool():
                     continue
             for index, (_, expr) in zip(indexes, stmt.assignments):
-                value = Evaluator(self.ctx, scope).eval(expr)
+                value = evaluator.eval(expr)
                 column = table.columns[index]
                 if not value.is_null:
                     value = cast_value(self.ctx, value, column.type_name)
@@ -500,11 +518,13 @@ class Executor:
     def _run_delete(self, stmt: n.Delete) -> Result:
         table = self.database.get_table(stmt.table)
         kept: List[List[SQLValue]] = []
+        slots = _table_slots(table, stmt.table)
+        evaluator = Evaluator(self.ctx)
         deleted = 0
         for row in table.rows:
             if stmt.where is not None:
-                scope = RowScope(self._bind_row(table, stmt.table, row), lowered=True)
-                keep = Evaluator(self.ctx, scope).eval(stmt.where)
+                evaluator.scope = RowScope.bind(slots, row)
+                keep = evaluator.eval(stmt.where)
                 if keep.is_null or not keep.as_bool():
                     kept.append(row)
                     continue
@@ -540,16 +560,47 @@ class Executor:
         return Result()
 
 
+def _name_slots(names: List[str], alias: Optional[str]) -> Dict[str, int]:
+    """Slot map binding each name, bare and (with *alias*) qualified, to
+    its position; a later duplicate name takes the slot."""
+    slots: Dict[str, int] = {}
+    for index, name in enumerate(names):
+        slots[name.lower()] = index
+        if alias is not None:
+            slots[f"{alias}.{name}".lower()] = index
+    return slots
+
+
+def _table_slots(table: Table, alias: str) -> Dict[str, int]:
+    return _name_slots([column.name for column in table.columns], alias)
+
+
+def _merge_slots(
+    left: Dict[str, int], left_width: int, right: Dict[str, int]
+) -> Dict[str, int]:
+    """The slots of rows made by appending *right*'s values to *left*'s;
+    a name bound on both sides resolves to the right side."""
+    merged = dict(left)
+    for name, slot in right.items():
+        merged[name] = left_width + slot
+    return merged
+
+
 def _row_key(row: List[SQLValue]) -> Tuple:
     return tuple(v.sort_key() for v in row)
 
 
-def _distinct_rows(rows: List[List[SQLValue]]) -> List[List[SQLValue]]:
+def _first_distinct(rows: List[List[SQLValue]]) -> List[int]:
+    """Indexes of the first row of each distinct value, in row order."""
     seen = set()
-    out = []
-    for row in rows:
+    keep = []
+    for index, row in enumerate(rows):
         key = _row_key(row)
         if key not in seen:
             seen.add(key)
-            out.append(row)
-    return out
+            keep.append(index)
+    return keep
+
+
+def _distinct_rows(rows: List[List[SQLValue]]) -> List[List[SQLValue]]:
+    return [rows[i] for i in _first_distinct(rows)]

@@ -15,6 +15,7 @@ optimize stage for those dialects.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 from ..sqlast import nodes as n
@@ -32,6 +33,9 @@ from .values import (
 )
 
 _LITERAL_NODES = (n.IntegerLit, n.DecimalLit, n.StringLit, n.NullLit, n.BooleanLit)
+
+#: the node classes :func:`_fold` can rewrite; the rewrite skips the rest
+_FOLD_SITES = frozenset((n.BinaryOp, n.UnaryOp, n.FuncCall, n.Select))
 
 
 def _is_literal(expr: n.Node) -> bool:
@@ -57,6 +61,11 @@ def _value_to_literal(value: SQLValue) -> Optional[n.Expr]:
 def optimize_statement(ctx: ExecutionContext, stmt: n.Statement) -> n.Statement:
     """Run the rewrite pipeline over *stmt* (returns a rewritten tree).
 
+    *stmt* is never modified.  The rewrite is copy-on-write (see
+    :func:`~repro.sqlast.visitor.transform`): a statement with nothing to
+    fold comes back as the same object, and a folded one shares every
+    subtree the folds did not touch.
+
     The ``optimizer_passes`` config knob selects the pass subset: the
     default (unset or ``"all"``) runs every rewrite; ``"none"``/``"off"``
     suppresses optimization entirely and executes the parsed tree as-is.
@@ -71,7 +80,9 @@ def optimize_statement(ctx: ExecutionContext, stmt: n.Statement) -> n.Statement:
     # read once per statement: no foldable (pure, non-aggregate) function
     # writes the session config, so the knob cannot change mid-rewrite
     fold_functions = ctx.get_config("fold_functions") == "1"
-    rewritten = transform(stmt, lambda node: _fold(ctx, node, fold_functions))
+    rewritten = transform(
+        stmt, lambda node: _fold(ctx, node, fold_functions), _FOLD_SITES
+    )
     # deliberately not a finally-block: when a CrashSignal unwinds through
     # here the stage must stay "optimize" so the crash is attributed to the
     # optimization stage (Finding 1's classification)
@@ -107,10 +118,10 @@ def _fold(
                 return None
             if definition.pure and not definition.is_aggregate:
                 return _try_eval(ctx, node)
-    # WHERE TRUE elimination
+    # WHERE TRUE elimination (on a copy: *node* may be shared with the input)
     if isinstance(node, n.Select) and isinstance(node.where, n.BooleanLit):
         if node.where.value:
-            node.where = None
+            return replace(node, where=None)
         return None
     return None
 

@@ -47,8 +47,9 @@ cold parse):
   ``WHERE TRUE``) and rebinding never changes structure, so a template with
   no fold site (``needs_optimize=False``) provably optimizes to itself for
   *every* rebinding and is executed directly; otherwise the optimizer runs
-  per hit on the rebound tree (its transform deep-rewrites into fresh
-  nodes, leaving the template untouched).
+  per hit on the rebound tree (it never modifies its input, so the
+  template stays untouched; the rewritten tree is executed at once and
+  never stored).
 * Only single-statement SELECT/set-operation text is cached.  Entries are
   inserted after parse+optimize succeed and *before* execution, so a
   statement whose execution raises a handled SQL error (common on
@@ -65,7 +66,7 @@ entries in both tiers lazily attach a **compiled closure program** the first
 time they are fetched with a context.  Exact-tier entries always qualify
 (they store the final optimized tree, executed as-is); template-tier
 entries qualify only when ``needs_optimize`` is False — a template with a
-fold site re-optimizes per rebinding into fresh nodes under
+fold site re-optimizes per rebinding under
 ``stage="optimize"``, and moving that work into compiled execution would
 re-attribute optimize-stage crashes to the execute stage.  Compilation is
 skipped (and counted in ``compile_fallbacks``) while a resource governor is
@@ -223,8 +224,8 @@ class _Template:
         """Splice the probe's literal values into the template in place.
 
         Safe because the template tree is owned by the cache: execution
-        never mutates ASTs, and when optimization is needed it transforms
-        into fresh nodes rather than editing these.
+        never mutates ASTs, optimization never modifies its input, and the
+        exact tier holds its own clone of every optimized tree.
         """
         self._bound = None  # token lists are transient; no identity to keep
         for node, token in zip(self.slots, lit_tokens):
@@ -496,14 +497,12 @@ class StatementCache:
         Called between optimization and execution, so statements whose
         execution raises an SQL error are cached too, while parse/optimize
         failures never reach here.  *parsed* becomes the template and
-        *optimized* the exact-tier plan; they share no node (see
-        ``repro.sqlast.visitor.transform``), so rebinding the template's
-        literals leaves the exact-tier plan alone.
+        a clone of *optimized* the exact-tier plan.  The optimizer rewrites
+        copy-on-write (``repro.sqlast.visitor.transform``), so *optimized*
+        may share nodes with *parsed* or be *parsed* itself; the clone
+        keeps rebinding the template's literals from reaching the plan.
         """
-        if optimized is parsed:
-            # optimization suppressed (``optimizer_passes=none``) hands the
-            # parsed tree back as-is; the exact tier needs its own copy
-            optimized = clone(parsed)
+        optimized = clone(optimized)
         exact_key = (dialect, sql)
         self._exact[exact_key] = _ExactEntry(optimized)
         self._exact.move_to_end(exact_key)

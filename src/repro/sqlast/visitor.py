@@ -6,7 +6,8 @@ SOFT's PoC minimizer and the optimizer need three operations:
 * :func:`clone` — structural deep copy so a reduced candidate never aliases
   the statement it came from;
 * :func:`replace_node` / :func:`transform` — splice a replacement subtree
-  into a cloned tree at a given position, or rewrite a fresh copy.
+  into a cloned tree at a given position, or rewrite a tree copy-on-write
+  (unchanged subtrees come back shared).
 
 Positions are identified by *node identity* after cloning: callers clone the
 seed once, walk the clone to pick targets, and mutate in place.
@@ -14,7 +15,8 @@ seed once, walk the clone to pick targets, and mutate in place.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional
+from operator import is_not
+from typing import Callable, Collection, Dict, Iterator, List, Optional
 
 from . import nodes as n
 
@@ -81,145 +83,246 @@ def max_function_nesting(node: n.Node) -> int:
 
 
 def transform(
-    node: n.Node, fn: Callable[[n.Node], Optional[n.Node]]
+    node: n.Node,
+    fn: Callable[[n.Node], Optional[n.Node]],
+    kinds: Optional[Collection[type]] = None,
 ) -> n.Node:
     """Bottom-up rewrite: *fn* returns a replacement node or None to keep.
 
-    The input tree is not modified; a rewritten copy is returned.  Every
-    node the rewrite descends into is a fresh object, so the result shares
-    no expression or clause node with the input: either tree can be
-    changed in place without the other seeing it.  (The rewrite does not
-    descend into ``EXPLAIN`` targets, ``CREATE TABLE`` column lists or
-    ``TypeName`` parameters; those stay shared.)
+    *fn* sees every node, or with *kinds* only the nodes of those exact
+    classes.  The input tree is not modified.  The rewrite is
+    copy-on-write: a node is copied only when *fn* replaced one of its
+    children (or one of theirs), so a subtree with nothing to rewrite
+    comes back as the very same object, and a rewrite copies exactly the
+    path from the replaced node to the root.  The result therefore shares
+    nodes with the input, and neither tree may be changed in place while
+    the other is in use; *fn* must likewise return a new node rather than
+    edit the one it is given.  (The rewrite does not descend into
+    ``EXPLAIN`` targets, ``CREATE TABLE`` column lists or ``TypeName``
+    parameters.)
     """
 
     def rewrite(current: n.Node) -> n.Node:
-        fresh = object.__new__(current.__class__)
-        fresh.__dict__ = current.__dict__.copy()
-        _replace_children(fresh, rewrite)
-        replacement = fn(fresh)
-        return replacement if replacement is not None else fresh
+        cls = current.__class__
+        if cls in _REWIRE:
+            current = _replace_children(current, rewrite)
+        if kinds is not None and cls not in kinds:
+            return current
+        replacement = fn(current)
+        return current if replacement is None else replacement
 
     return rewrite(node)
 
 
-def _replace_children(node: n.Node, rewrite: Callable[[n.Node], n.Node]) -> None:
-    """Rewrite child links in place (on a fresh copy, or by splicing)."""
-    rewire = _REWIRE.get(node.__class__)
-    if rewire is not None:
-        rewire(node, rewrite)
+def _replace_children(node: n.Node, rewrite: Callable[[n.Node], n.Node]) -> n.Node:
+    """*node* with every child link replaced by ``rewrite(child)``.
+
+    Returns *node* itself when no link changed, otherwise a shallow copy
+    of *node* holding the new links (a child list whose nodes all came
+    back unchanged stays shared too).
+    """
+    links = _REWIRE[node.__class__](node, rewrite)
+    if links is None:
+        return node
+    fresh = object.__new__(node.__class__)
+    attributes = node.__dict__.copy()
+    for name, value in links.items():
+        old = attributes[name]
+        if not (value.__class__ is list and _kept(old, value)):
+            attributes[name] = value
+    fresh.__dict__ = attributes
+    return fresh
+
+
+def _kept(old: List, new: List) -> bool:
+    """True when list *new* holds exactly the nodes of list *old*."""
+    return not any(map(is_not, old, new))
 
 
 # -- per-type child rewiring ---------------------------------------------
-# Each function replaces its node's child links with ``rewrite(child)``,
-# visiting children in source order (the optimizer's folds run in that
-# order, so it decides which of two faulty sites crashes first).  The
-# table is keyed by exact node class (no node class is subclassed); leaf
-# nodes (literals, refs, TableRef, ColumnDef, ...) have no entry.
+# Each function computes ``rewrite(child)`` for each of its node's child
+# links, visiting children in source order (the optimizer's folds run in
+# that order, so it decides which of two faulty sites crashes first).  It
+# returns None when every child came back as itself, and otherwise the
+# node's new links as ``{attribute: value}``; the node itself is left
+# alone.  The table is keyed by exact node class (no node class is
+# subclassed); leaf nodes (literals, refs, TableRef, ColumnDef, ...) have
+# no entry.
 
 
 def _rw_args(node, rewrite):
-    node.args = [rewrite(a) for a in node.args]
+    args = [rewrite(a) for a in node.args]
+    return None if _kept(node.args, args) else {"args": args}
 
 
 def _rw_operand(node, rewrite):
-    node.operand = rewrite(node.operand)
+    operand = rewrite(node.operand)
+    return None if operand is node.operand else {"operand": operand}
 
 
 def _rw_left_right(node, rewrite):
-    node.left = rewrite(node.left)
-    node.right = rewrite(node.right)
+    left = rewrite(node.left)
+    right = rewrite(node.right)
+    if left is node.left and right is node.right:
+        return None
+    return {"left": left, "right": right}
 
 
 def _rw_expr(node, rewrite):
-    node.expr = rewrite(node.expr)
+    expr = rewrite(node.expr)
+    return None if expr is node.expr else {"expr": expr}
 
 
 def _rw_items(node, rewrite):
-    node.items = [rewrite(i) for i in node.items]
+    items = [rewrite(i) for i in node.items]
+    return None if _kept(node.items, items) else {"items": items}
 
 
 def _rw_query(node, rewrite):
-    node.query = rewrite(node.query)
+    query = rewrite(node.query)
+    return None if query is node.query else {"query": query}
 
 
 def _rw_case(node, rewrite):
-    if node.operand is not None:
-        node.operand = rewrite(node.operand)
-    node.whens = [(rewrite(c), rewrite(r)) for c, r in node.whens]
-    if node.else_ is not None:
-        node.else_ = rewrite(node.else_)
+    operand = node.operand
+    if operand is not None:
+        operand = rewrite(operand)
+    whens = [(rewrite(c), rewrite(r)) for c, r in node.whens]
+    else_ = node.else_
+    if else_ is not None:
+        else_ = rewrite(else_)
+    if (
+        operand is node.operand
+        and else_ is node.else_
+        and all(c is old_c and r is old_r
+                for (c, r), (old_c, old_r) in zip(whens, node.whens))
+    ):
+        return None
+    return {"operand": operand, "whens": whens, "else_": else_}
 
 
 def _rw_in(node, rewrite):
-    node.expr = rewrite(node.expr)
-    node.items = [rewrite(i) for i in node.items]
+    expr = rewrite(node.expr)
+    items = [rewrite(i) for i in node.items]
+    if expr is node.expr and _kept(node.items, items):
+        return None
+    return {"expr": expr, "items": items}
 
 
 def _rw_between(node, rewrite):
-    node.expr = rewrite(node.expr)
-    node.low = rewrite(node.low)
-    node.high = rewrite(node.high)
+    expr = rewrite(node.expr)
+    low = rewrite(node.low)
+    high = rewrite(node.high)
+    if expr is node.expr and low is node.low and high is node.high:
+        return None
+    return {"expr": expr, "low": low, "high": high}
 
 
 def _rw_like(node, rewrite):
-    node.expr = rewrite(node.expr)
-    node.pattern = rewrite(node.pattern)
+    expr = rewrite(node.expr)
+    pattern = rewrite(node.pattern)
+    if expr is node.expr and pattern is node.pattern:
+        return None
+    return {"expr": expr, "pattern": pattern}
 
 
 def _rw_map(node, rewrite):
-    node.keys = [rewrite(k) for k in node.keys]
-    node.values = [rewrite(v) for v in node.values]
+    keys = [rewrite(k) for k in node.keys]
+    values = [rewrite(v) for v in node.values]
+    if _kept(node.keys, keys) and _kept(node.values, values):
+        return None
+    return {"keys": keys, "values": values}
 
 
 def _rw_value(node, rewrite):
-    node.value = rewrite(node.value)
+    value = rewrite(node.value)
+    return None if value is node.value else {"value": value}
 
 
 def _rw_index(node, rewrite):
-    node.base = rewrite(node.base)
-    node.index = rewrite(node.index)
+    base = rewrite(node.base)
+    index = rewrite(node.index)
+    if base is node.base and index is node.index:
+        return None
+    return {"base": base, "index": index}
 
 
 def _rw_select(node, rewrite):
-    node.items = [rewrite(i) for i in node.items]
-    node.from_ = [rewrite(f) for f in node.from_]
-    if node.where is not None:
-        node.where = rewrite(node.where)
-    node.group_by = [rewrite(g) for g in node.group_by]
-    if node.having is not None:
-        node.having = rewrite(node.having)
-    node.order_by = [rewrite(o) for o in node.order_by]
-    if node.limit is not None:
-        node.limit = rewrite(node.limit)
-    if node.offset is not None:
-        node.offset = rewrite(node.offset)
+    items = [rewrite(i) for i in node.items]
+    from_ = [rewrite(f) for f in node.from_]
+    where = node.where
+    if where is not None:
+        where = rewrite(where)
+    group_by = [rewrite(g) for g in node.group_by]
+    having = node.having
+    if having is not None:
+        having = rewrite(having)
+    order_by = [rewrite(o) for o in node.order_by]
+    limit = node.limit
+    if limit is not None:
+        limit = rewrite(limit)
+    offset = node.offset
+    if offset is not None:
+        offset = rewrite(offset)
+    if (
+        where is node.where
+        and having is node.having
+        and limit is node.limit
+        and offset is node.offset
+        and _kept(node.items, items)
+        and _kept(node.from_, from_)
+        and _kept(node.group_by, group_by)
+        and _kept(node.order_by, order_by)
+    ):
+        return None
+    return {
+        "items": items, "from_": from_, "where": where, "group_by": group_by,
+        "having": having, "order_by": order_by, "limit": limit,
+        "offset": offset,
+    }
 
 
 def _rw_join(node, rewrite):
-    node.left = rewrite(node.left)
-    node.right = rewrite(node.right)
-    if node.on is not None:
-        node.on = rewrite(node.on)
+    left = rewrite(node.left)
+    right = rewrite(node.right)
+    on = node.on
+    if on is not None:
+        on = rewrite(on)
+    if left is node.left and right is node.right and on is node.on:
+        return None
+    return {"left": left, "right": right, "on": on}
 
 
 def _rw_exists(node, rewrite):
-    node.subquery = rewrite(node.subquery)
+    subquery = rewrite(node.subquery)
+    return None if subquery is node.subquery else {"subquery": subquery}
 
 
 def _rw_insert(node, rewrite):
-    node.rows = [[rewrite(v) for v in row] for row in node.rows]
+    rows = [[rewrite(v) for v in row] for row in node.rows]
+    if all(_kept(old, new) for old, new in zip(node.rows, rows)):
+        return None
+    return {"rows": rows}
 
 
 def _rw_update(node, rewrite):
-    node.assignments = [(c, rewrite(e)) for c, e in node.assignments]
-    if node.where is not None:
-        node.where = rewrite(node.where)
+    assignments = [(c, rewrite(e)) for c, e in node.assignments]
+    where = node.where
+    if where is not None:
+        where = rewrite(where)
+    if where is node.where and all(
+        e is old for (_, e), (_, old) in zip(assignments, node.assignments)
+    ):
+        return None
+    return {"assignments": assignments, "where": where}
 
 
 def _rw_where(node, rewrite):
-    if node.where is not None:
-        node.where = rewrite(node.where)
+    where = node.where
+    if where is None:
+        return None
+    where = rewrite(where)
+    return None if where is node.where else {"where": where}
 
 
 _REWIRE: Dict[type, Callable] = {
@@ -281,7 +384,9 @@ def replace_node(root: n.Node, target: n.Node, replacement: n.Node) -> n.Node:
             break
         for child in current.children():
             if child is target:
-                _replace_children(current, swap)
+                rewire = _REWIRE.get(current.__class__)
+                if rewire is not None:
+                    current.__dict__.update(rewire(current, swap) or {})
                 break
     if not found:
         raise ValueError("target node not found in tree")

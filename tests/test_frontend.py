@@ -1,10 +1,11 @@
-"""Front-end kernel tests: tokens, keyword matching, fresh AST copies.
+"""Front-end kernel tests: tokens, keyword matching, AST rewrites and copies.
 
 The lexer, parser, optimizer and AST copy helpers are shared by every
 statement a campaign runs, so they are tuned for interpreter overhead.
 These tests pin what the tuning must not change: token identity, the
-keyword rules for quoted identifiers, the fresh-tree invariant of the
-AST copy helpers, and a golden digest of lexing, parsing and
+keyword rules for quoted identifiers, the tree-ownership rules of the
+AST rewrite and copy helpers (copy-on-write rewrites that never modify
+their input; deep clones), and a golden digest of lexing, parsing and
 optimizing every dialect's regression suite plus the start of the duckdb
 generation stream.
 """
@@ -122,7 +123,8 @@ class TestQuotedIdentifiersAreNeverKeywords:
 
 
 # ---------------------------------------------------------------------------
-# fresh trees: transform / optimize / clone share no node with their input
+# tree ownership: optimize and transform rewrite copy-on-write and never
+# modify their input; clone shares no node with its input
 # ---------------------------------------------------------------------------
 _TREE_SQL = [
     "SELECT ABS(-5) + 1, 2 * 3, 'x' AS s FROM t WHERE c > 1 + 1 ORDER BY c LIMIT 3",
@@ -147,24 +149,71 @@ def _container_ids(tree):
     }
 
 
-@pytest.mark.parametrize("sql", _TREE_SQL)
-@pytest.mark.parametrize("fold_functions", ["0", "1"])
-def test_optimize_statement_shares_no_node_with_its_input(sql, fold_functions):
+def _optimize(sql, fold_functions="0"):
     ctx = dialect_by_name("duckdb").make_context()
     ctx.set_config("fold_functions", fold_functions)
     stmt = parse_statement(sql)
-    before = to_sql(stmt)
-    optimized = optimize_statement(ctx, stmt)
-    assert to_sql(stmt) == before
-    assert not _node_ids(stmt) & _node_ids(optimized)
+    return stmt, optimize_statement(ctx, stmt)
 
 
 @pytest.mark.parametrize("sql", _TREE_SQL)
-def test_identity_transform_is_an_equal_fresh_tree(sql):
+@pytest.mark.parametrize("fold_functions", ["0", "1"])
+def test_optimize_statement_never_mutates_its_input(sql, fold_functions):
+    ctx = dialect_by_name("duckdb").make_context()
+    ctx.set_config("fold_functions", fold_functions)
     stmt = parse_statement(sql)
-    copy = transform(stmt, lambda node: None)
-    assert copy == stmt and to_sql(copy) == to_sql(stmt)
-    assert not _node_ids(stmt) & _node_ids(copy)
+    before = clone(stmt)
+    nodes_before = [(node, dict(vars(node))) for node in walk(stmt)]
+    optimize_statement(ctx, stmt)
+    assert stmt == before and to_sql(stmt) == to_sql(before)
+    for node, attributes in nodes_before:
+        assert vars(node) == attributes
+
+
+@pytest.mark.parametrize("sql", _TREE_SQL)
+def test_identity_transform_returns_its_input(sql):
+    stmt = parse_statement(sql)
+    assert transform(stmt, lambda node: None) is stmt
+
+
+@pytest.mark.parametrize("fold_functions", ["0", "1"])
+def test_statement_with_nothing_to_fold_comes_back_as_the_same_object(
+    fold_functions,
+):
+    stmt, optimized = _optimize(
+        "SELECT a, UPPER(b) FROM (SELECT a, b FROM t) AS s "
+        "WHERE a > c AND b IS NOT NULL ORDER BY a LIMIT 3",
+        fold_functions,
+    )
+    assert optimized is stmt
+
+
+def test_a_fold_copies_exactly_the_path_to_the_root():
+    stmt, optimized = _optimize(
+        "SELECT a, 1 + 1 AS two, b FROM t WHERE a > b ORDER BY a"
+    )
+    assert to_sql(optimized) == "SELECT a, 2 AS two, b FROM t WHERE (a > b) ORDER BY a"
+    folded_item = optimized.items[1]
+    fresh = _node_ids(optimized) - _node_ids(stmt)
+    assert fresh == {id(optimized), id(folded_item), id(folded_item.expr)}
+    # the untouched siblings stay shared, links and all
+    assert optimized.items[0] is stmt.items[0]
+    assert optimized.items[2] is stmt.items[2]
+    assert optimized.from_ is stmt.from_
+    assert optimized.where is stmt.where
+    assert optimized.order_by is stmt.order_by
+    assert to_sql(stmt) == "SELECT a, (1 + 1) AS two, b FROM t WHERE (a > b) ORDER BY a"
+
+
+@pytest.mark.parametrize("where", ["TRUE", "1 = 1"])
+def test_where_true_elimination_leaves_the_inputs_where_alone(where):
+    ctx = dialect_by_name("duckdb").make_context()
+    stmt = parse_statement(f"SELECT a FROM t WHERE {where}")
+    predicate, before = stmt.where, to_sql(stmt)
+    optimized = optimize_statement(ctx, stmt)
+    assert optimized.where is None and to_sql(optimized) == "SELECT a FROM t"
+    assert stmt.where is predicate and to_sql(stmt) == before
+    assert optimized.items is stmt.items and optimized.from_ is stmt.from_
 
 
 @pytest.mark.parametrize("sql", _TREE_SQL)

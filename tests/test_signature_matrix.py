@@ -10,7 +10,11 @@ Two invariants hold on every dialect and both statement families:
   findings; a sandboxed run (expression family) signs like the serial run
   plus its supervisor tuple;
 * **zero false positives** — every cell of a dialect with no seeded logic
-  flaw reports no findings.
+  flaw reports no findings;
+* **recall** — every cell of a dialect with seeded logic flaws reports each
+  flaw its statement family can reach (function-level flaws in the
+  expression family, predicate-level flaws in the predicate family), and
+  every finding it reports is attributed to a seeded flaw.
 
 A deliberate behaviour change re-pins every cell with::
 
@@ -31,6 +35,7 @@ from repro.core.campaign import run_campaign
 from repro.core.config import CampaignConfig
 from repro.dialects import dialect_names
 from repro.dialects.bugs import logic_flaws_for
+from repro.dialects.flaws import LOGIC_KINDS, PREDICATE_KINDS
 from repro.perf import run_parallel_campaign
 from repro.service.jobs import signature_digest
 
@@ -39,6 +44,12 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "signatures.json")
 FAMILIES = {
     "expression": ("crash", "differential", "conformance"),
     "predicate": ("crash", "tlp", "norec"),
+}
+
+#: the seeded logic-flaw kinds each family's oracles can find
+FAMILY_FLAW_KINDS = {
+    "expression": LOGIC_KINDS,
+    "predicate": PREDICATE_KINDS,
 }
 
 #: past every dialect's seed phase (217 statements on monetdb, 450 on
@@ -135,8 +146,14 @@ def test_cell(dialect, family, mode):
     result = run_cell(dialect, family, mode)
     pins = golden()["cells"][dialect][family]
 
-    if not logic_flaws_for(dialect):
-        assert result.findings == []
+    seeded = {
+        flaw.flaw_id
+        for flaw in logic_flaws_for(dialect)
+        if flaw.kind in FAMILY_FLAW_KINDS[family]
+    }
+    attributed = [finding.attribution for finding in result.findings]
+    assert None not in attributed
+    assert {flaw.flaw_id for flaw in attributed} == seeded
 
     if mode == "sandboxed":
         serial = run_cell(dialect, family, "serial")
