@@ -15,7 +15,6 @@ import os
 
 from repro.core.campaign import run_campaign
 from repro.core.config import CampaignConfig
-from repro.perf.parallel import ParallelCampaign
 
 from _shared import BUDGET_24H, RESULTS_DIR, emit, shape_line
 
@@ -31,11 +30,11 @@ def _serial():
 
 
 def _parallel(jobs: int):
-    return ParallelCampaign(
+    return run_campaign(
         config=CampaignConfig(
             dialect=DIALECT, jobs=jobs, budget=BUDGET_24H, seed=SEED
         )
-    ).run()
+    )
 
 
 def _predicate_serial():

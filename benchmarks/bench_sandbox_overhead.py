@@ -16,7 +16,6 @@ import json
 import os
 
 from repro.core.campaign import run_campaign
-from repro.perf import run_parallel_campaign
 
 from _shared import BUDGET_24H, RESULTS_DIR, emit, shape_line
 
@@ -26,11 +25,7 @@ JOBS = 4
 
 
 def _run(sandbox: bool, jobs: int):
-    if jobs == 1:
-        return run_campaign(
-            DIALECT, budget=BUDGET_24H, seed=SEED, sandbox=sandbox
-        )
-    return run_parallel_campaign(
+    return run_campaign(
         DIALECT, jobs=jobs, budget=BUDGET_24H, seed=SEED, sandbox=sandbox
     )
 

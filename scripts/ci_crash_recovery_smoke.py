@@ -1,10 +1,16 @@
 #!/usr/bin/env python
 """CI smoke test: the service survives a SIGKILL and resumes from its journal.
 
-1. start ``repro serve`` as a real subprocess with a durable data dir and
-   submit a checkpointed campaign job over the JSON API;
-2. SIGKILL the server mid-campaign, after at least one checkpoint has
-   been written but long before the budget is exhausted;
+The whole sequence runs twice: for a serial job and for a ``jobs=2`` job,
+whose shards beat the job's progress while they run.
+
+1. start ``repro serve`` as a real subprocess, in its own process group,
+   with a durable data dir and submit a checkpointed campaign job over
+   the JSON API;
+2. SIGKILL the server mid-campaign, after every checkpoint file of the
+   job has been written but long before the budget is exhausted; the
+   server's process group must then empty within a few seconds (no
+   orphaned shard is left running, and writing sidecars);
 3. restart the server on the same data dir: startup recovery must find
    the orphaned ``running`` job in the journal and re-enqueue it;
 4. the recovered job must finish ``done`` with ``resumed: true`` in its
@@ -34,14 +40,20 @@ import urllib.request
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.core import CampaignConfig  # noqa: E402
+from repro.core.campaign import checkpoint_files  # noqa: E402
 from repro.service.jobs import signature_digest  # noqa: E402
 from repro.service.scheduler import run_scheduled  # noqa: E402
 
 DIALECT = "virtuoso"
-BUDGET = 20_000
+#: per pass (by ``jobs``): the sharded pass runs long enough that an
+#: orphaned shard would still be running well past ORPHAN_DEADLINE
+BUDGETS = {1: 20_000, 2: 100_000}
 CHECKPOINT_EVERY = 500
 KILL_AFTER_POSITION = 2 * CHECKPOINT_EVERY
 POLL_DEADLINE = 240.0
+#: how long orphaned shards may take to notice their parent is gone (one
+#: beat: a few hundred statements)
+ORPHAN_DEADLINE = 3.0
 
 
 def fail(message: str) -> None:
@@ -85,6 +97,7 @@ def start_server(data_dir: str, port: int) -> subprocess.Popen:
         env=env,
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
+        start_new_session=True,
     )
     deadline = time.monotonic() + 30.0
     while time.monotonic() < deadline:
@@ -100,12 +113,26 @@ def start_server(data_dir: str, port: int) -> subprocess.Popen:
     fail("server did not come up within 30s")
 
 
-def main() -> None:
+def wait_group_empty(pgid: int) -> None:
+    """Fail unless every process of group *pgid* is gone in time."""
+    deadline = time.monotonic() + ORPHAN_DEADLINE
+    while time.monotonic() < deadline:
+        try:
+            os.killpg(pgid, 0)
+        except ProcessLookupError:
+            return
+        time.sleep(0.05)
+    fail(f"the killed server left processes in its group {pgid}")
+
+
+def smoke(jobs: int) -> None:
     data_dir = tempfile.mkdtemp(prefix="repro-crash-smoke-")
     config = CampaignConfig(
-        dialect=DIALECT, budget=BUDGET, checkpoint_every=CHECKPOINT_EVERY
+        dialect=DIALECT, budget=BUDGETS[jobs], checkpoint_every=CHECKPOINT_EVERY,
+        jobs=jobs,
     )
 
+    print(f"== jobs={jobs}")
     print("[1/5] control run: uninterrupted in-process campaign")
     control = run_scheduled(config)
     control_digest = signature_digest(control)
@@ -120,6 +147,9 @@ def main() -> None:
     if status != 200:
         fail(f"submit rejected: {status} {job}")
     job_id = job["id"]
+    checkpoints = checkpoint_files(config.replace(
+        checkpoint_path=os.path.join(data_dir, "checkpoints", f"{job_id}.ckpt")
+    )).values()
 
     print(f"[3/5] SIGKILL the server past position {KILL_AFTER_POSITION}")
     deadline = time.monotonic() + POLL_DEADLINE
@@ -128,19 +158,23 @@ def main() -> None:
         status, shown = request(port, "GET", f"/jobs/{job_id}")
         if shown["state"] in ("done", "failed", "cancelled"):
             fail(f"job finished before the kill ({shown['state']}) — "
-                 f"raise BUDGET so the crash lands mid-campaign")
+                 f"raise BUDGETS so the crash lands mid-campaign")
         position = (shown.get("progress") or {}).get("position", 0)
-        if shown["state"] == "running" and position >= KILL_AFTER_POSITION:
+        if (
+            shown["state"] == "running"
+            and position >= KILL_AFTER_POSITION
+            and all(os.path.exists(path) for path in checkpoints)
+        ):
             break
         time.sleep(0.05)
     else:
-        fail(f"job never reached position {KILL_AFTER_POSITION}: {position}")
+        fail(f"job never reached position {KILL_AFTER_POSITION} with every "
+             f"checkpoint saved: {position}")
     os.kill(proc.pid, signal.SIGKILL)
     proc.wait(timeout=30)
-    checkpoint = os.path.join(data_dir, "checkpoints", f"{job_id}.ckpt")
-    if not os.path.exists(checkpoint):
-        fail(f"no checkpoint sidecar at {checkpoint} after the kill")
-    print(f"      killed at position ~{position}, checkpoint on disk")
+    wait_group_empty(proc.pid)
+    print(f"      killed at position ~{position}, checkpoints on disk, "
+          f"no process left in the server's group")
 
     print("[4/5] restart on the same data dir: recovery must resume the job")
     port = free_port()
@@ -189,8 +223,13 @@ def main() -> None:
         except subprocess.TimeoutExpired:
             proc.kill()
 
-    print(f"OK: SIGKILL at position ~{position}, resumed from checkpoint, "
-          f"{len(control.bugs)} records, signatures identical")
+    print(f"OK: jobs={jobs}: SIGKILL at position ~{position}, resumed from "
+          f"checkpoint, {len(control.bugs)} records, signatures identical")
+
+
+def main() -> None:
+    for jobs in (1, 2):
+        smoke(jobs)
 
 
 if __name__ == "__main__":

@@ -12,6 +12,12 @@ The seeds themselves run first: they establish baseline function coverage
 (and regression suites are supposed to pass — a crashing seed would be a
 pre-existing bug, attributed to the pseudo-pattern ``"seed"``).
 
+:meth:`Campaign.run` is the one stream loop.  A serial campaign runs the
+whole stream in it; with ``config.jobs > 1`` it runs the seed phase, then
+forks one shard process per worker, each running its share of the
+generated stream through the same loop (:class:`Stream`), and merges their
+reports into a result that signs like the serial run's.
+
 Resilience (the long-campaign survival layer, :mod:`repro.robustness`):
 
 * ``faults`` installs a deterministic :class:`FaultInjector` on the
@@ -40,8 +46,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from itertools import islice
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..dialects import dialect_by_name
 from ..dialects.base import Dialect
@@ -54,7 +59,7 @@ from ..robustness.faults import FaultInjector, make_fault_injector
 from ..robustness.policy import RetryPolicy, ServerQuarantined
 from ..robustness.sandbox import ContainmentState
 from ..robustness.watchdog import Clock, SimulatedClock, WallClock, Watchdog
-from .collect import Seed, SeedCollector
+from .collect import SeedCollector
 from .config import CampaignConfig
 from .oracles import (
     CaseInfo,
@@ -64,7 +69,7 @@ from .oracles import (
     build_pipeline,
 )
 from .oracles.crash import DiscoveredBug
-from .patterns import PatternEngine
+from .patterns import GeneratedCase, PatternEngine
 from .runner import Outcome, Runner
 from .tables import TABLE_SETUP
 
@@ -218,50 +223,6 @@ def run_contained(
     outcome = runner.run(sql, position=position)
     containment.observe(outcome.kind, sql, family, outcome.message)
     return outcome
-
-
-def processed(runner: Runner, containment: Optional[ContainmentState]) -> int:
-    """Stream positions consumed so far: executions plus containment
-    skips.  The budget caps *processed* positions, so a skipped statement
-    spends its slot — this keeps serial and sharded runs on exactly the
-    same stream prefix (a shard cannot know how many statements its
-    siblings skipped).  Without containment this is ``runner.executed``.
-    """
-    return runner.executed + (containment.skipped if containment is not None else 0)
-
-
-def run_seed_phase(
-    runner: Runner,
-    containment: Optional[ContainmentState],
-    seeds: Sequence[Seed],
-    budget: int,
-    return_types: Dict[str, str],
-    record: Callable[[Outcome, CaseInfo, int], None],
-    skip: int = 0,
-    after: Optional[Callable[[int], None]] = None,
-) -> int:
-    """Replay the regression-suite seeds as stream positions ``0..S-1``.
-
-    Each function's first observed result type lands in *return_types*
-    (it orders the pattern engine's partner enumeration).  *record* sees
-    every outcome; *after* gets the next position after each statement.
-    The first *skip* positions ran before a checkpoint and are passed
-    over.  Returns the next stream position.
-    """
-    position = min(skip, len(seeds))
-    for seed in seeds[position:]:
-        if processed(runner, containment) >= budget:
-            break
-        outcome = run_contained(
-            runner, containment, f"SELECT {seed.sql};", seed.family, position
-        )
-        record(outcome, CaseInfo("seed", seed.function, seed.family), position)
-        if outcome.result_type and seed.function not in return_types:
-            return_types[seed.function] = outcome.result_type
-        position += 1
-        if after is not None:
-            after(position)
-    return position
 
 
 def add_counts(into: Dict[str, int], counts: Dict[str, int]) -> None:
@@ -475,13 +436,208 @@ def restore_progress(
     return progress["position"]
 
 
+# ----------------------------------------------------------------------
+# the one stream loop: a serial campaign, a sharded campaign's parent and
+# each of its shards all run their share of the stream through it
+# ----------------------------------------------------------------------
+#: 2**64 / golden ratio, odd: multiplying by it modulo 2**64 scatters
+#: consecutive indices across the whole 64-bit range
+_FIBONACCI_MULTIPLIER = 0x9E3779B97F4A7C15
+
+
+def shard_of(index: int, jobs: int) -> int:
+    """The worker (``0..jobs-1``) that executes generated case *index*.
+
+    Fibonacci hashing: the index's scrambled 64-bit image, scaled to
+    ``jobs`` by its high bits.  The generator emits a function's short and
+    10^5-digit ``REPEAT`` cases at adjacent positions, so ``index % jobs``
+    would hand nearly all of the expensive tail to one worker; the hash
+    scatters runs of neighbours evenly.  Static, so a resumed shard can
+    skip the first *k* cases of its slice without any shared state.
+    """
+    return ((index * _FIBONACCI_MULTIPLIER) % 2**64) * jobs >> 64
+
+
+@dataclass
+class Hooks:
+    """What a running stream reports to.
+
+    ``on_finding(finding, position)`` fires for every new oracle finding.
+    ``on_beat(position, outcomes)`` fires every ``every`` positions of the
+    share, after any checkpoint due there; a true return value ends the
+    share early.  An exception raised by either propagates out of
+    :meth:`Campaign.run`.
+    """
+
+    on_finding: Optional[Callable[[Finding, int], None]] = None
+    on_beat: Optional[Callable[[int, Dict[str, int]], Optional[bool]]] = None
+    every: int = 200
+
+
+#: what a sharded campaign's seed phase hands its shards: the seeds'
+#: observed result types and the containment state
+Seeded = Tuple[Dict[str, str], Optional[Dict[str, Any]]]
+
+
+@dataclass
+class Shard:
+    """A shard process's share of a campaign (see :func:`run_stream`)."""
+
+    worker: int
+    saved: Optional[CampaignCheckpoint]
+    seeded: Seeded
+    hooks: Hooks
+
+
+class Stream:
+    """One worker's share of a campaign's statement stream, and its state.
+
+    The stream is the seed phase (the regression-suite seeds at positions
+    ``0..S-1``) followed by the generated cases (case *i* at position
+    ``S + i``), cut at position ``config.budget``.  Every position is
+    either executed or skipped by containment, so the cut caps processed
+    positions, and serial and sharded runs process the same prefix.
+
+    * Worker 0 of 1 is a serial campaign: it runs the seed phase inline,
+      then every generated case.
+    * Worker ``None`` of ``jobs > 1`` is a sharded campaign's parent: its
+      share is the seed phase only.  The pattern engine needs the seeds'
+      observed result types before any generated statement exists, so the
+      parent hands those (and its containment state) to every shard.
+    * Worker ``w`` of ``jobs > 1`` is a shard: it runs generated case *i*
+      iff :func:`shard_of` ``(i, jobs) == w``.  It re-derives the whole
+      deterministic stream and skips foreign cases, which costs an
+      allocation, not a SQL rendering.
+
+    ``position`` counts the positions of the share processed so far (for
+    a serial campaign, the stream position); the first ``skip`` of them
+    ran before the checkpoint the share resumed from.  Checkpoints fall
+    every ``config.checkpoint_every`` of them; a shard also saves its
+    final state, which doubles as its report.
+    """
+
+    def __init__(
+        self,
+        campaign: "Campaign",
+        worker: Optional[int],
+        saved: Optional[CampaignCheckpoint],
+        seeded: Optional[Seeded] = None,
+    ) -> None:
+        config = self.config = campaign.config
+        self.worker = worker
+        self.jobs = config.jobs
+        self.clock = campaign.clock
+        self.pipeline = build_pipeline(campaign.dialect, config.oracles)
+        self.runner = build_runner(
+            campaign.dialect, config, self.pipeline, campaign.injector,
+            campaign.clock, campaign.retry_policy,
+        )
+        self.containment = campaign.containment
+        self.seeds = SeedCollector(campaign.dialect).collect()
+        self.expected = getattr(campaign.dialect, "bugs", [])
+        self.outcomes: Dict[str, int] = {}
+        self.return_types: Dict[str, str] = {}
+        self.position = 0
+        self.quarantined = False
+        self.quarantine_reason = ""
+        self.started = self.clock.now()
+        self.elapsed_offset = 0.0
+        key = worker if self.jobs > 1 else None
+        self.spec = campaign_spec(config, key)
+        self.path = checkpoint_files(config).get(key)
+        if seeded is not None:
+            return_types, containment_state = seeded
+            self.return_types.update(return_types)
+            if self.containment is not None and containment_state is not None:
+                # a seed statement that killed a worker stays quarantined
+                # in every shard, but the parent counts its own skips
+                self.containment.restore_state(containment_state)
+                self.containment.skipped = 0
+        self.skip = 0
+        if saved is not None:
+            self.skip = restore_progress(
+                saved.progress, self.runner, self.pipeline, self.containment,
+                self.outcomes,
+            )
+            self.return_types.update(saved.return_types)
+            self.elapsed_offset = saved.elapsed_seconds
+
+    def share(self) -> Iterator[Tuple[int, GeneratedCase]]:
+        """``(position, case)`` for every position of this share."""
+        budget, seeds = self.config.budget, self.seeds
+        if self.jobs == 1 or self.worker is None:
+            for position, seed in enumerate(seeds[:budget]):
+                yield position, GeneratedCase(
+                    f"SELECT {seed.sql};", "seed", seed.function, seed.family
+                )
+            if self.jobs > 1:
+                return
+        if len(seeds) >= budget:
+            return
+        engine = PatternEngine(
+            seeds,
+            max_partners=self.config.max_partners,
+            return_types=self.return_types,
+            statement_family=self.config.statement_family,
+        )
+        for index, case in enumerate(engine.generate_all()):
+            position = len(seeds) + index
+            if position >= budget:
+                return
+            if self.jobs == 1 or shard_of(index, self.jobs) == self.worker:
+                yield position, case
+
+    def elapsed(self) -> float:
+        return self.clock.now() - self.started + self.elapsed_offset
+
+    def snapshot(self) -> Dict[str, Any]:
+        return progress_snapshot(
+            self.runner, self.pipeline, self.containment, self.outcomes,
+            self.position,
+        )
+
+    def save(self) -> None:
+        CampaignCheckpoint(
+            spec=self.spec,
+            progress=self.snapshot(),
+            # shards get the seed phase's result types from their parent
+            return_types=dict(self.return_types) if self.jobs == 1 else {},
+            elapsed_seconds=self.elapsed(),
+        ).save(self.path)
+
+
+def run_stream(
+    config: CampaignConfig,
+    worker: int,
+    saved: Optional[CampaignCheckpoint],
+    seeded: Seeded,
+    hooks: Hooks,
+) -> Stream:
+    """Run shard *worker* of ``config.jobs`` in this process, on a
+    simulated clock, and return the state of its share (runner closed).
+
+    *saved* is the shard's loaded sidecar to continue from, *seeded* what
+    the parent's seed phase observed.  The shard runs through
+    :meth:`Campaign.run`, the one stream loop.
+    """
+    campaign = Campaign(
+        dialect_by_name(config.dialect), config=config, clock=SimulatedClock()
+    )
+    campaign.shard = Shard(worker, saved, seeded, hooks)
+    campaign.run()
+    return campaign.stream
+
+
 class Campaign:
     """One SOFT campaign over one dialect.
 
     The campaign options live in a :class:`~repro.core.config.CampaignConfig`
     passed as ``config=`` (an empty ``config.dialect`` is filled from
     *dialect*).  The ``clock``/``retry_policy`` runtime objects are not
-    configuration and remain ordinary constructor arguments.
+    configuration and remain ordinary constructor arguments.  With
+    ``config.jobs > 1`` the generated stream runs in that many shard
+    processes (:func:`repro.perf.parallel.run_shards`); the result signs
+    like the serial run's.
     """
 
     def __init__(
@@ -519,158 +675,149 @@ class Campaign:
             config.faults, seed=config.fault_seed, clock=self.clock
         )
         #: optional streaming hooks (the service scheduler sets these):
-        #: ``on_finding(finding, position)`` fires for every *new* oracle
-        #: finding; ``on_progress(snapshot_dict)`` fires periodically
+        #: ``on_finding(finding, position)`` fires once for every *new*
+        #: oracle finding; ``on_progress(snapshot_dict)`` fires every
+        #: ``progress_every`` positions (at every shard beat when sharded)
         self.on_finding = None
         self.on_progress = None
         self.progress_every = 200
-        self._started = 0.0
-        self._elapsed_offset = 0.0
-        self._wall_started = 0.0
+        #: set by :func:`run_stream` in a shard process: :meth:`run` then
+        #: processes that shard's share instead of the whole campaign
+        self.shard: Optional[Shard] = None
+        #: the state of the share the last :meth:`run` processed
+        self.stream: Optional[Stream] = None
 
     # ------------------------------------------------------------------
     def run(self, resume: bool = False) -> CampaignResult:
         """Run the campaign; *resume* continues it from the state saved
-        at ``config.checkpoint_path`` (see :func:`load_checkpoints`)."""
-        config = self.config
-        containment = self.containment
-        cp: Optional[CampaignCheckpoint] = None
-        if resume:
-            cp = load_checkpoints(config, sharded=False)[None]
-        self._started = self.clock.now()
-        self._elapsed_offset = 0.0
-        self._wall_started = time.monotonic()
-        result = CampaignResult(dialect=self.dialect.name)
-        pipeline = build_pipeline(self.dialect, config.oracles)
-        runner = build_runner(
-            self.dialect, config, pipeline, self.injector, self.clock,
-            self.retry_policy,
+        at ``config.checkpoint_path`` (see :func:`load_checkpoints`).
+
+        This is the one stream loop: a serial campaign runs all of the
+        stream here, a sharded campaign its seed phase (then it forks its
+        shards, whose processes run their shares here too).  The loop
+        calls :func:`run_contained` from this very frame, so crash
+        backtraces read ``run → run_contained`` in every campaign.
+        """
+        config, shard = self.config, self.shard
+        wall_started = time.monotonic()
+        saved = load_checkpoints(config) if resume else {}
+        if shard is not None:
+            stream = Stream(self, shard.worker, shard.saved, shard.seeded)
+            hooks = shard.hooks
+        else:
+            stream = Stream(self, None if config.parallel else 0, saved.get(None))
+            hooks = Hooks(self.on_finding, self._beat, self.progress_every)
+        self.stream = stream
+        # a resumed parent re-runs its seed phase, whose findings streamed
+        # before any of its shards saved a sidecar
+        on_finding = None if saved and config.parallel else hooks.on_finding
+        runner, pipeline = stream.runner, stream.pipeline
+        containment, outcomes = stream.containment, stream.outcomes
+        return_types = stream.return_types
+        every = config.checkpoint_every if stream.path is not None else 0
+        crash = pipeline.get("crash")
+        stop_when_found = (
+            config.stop_when_all_found and bool(stream.expected) and crash is not None
         )
-        crash_oracle = pipeline.get("crash")
-        expected = getattr(self.dialect, "bugs", [])
-
-        seeds = SeedCollector(self.dialect).collect()
-        result.seeds_collected = len(seeds)
-
-        skip = 0
-        return_types: Dict[str, str] = {}
-        if cp is not None:
-            skip = restore_progress(
-                cp.progress, runner, pipeline, containment, result.outcomes
-            )
-            return_types = dict(cp.return_types)
-            self._elapsed_offset = cp.elapsed_seconds
-
-        def record(outcome: Outcome, case: CaseInfo, position: int) -> None:
-            self._record(result, pipeline, outcome, case, position)
-
-        def advance(position: int) -> None:
-            # a save due at this position lands before on_progress fires,
-            # so a hook that stops the run (drain, preempt) loses nothing
-            self._maybe_checkpoint(runner, pipeline, result, return_types, position)
-            self._report_progress(result, position)
-
         try:
-            # step 0: the regression-suite seeds, observing each function's
-            # result type (used to order partner enumeration)
-            position = run_seed_phase(
-                runner, containment, seeds, config.budget, return_types,
-                record, skip=skip, after=advance,
-            )
-            engine = PatternEngine(
-                seeds,
-                max_partners=config.max_partners,
-                return_types=return_types,
-                statement_family=config.statement_family,
-            )
-            # re-generated cases below the resume position already ran
-            cases = islice(engine.generate_all(), max(skip - position, 0), None)
-            position = max(position, skip)
-            for case in cases:
-                if processed(runner, containment) >= config.budget:
-                    break
-                info = CaseInfo(case.pattern, case.seed_function, case.seed_family)
-                outcome = run_contained(
-                    runner, containment, case.sql, case.seed_family, position
-                )
-                record(outcome, info, position)
-                position += 1
-                advance(position)
-                if (
-                    config.stop_when_all_found
-                    and expected
-                    and crash_oracle is not None
-                    and crash_oracle.recall_against(expected) >= 1.0
-                ):
-                    break
-        except ServerQuarantined as exc:
-            # the in-flight statement never completed; keep the outcome
-            # accounting consistent with queries_executed
-            runner.executed = max(runner.executed - 1, 0)
-            result.quarantined = True
-            result.quarantine_reason = str(exc)
+            try:
+                for position, case in stream.share():
+                    if stream.position < stream.skip:
+                        stream.position += 1  # processed before the checkpoint
+                        continue
+                    outcome = run_contained(
+                        runner, containment, case.sql, case.seed_family, position
+                    )
+                    outcomes[outcome.kind] = outcomes.get(outcome.kind, 0) + 1
+                    found = pipeline.observe(
+                        outcome,
+                        CaseInfo(case.pattern, case.seed_function, case.seed_family),
+                        position,
+                    )
+                    if on_finding is not None:
+                        for finding in found:
+                            on_finding(finding, position)
+                    if case.pattern == "seed" and outcome.result_type:
+                        # orders the pattern engine's partner enumeration
+                        return_types.setdefault(
+                            case.seed_function, outcome.result_type
+                        )
+                    stream.position += 1
+                    # a save due here lands before the beat, so a hook that
+                    # stops the run (drain, preempt) loses nothing
+                    if every and stream.position % every == 0:
+                        stream.save()
+                    if (
+                        hooks.on_beat is not None
+                        and hooks.every > 0
+                        and stream.position % hooks.every == 0
+                        and hooks.on_beat(stream.position, dict(outcomes))
+                    ):
+                        break
+                    if (
+                        stop_when_found
+                        and case.pattern != "seed"
+                        and crash.recall_against(stream.expected) >= 1.0
+                    ):
+                        break
+            except ServerQuarantined as exc:
+                # the in-flight statement never completed; keep the outcome
+                # accounting consistent with queries_executed
+                runner.executed = max(runner.executed - 1, 0)
+                stream.quarantined = True
+                stream.quarantine_reason = str(exc)
+            reports: List[Dict[str, Any]] = []
+            if shard is not None:
+                if stream.path is not None:
+                    stream.save()
+            elif config.parallel and not stream.quarantined and (
+                stream.position < config.budget
+            ):
+                from ..perf.parallel import run_shards  # perf imports this module
 
-        fill_result(result, runner, pipeline, containment)
+                reports = run_shards(stream, saved, hooks)
+            return self._result(stream, reports, time.monotonic() - wall_started)
+        finally:
+            runner.close()
+
+    def _result(
+        self, stream: Stream, reports: List[Dict[str, Any]], wall_seconds: float
+    ) -> CampaignResult:
+        """The result of *stream*'s share merged with the shard *reports*."""
+        result = CampaignResult(
+            dialect=self.dialect.name,
+            seeds_collected=len(stream.seeds),
+            outcomes=stream.outcomes,
+            quarantined=stream.quarantined,
+            quarantine_reason=stream.quarantine_reason,
+            wall_seconds=wall_seconds,
+        )
+        # fold every shard's oracle state into the parent pipeline; each
+        # oracle re-sorts its kept records by global stream position and
+        # re-deduplicates: the serial loop's first-occurrence order
+        try:
+            stream.pipeline.merge([report["oracle"] for report in reports])
+        except OracleStateError as exc:
+            raise CheckpointError(str(exc)) from exc
+        for report in reports:
+            if report["quarantined"] and not result.quarantined:
+                result.quarantined = True
+                result.quarantine_reason = report["quarantine_reason"]
+        fill_result(
+            result, stream.runner, stream.pipeline, stream.containment, reports
+        )
+        # a sharded campaign's parent kept only its seed phase's time
         result.elapsed_seconds = (
-            self.clock.now() - self._started
-        ) + self._elapsed_offset
-        result.wall_seconds = time.monotonic() - self._wall_started
-        runner.close()
+            wall_seconds if stream.worker is None else stream.elapsed()
+        )
         return result
 
-    # ------------------------------------------------------------------
-    def _record(
-        self,
-        result: CampaignResult,
-        pipeline: OraclePipeline,
-        outcome: Outcome,
-        case: CaseInfo,
-        position: int,
-    ) -> None:
-        result.outcomes[outcome.kind] = result.outcomes.get(outcome.kind, 0) + 1
-        found = pipeline.observe(outcome, case, position)
-        if self.on_finding is not None:
-            for finding in found:
-                self.on_finding(finding, position)
-
-    def _report_progress(self, result: CampaignResult, position: int) -> None:
-        """Fire ``on_progress`` when *position*, the next stream position,
-        is a multiple of ``progress_every``."""
-        if (
-            self.on_progress is not None
-            and self.progress_every > 0
-            and position % self.progress_every == 0
-        ):
+    def _beat(self, position: int, outcomes: Dict[str, int]) -> None:
+        if self.on_progress is not None:
             self.on_progress(
-                {
-                    "position": position,
-                    "budget": self.config.budget,
-                    "outcomes": dict(result.outcomes),
-                }
+                {"position": position, "budget": self.config.budget,
+                 "outcomes": outcomes}
             )
-
-    def _maybe_checkpoint(
-        self,
-        runner: Runner,
-        pipeline: OraclePipeline,
-        result: CampaignResult,
-        return_types: Dict[str, str],
-        position: int,
-    ) -> None:
-        path, every = self.config.checkpoint_path, self.config.checkpoint_every
-        if path is None or every <= 0:
-            return
-        if runner.executed == 0 or runner.executed % every:
-            return
-        CampaignCheckpoint(
-            spec=campaign_spec(self.config),
-            progress=progress_snapshot(
-                runner, pipeline, self.containment, result.outcomes, position
-            ),
-            return_types=dict(return_types),
-            elapsed_seconds=(self.clock.now() - self._started)
-            + self._elapsed_offset,
-        ).save(path)
 
 
 def run_campaign(

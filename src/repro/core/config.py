@@ -1,7 +1,7 @@
 """The campaign configuration object (``CampaignConfig``).
 
-Every way of running a campaign — :class:`~repro.core.campaign.Campaign`,
-:class:`~repro.perf.parallel.ParallelCampaign`, the ``run_campaign(s)``
+Every way of running a campaign — :class:`~repro.core.campaign.Campaign`
+(serial, or sharded with ``jobs > 1``), the ``run_campaign(s)``
 convenience wrappers (which fold their keyword options into one), the
 CLI, and the :mod:`repro.service` job scheduler — takes its options as one
 **frozen** dataclass that is:
@@ -93,7 +93,7 @@ class CampaignConfig:
     budgets: Any = None
     #: normalized to ``Optional[SandboxConfig]`` at construction
     sandbox: Any = None
-    #: worker processes; ``1`` runs the serial :class:`Campaign`
+    #: worker processes; ``1`` runs the campaign in this process
     jobs: int = 1
     #: who submitted this campaign (service quota accounting; free-form)
     submitter: str = ""

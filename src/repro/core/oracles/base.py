@@ -316,6 +316,14 @@ class OraclePipeline:
             out.extend(oracle.findings())
         return out
 
+    def saved_keys(self, state: Dict[str, Any]) -> Set[Tuple[type, Tuple]]:
+        """``(finding class, key)`` of every finding in an exported *state*."""
+        return {
+            (oracle.finding_class, oracle.finding_class(**row).key)
+            for oracle in self.oracles
+            for row in state["oracles"][oracle.name][oracle.findings_key]
+        }
+
     def extra_findings(self) -> List[Finding]:
         """Findings from every oracle except the crash oracle (which keeps
         its historical home in ``CampaignResult.bugs``)."""

@@ -245,14 +245,15 @@ class Executor:
         return amount
 
     def _calls_aggregate(self, exprs: List[n.Node]) -> bool:
-        """Whether an aggregate is called anywhere in *exprs*, subqueries
-        included."""
+        """Whether an aggregate is called in *exprs*.  The search stops at
+        subqueries: an aggregate there groups the subquery's own rows."""
         stack = list(exprs)
         while stack:
             node = stack.pop()
             if node.__class__ is n.FuncCall and self._is_aggregate_call(node):
                 return True
-            stack.extend(node.children())
+            if not isinstance(node, (n.Select, n.SetOp)):
+                stack.extend(node.children())
         return False
 
     def _is_aggregate_call(self, expr: n.Node) -> bool:
@@ -425,9 +426,21 @@ class Executor:
             scope = RowScope.bind(slots, row, parent)
             return Evaluator(self.ctx, scope).eval(item.expr)
 
+        # a row's key is evaluated once, on its first comparison (a single
+        # row is never compared, so it never evaluates its key)
+        keys: List[Dict[int, SQLValue]] = [{} for _ in stmt.order_by]
+
+        def key(
+            index: int, item: n.OrderItem, cache: Dict[int, SQLValue]
+        ) -> SQLValue:
+            value = cache.get(index)
+            if value is None:
+                value = cache[index] = sort_value(index, item)
+            return value
+
         def cmp(a: int, b: int) -> int:
-            for item in stmt.order_by:
-                va, vb = sort_value(a, item), sort_value(b, item)
+            for item, cache in zip(stmt.order_by, keys):
+                va, vb = key(a, item, cache), key(b, item, cache)
                 if va.is_null and vb.is_null:
                     continue
                 if va.is_null:

@@ -1,11 +1,11 @@
-"""Sharded parallel campaigns.
+"""Sharded campaigns.
 
-:mod:`repro.perf.parallel` holds ``ParallelCampaign``, which shards the
-deterministic generation stream across ``multiprocessing`` workers and
-merges shard reports into a ``CampaignResult`` whose ``signature()``
-matches the serial run.
+:mod:`repro.perf.parallel` runs the generated stream of a campaign with
+``config.jobs > 1`` in one process per shard (:func:`run_shards`, called
+by :class:`~repro.core.campaign.Campaign`), with live beats to the parent
+and a merged result that signs like the serial run's.
 """
 
-from .parallel import ParallelCampaign, run_parallel_campaign
+from .parallel import ParallelCampaign, run_shards
 
-__all__ = ["ParallelCampaign", "run_parallel_campaign"]
+__all__ = ["ParallelCampaign", "run_shards"]

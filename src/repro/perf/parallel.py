@@ -1,112 +1,83 @@
-"""Sharded multi-process campaigns (``--jobs N``).
+"""The shard processes of a sharded campaign (``config.jobs > 1``).
 
 The paper's evaluation is embarrassingly parallel: each of the "24 hours
 per DBMS" campaigns executes an enormous stream of *independent* SELECT
-statements.  :class:`ParallelCampaign` exploits that while preserving the
-serial campaign's exact observable result — ``CampaignResult.signature()``
-of a ``jobs=N`` run equals the serial run's, faults on or off.
+statements.  :class:`~repro.core.campaign.Campaign` runs a ``jobs=N``
+campaign's seed phase itself and hands the generated stream to
+:func:`run_shards`, which forks one process per shard.  Every process
+runs the same loop, :func:`~repro.core.campaign.run_stream`, over its
+share, and the merged result signs like the serial run's
+(``CampaignResult.signature()``), faults on or off.
 
-Architecture (see DESIGN.md for the full determinism argument):
-
-* The **parent** replays the seed phase itself (positions ``0..S-1``) —
-  it is cheap, and the pattern engine needs the observed seed return
-  types before any generated statement can exist.
-* The generated stream is sharded by a **static hash of the pattern
-  index**: worker ``w`` of ``N`` executes generated case ``i`` iff
-  :func:`shard_of` ``(i, N) == w`` (Fibonacci hashing).  The generator
-  emits a function's short and 10^5-digit ``REPEAT`` cases at adjacent
-  positions, so ``i % N`` would hand nearly all of the expensive tail to
-  one worker; the hash scatters runs of neighbours evenly.  Every worker
-  re-derives the full deterministic stream (seed collection is pure,
-  generation is seeded) and skips foreign cases — skipping is an
-  allocation, not work, because
-  :class:`~repro.core.patterns.GeneratedCase` renders SQL lazily.
-* Statement behaviour is **history-independent** by construction
-  (per-statement engine RNG reseed, position-keyed fault streams), so a
-  worker executing its sub-stream observes exactly the outcomes the
-  serial run observes at those positions.
-* Each worker runs its own full :class:`~repro.core.oracles.OraclePipeline`
-  over its slice and ships the pipeline's exported state in its plain-dict
-  **shard report** (alongside outcome counts, triggered functions,
-  coverage sets and fault counters).  The parent folds the shard
-  states into its own pipeline via ``Oracle.merge``, which re-sorts every
-  oracle's kept records by global stream position and re-deduplicates —
-  the same first-occurrence order as the serial loop, so the merged
+* The generated stream is split by a static hash of the case index
+  (:func:`~repro.core.campaign.shard_of`).  Statement behaviour is
+  history-independent by construction (per-statement engine RNG reseed,
+  position-keyed fault streams), so a shard observes exactly the
+  outcomes the serial run observes at its positions.
+* **Beats.**  Every ``progress_every`` positions a shard sends the parent
+  one beat over a single inherited queue: its position, its outcome
+  counts and its new findings (``Finding.to_dict``).  The parent fires
+  the campaign's ``on_progress`` (a service job renews its lease there)
+  and fires ``on_finding`` once per new finding key.
+* **Stop.**  An exception raised in the parent (a ``JobInterrupted`` from
+  ``on_progress``) tells every shard to save its sidecar and stop at its
+  next beat; the parent streams their last findings, joins them and
+  re-raises.  A shard that dies without a report makes the run raise.
+  A shard whose parent is gone stops at its next beat and writes nothing
+  more.
+* **Reports.**  Each shard runs its own full oracle pipeline and ends with
+  a report: its final :func:`~repro.core.campaign.progress_snapshot`,
+  pickled into the parent's private temporary directory; only the path
+  crosses the queue.  The parent folds the shard states into its own
+  pipeline via ``Oracle.merge``, which re-sorts every oracle's kept
+  records by global stream position and re-deduplicates, so the merged
   findings match a serial run record for record.
-* **Shard reports cross the process boundary as pickle files.**  Each
-  worker writes its report to a file whose path is all it returns.  The
-  files live in the parent's private temporary directory and only its own
-  children write them — the same trust level as the multiprocessing
-  channel, which pickles its arguments anyway.
 
-Checkpoint/resume: each worker saves its own sidecar checkpoint
-(``<path>.shard<w>``), a :class:`~repro.robustness.CampaignCheckpoint`
-like a serial campaign's: the campaign spec plus the worker index, and
-the same progress snapshot the shard reports.  On resume the parent
-loads and validates every sidecar up front
-(:func:`~repro.core.campaign.load_checkpoints`: no sidecar at all, or
-any unusable one, is a ``CheckpointError``), re-runs its cheap seed phase
-from scratch (sound: statements are history-independent and fault draws
-are position-keyed) and hands each worker its snapshot; the worker
-restores it and skips the prefix of its slice it already processed.
+Checkpoint/resume: each shard saves its own sidecar (``<path>.shard<w>``),
+the same :class:`~repro.robustness.CampaignCheckpoint` a serial campaign
+saves, with the worker index in its spec.  On resume the parent loads and
+validates every sidecar up front
+(:func:`~repro.core.campaign.load_checkpoints`), re-runs its cheap seed
+phase from scratch (sound: statements are history-independent and fault
+draws are position-keyed) and hands each shard its checkpoint.
 
 Known semantic divergence: a server quarantine aborts only the shard that
-hit it, so a quarantined parallel run may have executed statements a
+hit it, so a quarantined sharded run may have executed statements a
 serial run would not have reached (and vice versa).  Quarantine requires
 ``CircuitBreaker.failure_threshold`` *consecutive* restart failures drawn
-from a single position's fault stream — at realistic fault rates the
+from a single position's fault stream; at realistic fault rates the
 probability is negligible, and the merged report still flags
 ``quarantined=True``.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import multiprocessing
 import os
 import pickle
+import queue
 import tempfile
-import time
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..core.campaign import (
-    CampaignResult,
-    build_runner,
-    campaign_spec,
-    checkpoint_files,
-    fill_result,
-    load_checkpoints,
-    progress_snapshot,
-    restore_progress,
-    run_contained,
-    run_seed_phase,
+    Campaign,
+    Hooks,
+    Seeded,
+    Stream,
+    add_counts,
+    run_stream,
+    shard_of,
 )
 from ..core.config import CampaignConfig
-from ..core.collect import SeedCollector
-from ..core.oracles import CaseInfo, OracleStateError, build_pipeline
-from ..core.patterns import PatternEngine
-from ..core.runner import Outcome
-from ..dialects import dialect_by_name
-from ..dialects.base import Dialect
-from ..robustness.checkpoint import CampaignCheckpoint, CheckpointError
-from ..robustness.faults import FaultInjector, make_fault_injector
-from ..robustness.policy import ServerQuarantined
-from ..robustness.sandbox import ContainmentState
-from ..robustness.watchdog import SimulatedClock
+from ..robustness.checkpoint import CampaignCheckpoint
 
-#: 2**64 / golden ratio, odd: multiplying by it modulo 2**64 scatters
-#: consecutive indices across the whole 64-bit range
-_FIBONACCI_MULTIPLIER = 0x9E3779B97F4A7C15
+#: how long the parent blocks on the queue before it checks for shards
+#: that died without a report
+_WAIT_SECONDS = 1.0
 
 
-def shard_of(index: int, jobs: int) -> int:
-    """The worker (``0..jobs-1``) that executes generated case *index*.
-
-    Fibonacci hashing: the index's scrambled 64-bit image, scaled to
-    ``jobs`` by its high bits.  Static, so a resumed shard can skip the
-    first *k* cases of its slice without any shared state.
-    """
-    return ((index * _FIBONACCI_MULTIPLIER) % 2**64) * jobs >> 64
+class _Orphaned(Exception):
+    """The shard's parent is gone."""
 
 
 # ----------------------------------------------------------------------
@@ -140,278 +111,155 @@ def unpack_statements(data: bytes) -> List[str]:
 def _run_shard(
     config: CampaignConfig,
     worker: int,
-    seed_count: int,
-    return_types: Dict[str, str],
-    saved: Optional[Dict[str, Any]],
-    containment_seed: Optional[Dict[str, Any]],
+    saved: Optional[CampaignCheckpoint],
+    seeded: Seeded,
+    every: int,
+    channel: Any,
+    stop: Any,
     transport_dir: str,
-    stop_after: Optional[int],
-) -> Dict[str, Any]:
-    """Execute one worker's share of the generated stream.
+) -> None:
+    """One shard process: run worker *worker*'s share and report it.
 
-    Runs in a child process (or inline for ``jobs=1``).  The shard report
-    — its final :func:`~repro.core.campaign.progress_snapshot` — is
-    pickled into ``transport_dir`` and only its path goes back through
-    the multiprocessing channel.  With a checkpoint path the same
-    snapshot is saved as the shard's sidecar checkpoint
-    (``<path>.shard<w>``); ``saved`` is the progress of a loaded sidecar
-    to continue from.
-    ``stop_after`` caps how many statements this shard executes before
-    returning early — a test hook that simulates a mid-campaign kill for
-    resume testing.
+    Every message on *channel* is ``(kind, worker, ...)``: a ``"beat"``
+    or the final ``"done"`` carries the position, the outcome counts and
+    the findings kept since the last message (``done`` adds the report's
+    path), and ``"failed"`` carries the exception that ended the shard.
+    *stop* set by the parent ends the share at the next beat.
     """
-    dialect = dialect_by_name(config.dialect)
-    pipeline = build_pipeline(dialect, config.oracles)
-    clock = SimulatedClock()
-    injector = make_fault_injector(config.faults, seed=config.fault_seed, clock=clock)
-    runner = build_runner(dialect, config, pipeline, injector, clock)
-    containment: Optional[ContainmentState] = None
-    if config.sandbox is not None:
-        containment = ContainmentState.from_config(config.sandbox)
-        if containment_seed is not None:
-            # containment built up during the parent's seed phase carries
-            # over: a seed statement that killed a worker stays quarantined
-            # in every shard
-            containment.restore_state(containment_seed)
-            # ...but the parent's skip count is accounted parent-side;
-            # this shard reports only its own skips
-            containment.skipped = 0
-    engine = PatternEngine(
-        SeedCollector(dialect).collect(),
-        max_partners=config.max_partners,
-        return_types=dict(return_types),
-        statement_family=config.statement_family,
-    )
+    parent = os.getppid()
+    found: List[Tuple[type, Dict[str, Any], int]] = []
 
-    spec = campaign_spec(config, worker)
-    sidecar = checkpoint_files(config, sharded=True).get(worker)
-    outcomes: Dict[str, int] = {}
-    skip = 0
-    if saved is not None:
-        skip = restore_progress(saved, runner, pipeline, containment, outcomes)
-    executed_before = runner.executed
+    def keep(finding: Any, position: int) -> None:
+        found.append((type(finding), finding.to_dict(), position))
 
-    jobs = config.jobs
-    generated_budget = max(config.budget - seed_count, 0)
-    every = config.checkpoint_every if sidecar is not None else 0
-    # positions of this shard's slice processed (containment skips too)
-    shard_position = 0
-    quarantined = False
-    quarantine_reason = ""
+    def message(kind: str, position: int, outcomes: Dict[str, int], *rest: Any):
+        channel.put((kind, worker, position, outcomes, list(found)) + rest)
+        found.clear()
 
-    def snapshot() -> Dict[str, Any]:
-        return progress_snapshot(runner, pipeline, containment, outcomes, shard_position)
+    def beat(position: int, outcomes: Dict[str, int]) -> bool:
+        if os.getppid() != parent:
+            raise _Orphaned()
+        message("beat", position, outcomes)
+        return stop.is_set()
 
     try:
-        for index, case in enumerate(engine.generate_all()):
-            if index >= generated_budget:
-                break
-            if shard_of(index, jobs) != worker:
-                continue  # lazy case: skipping costs no SQL rendering
-            if shard_position < skip:
-                shard_position += 1
-                continue
-            position = seed_count + index
-            outcome = run_contained(
-                runner, containment, case.sql, case.seed_family, position
-            )
-            outcomes[outcome.kind] = outcomes.get(outcome.kind, 0) + 1
-            pipeline.observe(
-                outcome,
-                CaseInfo(case.pattern, case.seed_function, case.seed_family),
-                position,
-            )
-            shard_position += 1
-            if every > 0 and shard_position % every == 0:
-                CampaignCheckpoint(spec=spec, progress=snapshot()).save(sidecar)
-            if stop_after is not None and runner.executed - executed_before >= stop_after:
-                break
-    except ServerQuarantined as exc:
-        # the in-flight statement never completed (as in Campaign.run)
-        runner.executed = max(runner.executed - 1, 0)
-        quarantined = True
-        quarantine_reason = str(exc)
-
-    report = snapshot()
-    if sidecar is not None:
-        CampaignCheckpoint(spec=spec, progress=report).save(sidecar)
-    report.update(quarantined=quarantined, quarantine_reason=quarantine_reason)
-    runner.close()
-    packed_path = os.path.join(transport_dir, f"shard{worker}.report")
-    write_packed(packed_path, report)
-    return {"worker": worker, "packed_path": packed_path}
+        stream = run_stream(config, worker, saved, seeded, Hooks(keep, beat, every))
+        report = stream.snapshot()
+        report.update(
+            quarantined=stream.quarantined,
+            quarantine_reason=stream.quarantine_reason,
+        )
+        path = os.path.join(transport_dir, f"shard{worker}.report")
+        write_packed(path, report)
+        message("done", stream.position, dict(stream.outcomes), path)
+    except _Orphaned:
+        # nobody reads the queue any more: exit without flushing it
+        channel.cancel_join_thread()
+    except Exception as exc:  # noqa: BLE001 - the parent re-raises it
+        channel.put(("failed", worker, exc))
 
 
 # ----------------------------------------------------------------------
-# the parallel campaign
+# the parent
 # ----------------------------------------------------------------------
-class ParallelCampaign:
-    """Shards one campaign's generated stream across worker processes.
+def run_shards(
+    parent: Stream, saved: Dict[Optional[int], CampaignCheckpoint], hooks: Hooks
+) -> List[Dict[str, Any]]:
+    """Run the generated stream of *parent*'s campaign in one process per
+    shard and return their reports, by worker.
 
-    Takes a :class:`~repro.core.config.CampaignConfig` like
-    :class:`~repro.core.campaign.Campaign`; without one it runs two
-    workers with default options.  ``faults`` must be ``None``, a CLI
-    spec string or a :class:`~repro.robustness.faults.FaultPlan`
-    (injectors don't cross process boundaries); ``stop_when_all_found``
-    is unsupported (its early exit depends on cross-shard execution
-    order).
+    *parent* has run the seed phase; *saved* holds the loaded sidecars of
+    a resumed run.  Each beat fires ``hooks.on_beat`` with the whole
+    campaign's position and outcome counts, and ``hooks.on_finding`` for
+    each finding whose key no earlier finding had.
     """
-
-    def __init__(
-        self,
-        dialect: Union[Dialect, str, None] = None,
-        config: Optional[CampaignConfig] = None,
-    ) -> None:
-        dialect_name = dialect.name if isinstance(dialect, Dialect) else (dialect or "")
-        if config is None:
-            # a sharded campaign defaults to two workers
-            config = CampaignConfig(dialect=dialect_name, jobs=2)
-        elif not isinstance(config, CampaignConfig):
-            raise TypeError(
-                f"ParallelCampaign config= expects a CampaignConfig, "
-                f"got {config!r}"
+    config = parent.config
+    ctx = multiprocessing.get_context(
+        "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+    )
+    channel, stop = ctx.Queue(), ctx.Event()
+    seeded = (
+        parent.return_types,
+        parent.containment.export_state() if parent.containment is not None else None,
+    )
+    # keys streamed already: the parent's seed phase, a resumed run's sidecars
+    seen = {(type(f), f.key) for f in parent.pipeline.findings()}
+    for checkpoint in saved.values():
+        seen |= parent.pipeline.saved_keys(checkpoint.progress["oracle"])
+    positions: Dict[int, int] = {}
+    counts: Dict[int, Dict[str, int]] = {}
+    paths: Dict[int, str] = {}
+    with tempfile.TemporaryDirectory(prefix="repro-shards-") as tdir:
+        shards = [
+            ctx.Process(
+                target=_run_shard,
+                args=(config, worker, saved.get(worker), seeded, hooks.every,
+                      channel, stop, tdir),
+                name=f"repro-shard{worker}",
             )
-        elif dialect_name and not config.dialect:
-            config = config.replace(dialect=dialect_name)
-        if isinstance(config.faults, FaultInjector):
-            raise TypeError(
-                "ParallelCampaign needs a fault *spec* (string/FaultPlan), "
-                "not a FaultInjector: each worker builds its own injector"
-            )
-        if isinstance(dialect, Dialect):
-            self.dialect = dialect
-        elif not config.dialect:
-            raise ValueError("ParallelCampaign needs a dialect (or config.dialect)")
-        else:
-            self.dialect = dialect_by_name(config.dialect)
-        if config.dialect != self.dialect.name:
-            # shards rebuild the dialect from the config by this name
-            config = config.replace(dialect=self.dialect.name)
-        self.config = config
-        #: test hook — see ``_run_shard``'s ``stop_after``
-        self._stop_after: Optional[int] = None
+            for worker in range(config.jobs)
+        ]
+        for shard in shards:
+            shard.start()
+        running = set(range(config.jobs))
+        failure: Optional[BaseException] = None
+        while running:
+            try:
+                kind, worker, *body = _receive(channel, shards, running)
+                if kind == "failed":
+                    running.discard(worker)
+                    raise body[0]
+                positions[worker], counts[worker], found = body[:3]
+                if kind == "done":
+                    paths[worker] = body[3]
+                    running.discard(worker)
+                for cls, data, position in found:
+                    finding = cls.from_dict(data)
+                    if (cls, finding.key) not in seen:
+                        seen.add((cls, finding.key))
+                        if hooks.on_finding is not None:
+                            hooks.on_finding(finding, position)
+                if failure is None and hooks.on_beat is not None:
+                    outcomes = dict(parent.outcomes)
+                    for shard_counts in counts.values():
+                        add_counts(outcomes, shard_counts)
+                    hooks.on_beat(parent.position + sum(positions.values()), outcomes)
+            except BaseException as exc:  # noqa: BLE001 - re-raised below
+                # the first failure stops every shard at its next beat; the
+                # parent keeps streaming their findings until they are done,
+                # so every key in a saved sidecar has been streamed
+                if failure is None:
+                    failure = exc
+                    stop.set()
+        for shard in shards:
+            shard.join()
+        if failure is not None:
+            raise failure
+        return [read_packed(paths[worker]) for worker in range(config.jobs)]
 
-    # ------------------------------------------------------------------
-    def run(self, resume: bool = False) -> CampaignResult:
-        """Run the campaign; *resume* continues it from the shard files
-        saved under ``config.checkpoint_path`` (see
-        :func:`~repro.core.campaign.load_checkpoints`)."""
-        config = self.config
-        wall_started = time.monotonic()
-        saved = load_checkpoints(config, sharded=True) if resume else {}
-        # ---- parent: seed phase (positions 0..S-1) -------------------
-        pipeline = build_pipeline(self.dialect, config.oracles)
-        clock = SimulatedClock()
-        injector = make_fault_injector(
-            config.faults, seed=config.fault_seed, clock=clock
-        )
-        runner = build_runner(self.dialect, config, pipeline, injector, clock)
-        containment: Optional[ContainmentState] = (
-            ContainmentState.from_config(config.sandbox)
-            if config.sandbox is not None
-            else None
-        )
-        result = CampaignResult(dialect=self.dialect.name)
-        seeds = SeedCollector(self.dialect).collect()
-        result.seeds_collected = len(seeds)
 
-        def record(outcome: Outcome, case: CaseInfo, position: int) -> None:
-            result.outcomes[outcome.kind] = result.outcomes.get(outcome.kind, 0) + 1
-            pipeline.observe(outcome, case, position)
-
-        return_types: Dict[str, str] = {}
-        seed_count = 0
+def _receive(channel: Any, shards: List[Any], running: Set[int]) -> tuple:
+    """The next shard message; a running shard that exited without
+    reporting yields a ``"failed"`` message."""
+    while True:
         try:
-            seed_count = run_seed_phase(
-                runner, containment, seeds, config.budget, return_types, record
-            )
-        except ServerQuarantined as exc:
-            runner.executed = max(runner.executed - 1, 0)
-            result.quarantined = True
-            result.quarantine_reason = str(exc)
-
-        # ---- fan out the generated stream ----------------------------
-        reports: List[Dict[str, Any]] = []
-        if not result.quarantined and seed_count < config.budget:
-            containment_seed = (
-                containment.export_state() if containment is not None else None
-            )
-            # the shard reports come back as pickle files in this private
-            # directory
-            with tempfile.TemporaryDirectory(prefix="repro-shards-") as tdir:
-                shard_args = [
-                    (
-                        config, worker, seed_count, return_types,
-                        saved[worker].progress if worker in saved else None,
-                        containment_seed, tdir, self._stop_after,
-                    )
-                    for worker in range(config.jobs)
-                ]
-                if config.jobs == 1:
-                    reports = [_run_shard(*shard_args[0])]
-                else:
-                    ctx = multiprocessing.get_context(
-                        "fork" if "fork" in multiprocessing.get_all_start_methods()
-                        else "spawn"
-                    )
-                    if config.sandbox is not None:
-                        # Pool workers are daemonic and may not spawn the
-                        # sandbox's own subprocess children; ProcessPoolExecutor
-                        # workers are not, so sandboxed shards go through it.
-                        with concurrent.futures.ProcessPoolExecutor(
-                            max_workers=config.jobs, mp_context=ctx
-                        ) as executor:
-                            futures = [
-                                executor.submit(_run_shard, *spec)
-                                for spec in shard_args
-                            ]
-                            reports = [future.result() for future in futures]
-                    else:
-                        with ctx.Pool(processes=config.jobs) as pool:
-                            reports = pool.starmap(_run_shard, shard_args)
-                # read the reports while the directory still exists
-                reports = [read_packed(report["packed_path"]) for report in reports]
-
-        # ---- merge ----------------------------------------------------
-        # fold every shard's oracle state into the parent pipeline; each
-        # oracle re-sorts its kept records by global stream position and
-        # re-deduplicates — the exact first-occurrence order the serial
-        # loop would have used, statement for statement
-        try:
-            pipeline.merge([report["oracle"] for report in reports])
-        except OracleStateError as exc:
-            raise CheckpointError(str(exc)) from exc
-        for report in reports:
-            if report["quarantined"]:
-                result.quarantined = True
-                result.quarantine_reason = (
-                    result.quarantine_reason or report["quarantine_reason"]
-                )
-        fill_result(result, runner, pipeline, containment, reports)
-        result.wall_seconds = time.monotonic() - wall_started
-        result.elapsed_seconds = result.wall_seconds
-        runner.close()
-        return result
+            return channel.get(timeout=_WAIT_SECONDS)
+        except queue.Empty:
+            pass
+        for worker in sorted(running):
+            if not shards[worker].is_alive():
+                try:
+                    # an exited shard's last messages are already queued
+                    return channel.get(timeout=_WAIT_SECONDS)
+                except queue.Empty:
+                    return ("failed", worker, RuntimeError(
+                        f"shard {worker} exited with code "
+                        f"{shards[worker].exitcode} before reporting"
+                    ))
 
 
-def run_parallel_campaign(
-    dialect_name: Optional[str] = None,
-    *,
-    resume: bool = False,
-    config: Optional[CampaignConfig] = None,
-    **options: Any,
-) -> CampaignResult:
-    """Convenience wrapper mirroring :func:`repro.core.run_campaign`.
-
-    *options* fold into ``CampaignConfig(dialect=dialect_name, jobs=2,
-    **options)``; alternatively pass a ready-made ``config=``, but not both.
-    """
-    if config is None:
-        options.setdefault("jobs", 2)
-        config = CampaignConfig(dialect=dialect_name or "", **options)
-    elif options:
-        raise TypeError(
-            f"run_parallel_campaign accepts either config= or campaign "
-            f"options, not both (got config= plus {sorted(options)})"
-        )
-    return ParallelCampaign(dialect_name, config=config).run(resume=resume)
+class ParallelCampaign(Campaign):
+    """Nothing but a :class:`Campaign`: every campaign shards itself when
+    ``config.jobs > 1``.  The name stays until ROADMAP item 1's
+    benchmark change, because ``benchmarks/e2e/trace.py`` wraps its
+    ``run``."""

@@ -1,13 +1,10 @@
 """The reusable campaign lifecycle — shared by the CLI and the server.
 
-Historically ``repro.cli`` owned the dispatch logic (serial
-:class:`~repro.core.campaign.Campaign` vs. sharded
-:class:`~repro.perf.parallel.ParallelCampaign`, checkpoint/resume
-spelling differences between the two).  That logic now lives here so the
-one-shot CLI and the long-running service drive campaigns through the
+The one-shot CLI and the long-running service drive campaigns through the
 same door:
 
-* :func:`build_campaign` — config in, ready-to-run campaign object out.
+* :func:`build_campaign` — config in, ready-to-run
+  :class:`~repro.core.campaign.Campaign` out, serial or sharded alike.
 * :func:`run_scheduled` — build, wire streaming hooks, run, return the
   :class:`~repro.core.campaign.CampaignResult`.
 * :class:`SchedulerWorker` — one consumer thread: CAS-claims jobs from
@@ -26,23 +23,23 @@ accepts the saved state at the config's ``checkpoint_path`` (tenant
 budgets applied) and otherwise starts over, so an unusable checkpoint
 never costs a retry.  The job summary's ``resumed`` records the choice.
 
-Serial campaigns stream findings live through ``Campaign.on_finding``
-and are interruptible at every ``on_progress`` beat; sharded campaigns
-(``config.jobs > 1``) execute in worker processes, so their findings
-backfill at merge time and cancellation takes effect between shard
-generations.
+Every campaign streams its findings live through ``Campaign.on_finding``
+(once per finding key) and beats through ``Campaign.on_progress``, which
+renews the lease and raises :class:`JobInterrupted` to stop the run.  A
+sharded campaign (``config.jobs > 1``) beats whenever one of its shards
+does, and an interrupt stops every shard at its next beat with its
+sidecar saved.
 """
 
 from __future__ import annotations
 
 import threading
 import traceback
-from typing import Any, Callable, List, Optional, Union
+from typing import Any, Callable, List, Optional
 
 from ..core.campaign import Campaign, CampaignResult, load_checkpoints
 from ..core.config import CampaignConfig
 from ..dialects import dialect_by_name
-from ..perf.parallel import ParallelCampaign
 from ..robustness.chaos import SimulatedCrash
 from ..robustness.checkpoint import CheckpointError
 from .bugrepo import BugRepository
@@ -63,17 +60,11 @@ class JobInterrupted(Exception):
         self.reason = reason
 
 
-def build_campaign(config: CampaignConfig) -> Union[Campaign, "ParallelCampaign"]:
-    """Instantiate the right campaign class for *config*.
-
-    ``config.jobs == 1`` builds a serial :class:`Campaign` (supports
-    fault injectors, live finding streaming, simulated clocks);
-    ``config.jobs > 1`` builds a sharded :class:`ParallelCampaign`.
-    """
+def build_campaign(config: CampaignConfig) -> Campaign:
+    """The :class:`Campaign` *config* describes (``config.jobs > 1``
+    shards it across that many processes)."""
     if not config.dialect:
         raise ValueError("build_campaign needs config.dialect to be set")
-    if config.parallel:
-        return ParallelCampaign(config=config)
     return Campaign(dialect_by_name(config.dialect), config=config)
 
 
@@ -89,24 +80,9 @@ def run_scheduled(
     ``config.checkpoint_path``, serial or sharded alike.
     """
     campaign = build_campaign(config)
-    if isinstance(campaign, Campaign):
-        if on_finding is not None:
-            campaign.on_finding = on_finding
-        if on_progress is not None:
-            campaign.on_progress = on_progress
-        return campaign.run(resume=resume)
-    result = campaign.run(resume=resume)
-    # shards ran out of process: backfill the stream at merge time
-    if on_finding is not None:
-        for finding in list(result.bugs) + list(result.findings):
-            on_finding(finding, getattr(finding, "query_index", -1))
-    if on_progress is not None:
-        on_progress({
-            "position": result.queries_executed,
-            "budget": config.budget,
-            "outcomes": dict(result.outcomes),
-        })
-    return result
+    campaign.on_finding = on_finding
+    campaign.on_progress = on_progress
+    return campaign.run(resume=resume)
 
 
 class SchedulerWorker:

@@ -14,7 +14,6 @@ import pytest
 from repro.core import Campaign, CampaignConfig, run_campaign
 from repro.core.config import fault_spec
 from repro.dialects import dialect_by_name
-from repro.perf.parallel import ParallelCampaign, run_parallel_campaign
 from repro.robustness import FaultPlan
 from repro.robustness.governor import ResourceBudgets
 from repro.robustness.sandbox import SandboxConfig
@@ -128,22 +127,19 @@ class TestOneSpelling:
         with pytest.raises(TypeError, match="config"):
             run_campaign("duckdb", budget=50, config=config)
         with pytest.raises(TypeError, match="config"):
-            run_parallel_campaign("duckdb", budget=50, config=config)
+            run_campaign("duckdb", jobs=2, config=config)
 
     def test_constructors_take_only_a_config(self):
         with pytest.raises(TypeError):
             Campaign(dialect_by_name("duckdb"), budget=50)
         with pytest.raises(TypeError, match="CampaignConfig"):
             Campaign(dialect_by_name("duckdb"), 50)
-        with pytest.raises(TypeError):
-            ParallelCampaign(dialect="duckdb", jobs=2, budget=50)
 
     def test_dialect_fills_an_empty_config_dialect(self):
         campaign = Campaign(
             dialect_by_name("duckdb"), config=CampaignConfig(budget=50)
         )
         assert campaign.config.dialect == "duckdb"
-        assert ParallelCampaign("duckdb").config.jobs == 2
 
 
 class TestParity:

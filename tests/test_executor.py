@@ -1,5 +1,7 @@
 """Integration tests for the statement executor (the SELECT pipeline)."""
 
+import random
+
 import pytest
 
 from repro.dialects.base import Dialect
@@ -134,6 +136,30 @@ class TestOrderLimit:
         conn.execute("INSERT INTO d VALUES (1), (1), (2)")
         assert len(rows(conn, "SELECT DISTINCT x FROM d")) == 2
 
+    @pytest.mark.parametrize("count", [1, 2, 100])
+    def test_order_key_is_evaluated_once_per_row(self, conn, monkeypatch, count):
+        from repro.engine import evaluator
+        from repro.sqlast import nodes
+
+        conn.execute("CREATE TABLE o (id INT)")
+        ids = list(range(count))
+        random.Random(7).shuffle(ids)
+        conn.execute(
+            "INSERT INTO o VALUES " + ", ".join(f"({i})" for i in ids)
+        )
+        unary = evaluator._DISPATCH[nodes.UnaryOp]
+        calls = []
+
+        def counted(self, expr):
+            calls.append(expr)
+            return unary(self, expr)
+
+        monkeypatch.setitem(evaluator._DISPATCH, nodes.UnaryOp, counted)
+        result = rows(conn, "SELECT id FROM o ORDER BY -id")
+        assert result == [[str(i)] for i in reversed(range(count))]
+        # a single row is never compared, so its key is never evaluated
+        assert len(calls) == (count if count > 1 else 0)
+
 
 class TestJoins:
     @pytest.fixture()
@@ -206,6 +232,15 @@ class TestSubqueries:
 
     def test_exists(self, populated):
         assert rows(populated, "SELECT EXISTS (SELECT 1 FROM t)") == [["true"]]
+
+    def test_aggregate_in_a_scalar_subquery_groups_the_subquery(self, conn):
+        conn.execute("CREATE TABLE e (id INT)")
+        conn.execute("INSERT INTO e VALUES (1), (2), (3)")
+        result = rows(conn, "SELECT id, (SELECT COUNT(*) FROM e) FROM e")
+        assert result == [["1", "3"], ["2", "3"], ["3", "3"]]
+        assert rows(conn, "SELECT COUNT(*), (SELECT MAX(id) FROM e) FROM e") == [
+            ["3", "3"]
+        ]
 
     def test_derived_table(self, populated):
         result = rows(

@@ -18,37 +18,79 @@ import textwrap
 
 import pytest
 
-from repro.core.campaign import campaign_spec, run_campaign
+from repro.core.campaign import (
+    Campaign,
+    campaign_spec,
+    load_checkpoints,
+    run_campaign,
+)
 from repro.core.collect import SeedCollector
 from repro.core.config import CampaignConfig
 from repro.core.patterns import GeneratedCase, PatternEngine
 from repro.core.runner import Runner
 from repro.dialects import dialect_by_name
 from repro.engine.connection import ConnectionClosed
-from repro.perf.parallel import (
-    ParallelCampaign,
-    run_parallel_campaign,
-    shard_of,
-)
+from repro.perf.parallel import shard_of
 from repro.robustness.watchdog import StatementTimeout
+from repro.service.scheduler import JobInterrupted
+
+
+def interrupt(config, past):
+    """Run the sharded *config* until its progress is *past* positions
+    beyond the seed phase, then stop it the way the service does: an
+    ``on_progress`` hook that raises :class:`JobInterrupted`."""
+    dialect = dialect_by_name(config.dialect)
+    seeds = len(SeedCollector(dialect).collect())
+    campaign = Campaign(dialect, config=config)
+    campaign.progress_every = 20
+
+    def on_progress(snapshot):
+        if snapshot["position"] >= seeds + past:
+            raise JobInterrupted("drain")
+
+    campaign.on_progress = on_progress
+    with pytest.raises(JobInterrupted):
+        campaign.run()
+    # every shard saved its state mid-stream
+    saved = load_checkpoints(config)
+    assert sorted(saved) == list(range(config.jobs))
+    assert seeds + sum(cp.progress["position"] for cp in saved.values()) < config.budget
+
 
 # ---------------------------------------------------------------------------
 # parallel campaigns: determinism
 # ---------------------------------------------------------------------------
 class TestParallelDeterminism:
     def test_jobs_1_runs_inline_and_matches(self):
-        serial = run_campaign("duckdb", budget=1_000, seed=3)
-        inline = run_parallel_campaign("duckdb", jobs=1, budget=1_000, seed=3)
-        assert inline.signature() == serial.signature()
+        serial = run_campaign("duckdb", budget=1_000, seed=3, jobs=1)
+        sharded = run_campaign("duckdb", budget=1_000, seed=3, jobs=2)
+        assert sharded.signature() == serial.signature()
 
     def test_rejects_bad_jobs(self):
         with pytest.raises(ValueError):
-            ParallelCampaign(config=CampaignConfig(dialect="duckdb", jobs=0))
+            CampaignConfig(dialect="duckdb", jobs=0)
 
     def test_merged_throughput_counters_populated(self):
-        result = run_parallel_campaign("duckdb", jobs=2, budget=1_000, seed=3)
+        result = run_campaign("duckdb", jobs=2, budget=1_000, seed=3)
         assert result.wall_seconds > 0
         assert result.statements_per_second > 0
+
+    def test_a_shard_that_dies_unreported_fails_the_run(self, monkeypatch):
+        import multiprocessing
+
+        from repro.perf import parallel
+
+        run_shard = parallel._run_shard
+
+        def dying(config, worker, *args):
+            if worker == 1:
+                os._exit(3)
+            run_shard(config, worker, *args)
+
+        monkeypatch.setattr(parallel, "_run_shard", dying)
+        with pytest.raises(RuntimeError, match="shard 1 exited with code 3"):
+            run_campaign("duckdb", jobs=2, budget=1_000)
+        assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------
@@ -92,10 +134,9 @@ class TestOneExecutionPath:
             """
             import sys
             from repro.core.campaign import run_campaign
-            from repro.perf import run_parallel_campaign
 
             run_campaign("duckdb", budget=300, seed=3)
-            run_parallel_campaign("duckdb", jobs=2, budget=300, seed=3)
+            run_campaign("duckdb", jobs=2, budget=300, seed=3)
             run_campaign("duckdb", budget=300, seed=3,
                          statement_family="predicate", oracles="tlp,norec")
             loaded = [name for name in ("repro.perf.stmtcache",
@@ -127,15 +168,9 @@ class TestParallelResume:
             dialect="duckdb", jobs=2, budget=1_200, seed=3,
             checkpoint_path=path, checkpoint_every=100,
         )
-        interrupted = ParallelCampaign(config=config)
-        interrupted._stop_after = 150  # simulate a mid-campaign kill
-        partial = interrupted.run()
-        assert partial.queries_executed < 1_200
-
-        resumed = ParallelCampaign(config=config).run(resume=True)
-        fresh = ParallelCampaign(
-            config=config.replace(checkpoint_path=None)
-        ).run()
+        interrupt(config, past=300)
+        resumed = run_campaign(config=config, resume=True)
+        fresh = run_campaign(config=config.replace(checkpoint_path=None))
         assert resumed.signature() == fresh.signature()
 
     def test_resume_rejects_mismatched_configuration(self, tmp_path):
@@ -146,11 +181,11 @@ class TestParallelResume:
             dialect="duckdb", jobs=2, budget=600, seed=3,
             checkpoint_path=path, checkpoint_every=100,
         )
-        ParallelCampaign(config=config).run()
+        run_campaign(config=config)
         with pytest.raises(CheckpointError):
-            ParallelCampaign(
-                config=config.replace(seed=4)  # different seed
-            ).run(resume=True)
+            run_campaign(
+                config=config.replace(seed=4), resume=True  # different seed
+            )
 
 
 #: shard-sidecar identities, each with its worker index and the exact JSON
@@ -229,13 +264,9 @@ class TestShardSidecars:
             jobs=2, budget=interrupted_budget,
             checkpoint_path=str(tmp_path / "campaign.ckpt"), checkpoint_every=50,
         )
-        interrupted = ParallelCampaign(config=config)
-        interrupted._stop_after = 40  # simulate a mid-campaign kill
-        partial = interrupted.run()
-        assert partial.queries_executed < interrupted_budget
-
-        resumed = ParallelCampaign(config=config).run(resume=True)
-        fresh = ParallelCampaign(config=config.replace(checkpoint_path=None)).run()
+        interrupt(config, past=40)
+        resumed = run_campaign(config=config, resume=True)
+        fresh = run_campaign(config=config.replace(checkpoint_path=None))
         assert resumed.signature() == fresh.signature()
 
     def test_format_2_sidecar_is_refused(self, tmp_path):
@@ -247,9 +278,7 @@ class TestShardSidecars:
         config = SIDECAR_SPECS["predicate"][0].replace(
             budget=700, checkpoint_path=str(path), checkpoint_every=50,
         )
-        interrupted = ParallelCampaign(config=config)
-        interrupted._stop_after = 40  # simulate a mid-campaign kill
-        assert interrupted.run().queries_executed < 700
+        interrupt(config, past=40)
         for worker in range(2):
             sidecar = tmp_path / f"campaign.ckpt.shard{worker}"
             payload = json.loads(sidecar.read_text(encoding="utf-8"))
@@ -257,7 +286,7 @@ class TestShardSidecars:
             sidecar.write_text(json.dumps(payload), encoding="utf-8")
 
         with pytest.raises(CheckpointError, match="different campaign"):
-            ParallelCampaign(config=config).run(resume=True)
+            run_campaign(config=config, resume=True)
 
     @pytest.mark.parametrize("damage", ["truncated", "empty"])
     def test_unreadable_sidecar_is_a_checkpoint_error(self, tmp_path, damage):
@@ -268,7 +297,7 @@ class TestShardSidecars:
             dialect="duckdb", jobs=2, budget=400, seed=3,
             checkpoint_path=path, checkpoint_every=50,
         )
-        ParallelCampaign(config=config).run()
+        run_campaign(config=config)
         sidecar = tmp_path / "campaign.ckpt.shard0"
         text = sidecar.read_text(encoding="utf-8")
         sidecar.write_text(
@@ -276,7 +305,7 @@ class TestShardSidecars:
             encoding="utf-8",
         )
         with pytest.raises(CheckpointError, match="campaign.ckpt.shard0"):
-            ParallelCampaign(config=config).run(resume=True)
+            run_campaign(config=config, resume=True)
 
 
 # ---------------------------------------------------------------------------
@@ -359,10 +388,9 @@ class TestParallelOracles:
             dialect="duckdb", jobs=2, budget=1_200, seed=3, oracles=self.ALL,
             checkpoint_path=path, checkpoint_every=100,
         )
-        interrupted = ParallelCampaign(config=config)
-        interrupted._stop_after = 150
-        interrupted.run()
+        interrupt(config, past=300)
         with pytest.raises(CheckpointError):
-            ParallelCampaign(
-                config=config.replace(oracles=("crash",))  # crash-only now
-            ).run(resume=True)
+            run_campaign(
+                config=config.replace(oracles=("crash",)),  # crash-only now
+                resume=True,
+            )

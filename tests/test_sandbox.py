@@ -345,29 +345,23 @@ class TestSandboxCampaign:
 
 class TestParallelSandboxCampaign:
     def test_jobs4_sandbox_matches_serial_signature(self):
-        from repro.perf import run_parallel_campaign
-
         serial = run_campaign("postgresql", budget=300, sandbox=True)
-        parallel = run_parallel_campaign("postgresql", jobs=4, budget=300,
-                                         sandbox=True)
+        parallel = run_campaign("postgresql", jobs=4, budget=300,
+                                sandbox=True)
         assert parallel.signature() == serial.signature()
 
     def test_jobs4_quarantine_skips_exactly_once(self):
-        from repro.perf import run_parallel_campaign
-
         sql0, _family = first_seed("mariadb")
         config = SandboxConfig(quarantine=(sql0,))
         serial = run_campaign("mariadb", budget=300, sandbox=config)
-        parallel = run_parallel_campaign("mariadb", jobs=4, budget=300,
-                                         sandbox=config)
+        parallel = run_campaign("mariadb", jobs=4, budget=300,
+                                sandbox=config)
         # the quarantined statement is skipped once across ALL shards —
         # exactly as often as the serial stream skips it
         assert parallel.skipped_statements == serial.skipped_statements >= 1
         assert parallel.signature() == serial.signature()
 
     def test_parallel_rejects_sandbox_with_faults(self):
-        from repro.perf import run_parallel_campaign
-
         with pytest.raises(ValueError, match="mutually exclusive"):
-            run_parallel_campaign("mariadb", jobs=2, budget=100,
-                                  sandbox=True, faults="default")
+            run_campaign("mariadb", jobs=2, budget=100,
+                         sandbox=True, faults="default")

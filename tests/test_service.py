@@ -22,8 +22,9 @@ import urllib.request
 import pytest
 
 from repro.core import CampaignConfig, run_campaign
-from repro.core.campaign import load_checkpoints
-from repro.perf.parallel import ParallelCampaign
+from repro.core.campaign import Campaign, load_checkpoints
+from repro.core.collect import SeedCollector
+from repro.dialects import dialect_by_name
 from repro.robustness.chaos import SimulatedCrash, StorageFaultInjector
 from repro.service import BugService
 from repro.service.audit import ServiceAuditor
@@ -45,6 +46,7 @@ from repro.service.jobs import (
 )
 from repro.service.journal import JobJournal
 from repro.service.scheduler import (
+    JobInterrupted,
     SchedulerPool,
     SchedulerWorker,
     build_campaign,
@@ -394,13 +396,11 @@ class TestJobModel:
 
 class TestSchedulerDispatch:
     def test_build_campaign_dispatches_on_jobs(self):
-        from repro.core.campaign import Campaign
-        from repro.perf.parallel import ParallelCampaign
-
+        # one campaign class: a sharded campaign forks its shards itself
         serial = build_campaign(CampaignConfig(dialect="duckdb"))
-        assert isinstance(serial, Campaign)
+        assert type(serial) is Campaign and serial.config.jobs == 1
         sharded = build_campaign(CampaignConfig(dialect="duckdb", jobs=2))
-        assert isinstance(sharded, ParallelCampaign)
+        assert type(sharded) is Campaign and sharded.config.jobs == 2
         with pytest.raises(ValueError, match="dialect"):
             build_campaign(CampaignConfig())
 
@@ -418,13 +418,78 @@ class TestSchedulerDispatch:
         assert all(pos >= 0 for _, pos in seen)
         assert progress and progress[-1]["budget"] == 500
 
-    def test_sharded_run_backfills_the_stream(self):
+    def test_sharded_run_streams_each_key_once(self):
         seen = []
+        progress = []
         result = run_scheduled(
-            CampaignConfig(dialect="virtuoso", budget=500, jobs=2),
-            on_finding=lambda f, pos: seen.append(f),
+            CampaignConfig(dialect="virtuoso", budget=1_500, jobs=2),
+            on_finding=lambda f, pos: seen.append(f.key),
+            on_progress=progress.append,
         )
-        assert len(seen) == len(result.bugs)
+        assert sorted(seen) == sorted(b.key for b in result.bugs)
+        # the shards beat while they run, not once after the merge
+        assert len(progress) > 3 and progress[-1]["position"] == 1_500
+
+    def test_resumed_sharded_run_streams_no_key_twice(self, tmp_path):
+        """Keys streamed before an interrupt are not streamed again by the
+        resumed run, even when another shard finds them."""
+        config = CampaignConfig(
+            dialect="virtuoso", budget=6_000, jobs=2,
+            checkpoint_path=str(tmp_path / "job.ckpt"), checkpoint_every=100,
+        )
+        seeds = len(SeedCollector(dialect_by_name("virtuoso")).collect())
+        streamed = []
+        campaign = build_campaign(config)
+        campaign.progress_every = 50
+        campaign.on_finding = lambda f, pos: streamed.append(f.key)
+
+        def drain(snapshot):
+            if snapshot["position"] >= seeds + 1_000:
+                raise JobInterrupted("drain")
+
+        campaign.on_progress = drain
+        with pytest.raises(JobInterrupted):
+            campaign.run()
+        assert streamed
+        result = run_scheduled(
+            config, resume=True, on_finding=lambda f, pos: streamed.append(f.key)
+        )
+        assert sorted(streamed) == sorted(b.key for b in result.bugs)
+
+    def test_cancelled_sharded_run_stops_within_a_beat(self, tmp_path):
+        """A cancel raised in the parent's ``on_progress`` stops every
+        shard at its next beat with its sidecar saved; resuming signs
+        like an uninterrupted run."""
+        import multiprocessing
+
+        config = CampaignConfig(
+            dialect="duckdb", budget=20_000, jobs=2,
+            checkpoint_path=str(tmp_path / "job.ckpt"), checkpoint_every=1_000,
+        )
+        seeds = len(SeedCollector(dialect_by_name("duckdb")).collect())
+        campaign = build_campaign(config)
+        campaign.progress_every = every = 100
+        stopped_at = []
+
+        def on_progress(snapshot):
+            if snapshot["position"] > seeds:
+                stopped_at.append(snapshot["position"])
+                raise JobInterrupted("cancel")
+
+        campaign.on_progress = on_progress
+        with pytest.raises(JobInterrupted):
+            campaign.run()
+        assert multiprocessing.active_children() == []
+        saved = load_checkpoints(config)
+        positions = [saved[w].progress["position"] for w in range(2)]
+        # each shard stopped at a beat, at most one beat (plus one still
+        # in the queue) past what the parent had seen
+        assert all(p % every == 0 for p in positions)
+        assert seeds + sum(positions) <= stopped_at[0] + 2 * 2 * every
+
+        resumed = run_scheduled(config, resume=True)
+        control = run_scheduled(config.replace(checkpoint_path=None))
+        assert resumed.signature() == control.signature()
 
 
 class TestSchedulerFailurePaths:
@@ -516,6 +581,42 @@ class TestSchedulerFailurePaths:
             assert job.retries == 1 and job.lease_seq == 2
         finally:
             pool.stop(drain=False)
+
+    def test_sharded_job_keeps_its_lease(self, tmp_path):
+        """A ``jobs=2`` job renews its lease at every shard beat: it runs
+        for more than three leases beside an idle second worker, is
+        claimed once, and streams each merged finding key exactly once."""
+        journal = JobJournal(str(tmp_path / "jobs.sqlite"))
+        store = JobStore(
+            journal=journal, checkpoint_dir=str(tmp_path / "ckpt"),
+            lease_seconds=0.5, backoff_base=0.0,
+        )
+        repo = BugRepository(str(tmp_path / "bugs.sqlite"), minimize=False)
+        merged = []
+        record_result = repo.record_result
+
+        def keep_result(result, **kwargs):
+            merged.append(result)
+            return record_result(result, **kwargs)
+
+        repo.record_result = keep_result
+        pool = SchedulerPool(store, repo, workers=2).start()
+        job = store.submit(
+            "campaign",
+            config=CampaignConfig(dialect="duckdb", budget=20_000, jobs=2),
+        )
+        try:
+            assert self._wait_state(job, TERMINAL_STATES, 120) == "done", job.error
+        finally:
+            pool.stop(drain=False)
+        assert merged[0].wall_seconds > 3 * store.lease_seconds
+        claims = [t for t in journal.transitions(job.job_id)
+                  if t["state"] == "running"]
+        assert len(claims) == 1 and job.retries == 0
+        _, streamed = job.findings_since(0)
+        keys = [(entry["function"], entry["label"]) for entry in streamed]
+        assert len(keys) == len(set(keys))
+        assert set(keys) == merged[0].bug_keys()
 
     def test_cooperative_cancel_of_a_running_campaign(self, tmp_path):
         store, repo, pool = self._pool(tmp_path, workers=1)
@@ -701,9 +802,14 @@ class TestDurabilityAndRecovery:
         )
         assert store.claim(owner="doomed") is not None
         # the doomed worker's shards save their state, then the host dies
-        interrupted = ParallelCampaign(config=job.config)
-        interrupted._stop_after = 150
-        assert interrupted.run().queries_executed < 1_500
+        seeds = len(SeedCollector(dialect_by_name("virtuoso")).collect())
+
+        def die(snapshot):
+            if snapshot["position"] >= seeds + 300:
+                raise JobInterrupted("drain")
+
+        with pytest.raises(JobInterrupted):
+            run_scheduled(job.config, on_progress=die)
         journal.close()
 
         reborn = JobStore(

@@ -36,7 +36,6 @@ from repro.core.config import CampaignConfig
 from repro.dialects import dialect_names
 from repro.dialects.bugs import logic_flaws_for
 from repro.dialects.flaws import LOGIC_KINDS, PREDICATE_KINDS
-from repro.perf import run_parallel_campaign
 from repro.service.jobs import signature_digest
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "signatures.json")
@@ -102,14 +101,14 @@ def run_cell(dialect, family, mode):
     if mode == "serial":
         return run_campaign(config=checkpointed)
     if mode == "jobs":
-        return run_parallel_campaign(config=config.replace(jobs=JOBS))
+        return run_campaign(config=config.replace(jobs=JOBS))
     if mode == "resumed":
         run_cell(dialect, family, "serial")
         return run_campaign(config=checkpointed, resume=True)
     if mode == "faulted":
         return run_campaign(config=faulted)
     if mode == "faulted_jobs":
-        return run_parallel_campaign(config=faulted.replace(jobs=JOBS))
+        return run_campaign(config=faulted.replace(jobs=JOBS))
     if mode == "sandboxed":
         return run_campaign(config=config.replace(sandbox=True))
     raise ValueError(f"unknown matrix mode {mode!r}")
