@@ -38,7 +38,7 @@ def run_variant(configure=None, patterns=None, seeds_filter=None, budget=None):
     for seed in seeds:
         outcome = runner.run(f"SELECT {seed.sql};")
         if outcome.kind == "crash" and outcome.crash:
-            oracle.observe_crash(outcome.crash, outcome.sql, "seed", runner.executed)
+            oracle.observe_crash(outcome.crash, outcome.sql, "seed", runner.tally.executed)
         if outcome.result_type and seed.function not in return_types:
             return_types[seed.function] = outcome.result_type
     engine = PatternEngine(seeds, return_types=return_types)
@@ -66,11 +66,11 @@ def run_variant(configure=None, patterns=None, seeds_filter=None, budget=None):
 
     limit = budget or ABLATION_BUDGET
     for case in stream():
-        if runner.executed >= limit:
+        if runner.tally.executed >= limit:
             break
         outcome = runner.run(case.sql)
         if outcome.kind == "crash" and outcome.crash:
-            oracle.observe_crash(outcome.crash, case.sql, case.pattern, runner.executed)
+            oracle.observe_crash(outcome.crash, case.sql, case.pattern, runner.tally.executed)
     return len(oracle.attributed), oracle
 
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -173,12 +174,14 @@ def wait_http(svc, job_id):
 # ---------------------------------------------------------------------------
 # phases
 # ---------------------------------------------------------------------------
-def sweep_crash_points(control_digest: str) -> str:
+def sweep_crash_points(control_digest: str, root: str) -> str:
     points = crash_points()
     print(f"[2/6] crash-point sweep: {len(points)} points, kill + recover each")
     last_dir = ""
     for point in points:
-        data_dir = tempfile.mkdtemp(prefix=f"repro-chaos-{point.replace('.', '-')}-")
+        data_dir = tempfile.mkdtemp(
+            prefix=f"repro-chaos-{point.replace('.', '-')}-", dir=root
+        )
         killed = _spawn_child(data_dir, crash_at=point)
         if killed.returncode != 137:
             fail(f"{point}: armed child exited {killed.returncode}, "
@@ -342,19 +345,17 @@ def preemption_parity(data_dir: str) -> None:
         journal.close()
 
 
-def main() -> None:
-    if len(sys.argv) == 3 and sys.argv[1] == "--child":
-        sys.exit(run_child(sys.argv[2]))
-
+def smoke(root: str) -> None:
+    """Every check, with each data dir created under *root*."""
     print("[1/6] control run: uninterrupted in-process campaign")
     control = run_scheduled(CampaignConfig(dialect=DIALECT, budget=BUDGET))
     control_digest = signature_digest(control)
     print(f"      {len(control.bugs)} bugs, digest {control_digest[:16]}…")
 
-    swept_dir = sweep_crash_points(control_digest)
-    enospc_round_trip(tempfile.mkdtemp(prefix="repro-chaos-enospc-"))
-    corruption_rebuild(tempfile.mkdtemp(prefix="repro-chaos-corrupt-"))
-    preemption_parity(tempfile.mkdtemp(prefix="repro-chaos-preempt-"))
+    swept_dir = sweep_crash_points(control_digest, root)
+    enospc_round_trip(tempfile.mkdtemp(prefix="repro-chaos-enospc-", dir=root))
+    corruption_rebuild(tempfile.mkdtemp(prefix="repro-chaos-corrupt-", dir=root))
+    preemption_parity(tempfile.mkdtemp(prefix="repro-chaos-preempt-", dir=root))
 
     print("[6/6] `repro audit` CLI on the last swept data dir")
     audit = subprocess.run(
@@ -374,6 +375,16 @@ def main() -> None:
     print(f"OK: {len(crash_points())} crash points survived kill+recover, "
           f"ENOSPC degraded/recovered, corruption rebuilt, "
           f"preemption signature-identical")
+
+
+def main() -> None:
+    if len(sys.argv) == 3 and sys.argv[1] == "--child":
+        sys.exit(run_child(sys.argv[2]))
+    root = tempfile.mkdtemp(prefix="repro-chaos-")
+    try:
+        smoke(root)
+    finally:
+        shutil.rmtree(root, ignore_errors=True)
 
 
 if __name__ == "__main__":

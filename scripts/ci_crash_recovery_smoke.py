@@ -10,7 +10,9 @@ whose shards beat the job's progress while they run.
 2. SIGKILL the server mid-campaign, after every checkpoint file of the
    job has been written but long before the budget is exhausted; the
    server's process group must then empty within a few seconds (no
-   orphaned shard is left running, and writing sidecars);
+   orphaned shard is left running, and writing sidecars), and the
+   server's own temporary directory must hold no ``repro-shards-*``
+   directory (nothing a killed campaign leaves behind);
 3. restart the server on the same data dir: startup recovery must find
    the orphaned ``running`` job in the journal and re-enqueue it;
 4. the recovered job must finish ``done`` with ``resumed: true`` in its
@@ -21,13 +23,18 @@ whose shards beat the job's progress while they run.
 5. the bug repository must hold exactly one record per control-run bug
    (occurrences == 1): recovery never double-ingests findings.
 
+Each pass works in one temporary directory (the data dir and the
+server's ``TMPDIR``), removed when the pass ends, pass or fail.
+
 Usage: ``PYTHONPATH=src python scripts/ci_crash_recovery_smoke.py``
 """
 
 from __future__ import annotations
 
+import glob
 import json
 import os
+import shutil
 import signal
 import socket
 import subprocess
@@ -36,6 +43,7 @@ import tempfile
 import time
 import urllib.error
 import urllib.request
+from typing import List
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -54,6 +62,8 @@ POLL_DEADLINE = 240.0
 #: how long orphaned shards may take to notice their parent is gone (one
 #: beat: a few hundred statements)
 ORPHAN_DEADLINE = 3.0
+#: every server this run started, stopped when its pass ends
+SERVERS: List[subprocess.Popen] = []
 
 
 def fail(message: str) -> None:
@@ -82,10 +92,11 @@ def request(port, method, path, body=None):
         return error.code, json.loads(error.read())
 
 
-def start_server(data_dir: str, port: int) -> subprocess.Popen:
+def start_server(data_dir: str, port: int, tmp_dir: str) -> subprocess.Popen:
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    env["TMPDIR"] = tmp_dir
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "repro.cli", "serve",
@@ -99,6 +110,7 @@ def start_server(data_dir: str, port: int) -> subprocess.Popen:
         stderr=subprocess.DEVNULL,
         start_new_session=True,
     )
+    SERVERS.append(proc)
     deadline = time.monotonic() + 30.0
     while time.monotonic() < deadline:
         if proc.poll() is not None:
@@ -125,8 +137,10 @@ def wait_group_empty(pgid: int) -> None:
     fail(f"the killed server left processes in its group {pgid}")
 
 
-def smoke(jobs: int) -> None:
-    data_dir = tempfile.mkdtemp(prefix="repro-crash-smoke-")
+def smoke(jobs: int, root: str) -> None:
+    data_dir = os.path.join(root, "data")
+    tmp_dir = os.path.join(root, "tmp")
+    os.makedirs(tmp_dir)
     config = CampaignConfig(
         dialect=DIALECT, budget=BUDGETS[jobs], checkpoint_every=CHECKPOINT_EVERY,
         jobs=jobs,
@@ -140,7 +154,7 @@ def smoke(jobs: int) -> None:
 
     print("[2/5] boot `repro serve`, submit the checkpointed campaign")
     port = free_port()
-    proc = start_server(data_dir, port)
+    proc = start_server(data_dir, port, tmp_dir)
     status, job = request(
         port, "POST", "/jobs", {"kind": "campaign", "config": config.to_dict()}
     )
@@ -173,12 +187,15 @@ def smoke(jobs: int) -> None:
     os.kill(proc.pid, signal.SIGKILL)
     proc.wait(timeout=30)
     wait_group_empty(proc.pid)
+    leaked = glob.glob(os.path.join(tmp_dir, "repro-shards-*"))
+    if leaked:
+        fail(f"the killed server left temporary directories behind: {leaked}")
     print(f"      killed at position ~{position}, checkpoints on disk, "
-          f"no process left in the server's group")
+          f"no process left in the server's group, nothing left in its TMPDIR")
 
     print("[4/5] restart on the same data dir: recovery must resume the job")
     port = free_port()
-    proc = start_server(data_dir, port)
+    proc = start_server(data_dir, port, tmp_dir)
     try:
         status, health = request(port, "GET", "/health")
         requeued = (health.get("recovered") or {}).get("requeued", [])
@@ -229,7 +246,19 @@ def smoke(jobs: int) -> None:
 
 def main() -> None:
     for jobs in (1, 2):
-        smoke(jobs)
+        root = tempfile.mkdtemp(prefix="repro-crash-smoke-")
+        try:
+            smoke(jobs, root)
+        finally:
+            for proc in SERVERS:
+                if proc.poll() is None:
+                    try:
+                        os.killpg(proc.pid, signal.SIGKILL)
+                    except ProcessLookupError:
+                        pass  # it exited since the poll
+                    proc.wait()
+            SERVERS.clear()
+            shutil.rmtree(root, ignore_errors=True)
 
 
 if __name__ == "__main__":

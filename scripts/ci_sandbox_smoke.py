@@ -57,9 +57,9 @@ def check_resource_containment() -> None:
     outcome = governed.run(SO_POC)
     if outcome.kind != "resource_exhausted":
         fail(f"governed MEDIAN PoC should exhaust, got {outcome.kind!r}")
-    if governed.fault_counters.get("governor.depth") != 1:
+    if governed.tally.faults.get("governor.depth") != 1:
         fail(f"expected one governor.depth event, got "
-             f"{governed.fault_counters}")
+             f"{governed.tally.faults}")
     boxed = Runner(dialect_by_name(DIALECT), budgets="depth=64", sandbox=True)
     try:
         outcome = boxed.run(SO_POC)
@@ -84,7 +84,7 @@ def check_harness_crash_containment() -> None:
             fail(f"killed worker should yield harness_crash, got "
                  f"{outcome.kind!r}")
         expected = {"sandbox.worker_deaths": 1, "sandbox.respawns": 1}
-        got = {k: v for k, v in runner.fault_counters.items()
+        got = {k: v for k, v in runner.tally.faults.items()
                if k.startswith("sandbox.")}
         if got != expected:
             fail(f"supervisor counters {got} != {expected}")
@@ -106,10 +106,7 @@ def check_pathological_campaign() -> None:
           f"{TIGHT_BUDGETS!r}, one quarantined seed")
     result = run_campaign(DIALECT, **pathological_campaign())
     outcomes = dict(result.outcomes)
-    # fault.* entries mirror fault_counters for the report; they are
-    # bookkeeping rows, not stream outcomes
-    processed = sum(v for k, v in outcomes.items()
-                    if not k.startswith("fault."))
+    processed = sum(outcomes.values())
     if processed != BUDGET:
         fail(f"processed {processed} != budget {BUDGET}")
     exhausted = outcomes.get("resource_exhausted", 0)
@@ -123,7 +120,7 @@ def check_pathological_campaign() -> None:
              "spurious harness crashes")
     if outcomes.get("skipped", 0) < 1 or result.quarantined_statements < 1:
         fail(f"quarantined seed was not skipped: {outcomes}")
-    if result.skipped_statements != outcomes["skipped"]:
+    if result.queries_executed != BUDGET - outcomes["skipped"]:
         fail("skipped accounting mismatch between outcomes and result")
     again = run_campaign(DIALECT, **pathological_campaign())
     if again.signature() != result.signature():

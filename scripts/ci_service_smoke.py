@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import sys
 import tempfile
 import time
@@ -68,8 +69,7 @@ def wait_for(service, job_id):
     fail(f"job {job_id} did not finish in {POLL_DEADLINE}s: {job}")
 
 
-def main() -> None:
-    data_dir = tempfile.mkdtemp(prefix="repro-service-smoke-")
+def smoke(data_dir: str) -> None:
     service = BugService(data_dir).start()
     print(f"[1/5] service booted at {service.url}")
     status, health = request(service, "GET", "/health")
@@ -152,6 +152,14 @@ def main() -> None:
 
     print(f"OK: streamed {len(streamed)} findings, {bug_count} deduplicated "
           f"records, replay clean, shutdown clean")
+
+
+def main() -> None:
+    data_dir = tempfile.mkdtemp(prefix="repro-service-smoke-")
+    try:
+        smoke(data_dir)
+    finally:
+        shutil.rmtree(data_dir, ignore_errors=True)
 
 
 if __name__ == "__main__":

@@ -76,16 +76,16 @@ def run_tool(
     tool.prepare(dialect, rng)
     stream = tool.queries(dialect, rng)
     for sql in stream:
-        if runner.executed >= budget:
+        if runner.tally.executed >= budget:
             break
         outcome = runner.run(sql)
         result.outcomes[outcome.kind] = result.outcomes.get(outcome.kind, 0) + 1
         if outcome.kind == "crash" and outcome.crash is not None:
-            oracle.observe_crash(outcome.crash, sql, tool.name, runner.executed)
+            oracle.observe_crash(outcome.crash, sql, tool.name, runner.tally.executed)
         violation = tool.check_result(sql, outcome)
         if violation is not None:
             result.logic_reports += 1
-    result.queries_executed = runner.executed
+    result.queries_executed = runner.tally.executed
     result.triggered_functions = runner.triggered_functions
     result.branch_coverage = runner.branch_coverage
     result.bugs = list(oracle.bugs)

@@ -36,9 +36,12 @@ Resilience (the long-campaign survival layer, :mod:`repro.robustness`):
   breaker: the campaign finalizes what it has (``result.quarantined``)
   instead of aborting, so multi-dialect sweeps degrade gracefully.
 
-Per-fault-class counters are surfaced in ``CampaignResult.outcomes`` under
-``fault.*`` keys; the plain outcome kinds (``ok``/``error``/…) still sum to
-``queries_executed``.
+Every counter of a campaign (statements executed, outcomes, resilience
+events, sandbox supervisor events) lives in one
+:class:`~repro.robustness.tally.Tally` per stream; checkpoints save it,
+shard reports carry it and :class:`CampaignResult` reads it.  The outcome
+kinds (``ok``/``error``/…, and ``skipped``) sum to the positions
+processed; per-fault-class counts are ``CampaignResult.fault_counters``.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ from ..robustness.checkpoint import (
 from ..robustness.faults import FaultInjector, make_fault_injector
 from ..robustness.policy import RetryPolicy, ServerQuarantined
 from ..robustness.sandbox import ContainmentState
+from ..robustness.tally import Tally
 from ..robustness.watchdog import Clock, SimulatedClock, WallClock, Watchdog
 from .collect import SeedCollector
 from .config import CampaignConfig
@@ -79,7 +83,6 @@ class CampaignResult:
     """Everything the benchmarks need from one campaign."""
 
     dialect: str
-    queries_executed: int = 0
     seeds_collected: int = 0
     bugs: List[DiscoveredBug] = field(default_factory=list)
     false_positives: List[str] = field(default_factory=list)
@@ -89,8 +92,8 @@ class CampaignResult:
     findings: List[Finding] = field(default_factory=list)
     triggered_functions: Set[str] = field(default_factory=set)
     branch_coverage: int = 0
-    outcomes: dict = field(default_factory=dict)  # kind -> count (+ fault.*)
-    fault_counters: Dict[str, int] = field(default_factory=dict)
+    #: every counter of the campaign, its shards' summed in
+    tally: Tally = field(default_factory=Tally)
     quarantined: bool = False
     quarantine_reason: str = ""
     elapsed_seconds: float = 0.0
@@ -101,12 +104,23 @@ class CampaignResult:
     #: sandbox supervisor health (``--sandbox`` campaigns only; the
     #: default-config signature layout is untouched when inactive)
     sandbox_active: bool = False
-    sandbox_kills: int = 0          # SIGKILLs after blown wall deadlines
-    sandbox_worker_deaths: int = 0  # workers that died on their own
-    sandbox_respawns: int = 0
     open_breakers: List[str] = field(default_factory=list)
     quarantined_statements: int = 0
-    skipped_statements: int = 0
+
+    @property
+    def queries_executed(self) -> int:
+        return self.tally.executed
+
+    @property
+    def outcomes(self) -> Dict[str, int]:
+        """Statements by outcome kind; they sum to the positions processed
+        (containment skips included)."""
+        return self.tally.outcomes
+
+    @property
+    def fault_counters(self) -> Dict[str, int]:
+        """Resilience events by kind: the runner's and the injector's."""
+        return self.tally.faults
 
     @property
     def bug_count(self) -> int:
@@ -137,9 +151,15 @@ class CampaignResult:
         campaign and its uninterrupted twin — must produce equal
         signatures.
         """
+        tally = self.tally
+        # the historical layout also lists each fault counter among the
+        # outcomes, as a ``fault.<kind>`` row
+        outcomes = dict(tally.outcomes)
+        for kind, count in tally.faults.items():
+            outcomes[f"fault.{kind}"] = count
         base = (
             self.dialect,
-            self.queries_executed,
+            tally.executed,
             self.seeds_collected,
             tuple(
                 (b.function, b.crash_code, b.pattern, b.sql, b.stage, b.query_index)
@@ -149,8 +169,8 @@ class CampaignResult:
             tuple(self.flaky_signals),
             tuple(sorted(self.triggered_functions)),
             self.branch_coverage,
-            tuple(sorted(self.outcomes.items())),
-            tuple(sorted(self.fault_counters.items())),
+            tuple(sorted(outcomes.items())),
+            tuple(sorted(tally.faults.items())),
             self.quarantined,
         )
         if self.findings:
@@ -158,14 +178,15 @@ class CampaignResult:
         if self.sandbox_active:
             # sandbox campaigns fold the containment outcome in; default
             # campaigns keep the historical signature layout byte-identical
+            supervisor = tally.supervisor
             base = base + (
                 (
                     tuple(self.open_breakers),
                     self.quarantined_statements,
-                    self.skipped_statements,
-                    self.sandbox_kills,
-                    self.sandbox_worker_deaths,
-                    self.sandbox_respawns,
+                    tally.outcomes.get("skipped", 0),
+                    supervisor["kills"],
+                    supervisor["worker_deaths"],
+                    supervisor["respawns"],
                 ),
             )
         return base
@@ -218,16 +239,10 @@ def run_contained(
         return runner.run(sql, position=position)
     reason = containment.should_skip(sql, family)
     if reason is not None:
-        containment.note_skip()
         return Outcome("skipped", sql, message=reason)
     outcome = runner.run(sql, position=position)
     containment.observe(outcome.kind, sql, family, outcome.message)
     return outcome
-
-
-def add_counts(into: Dict[str, int], counts: Dict[str, int]) -> None:
-    for kind, count in counts.items():
-        into[kind] = into.get(kind, 0) + count
 
 
 def fill_result(
@@ -241,26 +256,16 @@ def fill_result(
 
     *runner* is this process's; a sharded campaign also passes every
     shard's final :func:`progress_snapshot`, whose oracle states are
-    already merged into *pipeline*.  The fault counters also land in the
-    outcomes as ``fault.*`` keys.
+    already merged into *pipeline*.
     """
-    executed = runner.executed
+    result.tally.merge(
+        [runner.tally.export()] + [shard["tally"] for shard in shards]
+    )
     triggered = set(runner.server.ctx.triggered_functions)
     arcs = set(runner.coverage.arcs) if runner.coverage is not None else set()
-    fault_counters = dict(runner.fault_counters)
-    if runner.injector is not None:
-        add_counts(fault_counters, runner.injector.counters)
-    # getattr's default covers runners without a sandbox supervisor
-    sandbox = {name: getattr(runner.sandbox, name, 0) for name in SANDBOX_COUNTERS}
     for shard in shards:
-        executed += shard["executed"]
         triggered.update(shard["triggered"])
         arcs.update(tuple(arc) for arc in shard["coverage_arcs"])
-        add_counts(result.outcomes, shard["outcomes"])
-        add_counts(fault_counters, shard["fault_counters"])
-        add_counts(fault_counters, shard["injector_counters"])
-        add_counts(sandbox, shard["sandbox"])
-    result.queries_executed = executed
     result.triggered_functions = triggered
     result.branch_coverage = len(arcs)
     crash = pipeline.get("crash")
@@ -269,17 +274,11 @@ def fill_result(
         result.false_positives = list(crash.false_positives)
         result.flaky_signals = list(crash.flaky_signals)
     result.findings = pipeline.extra_findings()
-    result.fault_counters = fault_counters
-    for kind, count in sorted(fault_counters.items()):
-        result.outcomes[f"fault.{kind}"] = count
     if containment is not None:
         containment.merge(shard["containment"] for shard in shards)
         result.sandbox_active = True
         result.open_breakers = containment.open_breakers
         result.quarantined_statements = len(containment.quarantine)
-        result.skipped_statements = containment.skipped
-        for name, count in sandbox.items():
-            setattr(result, f"sandbox_{name}", count)
 
 
 # ----------------------------------------------------------------------
@@ -293,9 +292,6 @@ _SPEC_EXEMPT = (
     "checkpoint_path", "checkpoint_every", "jobs",
     "submitter", "priority", "preemptible",
 )
-
-#: the sandbox supervisor's counters, reported as ``sandbox_<name>``
-SANDBOX_COUNTERS = ("kills", "worker_deaths", "respawns")
 
 
 def campaign_spec(
@@ -369,24 +365,19 @@ def progress_snapshot(
     runner: Runner,
     pipeline: OraclePipeline,
     containment: Optional[ContainmentState],
-    outcomes: Dict[str, int],
     position: int,
 ) -> Dict[str, Any]:
     """What a campaign, or one shard, has done so far, as plain JSON data.
 
     The ``progress`` of a checkpoint and of a shard sidecar, and the body
     of a shard's report: the stream positions processed (containment
-    skips included) and everything a resume cannot re-derive by replay.
+    skips included), the stream's tally, and everything else a resume
+    cannot re-derive by replay.
     """
     coverage = runner.coverage
-    injector = runner.injector
-    supervisor = runner.sandbox
     return {
         "position": position,
-        "executed": runner.executed,
-        "outcomes": dict(outcomes),
-        "fault_counters": dict(runner.fault_counters),
-        "injector_counters": dict(injector.counters) if injector is not None else {},
+        "tally": runner.tally.export(),
         "oracle": pipeline.export_state(),
         "triggered": sorted(runner.server.ctx.triggered_functions),
         "coverage_arcs": (
@@ -397,10 +388,6 @@ def progress_snapshot(
             if coverage is not None else []
         ),
         "containment": containment.export_state() if containment is not None else None,
-        "sandbox": (
-            {name: getattr(supervisor, name) for name in SANDBOX_COUNTERS}
-            if supervisor is not None else {}
-        ),
     }
 
 
@@ -409,30 +396,22 @@ def restore_progress(
     runner: Runner,
     pipeline: OraclePipeline,
     containment: Optional[ContainmentState],
-    outcomes: Dict[str, int],
 ) -> int:
-    """Load a :func:`progress_snapshot` into a fresh runner, pipeline,
-    containment state and outcome counts.  Returns the saved position:
+    """Load a :func:`progress_snapshot` into a fresh runner (and its
+    tally), pipeline and containment state.  Returns the saved position:
     the resumed loop skips every position before it without running it.
     """
     try:
         pipeline.restore_state(progress["oracle"])
     except OracleStateError as exc:
         raise CheckpointError(str(exc)) from exc
-    runner.executed = progress["executed"]
-    runner.fault_counters = dict(progress["fault_counters"])
-    if runner.injector is not None:
-        runner.injector.counters = dict(progress["injector_counters"])
+    runner.tally.restore(progress["tally"])
     runner.server.ctx.triggered_functions |= set(progress["triggered"])
     if runner.coverage is not None:
         runner.coverage.arcs |= {tuple(arc) for arc in progress["coverage_arcs"]}
         runner.coverage.lines |= {tuple(line) for line in progress["coverage_lines"]}
     if containment is not None and progress["containment"] is not None:
         containment.restore_state(progress["containment"])
-    if runner.sandbox is not None:
-        for name, count in progress["sandbox"].items():
-            setattr(runner.sandbox, name, count)
-    outcomes.update(progress["outcomes"])
     return progress["position"]
 
 
@@ -463,14 +442,14 @@ class Hooks:
     """What a running stream reports to.
 
     ``on_finding(finding, position)`` fires for every new oracle finding.
-    ``on_beat(position, outcomes)`` fires every ``every`` positions of the
+    ``on_beat(position, tally)`` fires every ``every`` positions of the
     share, after any checkpoint due there; a true return value ends the
     share early.  An exception raised by either propagates out of
     :meth:`Campaign.run`.
     """
 
     on_finding: Optional[Callable[[Finding, int], None]] = None
-    on_beat: Optional[Callable[[int, Dict[str, int]], Optional[bool]]] = None
+    on_beat: Optional[Callable[[int, Tally], Optional[bool]]] = None
     every: int = 200
 
 
@@ -535,7 +514,7 @@ class Stream:
         self.containment = campaign.containment
         self.seeds = SeedCollector(campaign.dialect).collect()
         self.expected = getattr(campaign.dialect, "bugs", [])
-        self.outcomes: Dict[str, int] = {}
+        self.tally = self.runner.tally
         self.return_types: Dict[str, str] = {}
         self.position = 0
         self.quarantined = False
@@ -550,14 +529,12 @@ class Stream:
             self.return_types.update(return_types)
             if self.containment is not None and containment_state is not None:
                 # a seed statement that killed a worker stays quarantined
-                # in every shard, but the parent counts its own skips
+                # in every shard
                 self.containment.restore_state(containment_state)
-                self.containment.skipped = 0
         self.skip = 0
         if saved is not None:
             self.skip = restore_progress(
-                saved.progress, self.runner, self.pipeline, self.containment,
-                self.outcomes,
+                saved.progress, self.runner, self.pipeline, self.containment
             )
             self.return_types.update(saved.return_types)
             self.elapsed_offset = saved.elapsed_seconds
@@ -592,8 +569,7 @@ class Stream:
 
     def snapshot(self) -> Dict[str, Any]:
         return progress_snapshot(
-            self.runner, self.pipeline, self.containment, self.outcomes,
-            self.position,
+            self.runner, self.pipeline, self.containment, self.position
         )
 
     def save(self) -> None:
@@ -712,7 +688,7 @@ class Campaign:
         # before any of its shards saved a sidecar
         on_finding = None if saved and config.parallel else hooks.on_finding
         runner, pipeline = stream.runner, stream.pipeline
-        containment, outcomes = stream.containment, stream.outcomes
+        containment, outcomes = stream.containment, stream.tally.outcomes
         return_types = stream.return_types
         every = config.checkpoint_every if stream.path is not None else 0
         crash = pipeline.get("crash")
@@ -751,7 +727,7 @@ class Campaign:
                         hooks.on_beat is not None
                         and hooks.every > 0
                         and stream.position % hooks.every == 0
-                        and hooks.on_beat(stream.position, dict(outcomes))
+                        and hooks.on_beat(stream.position, stream.tally)
                     ):
                         break
                     if (
@@ -763,7 +739,7 @@ class Campaign:
             except ServerQuarantined as exc:
                 # the in-flight statement never completed; keep the outcome
                 # accounting consistent with queries_executed
-                runner.executed = max(runner.executed - 1, 0)
+                stream.tally.executed = max(stream.tally.executed - 1, 0)
                 stream.quarantined = True
                 stream.quarantine_reason = str(exc)
             reports: List[Dict[str, Any]] = []
@@ -787,7 +763,6 @@ class Campaign:
         result = CampaignResult(
             dialect=self.dialect.name,
             seeds_collected=len(stream.seeds),
-            outcomes=stream.outcomes,
             quarantined=stream.quarantined,
             quarantine_reason=stream.quarantine_reason,
             wall_seconds=wall_seconds,
@@ -812,11 +787,11 @@ class Campaign:
         )
         return result
 
-    def _beat(self, position: int, outcomes: Dict[str, int]) -> None:
+    def _beat(self, position: int, tally: Tally) -> None:
         if self.on_progress is not None:
             self.on_progress(
                 {"position": position, "budget": self.config.budget,
-                 "outcomes": outcomes}
+                 "outcomes": dict(tally.outcomes)}
             )
 
 

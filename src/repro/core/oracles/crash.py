@@ -97,7 +97,7 @@ class CrashOracle(Oracle):
         self, outcome: Outcome, case: CaseInfo, index: int
     ) -> Optional[DiscoveredBug]:
         # query_index is 1-based ("how many statements had run"), matching
-        # the serial campaign's historical runner.executed accounting
+        # the serial campaign's historical count of executed statements
         if outcome.kind == "crash" and outcome.crash is not None:
             return self.observe_crash(
                 outcome.crash, outcome.sql, case.pattern, index + 1

@@ -12,6 +12,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..dialects import all_bugs, dialect_by_name
 from ..engine.errors import CRASH_CLASSES
+from ..robustness.tally import Tally
 from .campaign import CampaignResult
 from .oracles import DiscoveredBug, Finding
 
@@ -190,44 +191,22 @@ def format_table4(rows: Sequence[Table4Row]) -> str:
 # ---------------------------------------------------------------------------
 def resilience_summary(results: Sequence[CampaignResult]) -> Dict[str, object]:
     """Aggregate infrastructure-noise accounting across campaigns."""
-    fault_totals: Dict[str, int] = {}
-    quarantined: List[str] = []
-    flaky = 0
-    timeouts = 0
-    sandbox_kills = 0
-    worker_deaths = 0
-    respawns = 0
-    open_breakers: List[str] = []
-    quarantined_statements = 0
-    skipped = 0
-    sandbox_active = False
-    for result in results:
-        for kind, count in result.fault_counters.items():
-            fault_totals[kind] = fault_totals.get(kind, 0) + count
-        flaky += len(result.flaky_signals)
-        timeouts += result.outcomes.get("timeout", 0)
-        if result.quarantined:
-            quarantined.append(result.dialect)
-        if result.sandbox_active:
-            sandbox_active = True
-            sandbox_kills += result.sandbox_kills
-            worker_deaths += result.sandbox_worker_deaths
-            respawns += result.sandbox_respawns
-            open_breakers.extend(result.open_breakers)
-            quarantined_statements += result.quarantined_statements
-            skipped += result.skipped_statements
+    total = Tally()
+    total.merge(result.tally.export() for result in results)
+    sandboxed = [result for result in results if result.sandbox_active]
+    supervisor = total.supervisor
     return {
-        "fault_counters": fault_totals,
-        "flaky_signals": flaky,
-        "timeouts": timeouts,
-        "quarantined": quarantined,
-        "sandbox_active": sandbox_active,
-        "sandbox_kills": sandbox_kills,
-        "sandbox_worker_deaths": worker_deaths,
-        "sandbox_respawns": respawns,
-        "open_breakers": sorted(set(open_breakers)),
-        "quarantined_statements": quarantined_statements,
-        "skipped_statements": skipped,
+        "fault_counters": total.faults,
+        "flaky_signals": sum(len(result.flaky_signals) for result in results),
+        "timeouts": total.outcomes.get("timeout", 0),
+        "quarantined": [result.dialect for result in results if result.quarantined],
+        "sandbox_active": bool(sandboxed),
+        "sandbox_kills": supervisor.get("kills", 0),
+        "sandbox_worker_deaths": supervisor.get("worker_deaths", 0),
+        "sandbox_respawns": supervisor.get("respawns", 0),
+        "open_breakers": sorted({f for r in sandboxed for f in r.open_breakers}),
+        "quarantined_statements": sum(r.quarantined_statements for r in sandboxed),
+        "skipped_statements": total.outcomes.get("skipped", 0),
     }
 
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..dialects.base import Dialect
 from ..engine.connection import (
@@ -62,6 +62,7 @@ from ..robustness.sandbox import (
     WorkerHung,
     make_sandbox_config,
 )
+from ..robustness.tally import Tally, bump
 from ..robustness.watchdog import Clock, StatementTimeout, WallClock, Watchdog
 from ..sqlast.nodes import Statement
 
@@ -142,6 +143,8 @@ class Runner:
                 "(the seeded-table workload runs in-process)"
             )
         self.server: Server = dialect.create_server()
+        #: the stream's counters, shared with its injector and supervisor
+        self.tally = Tally()
         self.coverage: Optional[CoverageTracker] = None
         if enable_coverage:
             self.coverage = CoverageTracker()
@@ -152,6 +155,7 @@ class Runner:
                 dialect,
                 config=sandbox_config,
                 budgets=budgets,
+                tally=self.tally,
             )
             # worker-reported triggered functions land in the parent ctx,
             # so checkpoints and the triggered_functions property are
@@ -166,20 +170,17 @@ class Runner:
         self.injector = faults
         if faults is not None:
             faults.attach(self.server, self.clock)
+            faults.tally = self.tally
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         self.breaker = breaker if breaker is not None else CircuitBreaker(dialect.name)
         self.reconfirm_crashes = (
             (faults is not None) if reconfirm_crashes is None else reconfirm_crashes
         )
-        self.executed = 0
         self.restarts = 0
         self.timeouts = 0
         #: set by the campaign when a registered oracle needs result-set
         #: fingerprints (OraclePipeline.needs_fingerprints)
         self.capture_fingerprints = False
-        self.flaky_crashes = 0
-        #: runner-level resilience event counts (injector keeps its own)
-        self.fault_counters: Dict[str, int] = {}
         self._timed_out = False
         self._reconnects = 0
         self._apply_bootstrap()
@@ -212,10 +213,10 @@ class Runner:
         runner's own execution count, which matches the campaign position
         for a serial run.  Parallel shard workers pass it explicitly.
         """
-        self.executed += 1
+        self.tally.executed += 1
         if self.injector is not None:
             self.injector.set_position(
-                self.executed - 1 if position is None else position
+                self.tally.executed - 1 if position is None else position
             )
         # the statement's retry state, advanced by _classify
         self._timed_out = False
@@ -269,7 +270,7 @@ class Runner:
         )
 
     def _count(self, kind: str) -> None:
-        self.fault_counters[kind] = self.fault_counters.get(kind, 0) + 1
+        bump(self.tally.faults, kind)
 
     # ------------------------------------------------------------------
     def _classify(self, sql: str, exc: BaseException) -> Optional[Outcome]:
@@ -351,7 +352,6 @@ class Runner:
             self._reconnect()
         except RecursionError:
             self._restart()
-        self.flaky_crashes += 1
         self._count("flaky_crashes")
         return Outcome("flaky", sql, message=str(exc), crash=exc.crash)
 

@@ -15,10 +15,11 @@ share, and the merged result signs like the serial run's
   position-keyed fault streams), so a shard observes exactly the
   outcomes the serial run observes at its positions.
 * **Beats.**  Every ``progress_every`` positions a shard sends the parent
-  one beat over a single inherited queue: its position, its outcome
-  counts and its new findings (``Finding.to_dict``).  The parent fires
-  the campaign's ``on_progress`` (a service job renews its lease there)
-  and fires ``on_finding`` once per new finding key.
+  one beat over a single inherited queue: its position, its tally
+  (:class:`~repro.robustness.tally.Tally`) and its new findings
+  (``Finding.to_dict``).  The parent fires the campaign's
+  ``on_progress`` with the whole campaign's tally (a service job renews
+  its lease there) and fires ``on_finding`` once per new finding key.
 * **Stop.**  An exception raised in the parent (a ``JobInterrupted`` from
   ``on_progress``) tells every shard to save its sidecar and stop at its
   next beat; the parent streams their last findings, joins them and
@@ -26,9 +27,9 @@ share, and the merged result signs like the serial run's
   A shard whose parent is gone stops at its next beat and writes nothing
   more.
 * **Reports.**  Each shard runs its own full oracle pipeline and ends with
-  a report: its final :func:`~repro.core.campaign.progress_snapshot`,
-  pickled into the parent's private temporary directory; only the path
-  crosses the queue.  The parent folds the shard states into its own
+  a report, its final :func:`~repro.core.campaign.progress_snapshot`
+  (the tally among it), sent in its last message on the queue.  The
+  parent sums the tallies and folds the shard states into its own
   pipeline via ``Oracle.merge``, which re-sorts every oracle's kept
   records by global stream position and re-deduplicates, so the merged
   findings match a serial run record for record.
@@ -56,7 +57,6 @@ import multiprocessing
 import os
 import pickle
 import queue
-import tempfile
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..core.campaign import (
@@ -64,12 +64,12 @@ from ..core.campaign import (
     Hooks,
     Seeded,
     Stream,
-    add_counts,
     run_stream,
     shard_of,
 )
 from ..core.config import CampaignConfig
 from ..robustness.checkpoint import CampaignCheckpoint
+from ..robustness.tally import Tally
 
 #: how long the parent blocks on the queue before it checks for shards
 #: that died without a report
@@ -81,10 +81,11 @@ class _Orphaned(Exception):
 
 
 # ----------------------------------------------------------------------
-# the files the parent and its shards exchange (plain pickles)
+# plain-pickle helpers; unused here, kept because benchmarks/e2e/trace.py
+# wraps these four names
 # ----------------------------------------------------------------------
 def write_packed(path: str, value: Any) -> int:
-    """Pickle a shard report to *path*; returns the byte count."""
+    """Pickle *value* to *path*; returns the byte count."""
     data = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
     with open(path, "wb") as fh:
         fh.write(data)
@@ -96,7 +97,6 @@ def read_packed(path: str) -> Any:
         return pickle.load(fh)
 
 
-# unused here; kept because benchmarks/e2e/trace.py wraps these two names
 def pack_statements(statements: List[str]) -> bytes:
     return pickle.dumps(statements, protocol=pickle.HIGHEST_PROTOCOL)
 
@@ -116,15 +116,14 @@ def _run_shard(
     every: int,
     channel: Any,
     stop: Any,
-    transport_dir: str,
 ) -> None:
     """One shard process: run worker *worker*'s share and report it.
 
     Every message on *channel* is ``(kind, worker, ...)``: a ``"beat"``
-    or the final ``"done"`` carries the position, the outcome counts and
-    the findings kept since the last message (``done`` adds the report's
-    path), and ``"failed"`` carries the exception that ended the shard.
-    *stop* set by the parent ends the share at the next beat.
+    or the final ``"done"`` carries the position, the exported tally and
+    the findings kept since the last message (``done`` adds the report),
+    and ``"failed"`` carries the exception that ended the shard.  *stop*
+    set by the parent ends the share at the next beat.
     """
     parent = os.getppid()
     found: List[Tuple[type, Dict[str, Any], int]] = []
@@ -132,14 +131,14 @@ def _run_shard(
     def keep(finding: Any, position: int) -> None:
         found.append((type(finding), finding.to_dict(), position))
 
-    def message(kind: str, position: int, outcomes: Dict[str, int], *rest: Any):
-        channel.put((kind, worker, position, outcomes, list(found)) + rest)
+    def message(kind: str, position: int, tally: Dict[str, Any], *rest: Any):
+        channel.put((kind, worker, position, tally, list(found)) + rest)
         found.clear()
 
-    def beat(position: int, outcomes: Dict[str, int]) -> bool:
+    def beat(position: int, tally: Tally) -> bool:
         if os.getppid() != parent:
             raise _Orphaned()
-        message("beat", position, outcomes)
+        message("beat", position, tally.export())
         return stop.is_set()
 
     try:
@@ -149,9 +148,7 @@ def _run_shard(
             quarantined=stream.quarantined,
             quarantine_reason=stream.quarantine_reason,
         )
-        path = os.path.join(transport_dir, f"shard{worker}.report")
-        write_packed(path, report)
-        message("done", stream.position, dict(stream.outcomes), path)
+        message("done", stream.position, report["tally"], report)
     except _Orphaned:
         # nobody reads the queue any more: exit without flushing it
         channel.cancel_join_thread()
@@ -170,8 +167,8 @@ def run_shards(
 
     *parent* has run the seed phase; *saved* holds the loaded sidecars of
     a resumed run.  Each beat fires ``hooks.on_beat`` with the whole
-    campaign's position and outcome counts, and ``hooks.on_finding`` for
-    each finding whose key no earlier finding had.
+    campaign's position and tally, and ``hooks.on_finding`` for each
+    finding whose key no earlier finding had.
     """
     config = parent.config
     ctx = multiprocessing.get_context(
@@ -187,55 +184,53 @@ def run_shards(
     for checkpoint in saved.values():
         seen |= parent.pipeline.saved_keys(checkpoint.progress["oracle"])
     positions: Dict[int, int] = {}
-    counts: Dict[int, Dict[str, int]] = {}
-    paths: Dict[int, str] = {}
-    with tempfile.TemporaryDirectory(prefix="repro-shards-") as tdir:
-        shards = [
-            ctx.Process(
-                target=_run_shard,
-                args=(config, worker, saved.get(worker), seeded, hooks.every,
-                      channel, stop, tdir),
-                name=f"repro-shard{worker}",
-            )
-            for worker in range(config.jobs)
-        ]
-        for shard in shards:
-            shard.start()
-        running = set(range(config.jobs))
-        failure: Optional[BaseException] = None
-        while running:
-            try:
-                kind, worker, *body = _receive(channel, shards, running)
-                if kind == "failed":
-                    running.discard(worker)
-                    raise body[0]
-                positions[worker], counts[worker], found = body[:3]
-                if kind == "done":
-                    paths[worker] = body[3]
-                    running.discard(worker)
-                for cls, data, position in found:
-                    finding = cls.from_dict(data)
-                    if (cls, finding.key) not in seen:
-                        seen.add((cls, finding.key))
-                        if hooks.on_finding is not None:
-                            hooks.on_finding(finding, position)
-                if failure is None and hooks.on_beat is not None:
-                    outcomes = dict(parent.outcomes)
-                    for shard_counts in counts.values():
-                        add_counts(outcomes, shard_counts)
-                    hooks.on_beat(parent.position + sum(positions.values()), outcomes)
-            except BaseException as exc:  # noqa: BLE001 - re-raised below
-                # the first failure stops every shard at its next beat; the
-                # parent keeps streaming their findings until they are done,
-                # so every key in a saved sidecar has been streamed
-                if failure is None:
-                    failure = exc
-                    stop.set()
-        for shard in shards:
-            shard.join()
-        if failure is not None:
-            raise failure
-        return [read_packed(paths[worker]) for worker in range(config.jobs)]
+    tallies: Dict[int, Dict[str, Any]] = {}
+    reports: Dict[int, Dict[str, Any]] = {}
+    shards = [
+        ctx.Process(
+            target=_run_shard,
+            args=(config, worker, saved.get(worker), seeded, hooks.every,
+                  channel, stop),
+            name=f"repro-shard{worker}",
+        )
+        for worker in range(config.jobs)
+    ]
+    for shard in shards:
+        shard.start()
+    running = set(range(config.jobs))
+    failure: Optional[BaseException] = None
+    while running:
+        try:
+            kind, worker, *body = _receive(channel, shards, running)
+            if kind == "failed":
+                running.discard(worker)
+                raise body[0]
+            positions[worker], tallies[worker], found = body[:3]
+            if kind == "done":
+                reports[worker] = body[3]
+                running.discard(worker)
+            for cls, data, position in found:
+                finding = cls.from_dict(data)
+                if (cls, finding.key) not in seen:
+                    seen.add((cls, finding.key))
+                    if hooks.on_finding is not None:
+                        hooks.on_finding(finding, position)
+            if failure is None and hooks.on_beat is not None:
+                total = Tally()
+                total.merge([parent.tally.export(), *tallies.values()])
+                hooks.on_beat(parent.position + sum(positions.values()), total)
+        except BaseException as exc:  # noqa: BLE001 - re-raised below
+            # the first failure stops every shard at its next beat; the
+            # parent keeps streaming their findings until they are done,
+            # so every key in a saved sidecar has been streamed
+            if failure is None:
+                failure = exc
+                stop.set()
+    for shard in shards:
+        shard.join()
+    if failure is not None:
+        raise failure
+    return [reports[worker] for worker in range(config.jobs)]
 
 
 def _receive(channel: Any, shards: List[Any], running: Set[int]) -> tuple:

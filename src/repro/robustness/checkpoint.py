@@ -11,9 +11,10 @@ sharded campaign (``<path>.shard<w>``) are the same
   differs is refused, naming each differing field;
 * ``progress`` — everything the campaign cannot re-derive by replay
   (built by :func:`repro.core.campaign.progress_snapshot`): stream
-  positions processed, statements executed, outcome and fault counts
-  (the injector's included), the oracle pipeline's state, triggered
-  functions, coverage arcs/lines and the sandbox containment state;
+  positions processed, the stream's counters (one
+  :class:`~repro.robustness.tally.Tally`), the oracle pipeline's state,
+  triggered functions, coverage arcs/lines and the sandbox containment
+  state;
 * for serial campaigns, the seed phase's observed result types and the
   simulated elapsed time.
 
@@ -44,14 +45,15 @@ from typing import Any, Dict
 #: v2: the fault injector's random stream became position-keyed (see
 #: repro.robustness.faults).  v3: serial checkpoints and shard sidecars
 #: became one layout (``spec`` + ``progress``) and stopped saving random
-#: state.  Files of any other version are refused.
-CHECKPOINT_VERSION = 3
+#: state.  v4: ``progress`` holds every counter in one ``tally``.  Files of
+#: any other version are refused.
+CHECKPOINT_VERSION = 4
 
 #: sharding layout version, part of every shard sidecar's spec: bumped
 #: when the case-to-shard rule or the shard's progress accounting changes
 #: (v3 replaced ``index % jobs`` with ``shard_of``; v4 is the shared
-#: checkpoint layout)
-SHARD_FORMAT_VERSION = 4
+#: checkpoint layout; v5 saves the counters as one tally)
+SHARD_FORMAT_VERSION = 5
 
 
 class CheckpointError(Exception):

@@ -50,6 +50,7 @@ from typing import TYPE_CHECKING, Dict, Iterator, Optional, Union
 
 from ..engine.connection import ConnectionDropped, FaultHook, RestartFailed
 from ..engine.errors import SegmentationViolation
+from .tally import Tally, bump
 from .watchdog import Clock, StatementHang
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -199,7 +200,8 @@ class FaultInjector(FaultHook):
         self.plan = plan if plan is not None else FaultPlan.parse("default")
         self.seed = seed
         self.rng = random.Random(seed)
-        self.counters: Dict[str, int] = {}
+        #: where injected faults are counted (the runner's tally once attached)
+        self.tally = Tally()
         self._quiet_depth = 0
         self._clock = clock
         #: global campaign position of the statement currently executing
@@ -245,7 +247,7 @@ class FaultInjector(FaultHook):
         self.rng.seed(((self.seed + 1) << 32) ^ mixed)
 
     def _count(self, kind: str) -> None:
-        self.counters[kind] = self.counters.get(kind, 0) + 1
+        bump(self.tally.faults, kind)
 
     def _advance(self, seconds: float) -> None:
         if self._clock is not None:

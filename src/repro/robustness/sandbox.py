@@ -65,6 +65,7 @@ from ..engine.errors import (
 )
 from .governor import ResourceBudgets, make_governor
 from .policy import CircuitBreaker
+from .tally import Tally, bump
 from .watchdog import DEFAULT_REAL_DEADLINE_SECONDS, RealDeadline
 
 if TYPE_CHECKING:
@@ -319,16 +320,18 @@ class SandboxedConnection:
         dialect: "Dialect",
         config: Optional[SandboxConfig] = None,
         budgets: Optional[ResourceBudgets] = None,
+        tally: Optional[Tally] = None,
     ) -> None:
         self.dialect = dialect
         self.config = config if config is not None else SandboxConfig()
         self._budgets_spec = (
             budgets.to_spec() if budgets is not None and budgets.enabled else None
         )
-        #: lifetime counters for the supervisor health summary
-        self.kills = 0          # SIGKILLs after a blown wall deadline
-        self.worker_deaths = 0  # workers that died on their own
-        self.respawns = 0       # replacement workers spawned
+        #: where the supervisor counts SIGKILLs after a blown wall deadline,
+        #: workers that died on their own and replacement workers spawned
+        self.tally = tally if tally is not None else Tally()
+        for name in ("kills", "worker_deaths", "respawns"):
+            self.tally.supervisor.setdefault(name, 0)
         #: set the parent merges triggered-function deltas into (the
         #: runner points this at its server context's set)
         self.triggered_sink: Optional[Set[str]] = None
@@ -385,14 +388,14 @@ class SandboxedConnection:
     def _respawn(self) -> None:
         self._teardown(kill=True)
         self._spawn()
-        self.respawns += 1
+        bump(self.tally.supervisor, "respawns")
 
     # ------------------------------------------------------------------
     def _request(self, message: Dict[str, Any]) -> Dict[str, Any]:
         if self._proc is None or not self._proc.is_alive():
             # the worker died between statements (e.g. OOM-killed while
             # idle); replace it and report the death
-            self.worker_deaths += 1
+            bump(self.tally.supervisor, "worker_deaths")
             self._respawn()
             raise WorkerCrashed(
                 f"sandbox worker for {self.dialect.name!r} died between "
@@ -410,14 +413,14 @@ class SandboxedConnection:
                 max_bytes=self.config.max_message_bytes,
             )
         except socket.timeout:
-            self.kills += 1
+            bump(self.tally.supervisor, "kills")
             self._respawn()
             raise WorkerHung(
                 f"sandbox worker exceeded the {deadline.seconds:g}s wall "
                 f"deadline on {message.get('op')!r}; SIGKILLed and respawned"
             ) from None
         except (_WorkerGone, BrokenPipeError, ConnectionResetError) as exc:
-            self.worker_deaths += 1
+            bump(self.tally.supervisor, "worker_deaths")
             self._respawn()
             raise WorkerCrashed(
                 f"sandbox worker died mid-request: {exc}; respawned"
@@ -425,7 +428,7 @@ class SandboxedConnection:
         if self.triggered_sink is not None:
             self.triggered_sink.update(reply.get("triggered", ()))
         if reply.get("status") == "dying":
-            self.worker_deaths += 1
+            bump(self.tally.supervisor, "worker_deaths")
             self._respawn()
             raise WorkerCrashed(
                 f"harness crash in sandbox worker: {reply.get('message')}; "
@@ -523,7 +526,6 @@ class ContainmentState:
             sql: "pre-seeded quarantine entry" for sql in quarantine
         }
         self.breakers: Dict[str, CircuitBreaker] = {}
-        self.skipped = 0
 
     @classmethod
     def from_config(cls, config: SandboxConfig) -> "ContainmentState":
@@ -543,24 +545,22 @@ class ContainmentState:
             return f"family {family!r} circuit breaker open"
         return None
 
-    def note_skip(self) -> None:
-        self.skipped += 1
-
     def observe(self, kind: str, sql: str, family: str, message: str = "") -> None:
         """Feed one executed statement's outcome into the containment."""
         if kind == "harness_crash":
             self.quarantine.setdefault(sql, message or "worker killed")
-            breaker = self.breakers.get(family)
-            if breaker is None:
-                breaker = CircuitBreaker(
-                    family, failure_threshold=self.breaker_threshold
-                )
-                self.breakers[family] = breaker
-            breaker.record_failure()
+            self._breaker(family).record_failure()
         elif family in self.breakers:
             # an open breaker never closes again (crash loops don't heal
             # mid-campaign); a still-closed one resets its streak
             self.breakers[family].record_success()
+
+    def _breaker(self, family: str) -> CircuitBreaker:
+        breaker = self.breakers.get(family)
+        if breaker is None:
+            breaker = CircuitBreaker(family, failure_threshold=self.breaker_threshold)
+            self.breakers[family] = breaker
+        return breaker
 
     @property
     def open_breakers(self) -> List[str]:
@@ -573,50 +573,34 @@ class ContainmentState:
             "version": self.STATE_VERSION,
             "breaker_threshold": self.breaker_threshold,
             "quarantine": dict(self.quarantine),
-            "skipped": self.skipped,
             "breakers": {
                 family: [b.consecutive_failures, b.total_failures, b.opened]
                 for family, b in self.breakers.items()
             },
         }
 
-    def restore_state(self, state: Dict[str, Any]) -> None:
+    def _check_version(self, state: Dict[str, Any]) -> None:
         if state.get("version") != self.STATE_VERSION:
             raise SandboxError(
                 f"containment state version {state.get('version')!r} is not "
                 f"{self.STATE_VERSION}"
             )
+
+    def restore_state(self, state: Dict[str, Any]) -> None:
+        """Replace this state with an exported one: a merge into nothing."""
+        self._check_version(state)
         self.breaker_threshold = state["breaker_threshold"]
-        self.quarantine = dict(state["quarantine"])
-        self.skipped = state["skipped"]
-        self.breakers = {}
-        for family, (consecutive, total, opened) in state["breakers"].items():
-            breaker = CircuitBreaker(
-                family, failure_threshold=self.breaker_threshold
-            )
-            breaker.consecutive_failures = consecutive
-            breaker.total_failures = total
-            breaker.opened = opened
-            self.breakers[family] = breaker
+        self.quarantine, self.breakers = {}, {}
+        self.merge([state])
 
     def merge(self, states: Iterable[Dict[str, Any]]) -> None:
         """Fold shard containment states in (union/sum semantics)."""
         for state in states:
-            if state.get("version") != self.STATE_VERSION:
-                raise SandboxError(
-                    f"containment state version {state.get('version')!r} is "
-                    f"not {self.STATE_VERSION}"
-                )
+            self._check_version(state)
             for sql, reason in state["quarantine"].items():
                 self.quarantine.setdefault(sql, reason)
-            self.skipped += state["skipped"]
             for family, (consecutive, total, opened) in state["breakers"].items():
-                mine = self.breakers.get(family)
-                if mine is None:
-                    mine = CircuitBreaker(
-                        family, failure_threshold=self.breaker_threshold
-                    )
-                    self.breakers[family] = mine
+                mine = self._breaker(family)
                 mine.consecutive_failures = max(
                     mine.consecutive_failures, consecutive
                 )

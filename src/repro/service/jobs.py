@@ -216,15 +216,13 @@ def result_to_summary(result: Any) -> Dict[str, Any]:
     if result.fault_counters:
         summary["fault_counters"] = dict(result.fault_counters)
     if result.sandbox_active:
-        # PR 5's supervisor health, surfaced to service pollers
-        summary["sandbox"] = {
-            "kills": result.sandbox_kills,
-            "worker_deaths": result.sandbox_worker_deaths,
-            "respawns": result.sandbox_respawns,
-            "open_breakers": list(result.open_breakers),
-            "quarantined_statements": result.quarantined_statements,
-            "skipped_statements": result.skipped_statements,
-        }
+        # the sandbox supervisor's health, surfaced to service pollers
+        summary["sandbox"] = dict(
+            result.tally.supervisor,
+            open_breakers=list(result.open_breakers),
+            quarantined_statements=result.quarantined_statements,
+            skipped_statements=result.outcomes.get("skipped", 0),
+        )
     return summary
 
 

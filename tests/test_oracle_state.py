@@ -6,6 +6,11 @@ states of a three-way split of the stream equals the serial export, and
 every finding survives ``to_dict``/``from_dict`` with its attribution
 re-resolved.  The pinned digests lock the saved format of a whole
 pipeline, so any change to it fails here.
+
+A campaign's counters are saved the same way, as one tally: on a faulted
+duckdb stream and on a sandboxed stream with a quarantined seed, export ->
+restore -> export is identical, and a three-shard run's merged tally
+equals the serial one.
 """
 
 import hashlib
@@ -17,11 +22,14 @@ import pytest
 from repro.core import campaign
 from repro.core.campaign import run_campaign
 from repro.core.collect import SeedCollector
+from repro.core.config import CampaignConfig
 from repro.core.oracles import ORACLE_NAMES, CaseInfo, build_pipeline
 from repro.core.patterns import PatternEngine
 from repro.core.runner import Runner
 from repro.core.tables import TABLE_SETUP
 from repro.dialects import dialect_by_name
+from repro.robustness import SandboxConfig
+from repro.robustness.tally import Tally
 
 #: the statement family each oracle hunts in, and a campaign's oracle set
 #: for that family
@@ -133,3 +141,43 @@ def test_saved_pipeline_state_is_pinned(family, monkeypatch):
     (pipeline,) = pipelines
     state = json.dumps(pipeline.export_state())
     assert hashlib.sha256(state.encode()).hexdigest() == PINNED_STATE[family]
+
+
+def _quarantined_seed(dialect):
+    seed = SeedCollector(dialect_by_name(dialect)).collect()[0]
+    return SandboxConfig(quarantine=(f"SELECT {seed.sql};",))
+
+
+#: each stream fills every tally section it can: injected and absorbed
+#: faults; containment skips and the sandbox supervisor's counters
+TALLY_STREAMS = {
+    "faulted-duckdb": lambda: CampaignConfig(
+        dialect="duckdb", budget=1_500, faults="default", fault_seed=1
+    ),
+    "sandboxed-quarantined-seed": lambda: CampaignConfig(
+        dialect="mariadb", budget=600, sandbox=_quarantined_seed("mariadb")
+    ),
+}
+
+
+def _dump_tally(tally):
+    return json.dumps(tally.export(), sort_keys=True)
+
+
+@pytest.mark.parametrize("name", sorted(TALLY_STREAMS))
+def test_tally_round_trip_and_three_way_merge(name):
+    config = TALLY_STREAMS[name]()
+    serial = run_campaign(config=config).tally
+    if config.faults is not None:
+        assert serial.faults["flaky_crashes"] == serial.outcomes["flaky"] > 0
+    else:
+        assert serial.outcomes["skipped"] >= 1
+        assert set(serial.supervisor) == {"kills", "worker_deaths", "respawns"}
+    assert sum(serial.outcomes.values()) == config.budget
+    state = _dump_tally(serial)
+    restored = Tally()
+    restored.restore(json.loads(state))
+    assert _dump_tally(restored) == state
+    # the parent's seed phase plus three shards, summed
+    sharded = run_campaign(config=config.replace(jobs=3)).tally
+    assert _dump_tally(sharded) == state

@@ -199,7 +199,7 @@ SIDECAR_SPECS = {
         '"faults": null, "fault_seed": 0, "statement_deadline": 300.0, '
         '"oracles": ["crash"], "statement_family": "expression", '
         '"budgets": null, "sandbox": null, '
-        '"shard_format": 4, "jobs": 2, "worker": 0}',
+        '"shard_format": 5, "jobs": 2, "worker": 0}',
     ),
     "sandboxed": (
         CampaignConfig(
@@ -214,7 +214,7 @@ SIDECAR_SPECS = {
         '"budgets": "depth=64,rows=5000", "sandbox": '
         '{"wall_deadline_seconds": 30.0, "breaker_threshold": 3, '
         '"quarantine": [], "max_message_bytes": 33554432}, '
-        '"shard_format": 4, "jobs": 3, "worker": 2}',
+        '"shard_format": 5, "jobs": 3, "worker": 2}',
     ),
     "predicate": (
         CampaignConfig(
@@ -229,7 +229,7 @@ SIDECAR_SPECS = {
         '"oracles": ["crash", "tlp", "norec"], '
         '"statement_family": "predicate", '
         '"budgets": "depth=64,rows=5000", "sandbox": null, '
-        '"shard_format": 4, "jobs": 2, "worker": 1}',
+        '"shard_format": 5, "jobs": 2, "worker": 1}',
     ),
     "faulted": (
         CampaignConfig(
@@ -242,7 +242,7 @@ SIDECAR_SPECS = {
         '"faults": "hang=0.02,drop=0.02,flaky_crash=0.01", "fault_seed": 5, '
         '"statement_deadline": 300.0, "oracles": ["crash"], '
         '"statement_family": "expression", "budgets": null, "sandbox": null, '
-        '"shard_format": 4, "jobs": 2, "worker": 1}',
+        '"shard_format": 5, "jobs": 2, "worker": 1}',
     ),
 }
 
@@ -268,6 +268,8 @@ class TestShardSidecars:
         resumed = run_campaign(config=config, resume=True)
         fresh = run_campaign(config=config.replace(checkpoint_path=None))
         assert resumed.signature() == fresh.signature()
+        # every counter survives the sidecars, not only the signed ones
+        assert resumed.tally.export() == fresh.tally.export()
 
     def test_format_2_sidecar_is_refused(self, tmp_path):
         """A v2 sidecar counted its progress in the ``index % jobs`` slice;
@@ -337,7 +339,7 @@ class TestTimeoutRetryBackoff:
         )
         outcome = runner.run("SELECT 1;")
         assert outcome.kind == "ok"
-        assert runner.fault_counters.get("reconnects") == 1
+        assert runner.tally.faults.get("reconnects") == 1
         assert len(calls) == 3
 
     def test_persistent_connection_loss_exhausts_policy(self):
@@ -348,7 +350,7 @@ class TestTimeoutRetryBackoff:
         assert outcome.kind == "error"
         assert "attempts" in outcome.message
         # one timeout attempt + max_attempts-bounded reconnect attempts
-        assert runner.fault_counters["reconnects"] >= 2
+        assert runner.tally.faults["reconnects"] >= 2
 
 
 # ---------------------------------------------------------------------------

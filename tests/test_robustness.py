@@ -182,7 +182,7 @@ class TestFaultInjection:
         outcome = runner.run("SELECT 1;")
         # the kill plus one quiet retry recovers the statement
         assert outcome.kind == "ok"
-        assert injector.counters["hang"] >= 1
+        assert runner.tally.faults["hang"] >= 1
         assert runner.timeouts == 1
         assert clock.now() > 500  # the hang burned simulated time
 
@@ -190,15 +190,15 @@ class TestFaultInjection:
         runner, injector, _ = faulted_runner("drop=1.0")
         outcome = runner.run("SELECT 1;")
         assert outcome.kind == "ok"
-        assert injector.counters["drop"] == 1
-        assert runner.fault_counters["reconnects"] == 1
+        assert runner.tally.faults["drop"] == 1
+        assert runner.tally.faults["reconnects"] == 1
         assert runner.restarts == 0  # the server never died
 
     def test_flaky_crash_reconfirmed_as_flaky_not_bug(self):
         runner, injector, _ = faulted_runner("flaky=1.0")
         outcome = runner.run("SELECT 1;")
         assert outcome.kind == "flaky"
-        assert runner.flaky_crashes == 1
+        assert runner.tally.faults["flaky_crashes"] == 1
         assert runner.restarts == 1
         # the runner keeps serving afterwards
         assert runner.run("SELECT 2;").kind == "flaky"  # every statement is flaky here
@@ -317,25 +317,20 @@ class TestCampaignResilience:
         assert not {b.sql for b in faulted.bugs if b.function == "unknown"}
         assert faulted.outcomes["flaky"] == len(faulted.flaky_signals)
 
-    def test_fault_counters_surface_in_outcomes(self):
+    def test_fault_counters_stay_out_of_outcomes(self):
         faulted = run_campaign(
             "monetdb", budget=1000, seed=1, faults="drop=0.05", fault_seed=2
         )
-        assert faulted.outcomes.get("fault.drop", 0) > 0
-        plain = {
-            k: v for k, v in faulted.outcomes.items() if not k.startswith("fault.")
-        }
-        assert sum(plain.values()) == faulted.queries_executed
+        assert faulted.fault_counters.get("drop", 0) > 0
+        assert not [k for k in faulted.outcomes if k.startswith("fault.")]
+        assert sum(faulted.outcomes.values()) == faulted.queries_executed
 
     def test_quarantined_campaign_degrades_instead_of_aborting(self):
         result = run_campaign("mariadb", budget=3000, seed=0, faults="restart_fail=1.0")
         assert result.quarantined
         assert "quarantined" in result.quarantine_reason
         assert 0 < result.queries_executed < 3000
-        plain = {
-            k: v for k, v in result.outcomes.items() if not k.startswith("fault.")
-        }
-        assert sum(plain.values()) == result.queries_executed
+        assert sum(result.outcomes.values()) == result.queries_executed
 
     def test_same_seed_campaigns_are_identical(self):
         kwargs = dict(budget=1200, seed=11, faults=FAULT_SPEC, fault_seed=7)
@@ -407,7 +402,7 @@ class TestCheckpointResume:
         kwargs = dict(budget=2000, seed=3, faults=FAULT_SPEC, fault_seed=5)
         full = run_campaign("duckdb", checkpoint_path=path, checkpoint_every=700, **kwargs)
         cp = CampaignCheckpoint.load(path)
-        assert 0 < cp.progress["executed"] < 2000
+        assert 0 < cp.progress["tally"]["executed"] < 2000
         resumed = run_campaign("duckdb", checkpoint_path=path, resume=True, **kwargs)
         assert resumed.signature() == full.signature()
         assert resumed.elapsed_seconds == pytest.approx(full.elapsed_seconds)
@@ -419,7 +414,7 @@ class TestCheckpointResume:
         kwargs = dict(budget=280, seed=3, faults=FAULT_SPEC, fault_seed=5)
         full = run_campaign("duckdb", checkpoint_path=path, checkpoint_every=100, **kwargs)
         cp = CampaignCheckpoint.load(path)
-        assert cp.progress["executed"] < full.seeds_collected
+        assert cp.progress["tally"]["executed"] < full.seeds_collected
         resumed = run_campaign("duckdb", checkpoint_path=path, resume=True, **kwargs)
         assert resumed.signature() == full.signature()
 
@@ -475,7 +470,7 @@ class TestCheckpointResume:
             assert set(states) == {"crash", "tlp", "norec"}
             assert states["tlp"]["compared"] > 0
         else:
-            assert saved[-1].progress["injector_counters"]
+            assert saved[-1].progress["tally"]["faults"]
 
     def test_checkpoint_write_is_atomic(self, tmp_path):
         path = str(tmp_path / "cp.json")
@@ -506,7 +501,9 @@ class TestCheckpointResume:
         with pytest.raises(Stopped):
             campaign.run()
         progress = CampaignCheckpoint.load(path).progress
-        assert (progress["position"], progress["executed"]) == (stop_at, stop_at)
+        assert (progress["position"], progress["tally"]["executed"]) == (
+            stop_at, stop_at
+        )
 
 
 class TestOracleState:

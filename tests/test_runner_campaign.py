@@ -156,7 +156,7 @@ class TestOutcomeClassification:
         runner, outcome, quiet_flags = self._run([make])
         assert outcome.kind == kind
         assert runner.timeouts == timeouts
-        assert runner.fault_counters == counters
+        assert runner.tally.faults == counters
         # only the first attempt may run with faults enabled
         assert quiet_flags[0] is False
         assert all(quiet_flags[1:])
@@ -166,7 +166,7 @@ class TestOutcomeClassification:
         runner, outcome, quiet_flags = self._run([_timeout, make])
         assert outcome.kind == kind
         assert runner.timeouts == timeouts
-        assert runner.fault_counters == counters
+        assert runner.tally.faults == counters
         assert quiet_flags[:2] == [False, True]
         assert all(quiet_flags[1:])
 

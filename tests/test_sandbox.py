@@ -61,7 +61,7 @@ class TestResourceGovernor:
         runner = Runner(dialect_by_name("mariadb"), budgets="depth=64")
         outcome = runner.run("SELECT MEDIAN(999999999999999);")
         assert outcome.kind == "resource_exhausted"
-        assert runner.fault_counters.get("governor.depth") == 1
+        assert runner.tally.faults.get("governor.depth") == 1
         # the server survives — no restart was needed
         assert runner.run("SELECT 1;").kind == "ok"
 
@@ -77,7 +77,7 @@ class TestResourceGovernor:
         )
         outcome = runner.run(sql)
         assert outcome.kind == "resource_exhausted"
-        assert runner.fault_counters.get("governor.rows") == 1
+        assert runner.tally.faults.get("governor.rows") == 1
 
     def test_budgets_off_is_byte_identical(self):
         base = run_campaign("duckdb", budget=500)
@@ -134,8 +134,8 @@ class TestSandboxedConnection:
             sandbox.kill_worker()
             with pytest.raises(WorkerCrashed):
                 sandbox.execute("SELECT 1;")
-            assert sandbox.worker_deaths == 1
-            assert sandbox.respawns == 1
+            assert sandbox.tally.supervisor["worker_deaths"] == 1
+            assert sandbox.tally.supervisor["respawns"] == 1
             # the respawned worker serves a fresh server
             assert sandbox.execute("SELECT 1;").rows
         finally:
@@ -150,8 +150,8 @@ class TestSandboxedConnection:
             os.kill(sandbox.pid, signal.SIGSTOP)
             with pytest.raises(WorkerHung):
                 sandbox.execute("SELECT 1;")
-            assert sandbox.kills == 1
-            assert sandbox.respawns == 1
+            assert sandbox.tally.supervisor["kills"] == 1
+            assert sandbox.tally.supervisor["respawns"] == 1
             assert sandbox.execute("SELECT 1;").rows
         finally:
             sandbox.close()
@@ -163,7 +163,7 @@ class TestSandboxedConnection:
             with pytest.raises(ResourceError, match="channel cap"):
                 sandbox.execute("SELECT REPEAT('a', 100000);")
             # the worker survived: only the reply was refused
-            assert sandbox.worker_deaths == 0
+            assert sandbox.tally.supervisor["worker_deaths"] == 0
             assert sandbox.execute("SELECT 1;").rows
         finally:
             sandbox.close()
@@ -197,8 +197,10 @@ class TestRunnerSandboxOutcomes:
             runner.sandbox.kill_worker()
             outcome = runner.run("SELECT 2;")
             assert outcome.kind == "harness_crash"
-            assert runner.fault_counters.get("sandbox.worker_deaths") == 1
-            assert runner.fault_counters.get("sandbox.respawns") == 1
+            assert runner.tally.faults.get("sandbox.worker_deaths") == 1
+            assert runner.tally.faults.get("sandbox.respawns") == 1
+            # the supervisor counts the same death in the runner's tally
+            assert runner.tally.supervisor["worker_deaths"] == 1
             # campaign keeps going on the respawned worker
             assert runner.run("SELECT 3;").kind == "ok"
         finally:
@@ -245,18 +247,14 @@ class TestContainmentState:
         # one skip decision, one reason (quarantine wins)
         reason = state.should_skip("SELECT kill;", "string")
         assert reason.startswith("quarantined:")
-        state.note_skip()
-        assert state.skipped == 1
 
     def test_export_restore_round_trip(self):
         state = ContainmentState(breaker_threshold=2, quarantine=("SELECT q;",))
         state.observe("harness_crash", "SELECT a;", "string", "boom")
         state.observe("harness_crash", "SELECT b;", "string", "boom")
-        state.note_skip()
         restored = ContainmentState()
         restored.restore_state(state.export_state())
         assert restored.quarantine == state.quarantine
-        assert restored.skipped == 1
         assert restored.open_breakers == ["string"]
         # restored breakers stay open
         assert restored.should_skip("SELECT x;", "string") is not None
@@ -266,12 +264,10 @@ class TestContainmentState:
         shard_a = ContainmentState(breaker_threshold=2)
         shard_a.observe("harness_crash", "SELECT a;", "string", "boom")
         shard_a.observe("harness_crash", "SELECT b;", "string", "boom")
-        shard_a.note_skip()
         shard_b = ContainmentState(breaker_threshold=2)
         shard_b.observe("harness_crash", "SELECT c;", "json", "boom")
         parent.merge([shard_a.export_state(), shard_b.export_state()])
         assert set(parent.quarantine) == {"SELECT a;", "SELECT b;", "SELECT c;"}
-        assert parent.skipped == 1
         assert parent.open_breakers == ["string"]
 
 
@@ -292,11 +288,10 @@ class TestSandboxCampaign:
         config = SandboxConfig(quarantine=(sql0,))
         result = run_campaign("mariadb", budget=300, sandbox=config)
         assert result.outcomes.get("skipped", 0) >= 1
-        assert result.skipped_statements == result.outcomes["skipped"]
         assert result.quarantined_statements >= 1
         # a skipped statement spends its stream slot: the budget caps
         # processed positions so serial and sharded runs stay in lockstep
-        assert result.queries_executed == 300 - result.skipped_statements
+        assert result.queries_executed == 300 - result.outcomes["skipped"]
         assert sum(result.outcomes.values()) == 300
 
     def test_quarantine_plus_open_breaker_skips_exactly_once(self):
@@ -324,7 +319,6 @@ class TestSandboxCampaign:
         both = campaign((sql0,))
         assert breaker_only.outcomes["skipped"] >= 1
         assert dict(both.outcomes) == dict(breaker_only.outcomes)
-        assert both.skipped_statements == breaker_only.skipped_statements
         assert both.open_breakers == [family]
 
     def test_containment_survives_checkpoint_resume(self, tmp_path):
@@ -336,7 +330,7 @@ class TestSandboxCampaign:
                             **kwargs)
         resumed = run_campaign("duckdb", checkpoint_path=path, resume=True, **kwargs)
         assert resumed.signature() == full.signature()
-        assert resumed.skipped_statements == full.skipped_statements >= 1
+        assert resumed.outcomes["skipped"] == full.outcomes["skipped"] >= 1
 
     def test_campaign_rejects_sandbox_with_faults(self):
         with pytest.raises(ValueError, match="mutually exclusive"):
@@ -358,7 +352,7 @@ class TestParallelSandboxCampaign:
                                 sandbox=config)
         # the quarantined statement is skipped once across ALL shards —
         # exactly as often as the serial stream skips it
-        assert parallel.skipped_statements == serial.skipped_statements >= 1
+        assert parallel.outcomes["skipped"] == serial.outcomes["skipped"] >= 1
         assert parallel.signature() == serial.signature()
 
     def test_parallel_rejects_sandbox_with_faults(self):
