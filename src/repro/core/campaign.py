@@ -63,6 +63,7 @@ from ..robustness.policy import RetryPolicy, ServerQuarantined
 from ..robustness.sandbox import ContainmentState
 from ..robustness.tally import Tally
 from ..robustness.watchdog import Clock, SimulatedClock, WallClock, Watchdog
+from ..sqlast import Select, SelectItem, Statement
 from .collect import SeedCollector
 from .config import CampaignConfig
 from .oracles import (
@@ -227,21 +228,25 @@ def run_contained(
     sql: str,
     family: str,
     position: int,
+    statements: Sequence[Statement],
 ) -> Outcome:
     """Run one statement through the crash-loop containment layer.
 
+    *statements* are the tree *sql* parses to: the runner executes them
+    instead of parsing the text (:meth:`Runner.prepare`).
     A statement that is quarantined (it killed a worker before) or whose
     function family's circuit breaker is open is *skipped*: it produces
     exactly one ``skipped`` outcome and never reaches the runner.
     Everything else executes normally and feeds the containment state.
     """
-    if containment is None:
-        return runner.run(sql, position=position)
-    reason = containment.should_skip(sql, family)
-    if reason is not None:
-        return Outcome("skipped", sql, message=reason)
+    if containment is not None:
+        reason = containment.should_skip(sql, family)
+        if reason is not None:
+            return Outcome("skipped", sql, message=reason)
+    runner.prepare(sql, statements)
     outcome = runner.run(sql, position=position)
-    containment.observe(outcome.kind, sql, family, outcome.message)
+    if containment is not None:
+        containment.observe(outcome.kind, sql, family, outcome.message)
     return outcome
 
 
@@ -545,7 +550,9 @@ class Stream:
         if self.jobs == 1 or self.worker is None:
             for position, seed in enumerate(seeds[:budget]):
                 yield position, GeneratedCase(
-                    f"SELECT {seed.sql};", "seed", seed.function, seed.family
+                    f"SELECT {seed.sql};",
+                    Select([SelectItem(seed.expression)]),
+                    "seed", seed.function, seed.family,
                 )
             if self.jobs > 1:
                 return
@@ -702,7 +709,8 @@ class Campaign:
                         stream.position += 1  # processed before the checkpoint
                         continue
                     outcome = run_contained(
-                        runner, containment, case.sql, case.seed_family, position
+                        runner, containment, case.sql, case.seed_family,
+                        position, (case.statement,),
                     )
                     outcomes[outcome.kind] = outcomes.get(outcome.kind, 0) + 1
                     found = pipeline.observe(

@@ -11,7 +11,7 @@ from ambient state no replay can reproduce.
 
 This module is the single home for that exclusion logic, so the
 differential, conformance, TLP, and NoREC oracles cannot drift apart on
-what counts as replay-safe.  It also holds the one parse of a statement
+what counts as replay-safe.  It also holds the one tree of a statement
 that every re-executing oracle replays (:func:`parsed_statements`).
 """
 
@@ -62,10 +62,12 @@ def replay_safe(called: Sequence[str], registry) -> bool:
 
 
 def parsed_statements(outcome: Outcome) -> Sequence[Statement]:
-    """``outcome.sql`` parsed once per outcome, for every oracle that asks.
+    """The tree of ``outcome.sql``, one per outcome, for every oracle that asks.
 
-    An in-process run hands over the parse it executed
-    (``Outcome.statements``), so only sandboxed outcomes are parsed here.
+    An in-process run hands over the tree it executed
+    (``Outcome.statements``): a generated statement's own tree, which the
+    run did not parse, or the parse the run made of any other text.  Only
+    sandboxed outcomes are parsed here.
     The parse goes through ``engine.connection.parse_statements``, the
     engine's own entry point, looked up at call time so that anything
     wrapping it (``benchmarks/e2e/trace.py``) sees this parse too.  Text

@@ -22,10 +22,11 @@ expressions), nesting patterns skip seeds that already contain two calls.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..sqlast import (
     ArrayExpr,
+    BinaryOp,
     Cast,
     DecimalLit,
     Expr,
@@ -39,14 +40,16 @@ from ..sqlast import (
     StringLit,
     SubqueryExpr,
     TypeName,
+    UnaryOp,
     parse_expression,
+    parse_statement,
     to_sql,
 )
 from ..sqlast.visitor import count_function_calls
 from .clauses import comparison_bound_texts
 from .collect import Seed
 from .literals import boundary_literals, boundary_repeat_counts
-from .tables import PREDICATE_COLUMNS, predicate_statement
+from .tables import BASE_QUERY, PREDICATE_COLUMNS, predicate_statement
 
 #: cast targets enumerated by Pattern 2.1 — chosen to cross every internal
 #: type family boundary (numeric width, binary, temporal, document)
@@ -79,24 +82,39 @@ PREDICATE_OPS = ("=", "<", ">", "<=", ">=", "<>")
 
 
 class GeneratedCase:
-    """One generated test statement.
+    """One generated test statement: its text and the tree it parses to.
 
-    The statement text is materialized lazily: pattern generators describe
-    the AST surgery as a thunk, and the splice/print work only runs when
-    :attr:`sql` is first read.  The thunks build a new call around the
-    seed's own argument nodes (see :func:`_with_arg`) instead of copying
-    the seed.  Parallel shard workers enumerate the full generation stream
-    but execute only their own shard's cases, so skipped cases must cost
-    an allocation, not a tree build.
+    ``sql`` is the statement text, a plain ``str``; ``statement`` is the
+    :class:`~repro.sqlast.Select` that text parses to, node for node (the
+    runner executes it instead of lexing and parsing ``sql`` again, and
+    ``tests/test_generated_trees.py`` holds the equality).  Both are
+    materialized lazily: pattern generators describe the AST surgery as a
+    thunk returning ``(sql, statement)``, and the splice/print work only
+    runs when either is first read.  The thunks build a new call around
+    the seed's own argument nodes (see :func:`_with_arg`) instead of
+    copying the seed, so trees share nodes with the seeds and with each
+    other; nothing downstream writes through them.  Parallel shard
+    workers enumerate the full generation stream but execute only their
+    own shard's cases, so skipped cases must cost an allocation, not a
+    tree build.
     """
 
-    __slots__ = ("_sql", "_build", "pattern", "seed_function", "seed_family")
+    __slots__ = (
+        "_sql", "_statement", "_build", "pattern", "seed_function",
+        "seed_family",
+    )
 
     def __init__(
-        self, sql: str, pattern: str, seed_function: str, seed_family: str
+        self,
+        sql: str,
+        statement: Select,
+        pattern: str,
+        seed_function: str,
+        seed_family: str,
     ) -> None:
         self._sql: Optional[str] = sql
-        self._build: Optional[Callable[[], str]] = None
+        self._statement: Optional[Select] = statement
+        self._build: Optional[Callable[[], Tuple[str, Select]]] = None
         self.pattern = pattern
         self.seed_function = seed_function
         self.seed_family = seed_family
@@ -104,40 +122,51 @@ class GeneratedCase:
     @classmethod
     def deferred(
         cls,
-        build: Callable[[], str],
+        build: Callable[[], Tuple[str, Select]],
         pattern: str,
         seed_function: str,
         seed_family: str,
     ) -> "GeneratedCase":
-        """A case whose SQL is produced by *build* on first access."""
+        """A case whose ``(sql, statement)`` *build* produces on first access."""
         case = cls.__new__(cls)
         case._sql = None
+        case._statement = None
         case._build = build
         case.pattern = pattern
         case.seed_function = seed_function
         case.seed_family = seed_family
         return case
 
+    def _materialize(self) -> None:
+        assert self._build is not None
+        self._sql, self._statement = self._build()
+        self._build = None
+
     @property
     def sql(self) -> str:
         if self._sql is None:
-            assert self._build is not None
-            self._sql = self._build()
-            self._build = None
+            self._materialize()
         return self._sql
+
+    @property
+    def statement(self) -> Select:
+        if self._statement is None:
+            self._materialize()
+        return self._statement
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return f"[{self.pattern}] {self.sql}"
 
 
-def _as_statement(expr: Expr) -> str:
-    return f"SELECT {to_sql(expr)};"
+def _as_statement(expr: Expr) -> Tuple[str, Select]:
+    """``SELECT <expr>;`` as text and as the tree that text parses to."""
+    return f"SELECT {to_sql(expr)};", Select([SelectItem(expr)])
 
 
 def _with_arg(call: FuncCall, index: int, replacement: Expr) -> FuncCall:
     """*call* with argument *index* replaced.  The other arguments (and
     *replacement*) are shared, not copied: a generated tree is only
-    printed, never changed."""
+    printed and executed, never changed."""
     args = list(call.args)
     args[index] = replacement
     return FuncCall(call.name, args, distinct=call.distinct)
@@ -170,11 +199,19 @@ class PatternEngine:
         self.seeds = list(seeds)
         self.max_partners = max_partners
         self.statement_family = statement_family
+        predicate = statement_family == "predicate"
         #: comparison-position boundary texts cycled by the predicate
         #: decoration (shared vocabulary with core.clauses)
-        self._bound_texts = (
-            comparison_bound_texts() if statement_family == "predicate" else []
-        )
+        self._bound_texts = comparison_bound_texts() if predicate else []
+        #: the trees the predicate decoration shares across statements,
+        #: each parsed once here: every bound text, every anchor column,
+        #: and the family's ``SELECT k, i, s, d FROM fuzz_t`` head
+        self._bound_trees = [parse_expression(t) for t in self._bound_texts]
+        self._column_trees = {
+            column: parse_expression(column)
+            for column in (PREDICATE_COLUMNS if predicate else ())
+        }
+        self._head = parse_statement(BASE_QUERY) if predicate else None
         #: function → result type observed when the seed corpus was replayed
         #: (SOFT sees every seed's result; the ordering below uses it)
         self.return_types = dict(return_types or {})
@@ -307,7 +344,11 @@ class PatternEngine:
                 batch = list(itertools.islice(stream, 2))
                 if batch:
                     still.append(stream)
-                    yield from batch
+                # popped, not iterated: a frame suspended here must not keep
+                # the cases it handed out, trees and all, alive until its
+                # seed's next turn
+                while batch:
+                    yield batch.pop(0)
             pending = still
 
     def generate_all(self) -> Iterator[GeneratedCase]:
@@ -337,7 +378,8 @@ class PatternEngine:
                 batch = list(itertools.islice(iterator, 4))
                 if batch:
                     still.append(iterator)
-                    yield from batch
+                while batch:  # popped, as in generate_for_seed
+                    yield batch.pop(0)
             pending = still
 
     def _as_predicate(self, case: GeneratedCase, ordinal: int) -> GeneratedCase:
@@ -354,19 +396,30 @@ class PatternEngine:
         case's stream *ordinal*, fixed here eagerly: the wrapped SQL stays
         lazily built, and shard workers that skip rendering non-owned
         cases never touch shared RNG state, so serial and ``--jobs`` runs
-        decorate identically.
+        decorate identically.  The tree wraps the expression case's own
+        tree in the head, column and bound trees parsed once per engine.
         """
         op = PREDICATE_OPS[ordinal % len(PREDICATE_OPS)]
         column = PREDICATE_COLUMNS[ordinal % len(PREDICATE_COLUMNS)]
-        bounds = self._bound_texts
-        left = bounds[ordinal % len(bounds)]
-        right = bounds[(ordinal + 1 + ordinal // len(bounds)) % len(bounds)]
+        bounds = len(self._bound_texts)
+        left = ordinal % bounds
+        right = (ordinal + 1 + ordinal // bounds) % bounds
 
         def build(case=case, op=op, column=column, left=left, right=right):
+            texts, trees, head = self._bound_texts, self._bound_trees, self._head
             expr = case.sql[len("SELECT "):].rstrip().rstrip(";")
-            return predicate_statement(
-                f"({expr}) {op} {column} AND NOT ({left} = {right})"
+            sql = predicate_statement(
+                f"({expr}) {op} {column} "
+                f"AND NOT ({texts[left]} = {texts[right]})"
             )
+            where = BinaryOp(
+                "AND",
+                BinaryOp(
+                    op, case.statement.items[0].expr, self._column_trees[column]
+                ),
+                UnaryOp("NOT", BinaryOp("=", trees[left], trees[right])),
+            )
+            return sql, Select(head.items, head.from_, where=where)
 
         return GeneratedCase.deferred(
             build, case.pattern, case.seed_function, case.seed_family

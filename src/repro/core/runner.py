@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 from ..dialects.base import Dialect
 from ..engine.connection import (
@@ -79,9 +79,11 @@ class Outcome:
     #: result-set fingerprint, computed only when an oracle asks for it
     #: (Runner.capture_fingerprints) — None otherwise
     fingerprint: Optional["ResultFingerprint"] = None
-    #: parse of ``sql``, shared by the oracles that re-execute the
-    #: statement: the parse the in-process run made, or (sandboxed runs)
-    #: made on first use by guards.parsed_statements — None until then
+    #: the tree of ``sql``, shared by the oracles that re-execute the
+    #: statement: the tree an in-process run executed (a generated
+    #: statement's own tree, or the parse the run made of other text), or
+    #: (sandboxed runs) the parse guards.parsed_statements makes on first
+    #: use — None until then
     statements: Optional[Sequence[Statement]] = None
 
     @property
@@ -177,12 +179,13 @@ class Runner:
             (faults is not None) if reconfirm_crashes is None else reconfirm_crashes
         )
         self.restarts = 0
-        self.timeouts = 0
         #: set by the campaign when a registered oracle needs result-set
         #: fingerprints (OraclePipeline.needs_fingerprints)
         self.capture_fingerprints = False
         self._timed_out = False
         self._reconnects = 0
+        #: (text, tree) handed over by prepare()
+        self._prepared: Optional[Tuple[str, Sequence[Statement]]] = None
         self._apply_bootstrap()
 
     # ------------------------------------------------------------------
@@ -205,6 +208,18 @@ class Runner:
             self.server.fault_hook = hook
 
     # ------------------------------------------------------------------
+    def prepare(self, sql: str, statements: Sequence[Statement]) -> None:
+        """Hand :meth:`run` the tree *statements* that *sql* parses to.
+
+        Until the next ``prepare``, every attempt of a run of this very
+        *sql* object (first run, quiet retry, crash reconfirmation)
+        executes the tree instead of lexing and parsing the text; the text
+        still keys the per-statement RNG and the fault stream, and a
+        sandboxed runner's worker receives only the text.  The tree is
+        only read, so it may share nodes with other trees.
+        """
+        self._prepared = (sql, statements)
+
     def run(self, sql: str, position: Optional[int] = None) -> Outcome:
         """Execute *sql* and classify the outcome, absorbing infra noise.
 
@@ -250,6 +265,9 @@ class Runner:
         suppress = (
             self.injector.quiet() if quiet and self.injector is not None else nullcontext()
         )
+        prepared = self._prepared
+        if prepared is not None and prepared[0] is sql:
+            self.connection.prepare(sql, prepared[1])
         with suppress:
             return self.watchdog.guard(lambda: self.connection.execute(sql))
 
@@ -260,7 +278,7 @@ class Runner:
         fingerprint = (
             fingerprint_result(result) if self.capture_fingerprints else None
         )
-        # an in-process run parsed sql already; its parse is the oracles' too
+        # an in-process run has sql's tree already; it is the oracles' too
         statements = (
             self.connection.last_statements if self.sandbox is None else None
         )
@@ -296,14 +314,9 @@ class Runner:
                 return Outcome("timeout", sql, message=str(exc))
             self._timed_out = True
             self._reconnects = 0
-            self.timeouts += 1
             self._count("statement_kills")
             return None
         if isinstance(exc, WorkerHung):
-            # a hang on the quiet retry was already counted as one timeout
-            # on the first kill; hanging again confirms it
-            if not self._timed_out:
-                self.timeouts += 1
             self._count("sandbox.hang_kills")
             self._count("sandbox.respawns")
             return Outcome("timeout", sql, message=str(exc))

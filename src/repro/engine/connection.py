@@ -15,7 +15,7 @@ The paper's harness talks to DBMSs through their Python clients and treats
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from ..sqlast import LexError, ParseError, parse_statements
 from ..sqlast import nodes as n
@@ -144,11 +144,31 @@ class Connection:
         #: parse it made, or the one it was given); the runner hands it to
         #: the oracles that re-execute a statement
         self.last_statements: Optional[Sequence[n.Statement]] = None
+        #: (text, tree) handed over by :meth:`prepare`
+        self._prepared: Optional[Tuple[str, Sequence[n.Statement]]] = None
 
     # ------------------------------------------------------------------
+    def prepare(self, sql: str, statements: Sequence[n.Statement]) -> None:
+        """Hand :meth:`execute` the tree *statements* that *sql* parses to.
+
+        Until the next ``prepare``, an execute of this very *sql* object
+        runs the tree through :meth:`execute_parsed` instead of lexing and
+        parsing the text.
+        """
+        self._prepared = (sql, statements)
+
     def execute(self, sql: str) -> Result:
-        """Execute all statements in *sql*; returns the last result."""
-        return self.execute_parsed(sql, None)
+        """Execute all statements in *sql*; returns the last result.
+
+        The text is parsed here, unless :meth:`prepare` handed over its
+        tree (the runner does, for generated statements); then that tree
+        runs as it is.
+        """
+        prepared = self._prepared
+        statements = (
+            prepared[1] if prepared is not None and prepared[0] is sql else None
+        )
+        return self.execute_parsed(sql, statements)
 
     def execute_parsed(
         self, sql: str, statements: Optional[Sequence[n.Statement]]

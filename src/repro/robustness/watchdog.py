@@ -140,7 +140,6 @@ class Watchdog:
         self.clock = clock if clock is not None else WallClock()
         self.deadline_seconds = deadline_seconds
         self.statement_cost_seconds = statement_cost_seconds
-        self.timeouts = 0
 
     def guard(self, fn: Callable[[], T]) -> T:
         """Run *fn* under the deadline; raise :class:`StatementTimeout` when
@@ -153,11 +152,9 @@ class Watchdog:
             # the connection hung past any deadline: the kill fires as soon
             # as the deadline elapses, never earlier
             elapsed = max(self.clock.now() - start, self.deadline_seconds)
-            self.timeouts += 1
             raise StatementTimeout(self.deadline_seconds, elapsed) from None
         elapsed = self.clock.now() - start
         if elapsed > self.deadline_seconds:
             # slow-response faults can accumulate past the deadline too
-            self.timeouts += 1
             raise StatementTimeout(self.deadline_seconds, elapsed)
         return result

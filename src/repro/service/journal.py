@@ -46,7 +46,7 @@ from __future__ import annotations
 import json
 import sqlite3
 import threading
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Set
 
 from ..robustness.chaos import StorageFaultInjector
 from .storage import (
@@ -137,6 +137,8 @@ class JobJournal:
         self._db: Optional[sqlite3.Connection] = self.storage.open(
             check_same_thread=False
         )
+        #: jobs whose journal record lost a write since the last resync
+        self._unsynced: Set[str] = set()
         with self._lock:
             failure = self.storage.integrity_failure(self._db)
             if failure is not None:
@@ -220,7 +222,7 @@ class JobJournal:
                         ),
                     )
             except StorageError:
-                self.storage.health.note_lost_write()
+                self._lose_write(row["job_id"])
 
     def update(
         self,
@@ -228,15 +230,31 @@ class JobJournal:
         transition: Optional[str] = None,
         at: float = 0.0,
     ) -> None:
-        """Write a job's current row back; optionally audit a transition."""
+        """Write a job's current row back; optionally audit a transition.
+
+        The first write that succeeds for a job which lost one since the
+        last :meth:`resync` re-syncs that job instead: its journaled row
+        may be missing or stale, and journaling *transition* alone could
+        open its chain in a non-birth state.
+        """
+        job_id = row["job_id"]
         with self._lock:
             if self._db is None:
                 return
             try:
                 with self.storage.write("update", db=self._db) as db:
-                    self._write_row(db, row, transition, at)
+                    if job_id in self._unsynced:
+                        self._resync_row(db, row, at, lost=True)
+                    else:
+                        self._write_row(db, row, transition, at)
             except StorageError:
-                self.storage.health.note_lost_write()
+                self._lose_write(job_id)
+            else:
+                self._unsynced.discard(job_id)
+
+    def _lose_write(self, job_id: str) -> None:
+        self._unsynced.add(job_id)
+        self.storage.health.note_lost_write()
 
     @staticmethod
     def _write_row(
@@ -264,37 +282,50 @@ class JobJournal:
         """Force-write the store's current rows after a degraded spell.
 
         Upserts every row; rows whose journaled state trails their
-        in-memory state get a ``resynced after degraded storage spell``
-        transition so the audit trail explains the jump (transitions
-        that happened *during* the spell are lost — that is the
-        journal's documented data-loss bound).  Returns the row count.
+        in-memory state, and every job that lost a write since the last
+        resync, get a ``resynced after degraded storage spell`` transition
+        so the audit trail explains the jump (transitions a job made
+        between a lost write and the next write of it that lands are lost
+        — that is the journal's documented data-loss bound).  Returns the
+        row count.
         """
         with self._lock:
             if self._db is None:
                 return 0
             with self.storage.write("resync", db=self._db) as db:
                 for row in rows:
-                    columns = sorted(row)
-                    db.execute(
-                        f"INSERT OR REPLACE INTO jobs ({', '.join(columns)}) "
-                        f"VALUES ({', '.join('?' for _ in columns)})",
-                        [_encode(row[c]) for c in columns],
+                    self._resync_row(
+                        db, row, at, lost=row["job_id"] in self._unsynced
                     )
-                    last = db.execute(
-                        "SELECT state FROM transitions WHERE job_id=?"
-                        " ORDER BY id DESC LIMIT 1",
-                        (row["job_id"],),
-                    ).fetchone()
-                    if last is None or last["state"] != row["state"]:
-                        db.execute(
-                            "INSERT INTO transitions (job_id, state, detail,"
-                            " at) VALUES (?,?,?,?)",
-                            (
-                                row["job_id"], row["state"],
-                                "resynced after degraded storage spell", at,
-                            ),
-                        )
+            self._unsynced.clear()
             return len(rows)
+
+    @staticmethod
+    def _resync_row(
+        db: sqlite3.Connection, row: Dict[str, Any], at: float, lost: bool
+    ) -> None:
+        """Upsert *row*; audit a ``resynced`` transition when the job
+        *lost* a write or its journaled state trails *row*'s."""
+        columns = sorted(row)
+        db.execute(
+            f"INSERT OR REPLACE INTO jobs ({', '.join(columns)}) "
+            f"VALUES ({', '.join('?' for _ in columns)})",
+            [_encode(row[c]) for c in columns],
+        )
+        last = db.execute(
+            "SELECT state FROM transitions WHERE job_id=?"
+            " ORDER BY id DESC LIMIT 1",
+            (row["job_id"],),
+        ).fetchone()
+        if lost or last is None or last["state"] != row["state"]:
+            db.execute(
+                "INSERT INTO transitions (job_id, state, detail, at)"
+                " VALUES (?,?,?,?)",
+                (
+                    row["job_id"], row["state"],
+                    "resynced after degraded storage spell", at,
+                ),
+            )
 
     def probe(self) -> bool:
         """Try a real write; clears degraded health on success."""

@@ -387,6 +387,28 @@ class TestJournalDegradedSpell:
         assert "resynced after degraded storage spell" in details
         journal.close()
 
+    def test_lost_insert_then_landed_update_audits_clean(self, tmp_path):
+        # the order of the race: the job's insert is lost while the journal
+        # is degraded, and its next write lands before the resync
+        data = tmp_path / "data"
+        chaos = StorageFaultInjector()
+        journal = JobJournal(str(data / "jobs.sqlite"), chaos=chaos)
+        store = JobStore(journal=journal)
+        chaos.arm_enospc("journal")
+        job = store.submit("replay", params={"dialect": "virtuoso"})
+        chaos.disarm_enospc()
+        store.cancel(job.job_id)  # an update with a transition
+        journal.resync(
+            [job.row_snapshot() for job in store.list()], at=time.time()
+        )
+        chain = journal.transitions(job.job_id)
+        journal.close()
+        assert chain[0]["detail"].startswith("resynced")
+        assert chain[-1]["state"] == "cancelled"
+        BugRepository(str(data / "bugs.sqlite"), minimize=False)
+        report = ServiceAuditor(data_dir=str(data)).run()
+        assert report.errors == []
+
     def test_constructor_detects_corruption(self, tmp_path):
         path = str(tmp_path / "jobs.sqlite")
         JobJournal(path).close()

@@ -33,6 +33,7 @@ from repro.engine.connection import ConnectionClosed
 from repro.perf.parallel import shard_of
 from repro.robustness.watchdog import StatementTimeout
 from repro.service.scheduler import JobInterrupted
+from repro.sqlast import IntegerLit, Select, SelectItem
 
 
 def interrupt(config, past):
@@ -359,20 +360,24 @@ class TestTimeoutRetryBackoff:
 class TestLazyCases:
     def test_deferred_case_builds_sql_once(self):
         built = []
+        tree = Select([SelectItem(IntegerLit("1"))])
 
         def build():
             built.append(1)
-            return "SELECT 1;"
+            return "SELECT 1;", tree
 
         case = GeneratedCase.deferred(build, "P1.2", "abs", "math")
         assert built == []  # nothing rendered yet
         assert case.sql == "SELECT 1;"
+        assert case.statement is tree
         assert case.sql == "SELECT 1;"
-        assert built == [1]  # memoized
+        assert built == [1]  # one build gives both, memoized
 
     def test_eager_constructor_still_works(self):
-        case = GeneratedCase("SELECT 2;", "P1.3", "abs", "math")
+        tree = Select([SelectItem(IntegerLit("2"))])
+        case = GeneratedCase("SELECT 2;", tree, "P1.3", "abs", "math")
         assert case.sql == "SELECT 2;"
+        assert case.statement is tree
         assert case.pattern == "P1.3"
 
 

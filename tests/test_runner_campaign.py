@@ -90,9 +90,10 @@ def _timeout():
     return StatementTimeout(30.0, 31.0)
 
 
-#: (exception factory, outcome kind, fault counters) when the exception is
-#: raised by the first attempt; the timeout count is 1 only for the classes
-#: that count one (a first kill, or a sandbox hang)
+#: (exception factory, outcome kind, killed, fault counters) when the
+#: exception is raised by the first attempt; killed is 1 only for the
+#: classes the watchdog or the sandbox kills (a first kill, or a sandbox
+#: hang)
 FIRST_ATTEMPT = [
     (lambda: ResourceExhausted("depth", 9, 2), "resource_exhausted", 0,
      {"governor.depth": 1}),
@@ -110,8 +111,9 @@ FIRST_ATTEMPT = [
 ]
 
 #: the same classes raised by the quiet retry after a first-attempt
-#: timeout: the first kill is counted once, and a second timeout (or a
-#: sandbox hang) is the ``timeout`` outcome without a second count
+#: timeout: the first kill is counted once, a second timeout is the
+#: ``timeout`` outcome without a second count, and a sandbox hang is
+#: counted as the sandbox's kill
 QUIET_RETRY = [
     (lambda: ResourceExhausted("depth", 9, 2), "resource_exhausted", 1,
      {"statement_kills": 1, "governor.depth": 1}),
@@ -130,6 +132,13 @@ QUIET_RETRY = [
      "crash", 1, {"statement_kills": 1}),
     (RecursionError, "resource_kill", 1, {"statement_kills": 1}),
 ]
+
+
+def _killed(runner):
+    """1 when the tally counts a watchdog or sandbox kill, else 0."""
+    faults = runner.tally.faults
+    kills = faults.get("statement_kills", 0) + faults.get("sandbox.hang_kills", 0)
+    return int(kills > 0)
 
 
 class TestOutcomeClassification:
@@ -151,21 +160,21 @@ class TestOutcomeClassification:
         runner._execute = fake_execute
         return runner, runner.run("SELECT 1;"), quiet_flags
 
-    @pytest.mark.parametrize("make, kind, timeouts, counters", FIRST_ATTEMPT)
-    def test_first_attempt(self, make, kind, timeouts, counters):
+    @pytest.mark.parametrize("make, kind, killed, counters", FIRST_ATTEMPT)
+    def test_first_attempt(self, make, kind, killed, counters):
         runner, outcome, quiet_flags = self._run([make])
         assert outcome.kind == kind
-        assert runner.timeouts == timeouts
+        assert _killed(runner) == killed
         assert runner.tally.faults == counters
         # only the first attempt may run with faults enabled
         assert quiet_flags[0] is False
         assert all(quiet_flags[1:])
 
-    @pytest.mark.parametrize("make, kind, timeouts, counters", QUIET_RETRY)
-    def test_quiet_retry_after_timeout(self, make, kind, timeouts, counters):
+    @pytest.mark.parametrize("make, kind, killed, counters", QUIET_RETRY)
+    def test_quiet_retry_after_timeout(self, make, kind, killed, counters):
         runner, outcome, quiet_flags = self._run([_timeout, make])
         assert outcome.kind == kind
-        assert runner.timeouts == timeouts
+        assert _killed(runner) == killed
         assert runner.tally.faults == counters
         assert quiet_flags[:2] == [False, True]
         assert all(quiet_flags[1:])
