@@ -21,7 +21,10 @@ whose shards beat the job's progress while they run.
    identical to an uninterrupted in-process control run of the same
    config — resume replays the pre-crash prefix instead of re-fuzzing it;
 5. the bug repository must hold exactly one record per control-run bug
-   (occurrences == 1): recovery never double-ingests findings.
+   (occurrences == 1): recovery never double-ingests findings;
+6. once the server has stopped, ``repro audit --data-dir`` must exit 0:
+   the journal written through the kill, recovery and resume holds only
+   legal transition chains, live leases and owned sidecars.
 
 Each pass works in one temporary directory (the data dir and the
 server's ``TMPDIR``), removed when the pass ends, pass or fail.
@@ -45,7 +48,8 @@ import urllib.error
 import urllib.request
 from typing import List
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+sys.path.insert(0, SRC)
 
 from repro.core import CampaignConfig  # noqa: E402
 from repro.core.campaign import checkpoint_files  # noqa: E402
@@ -94,8 +98,7 @@ def request(port, method, path, body=None):
 
 def start_server(data_dir: str, port: int, tmp_dir: str) -> subprocess.Popen:
     env = dict(os.environ)
-    src = os.path.join(os.path.dirname(__file__), "..", "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     env["TMPDIR"] = tmp_dir
     proc = subprocess.Popen(
         [
@@ -147,12 +150,12 @@ def smoke(jobs: int, root: str) -> None:
     )
 
     print(f"== jobs={jobs}")
-    print("[1/5] control run: uninterrupted in-process campaign")
+    print("[1/6] control run: uninterrupted in-process campaign")
     control = run_scheduled(config)
     control_digest = signature_digest(control)
     print(f"      {len(control.bugs)} bugs, digest {control_digest[:16]}…")
 
-    print("[2/5] boot `repro serve`, submit the checkpointed campaign")
+    print("[2/6] boot `repro serve`, submit the checkpointed campaign")
     port = free_port()
     proc = start_server(data_dir, port, tmp_dir)
     status, job = request(
@@ -165,7 +168,7 @@ def smoke(jobs: int, root: str) -> None:
         checkpoint_path=os.path.join(data_dir, "checkpoints", f"{job_id}.ckpt")
     )).values()
 
-    print(f"[3/5] SIGKILL the server past position {KILL_AFTER_POSITION}")
+    print(f"[3/6] SIGKILL the server past position {KILL_AFTER_POSITION}")
     deadline = time.monotonic() + POLL_DEADLINE
     position = 0
     while time.monotonic() < deadline:
@@ -193,7 +196,7 @@ def smoke(jobs: int, root: str) -> None:
     print(f"      killed at position ~{position}, checkpoints on disk, "
           f"no process left in the server's group, nothing left in its TMPDIR")
 
-    print("[4/5] restart on the same data dir: recovery must resume the job")
+    print("[4/6] restart on the same data dir: recovery must resume the job")
     port = free_port()
     proc = start_server(data_dir, port, tmp_dir)
     try:
@@ -222,7 +225,7 @@ def smoke(jobs: int, root: str) -> None:
                  f"resume did not replay the pre-crash prefix faithfully")
         print(f"      job {job_id} done after resume, digest matches control")
 
-        print("[5/5] repository: exactly one record per bug, no double ingest")
+        print("[5/6] repository: exactly one record per bug, no double ingest")
         ingest = final["ingest"]
         if ingest["new_records"] != len(control.bugs) or ingest["duplicates"]:
             fail(f"recovery double-ingested findings: {ingest}")
@@ -240,8 +243,22 @@ def smoke(jobs: int, root: str) -> None:
         except subprocess.TimeoutExpired:
             proc.kill()
 
+    print("[6/6] `repro audit`: the journal written through the kill, "
+          "recovery and resume audits clean")
+    audit = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "audit", "--data-dir", data_dir],
+        env=dict(os.environ, PYTHONPATH=SRC + os.pathsep
+                 + os.environ.get("PYTHONPATH", "")),
+        capture_output=True, text=True, timeout=60,
+    )
+    if audit.returncode != 0:
+        fail(f"`repro audit` exited {audit.returncode}:\n"
+             f"{audit.stdout}{audit.stderr}")
+    print(f"      {audit.stdout.strip().splitlines()[-1]}")
+
     print(f"OK: jobs={jobs}: SIGKILL at position ~{position}, resumed from "
-          f"checkpoint, {len(control.bugs)} records, signatures identical")
+          f"checkpoint, {len(control.bugs)} records, signatures identical, "
+          f"audit clean")
 
 
 def main() -> None:

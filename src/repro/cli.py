@@ -361,7 +361,7 @@ def _cmd_serve(args) -> int:
     for name, event in service.rebuilds.items():
         print(f"storage rebuild: {name} quarantined to "
               f"{event['quarantined']} ({event['salvaged']} rows salvaged)")
-    if service.audit_report is not None and not service.audit_report.ok:
+    if not service.audit_report.ok:
         print("warning: startup audit found unrepaired errors "
               "(see /health or run 'repro audit')")
     service.serve_forever()

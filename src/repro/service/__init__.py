@@ -23,11 +23,12 @@ service:
   classified failures (:class:`~repro.service.storage.StorageUnavailable`
   vs :class:`~repro.service.storage.CorruptionDetected`), per-subsystem
   :class:`~repro.service.storage.StorageHealth`, and
-  quarantine-and-rebuild for corrupt files.
+  :func:`~repro.service.storage.open_or_salvage`, the one
+  quarantine-and-salvage routine for corrupt files.
 * :mod:`repro.service.audit` — the invariant auditor (``repro audit``
-  and the service's startup hook): transition-chain legality, live
-  leases, checkpoint sidecar existence, dedup uniqueness, orphan
-  sidecars; violations are repaired or fail loudly.
+  and the service's startup hook, one set of checks): transition-chain
+  legality against the job lifecycle's table, live leases, dedup
+  uniqueness, orphan sidecars; violations are repaired or fail loudly.
 * :mod:`repro.service.server` — the threaded HTTP/JSON front end
   (``repro serve``): submit jobs, poll streamed findings and supervisor
   health, browse/triage/replay the repository, with overload
@@ -36,7 +37,7 @@ service:
   mutations, reads keep answering).
 """
 
-from .audit import AuditFinding, AuditReport, ServiceAuditor, rebuild_journal
+from .audit import AuditFinding, AuditReport, ServiceAuditor
 from .bugrepo import BugRecord, BugRepository, ReplayOutcome, ReplayReport
 from .jobs import (
     JOB_STATES,
@@ -50,7 +51,7 @@ from .jobs import (
     result_to_summary,
     signature_digest,
 )
-from .journal import JobJournal, open_database
+from .journal import JobJournal
 from .scheduler import (
     JobInterrupted,
     SchedulerPool,
@@ -66,6 +67,8 @@ from .storage import (
     StorageHealth,
     StorageUnavailable,
     crash_points,
+    open_database,
+    open_or_salvage,
 )
 
 __all__ = [
@@ -76,6 +79,6 @@ __all__ = [
     "ServiceAuditor", "SqliteStorage", "StorageError", "StorageHealth",
     "StorageUnavailable", "TERMINAL_STATES", "TenantBudget",
     "TenantBudgetExceeded", "build_campaign", "crash_points",
-    "finding_to_dict", "open_database", "rebuild_journal",
+    "finding_to_dict", "open_database", "open_or_salvage",
     "result_to_summary", "run_scheduled", "signature_digest",
 ]

@@ -33,9 +33,11 @@ opened in WAL mode through the shared
 the job journal's ``jobs.sqlite``): writes pass named crash points for
 the chaos harness, classified failures degrade the repository's health
 instead of leaking raw sqlite errors, and
-:meth:`BugRepository.quarantine_and_rebuild` recovers a corrupt file by
-moving it aside as ``bugs.sqlite.corrupt-<n>`` and salvaging every
-readable record into a fresh database.  Connections are opened per
+:func:`~repro.service.storage.open_or_salvage` recovers a corrupt file
+by moving it aside as ``bugs.sqlite.corrupt-<n>`` and salvaging every
+readable record into a fresh database (:meth:`BugRepository.salvage`).
+Ingest and the auditor's duplicate repair fold records together through
+one merge rule (:func:`_fold`).  Connections are opened per
 operation (sqlite serializes writers), so the repository is safe to
 share between scheduler workers and HTTP handler threads — and, unlike
 the journal's single-writer connection, across processes (the CLI's
@@ -50,7 +52,7 @@ import re
 import sqlite3
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.minimize import (
     CrashProbe,
@@ -226,6 +228,12 @@ class ReplayReport:
 class BugRepository:
     """Sqlite-backed cross-campaign bug store with dedup and replay."""
 
+    #: the storage subsystem's name (health, fault sites, crash points)
+    SUBSYSTEM = "bugrepo"
+    #: what :func:`~repro.service.storage.open_or_salvage` copies out of
+    #: a quarantined repository
+    SALVAGE_QUERY = "SELECT * FROM bugs ORDER BY id"
+
     def __init__(
         self,
         path: str,
@@ -236,7 +244,7 @@ class BugRepository:
         self.path = path
         self.minimize = minimize
         self.minimize_attempts = minimize_attempts
-        self.storage = SqliteStorage("bugrepo", path, chaos=chaos)
+        self.storage = SqliteStorage(self.SUBSYSTEM, path, chaos=chaos)
         parent = os.path.dirname(os.path.abspath(path))
         os.makedirs(parent, exist_ok=True)
         failure = self.storage.integrity_failure()
@@ -260,56 +268,54 @@ class BugRepository:
     def integrity_failure(self) -> Optional[str]:
         return self.storage.integrity_failure()
 
-    def quarantine_and_rebuild(self) -> Tuple[str, int]:
-        """Move the corrupt database aside and salvage readable records.
+    def salvage(self, row: Dict[str, Any]) -> None:
+        """Copy one record out of a quarantined database.
 
-        Returns ``(quarantine_path, salvaged_record_count)``.  Replay
-        history is not salvaged (it is derived data; the records
-        themselves are the asset) — that is the repository's documented
-        data-loss bound under corruption.
+        A row whose JSON columns no longer parse (the page it lived on
+        was damaged) raises ``ValueError`` and is skipped by
+        :func:`~repro.service.storage.open_or_salvage`.  Replay history
+        is not salvaged (it is derived data; the records themselves are
+        the asset) — the repository's documented data-loss bound under
+        corruption.
         """
-        quarantined = self.storage.quarantine()
+        for column in ("kinds", "labels", "campaigns"):
+            json.loads(row[column])
+        columns = sorted(row)
         with self.storage.write("rebuild") as db:
-            db.executescript(_SCHEMA)
-        return quarantined, self.salvage_from(quarantined)
+            db.execute(
+                f"INSERT INTO bugs ({', '.join(columns)}) "
+                f"VALUES ({', '.join('?' for _ in columns)})",
+                [row[c] for c in columns],
+            )
 
-    def salvage_from(self, quarantined: str) -> int:
-        """Copy every readable record out of a quarantined database.
+    def merge_duplicates(
+        self, dialect: str, function: str, statement: str
+    ) -> int:
+        """Fold every record sharing one dedup key onto the lowest id.
 
-        Rows whose JSON columns no longer parse (the page they lived on
-        was damaged) are skipped individually; everything else lands in
-        this repository's fresh ``bugs`` table.  Marks health recovered
-        and returns the salvage count.
+        The UNIQUE constraint keeps this from happening in healthy
+        operation; the auditor calls it when a repository without the
+        constraint holds duplicates.  Returns how many were folded in.
         """
-        salvaged = 0
-        try:
-            old = sqlite3.connect(quarantined)
-            old.row_factory = sqlite3.Row
-            try:
-                rows = old.execute("SELECT * FROM bugs ORDER BY id").fetchall()
-            finally:
-                old.close()
-        except sqlite3.Error:
-            rows = []
-        for row in rows:
-            try:
-                # validate the JSON columns parse before accepting the row
-                json.loads(row["kinds"])
-                json.loads(row["labels"])
-                json.loads(row["campaigns"])
-                with self.storage.write("rebuild") as db:
-                    data = dict(row)
-                    columns = sorted(data)
-                    db.execute(
-                        f"INSERT INTO bugs ({', '.join(columns)}) "
-                        f"VALUES ({', '.join('?' for _ in columns)})",
-                        [data[c] for c in columns],
-                    )
-                salvaged += 1
-            except (sqlite3.Error, ValueError, KeyError, IndexError):
-                continue  # the page this row lived on was damaged
-        self.storage.health.recover()
-        return salvaged
+        with self.storage.write("rebuild") as db:
+            rows = db.execute(
+                "SELECT * FROM bugs WHERE dialect=? AND function=? AND"
+                " statement=? ORDER BY id",
+                (dialect, function, statement),
+            ).fetchall()
+            for dup in rows[1:]:
+                db.execute("DELETE FROM bugs WHERE id=?", (dup["id"],))
+            _fold(db, rows[0], [
+                {
+                    "kinds": json.loads(dup["kinds"]),
+                    "labels": json.loads(dup["labels"]),
+                    "campaigns": json.loads(dup["campaigns"]),
+                    "occurrences": dup["occurrences"],
+                    "peer": dup["peer"],
+                }
+                for dup in rows[1:]
+            ])
+        return len(rows) - 1
 
     @staticmethod
     def _row_to_record(row: sqlite3.Row) -> BugRecord:
@@ -374,24 +380,13 @@ class BugRepository:
                     ),
                 )
                 return int(cursor.lastrowid), True
-            kinds = json.loads(row["kinds"])
-            labels = json.loads(row["labels"])
-            campaigns = json.loads(row["campaigns"])
-            if info["kind"] not in kinds:
-                kinds.append(info["kind"])
-            if info["label"] not in labels:
-                labels.append(info["label"])
-            if campaign_id and campaign_id not in campaigns:
-                campaigns.append(campaign_id)
-            db.execute(
-                "UPDATE bugs SET kinds=?, labels=?, campaigns=?,"
-                " occurrences=occurrences+1, peer=CASE WHEN peer='' THEN ?"
-                " ELSE peer END, updated_at=? WHERE id=?",
-                (
-                    json.dumps(kinds), json.dumps(labels),
-                    json.dumps(campaigns), info["peer"], now, row["id"],
-                ),
-            )
+            _fold(db, row, [{
+                "kinds": [info["kind"]],
+                "labels": [info["label"]],
+                "campaigns": [campaign_id] if campaign_id else [],
+                "occurrences": 1,
+                "peer": info["peer"],
+            }], now)
             return int(row["id"]), False
 
     def record_result(
@@ -568,6 +563,46 @@ class BugRepository:
                         ),
                     )
         return report
+
+
+def _fold(
+    db: sqlite3.Connection,
+    record: sqlite3.Row,
+    others: Sequence[Dict[str, Any]],
+    now: Optional[float] = None,
+) -> None:
+    """Fold *others* into *record*: the one record merge.
+
+    Each of *others* (an ingested finding or a duplicate record) brings
+    ``kinds``, ``labels`` and ``campaigns`` lists, which are unioned into
+    the record's in first-seen order, ``occurrences``, which are added,
+    and a ``peer``, which fills the record's only while it has none.
+    """
+    kinds = json.loads(record["kinds"])
+    labels = json.loads(record["labels"])
+    campaigns = json.loads(record["campaigns"])
+    occurrences = record["occurrences"]
+    peer = record["peer"]
+    for other in others:
+        for merged, items in (
+            (kinds, other["kinds"]),
+            (labels, other["labels"]),
+            (campaigns, other["campaigns"]),
+        ):
+            for item in items:
+                if item not in merged:
+                    merged.append(item)
+        occurrences += other["occurrences"]
+        peer = peer or other["peer"]
+    db.execute(
+        "UPDATE bugs SET kinds=?, labels=?, campaigns=?, occurrences=?,"
+        " peer=?, updated_at=? WHERE id=?",
+        (
+            json.dumps(kinds), json.dumps(labels), json.dumps(campaigns),
+            occurrences, peer, time.time() if now is None else now,
+            record["id"],
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------

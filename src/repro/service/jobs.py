@@ -6,7 +6,10 @@ the scheduler, streaming findings as they surface) or a regression
 **replay** (re-executes stored bug-repository triggers and reports
 status flips).  Jobs move through ``queued → running → done/failed``
 (``cancelled`` while queued or cooperatively while running;
-``rejected`` when a per-submitter quota refuses admission).
+``rejected`` when a per-submitter quota refuses admission).  That
+lifecycle is one table, :data:`LEGAL_EDGES` plus :data:`BIRTH_STATES`,
+read by :meth:`Job._move` — the helper every transition goes through —
+and by the auditor's chain check.
 
 The :class:`JobStore` is the thread-safe registry plus priority work
 queue shared between HTTP handler threads (producers) and N scheduler
@@ -21,7 +24,9 @@ in-memory version:
 * **Leases.**  Workers *claim* jobs (:meth:`JobStore.claim` — a
   compare-and-swap on the ``queued`` state, so a job can never run
   twice concurrently) and must heartbeat to keep the lease; an expired
-  lease makes the job reclaimable by any worker.
+  lease makes the job reclaimable by any worker.  Boot recovery, lease
+  expiry and the auditor's repair all take a job back through one
+  :meth:`JobStore.reclaim`.
 * **Admission control.**  The queue has a depth watermark
   (:class:`QueueFull` → HTTP 429 upstream) and optional per-submitter
   quotas (over-quota jobs land in the terminal ``rejected`` state
@@ -57,6 +62,21 @@ JOB_STATES = (
 
 #: states a job never leaves
 TERMINAL_STATES = ("done", "failed", "cancelled", "rejected")
+
+#: states a job may be born in (its journaled "submitted" transition)
+BIRTH_STATES = frozenset({"queued", "rejected"})
+
+#: the legal (from, to) edges of the lifecycle: every transition a
+#: :class:`Job` makes walks one, and the auditor checks journaled
+#: chains against the same table
+LEGAL_EDGES = frozenset({
+    ("queued", "running"),
+    ("queued", "cancelled"),
+    ("running", "done"),
+    ("running", "failed"),
+    ("running", "queued"),
+    ("running", "cancelled"),
+})
 
 #: cap on the in-job streaming buffer (entries, not bytes); overflow is
 #: counted, not stored
@@ -229,12 +249,13 @@ def result_to_summary(result: Any) -> Dict[str, Any]:
 class Job:
     """One scheduled unit of work, with leased CAS state transitions.
 
-    Every transition method is a compare-and-swap: it checks the current
-    state (and, where relevant, the caller's lease) under the job lock
-    and returns ``False`` without side effects when the precondition no
-    longer holds — a job cancelled between being claimed and being
-    marked running stays cancelled instead of being silently revived.
-    Successful transitions write through to the journal.
+    Every transition method is a compare-and-swap through :meth:`_move`:
+    it checks the current state (and, where relevant, the caller's
+    lease) under the job lock and returns ``False`` without side effects
+    when the precondition no longer holds — a job cancelled between
+    being claimed and being marked running stays cancelled instead of
+    being silently revived.  Successful transitions write through to
+    the journal.
     """
 
     def __init__(
@@ -360,29 +381,52 @@ class Job:
         with self._lock:
             return self.to_row()
 
-    def _gc_sidecars(self) -> None:
-        """Delete checkpoint files once the job is terminal.
-
-        Only store-owned paths (directly under the store's checkpoint
-        directory) are touched — a user-specified ``checkpoint_path``
-        outside it is the user's file to keep.  Removes the checkpoint
-        and every ``<path>.*`` companion (shard files, atomic-write temp
-        files): the ownership rule the auditor's orphan sweep uses too.
-        Caller holds ``_lock``.
-        """
-        path = self.checkpoint_path
-        if not path or not self._sidecar_dir:
-            return
-        owned = os.path.abspath(self._sidecar_dir)
-        if os.path.dirname(os.path.abspath(path)) != owned:
-            return
-        for victim in [path] + glob.glob(glob.escape(path) + ".*"):
-            try:
-                os.remove(victim)
-            except OSError:
-                pass
-
     # -- state transitions (all CAS) ------------------------------------
+    def _move(
+        self,
+        source: str,
+        to: str,
+        detail: str,
+        lease_seq: Optional[int] = None,
+        /,
+        **fields: Any,
+    ) -> bool:
+        """The one state transition (caller holds ``_lock``).
+
+        A compare-and-swap on *source* (and on the lease when *lease_seq*
+        is given) along an edge of :data:`LEGAL_EDGES`; on success it sets
+        *fields*, clears the lease when leaving ``running``, stamps
+        ``finished_at`` and deletes the job's sidecars when *to* is
+        terminal, and journals *detail* as the transition.
+        """
+        if (source, to) not in LEGAL_EDGES:
+            raise ValueError(f"illegal job transition {source!r} -> {to!r}")
+        if self.state != source:
+            return False
+        if lease_seq is not None and self.lease_seq != lease_seq:
+            return False
+        for name, value in fields.items():
+            setattr(self, name, value)
+        self.state = to
+        if source == "running":
+            self.lease_owner = ""
+            self.lease_expires = 0.0
+        if to in TERMINAL_STATES:
+            self.finished_at = time.time()
+            if self._sidecar_dir and self.checkpoint_path and (
+                os.path.dirname(os.path.abspath(self.checkpoint_path))
+                == os.path.abspath(self._sidecar_dir)
+            ):
+                # store-owned paths only: a user-specified checkpoint
+                # outside the store's directory is the user's to keep
+                for victim in sidecar_files(self.checkpoint_path):
+                    try:
+                        os.remove(victim)
+                    except OSError:
+                        pass
+        self._persist(detail)
+        return True
+
     def mark_running(
         self,
         owner: str = "",
@@ -395,15 +439,13 @@ class Job:
         (the PR 6 race this CAS closes).
         """
         with self._lock:
-            if self.state != "queued":
-                return False
-            self.state = "running"
-            self.started_at = time.time()
-            self.lease_owner = owner
-            self.lease_seq += 1
-            self.lease_expires = time.time() + lease_seconds
-            self._persist(f"claimed by {owner or 'worker'}")
-            return True
+            now = time.time()
+            return self._move(
+                "queued", "running", f"claimed by {owner or 'worker'}",
+                started_at=now, lease_owner=owner,
+                lease_seq=self.lease_seq + 1,
+                lease_expires=now + lease_seconds,
+            )
 
     def heartbeat(
         self, lease_seq: int, lease_seconds: float = DEFAULT_LEASE_SECONDS
@@ -424,98 +466,73 @@ class Job:
     ) -> bool:
         """``running → done`` (lease holder only when *lease_seq* given)."""
         with self._lock:
-            if self.state != "running":
-                return False
-            if lease_seq is not None and self.lease_seq != lease_seq:
-                return False
-            self.state = "done"
-            self.finished_at = time.time()
-            if summary is not None:
-                self.summary = summary
-            if self._findings_total > len(self._findings):
-                self.summary = dict(
-                    self.summary,
-                    findings_truncated=self._findings_total - len(self._findings),
-                )
-            self._clear_lease()
-            self._gc_sidecars()
-            self._persist("completed")
-            return True
+            summary = self.summary if summary is None else summary
+            dropped = self._findings_total - len(self._findings)
+            if dropped:
+                summary = dict(summary, findings_truncated=dropped)
+            return self._move(
+                "running", "done", "completed", lease_seq, summary=summary
+            )
 
     def mark_failed(
         self, error: str, lease_seq: Optional[int] = None
     ) -> bool:
         """``running → failed`` terminally, preserving the traceback."""
         with self._lock:
-            if self.state != "running":
-                return False
-            if lease_seq is not None and self.lease_seq != lease_seq:
-                return False
-            self.state = "failed"
-            self.finished_at = time.time()
-            self.error = error
-            self._clear_lease()
-            self._gc_sidecars()
-            self._persist("failed")
-            return True
+            return self._move(
+                "running", "failed", "failed", lease_seq, error=error
+            )
 
     def mark_retrying(
         self,
-        error: str,
+        error: str = "",
         lease_seq: Optional[int] = None,
         backoff_base: float = DEFAULT_BACKOFF_BASE,
         backoff_cap: float = DEFAULT_BACKOFF_CAP,
         expired_only: bool = False,
+        cause: str = "",
     ) -> str:
         """Record a failed attempt: requeue with capped exponential
         backoff, or turn terminal once retries are exhausted.
 
-        *expired_only* makes the transition conditional on the lease
-        having lapsed — the reclaimer's guard against racing a worker
-        whose heartbeat arrived after the expiry scan read the lease.
+        A reclaim (:meth:`JobStore.reclaim`) passes *cause* instead of
+        *error*: it is journaled as the transition, and the error reads
+        ``"<cause>; attempt abandoned"`` or ``"<cause>; retries
+        exhausted"``.  *expired_only* makes the transition conditional on
+        the lease having lapsed — the reclaimer's guard against racing a
+        worker whose heartbeat arrived after the expiry scan read the
+        lease.
 
         Returns the resulting state (``"queued"``/``"failed"``), or
         ``""`` when the CAS lost (not running / stale lease / renewed).
         """
         with self._lock:
-            if self.state != "running":
-                return ""
-            if lease_seq is not None and self.lease_seq != lease_seq:
-                return ""
             if expired_only and self.lease_expires >= time.time():
                 return ""
             if self.retries >= self.max_retries:
-                self.state = "failed"
-                self.finished_at = time.time()
-                self.error = error
-                self._clear_lease()
-                self._gc_sidecars()
-                self._persist("retries exhausted")
-                return self.state
-            self.retries += 1
-            delay = min(backoff_cap, backoff_base * (2 ** (self.retries - 1)))
-            self.next_attempt_at = time.time() + delay
-            self.error = error
-            self.state = "queued"
-            self._clear_lease()
-            self._persist(
-                f"retry {self.retries}/{self.max_retries} in {delay:.1f}s"
-            )
-            return self.state
+                moved = self._move(
+                    "running", "failed", cause or "retries exhausted",
+                    lease_seq,
+                    error=f"{cause}; retries exhausted" if cause else error,
+                )
+            else:
+                retries = self.retries + 1
+                delay = min(backoff_cap, backoff_base * (2 ** (retries - 1)))
+                detail = f"retry {retries}/{self.max_retries} in {delay:.1f}s"
+                moved = self._move(
+                    "running", "queued", cause or detail, lease_seq,
+                    error=f"{cause}; attempt abandoned" if cause else error,
+                    retries=retries,
+                    next_attempt_at=time.time() + delay,
+                )
+            return self.state if moved else ""
 
     def requeue(
         self, lease_seq: Optional[int] = None, detail: str = "requeued"
     ) -> bool:
         """``running → queued`` without burning a retry (graceful drain)."""
         with self._lock:
-            if self.state != "running":
-                return False
-            if lease_seq is not None and self.lease_seq != lease_seq:
-                return False
-            self.state = "queued"
-            self._clear_lease()
-            self._persist(detail)
-            return True
+            return self._move("running", "queued", detail, lease_seq)
 
     def mark_cancelled(self) -> str:
         """Request cancellation.
@@ -526,11 +543,7 @@ class Job:
         ``""``.
         """
         with self._lock:
-            if self.state == "queued":
-                self.state = "cancelled"
-                self.finished_at = time.time()
-                self._gc_sidecars()
-                self._persist("cancelled while queued")
+            if self._move("queued", "cancelled", "cancelled while queued"):
                 return "cancelled"
             if self.state == "running":
                 self.cancel_event.set()
@@ -540,27 +553,17 @@ class Job:
     def finish_cancelled(self, lease_seq: Optional[int] = None) -> bool:
         """``running → cancelled`` after a cooperative stop."""
         with self._lock:
-            if self.state != "running":
-                return False
-            if lease_seq is not None and self.lease_seq != lease_seq:
-                return False
-            self.state = "cancelled"
-            self.finished_at = time.time()
-            self._clear_lease()
-            self._gc_sidecars()
-            self._persist("cancelled while running")
-            return True
+            return self._move(
+                "running", "cancelled", "cancelled while running", lease_seq
+            )
 
     def mark_rejected(self, reason: str) -> None:
-        """Admission refused (quota): terminal from birth."""
+        """Admission refused (quota): born terminal, before it is
+        journaled (see :data:`BIRTH_STATES`)."""
         with self._lock:
             self.state = "rejected"
             self.error = reason
             self.finished_at = time.time()
-
-    def _clear_lease(self) -> None:
-        self.lease_owner = ""
-        self.lease_expires = 0.0
 
     # -- streaming ------------------------------------------------------
     def add_finding(self, finding: Any, position: int = -1) -> None:
@@ -643,6 +646,21 @@ class Job:
             return data
 
 
+def sidecar_files(checkpoint_path: str) -> List[str]:
+    """The files a job's checkpoint owns: *checkpoint_path* itself and
+    every ``<path>.*`` companion (shard files, atomic-write temps).
+
+    The one ownership rule: a terminal job's GC deletes exactly these,
+    and the auditor calls a file in the checkpoint directory orphaned
+    when no live job owns it.
+    """
+    if not checkpoint_path:
+        return []
+    return glob.glob(glob.escape(checkpoint_path)) + glob.glob(
+        glob.escape(checkpoint_path) + ".*"
+    )
+
+
 def _loads(value: Any) -> Dict[str, Any]:
     if isinstance(value, str):
         return json.loads(value) if value else {}
@@ -723,15 +741,15 @@ class JobStore:
         for job in self.list():
             if job.state == "running":
                 # the owning process is gone: its lease is void by fiat
-                state = self._reclaim(job, detail="orphaned by restart")
-                if state == "queued":
-                    report["requeued"].append(job.job_id)
-                elif state == "failed":
-                    report["failed"].append(job.job_id)
+                state = self.reclaim(
+                    job, "orphaned by restart", expired_only=False
+                )
+                if state:
+                    outcome = "requeued" if state == "queued" else "failed"
+                    report[outcome].append(job.job_id)
             elif job.state == "queued":
                 report["requeued"].append(job.job_id)
-        for job_id in report["requeued"]:
-            self._wake.put(job_id)
+                self._wake.put(job.job_id)
         return report
 
     # -- submission (HTTP side) -----------------------------------------
@@ -873,13 +891,8 @@ class JobStore:
         now = time.time()
         for job in self.list():
             if job.state == "running" and 0 < job.lease_expires < now:
-                state = self._reclaim(
-                    job, detail="lease expired", expired_only=True
-                )
-                if state:
+                if self.reclaim(job, "lease expired"):
                     reclaimed.append(job.job_id)
-                    if state == "queued":
-                        self._wake.put(job.job_id)
         return reclaimed
 
     def notify(self, job_id: str) -> None:
@@ -980,15 +993,26 @@ class JobStore:
         with self._lock:
             return dict(self._tenant_statements)
 
-    def _reclaim(self, job: Job, detail: str, expired_only: bool = False) -> str:
-        """Shared requeue path for recovery and expiry."""
-        return job.mark_retrying(
-            f"{detail}; attempt abandoned",
-            lease_seq=None,
+    def reclaim(self, job: Job, cause: str, expired_only: bool = True) -> str:
+        """Take back a running job whose worker is gone: the one reclaim.
+
+        Boot recovery (``"orphaned by restart"``, the lease void by
+        fiat), lease expiry (``"lease expired"``) and the auditor's
+        repair (``"reclaimed by audit"``) all come here: one retry is
+        burned and the job requeues under the store's backoff (a
+        campaign resumes from its checkpoint when a worker next starts
+        it), or it turns ``failed`` once its retries are exhausted.
+        Returns the resulting state, or ``""`` when the CAS lost.
+        """
+        state = job.mark_retrying(
             backoff_base=self.backoff_base,
             backoff_cap=self.backoff_cap,
             expired_only=expired_only,
+            cause=cause,
         )
+        if state == "queued":
+            self._wake.put(job.job_id)
+        return state
 
     def poison(self, count: int = 1) -> None:
         """Wake *count* blocked workers so they observe shutdown."""

@@ -36,9 +36,9 @@ Design notes:
   (``lost_writes`` in ``/health``), and :meth:`JobJournal.resync`
   repairs the file from memory once a probe write succeeds.
 
-:func:`~repro.service.storage.open_database` (re-exported here for
-compatibility) is the shared connection helper also used by
-:mod:`repro.service.bugrepo` so both databases get the same pragmas.
+A journal that fails its integrity check when opened is quarantined and
+rebuilt by :func:`~repro.service.storage.open_or_salvage`, which
+re-inserts each readable job row through :meth:`JobJournal.salvage`.
 """
 
 from __future__ import annotations
@@ -49,16 +49,9 @@ import threading
 from typing import Any, Dict, List, Optional, Set
 
 from ..robustness.chaos import StorageFaultInjector
-from .storage import (
-    CorruptionDetected,
-    SqliteStorage,
-    StorageError,
-    open_database,
-)
+from .storage import CorruptionDetected, SqliteStorage, StorageError
 
-__all__ = [
-    "JOURNAL_VERSION", "JobJournal", "JournalError", "open_database",
-]
+__all__ = ["JOURNAL_VERSION", "JobJournal", "JournalError"]
 
 #: bump when the journal layout changes incompatibly
 JOURNAL_VERSION = 1
@@ -126,13 +119,19 @@ class JobJournal:
     quarantine and rebuild.
     """
 
+    #: the storage subsystem's name (health, fault sites, crash points)
+    SUBSYSTEM = "journal"
+    #: what :func:`~repro.service.storage.open_or_salvage` copies out of
+    #: a quarantined journal
+    SALVAGE_QUERY = "SELECT * FROM jobs ORDER BY seq"
+
     def __init__(
         self,
         path: str,
         chaos: Optional[StorageFaultInjector] = None,
     ) -> None:
         self.path = path
-        self.storage = SqliteStorage("journal", path, chaos=chaos)
+        self.storage = SqliteStorage(self.SUBSYSTEM, path, chaos=chaos)
         self._lock = threading.RLock()
         self._db: Optional[sqlite3.Connection] = self.storage.open(
             check_same_thread=False
@@ -334,9 +333,11 @@ class JobJournal:
                 return False
             return self.storage.probe(db=self._db)
 
-    def integrity_failure(self) -> Optional[str]:
-        with self._lock:
-            return self.storage.integrity_failure(self._db)
+    def salvage(self, row: Dict[str, Any]) -> None:
+        """Re-insert one job row from a quarantined journal; its history
+        restarts with a ``resynced`` transition, which the auditor's
+        chain check accepts."""
+        self.resync([row])
 
     # ------------------------------------------------------------------
     def load_rows(self) -> List[Dict[str, Any]]:

@@ -79,12 +79,12 @@ from urllib.parse import parse_qs, urlparse
 
 from ..core.config import CampaignConfig
 from ..robustness.chaos import StorageFaultInjector
-from .audit import ServiceAuditor, rebuild_journal
+from .audit import ServiceAuditor
 from .bugrepo import BugRepository
 from .jobs import JobStore, QueueFull, TenantBudget
 from .journal import JobJournal
 from .scheduler import SchedulerPool
-from .storage import CorruptionDetected, SqliteStorage, StorageError
+from .storage import StorageError, open_or_salvage
 
 _JOB_RE = re.compile(
     r"^/jobs/(?P<id>[\w-]+)(?P<rest>/findings|/cancel|/transitions)?$"
@@ -129,7 +129,6 @@ class BugService:
         preemption: bool = True,
         tenant_budget: Optional[Union[str, TenantBudget]] = None,
         chaos: Optional[StorageFaultInjector] = None,
-        audit_on_start: bool = True,
     ) -> None:
         self.data_dir = data_dir
         #: per-job ResourceGovernor quota applied to campaign submissions
@@ -146,31 +145,22 @@ class BugService:
         os.makedirs(data_dir, exist_ok=True)
         #: boot-time quarantine-and-rebuild events (surfaced in /health)
         self.rebuilds: Dict[str, Dict[str, Any]] = {}
-        bug_path = os.path.join(data_dir, "bugs.sqlite")
-        try:
-            self.repo = BugRepository(
-                bug_path, minimize=minimize, chaos=self.chaos
-            )
-        except CorruptionDetected:
-            quarantined = SqliteStorage(
-                "bugrepo", bug_path, chaos=self.chaos
-            ).quarantine()
-            self.repo = BugRepository(
-                bug_path, minimize=minimize, chaos=self.chaos
-            )
-            salvaged = self.repo.salvage_from(quarantined)
-            self.rebuilds["bugrepo"] = {
-                "quarantined": quarantined, "salvaged": salvaged,
-            }
-        journal_path = os.path.join(data_dir, "jobs.sqlite")
-        try:
-            self.journal = JobJournal(journal_path, chaos=self.chaos)
-        except CorruptionDetected:
-            quarantined, salvaged = rebuild_journal(journal_path, self.chaos)
-            self.journal = JobJournal(journal_path, chaos=self.chaos)
-            self.rebuilds["journal"] = {
-                "quarantined": quarantined, "salvaged": salvaged,
-            }
+        self.repo, bug_salvage = open_or_salvage(
+            BugRepository, os.path.join(data_dir, "bugs.sqlite"),
+            chaos=self.chaos, minimize=minimize,
+        )
+        self.journal, journal_salvage = open_or_salvage(
+            JobJournal, os.path.join(data_dir, "jobs.sqlite"),
+            chaos=self.chaos,
+        )
+        for name, salvage in (
+            ("bugrepo", bug_salvage), ("journal", journal_salvage),
+        ):
+            if salvage is not None:
+                self.rebuilds[name] = {
+                    "quarantined": salvage.quarantined,
+                    "salvaged": salvage.salvaged,
+                }
         self.store = JobStore(
             journal=self.journal,
             checkpoint_dir=os.path.join(data_dir, "checkpoints"),
@@ -183,17 +173,11 @@ class BugService:
         )
         #: what crash recovery re-enqueued/abandoned at boot
         self.recovered = self.store.recover()
-        #: the startup invariant audit (None when audit_on_start=False)
-        self.audit_report = None
-        if audit_on_start:
-            auditor = ServiceAuditor(
-                journal=self.journal,
-                repo=self.repo,
-                store=self.store,
-                checkpoint_dir=self.store.checkpoint_dir,
-                chaos=self.chaos,
-            )
-            self.audit_report = auditor.run(repair=True)
+        #: the startup invariant audit, with repairs (its summary rides
+        #: in /health)
+        self.audit_report = ServiceAuditor(
+            store=self.store, repo=self.repo
+        ).run(repair=True)
         self.pool = SchedulerPool(self.store, self.repo, workers=workers)
         self._draining = threading.Event()
         self._httpd = ThreadingHTTPServer((host, port), _make_handler(self))
@@ -308,10 +292,9 @@ class BugService:
             "storage": storage,
             "preemptions": self.store.preemption_count,
         }
-        if self.audit_report is not None:
-            summary = self.audit_report.to_dict()
-            summary.pop("findings", None)
-            payload["audit"] = summary
+        summary = self.audit_report.to_dict()
+        summary.pop("findings", None)
+        payload["audit"] = summary
         if self.rebuilds:
             payload["rebuilds"] = self.rebuilds
         if self.store.tenant_budget is not None:

@@ -36,6 +36,11 @@ touch a bad page.  This module is the explicit boundary:
   degraded (the data-loss bound the README's failure-mode matrix
   documents).
 
+:func:`open_or_salvage` is the one repair path for a corrupt file: the
+service's boot and the offline auditor both open each database through
+it, which quarantines a file that fails its integrity check and
+rebuilds it from whatever rows still read.
+
 :func:`crash_points` enumerates every named crash point so the CI
 harness can kill-and-restart the service at each one — the storage
 equivalent of the paper's boundary-value sweep.
@@ -50,6 +55,7 @@ import sqlite3
 import threading
 import time
 from contextlib import contextmanager
+from dataclasses import dataclass
 from typing import Any, Dict, Iterator, Optional, Tuple
 
 from ..robustness.chaos import StorageFaultInjector
@@ -440,6 +446,65 @@ class SqliteStorage:
         return dest
 
 
+@dataclass
+class Salvage:
+    """What :func:`open_or_salvage` found wrong with a database file."""
+
+    failure: str          # why the file was refused
+    quarantined: str = ""  # where it was moved ("" when left in place)
+    salvaged: int = 0      # rows copied into the rebuilt file
+
+
+def open_or_salvage(
+    cls: Any,
+    path: str,
+    chaos: Optional[StorageFaultInjector] = None,
+    repair: bool = True,
+    **kwargs: Any,
+) -> Tuple[Any, Optional[Salvage]]:
+    """Open a service database, quarantining and rebuilding a corrupt one.
+
+    The one repair path for both databases, used by the service's boot
+    and by the offline auditor.  *cls* is
+    :class:`~repro.service.journal.JobJournal` or
+    :class:`~repro.service.bugrepo.BugRepository`: its constructor
+    checks the file's integrity (the one check per open) and raises
+    :class:`CorruptionDetected` when it fails.  With *repair* the file
+    is then moved aside (:meth:`SqliteStorage.quarantine`), *cls* opens
+    a fresh one, and ``cls.salvage(row)`` copies every row of
+    ``cls.SALVAGE_QUERY`` the quarantined file still yields; rows on
+    damaged pages are skipped.  Returns ``(database, salvage)``:
+    *salvage* is ``None`` for a healthy file, and *database* is ``None``
+    for a corrupt one left in place because *repair* is off.
+    """
+    try:
+        return cls(path, chaos=chaos, **kwargs), None
+    except CorruptionDetected as exc:
+        salvage = Salvage(str(exc))
+    if not repair:
+        return None, salvage
+    salvage.quarantined = SqliteStorage(
+        cls.SUBSYSTEM, path, chaos=chaos
+    ).quarantine()
+    database = cls(path, chaos=chaos, **kwargs)
+    try:
+        old = sqlite3.connect(salvage.quarantined)
+        old.row_factory = sqlite3.Row
+        try:
+            rows = old.execute(cls.SALVAGE_QUERY).fetchall()
+        finally:
+            old.close()
+    except sqlite3.Error:
+        rows = []
+    for row in rows:
+        try:
+            database.salvage(dict(row))
+        except (StorageError, sqlite3.Error, KeyError, ValueError):
+            continue  # the page this row lived on was damaged
+        salvage.salvaged += 1
+    return database, salvage
+
+
 def _rollback_quietly(db: sqlite3.Connection) -> None:
     try:
         db.rollback()
@@ -458,6 +523,7 @@ __all__ = [
     "CorruptionDetected",
     "DEFAULT_LOCKED_ATTEMPTS",
     "DEFAULT_LOCKED_BACKOFF",
+    "Salvage",
     "SqliteStorage",
     "StorageError",
     "StorageHealth",
@@ -465,4 +531,5 @@ __all__ = [
     "WRITE_OPS",
     "crash_points",
     "open_database",
+    "open_or_salvage",
 ]

@@ -29,7 +29,7 @@ from repro.robustness.chaos import (
 )
 from repro.robustness.governor import ResourceBudgets
 from repro.service import BugService
-from repro.service.audit import ServiceAuditor, rebuild_journal
+from repro.service.audit import ServiceAuditor
 from repro.service.bugrepo import BugRepository
 from repro.service.jobs import (
     Job,
@@ -45,6 +45,7 @@ from repro.service.storage import (
     StorageUnavailable,
     crash_points,
     open_database,
+    open_or_salvage,
 )
 
 from .test_service import _request, _wait
@@ -446,7 +447,10 @@ class TestBugrepoQuarantineRebuild:
             repo.count()
         assert repo.integrity_failure() == "injected corruption latch"
 
-        quarantined, salvaged = repo.quarantine_and_rebuild()
+        repo, salvage = open_or_salvage(
+            BugRepository, path, chaos=chaos, minimize=False
+        )
+        quarantined, salvaged = salvage.quarantined, salvage.salvaged
         assert quarantined == path + ".corrupt-1"
         assert salvaged == 2
         assert repo.count() == 2
@@ -637,7 +641,14 @@ class TestServiceAuditor:
         store.submit("replay", params={"dialect": "duckdb"})
         journal.close()
 
-        quarantined, salvaged = rebuild_journal(path)
+        # a journal that fails its integrity check is quarantined on open
+        chaos = StorageFaultInjector()
+        chaos.arm_corruption("journal")
+        salvaged_journal, salvage = open_or_salvage(
+            JobJournal, path, chaos=chaos
+        )
+        salvaged_journal.close()
+        quarantined, salvaged = salvage.quarantined, salvage.salvaged
         assert quarantined == path + ".corrupt-1"
         assert salvaged == 2
         rebuilt = JobJournal(path)

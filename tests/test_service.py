@@ -603,7 +603,7 @@ class TestSchedulerFailurePaths:
         pool = SchedulerPool(store, repo, workers=2).start()
         job = store.submit(
             "campaign",
-            config=CampaignConfig(dialect="duckdb", budget=20_000, jobs=2),
+            config=CampaignConfig(dialect="duckdb", budget=40_000, jobs=2),
         )
         try:
             assert self._wait_state(job, TERMINAL_STATES, 120) == "done", job.error
