@@ -30,7 +30,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from ..robustness.chaos import StorageFaultInjector
 from .bugrepo import BugRepository
 from .jobs import (
     BIRTH_STATES,
@@ -122,7 +121,6 @@ class ServiceAuditor:
         data_dir: Optional[str] = None,
         store: Optional[JobStore] = None,
         repo: Optional[BugRepository] = None,
-        chaos: Optional[StorageFaultInjector] = None,
     ) -> None:
         if data_dir is None and store is None and repo is None:
             raise ValueError(
@@ -131,7 +129,6 @@ class ServiceAuditor:
         self.data_dir = data_dir
         self.store = store
         self.repo = repo
-        self.chaos = chaos
 
     # ------------------------------------------------------------------
     def run(self, repair: bool = False) -> AuditReport:
@@ -193,9 +190,14 @@ class ServiceAuditor:
             return None  # nothing written yet: vacuously consistent
         check = f"{cls.SUBSYSTEM}.integrity"
         report.checks.append(check)
-        database, salvage = open_or_salvage(
-            cls, path, chaos=self.chaos, repair=repair, **kwargs
-        )
+        try:
+            database, salvage = open_or_salvage(
+                cls, path, repair=repair, **kwargs
+            )
+        except StorageError as exc:
+            # unreadable right now (locked, disk full): report, no repair
+            report.findings.append(AuditFinding(check, "error", path, str(exc)))
+            return None
         if salvage is not None:
             finding = AuditFinding(check, "error", path, salvage.failure)
             if database is not None:
@@ -268,7 +270,14 @@ class ServiceAuditor:
             )
             report.findings.append(finding)
             if repair:
-                state = store.reclaim(job, "reclaimed by audit")
+                outcome = (
+                    "retries exhausted" if job.retries_exhausted
+                    else "attempt abandoned"
+                )
+                state = store.reclaim(
+                    job, f"reclaimed by audit; {outcome}",
+                    detail="reclaimed by audit",
+                )
                 finding.repaired = bool(state)
                 finding.repair = {
                     "queued": "requeued",

@@ -387,23 +387,23 @@ class Job:
         source: str,
         to: str,
         detail: str,
-        lease_seq: Optional[int] = None,
-        /,
+        expect_lease: Optional[int] = None,
         **fields: Any,
     ) -> bool:
         """The one state transition (caller holds ``_lock``).
 
-        A compare-and-swap on *source* (and on the lease when *lease_seq*
-        is given) along an edge of :data:`LEGAL_EDGES`; on success it sets
-        *fields*, clears the lease when leaving ``running``, stamps
-        ``finished_at`` and deletes the job's sidecars when *to* is
-        terminal, and journals *detail* as the transition.
+        A compare-and-swap on *source* (and on the lease when
+        *expect_lease* is given) along an edge of :data:`LEGAL_EDGES`;
+        on success it sets *fields*, clears the lease when leaving
+        ``running``, stamps ``finished_at`` and deletes the job's
+        sidecars when *to* is terminal, and journals *detail* as the
+        transition.
         """
         if (source, to) not in LEGAL_EDGES:
             raise ValueError(f"illegal job transition {source!r} -> {to!r}")
         if self.state != source:
             return False
-        if lease_seq is not None and self.lease_seq != lease_seq:
+        if expect_lease is not None and self.lease_seq != expect_lease:
             return False
         for name, value in fields.items():
             setattr(self, name, value)
@@ -457,6 +457,11 @@ class Job:
             self.lease_expires = time.time() + lease_seconds
             return True
 
+    @property
+    def retries_exhausted(self) -> bool:
+        """Another failed attempt turns the job ``failed``."""
+        return self.retries >= self.max_retries
+
     def lease_valid(self, lease_seq: int) -> bool:
         with self._lock:
             return self.state == "running" and self.lease_seq == lease_seq
@@ -485,23 +490,21 @@ class Job:
 
     def mark_retrying(
         self,
-        error: str = "",
+        error: str,
         lease_seq: Optional[int] = None,
         backoff_base: float = DEFAULT_BACKOFF_BASE,
         backoff_cap: float = DEFAULT_BACKOFF_CAP,
         expired_only: bool = False,
-        cause: str = "",
+        detail: Optional[str] = None,
     ) -> str:
         """Record a failed attempt: requeue with capped exponential
         backoff, or turn terminal once retries are exhausted.
 
-        A reclaim (:meth:`JobStore.reclaim`) passes *cause* instead of
-        *error*: it is journaled as the transition, and the error reads
-        ``"<cause>; attempt abandoned"`` or ``"<cause>; retries
-        exhausted"``.  *expired_only* makes the transition conditional on
-        the lease having lapsed — the reclaimer's guard against racing a
-        worker whose heartbeat arrived after the expiry scan read the
-        lease.
+        The transition journals *detail*, by default the retry count and
+        delay (``"retry 1/3 in 1.0s"``) or ``"retries exhausted"``.
+        *expired_only* makes the transition conditional on the lease
+        having lapsed — the reclaimer's guard against racing a worker
+        whose heartbeat arrived after the expiry scan read the lease.
 
         Returns the resulting state (``"queued"``/``"failed"``), or
         ``""`` when the CAS lost (not running / stale lease / renewed).
@@ -509,20 +512,20 @@ class Job:
         with self._lock:
             if expired_only and self.lease_expires >= time.time():
                 return ""
-            if self.retries >= self.max_retries:
+            if self.retries_exhausted:
                 moved = self._move(
-                    "running", "failed", cause or "retries exhausted",
-                    lease_seq,
-                    error=f"{cause}; retries exhausted" if cause else error,
+                    "running", "failed", detail or "retries exhausted",
+                    lease_seq, error=error,
                 )
             else:
                 retries = self.retries + 1
                 delay = min(backoff_cap, backoff_base * (2 ** (retries - 1)))
-                detail = f"retry {retries}/{self.max_retries} in {delay:.1f}s"
+                detail = detail or (
+                    f"retry {retries}/{self.max_retries} in {delay:.1f}s"
+                )
                 moved = self._move(
-                    "running", "queued", cause or detail, lease_seq,
-                    error=f"{cause}; attempt abandoned" if cause else error,
-                    retries=retries,
+                    "running", "queued", detail, lease_seq,
+                    error=error, retries=retries,
                     next_attempt_at=time.time() + delay,
                 )
             return self.state if moved else ""
@@ -742,7 +745,8 @@ class JobStore:
             if job.state == "running":
                 # the owning process is gone: its lease is void by fiat
                 state = self.reclaim(
-                    job, "orphaned by restart", expired_only=False
+                    job, "orphaned by restart; attempt abandoned",
+                    expired_only=False,
                 )
                 if state:
                     outcome = "requeued" if state == "queued" else "failed"
@@ -891,7 +895,7 @@ class JobStore:
         now = time.time()
         for job in self.list():
             if job.state == "running" and 0 < job.lease_expires < now:
-                if self.reclaim(job, "lease expired"):
+                if self.reclaim(job, "lease expired; attempt abandoned"):
                     reclaimed.append(job.job_id)
         return reclaimed
 
@@ -993,22 +997,29 @@ class JobStore:
         with self._lock:
             return dict(self._tenant_statements)
 
-    def reclaim(self, job: Job, cause: str, expired_only: bool = True) -> str:
+    def reclaim(
+        self,
+        job: Job,
+        error: str,
+        detail: Optional[str] = None,
+        expired_only: bool = True,
+    ) -> str:
         """Take back a running job whose worker is gone: the one reclaim.
 
-        Boot recovery (``"orphaned by restart"``, the lease void by
-        fiat), lease expiry (``"lease expired"``) and the auditor's
-        repair (``"reclaimed by audit"``) all come here: one retry is
-        burned and the job requeues under the store's backoff (a
-        campaign resumes from its checkpoint when a worker next starts
-        it), or it turns ``failed`` once its retries are exhausted.
-        Returns the resulting state, or ``""`` when the CAS lost.
+        Boot recovery (the lease void by fiat), lease expiry and the
+        auditor's repair all come here: one retry is burned and the job
+        requeues under the store's backoff (a campaign resumes from its
+        checkpoint when a worker next starts it), or it turns ``failed``
+        once its retries are exhausted.  *error* and *detail* are
+        recorded as in :meth:`Job.mark_retrying`.  Returns the resulting
+        state, or ``""`` when the CAS lost.
         """
         state = job.mark_retrying(
+            error,
             backoff_base=self.backoff_base,
             backoff_cap=self.backoff_cap,
             expired_only=expired_only,
-            cause=cause,
+            detail=detail,
         )
         if state == "queued":
             self._wake.put(job.job_id)

@@ -660,6 +660,30 @@ class TestServiceAuditor:
         # the salvaged journal passes the transition-chain check
         assert ServiceAuditor(data_dir=str(tmp_path)).run().ok
 
+    @pytest.mark.parametrize(
+        "message", ["database or disk is full", "database is locked"],
+    )
+    def test_unopenable_database_is_reported_not_raised(
+        self, tmp_path, monkeypatch, capsys, message
+    ):
+        import repro.service.storage as storage
+        from repro.cli import main
+
+        _seed_journal(tmp_path)
+
+        def refuse(*args, **kwargs):
+            raise sqlite3.OperationalError(message)
+
+        monkeypatch.setattr(storage, "open_database", refuse)
+        report = ServiceAuditor(data_dir=str(tmp_path)).run(repair=True)
+        assert not report.ok
+        (finding,) = report.errors
+        assert finding.check == "journal.integrity"
+        assert message in finding.detail and not finding.repaired
+        assert os.path.exists(tmp_path / "jobs.sqlite")  # not quarantined
+        assert main(["audit", "--data-dir", str(tmp_path)]) == 1
+        assert "audit FAILED" in capsys.readouterr().out
+
     def test_audit_cli(self, tmp_path, capsys):
         from repro.cli import main
 

@@ -95,6 +95,21 @@ def test_every_store_path_audits_clean(tmp_path):
     assert report.ok, report.to_dict()
 
 
+@pytest.mark.parametrize("retries", [0, 1])
+def test_live_reclaims_journal_the_retry_count(tmp_path, retries):
+    journal = JobJournal(str(tmp_path / "jobs.sqlite"))
+    store = JobStore(journal=journal, max_retries=1, backoff_base=1.0)
+    job = store.submit("replay")
+    job.retries = retries
+    store.claim(owner="w0")
+    job.lease_expires = time.time() - 1.0
+    assert store.reclaim_expired() == [job.job_id]
+    detail = journal.transitions(job.job_id)[-1]["detail"]
+    journal.close()
+    assert detail == ("retry 1/1 in 1.0s" if retries == 0 else "retries exhausted")
+    assert job.error == "lease expired; attempt abandoned"
+
+
 def _stale_journal(path, retries):
     """A journal holding one job whose worker died mid-run."""
     journal = JobJournal(path)
