@@ -133,13 +133,6 @@ class CampaignResult:
             return 0.0
         return self.queries_executed / self.wall_seconds
 
-    def bugs_by(self, attr: str) -> dict:
-        out: dict = {}
-        for bug in self.bugs:
-            key = getattr(bug, attr)
-            out[key] = out.get(key, 0) + 1
-        return out
-
     def bug_keys(self) -> Set[Tuple[str, str]]:
         """The deduplicated bug identities (function, crash class)."""
         return {(b.function, b.crash_code) for b in self.bugs}

@@ -45,7 +45,6 @@ from ..sqlast import (
 )
 from ..sqlast.lexer import LexError
 from ..sqlast.tokens import Token, TokenKind
-from ..sqlast.visitor import count_function_calls
 
 
 @dataclass(frozen=True)
@@ -60,10 +59,6 @@ class Seed:
     @property
     def sql(self) -> str:
         return to_sql(self.expression)
-
-    @property
-    def call_count(self) -> int:
-        return count_function_calls(self.expression)
 
 
 #: collected seeds by the digest of their sources (see

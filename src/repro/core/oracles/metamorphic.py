@@ -17,28 +17,36 @@ fuzz_t WHERE <p>``) and check one law each:
   :func:`repro.engine.optimizer.optimize_statement`) must return the
   same rows as the optimized plan.  A rewrite that is not
   semantics-preserving — the classic being a constant fold that loses
-  NULL — shows up as a fingerprint divergence between the two arms.
+  NULL — shows up as a fingerprint divergence between the two runs.
 
-Both laws are checked on **oracle-owned servers** built from the campaign
-dialect, not on the campaign's own connection: the campaign runner may be
-injecting infrastructure faults, and a law verdict must come from
-deterministic, interference-free executions.  Each arm keeps its own
-optimizer configuration for its whole life, so the reference arm never
-shares a server with the optimized one.
+Each oracle owns **one server** built from the campaign dialect, with the
+``fuzz_t`` table seeded, and one optimizer configuration for its whole life:
+TLP's server optimizes (it runs the partition reunion and the base query),
+NoREC's suppresses optimization (it runs the reference side).  NoREC's
+optimized side is no second execution: it is the campaign runner's own run
+of the statement, whose result fingerprint the runner hands over
+(``Outcome.fingerprint``, captured because NoREC sets
+``needs_fingerprints``).  That run *is* the original query the law speaks
+about.  It is interference-free even under ``--faults``: the fault
+injector either raises (hang, drop, flaky crash), which makes the outcome
+something other than ``ok``, or only advances the simulated clock (slow),
+so it never alters rows, and an ``ok`` result is a clean one.  A statement
+whose result the runner could not fingerprint (``fingerprint`` is
+``None``) is skipped.
 
 False-positive discipline comes from :mod:`.guards`: statements calling
 impure or ``system``/``sequence`` functions are skipped — the
 per-statement RNG is keyed on statement text, so a partition variant of
-an impure call legitimately draws differently.  An arm that raises an SQL
-error skips the statement (strictness is the conformance oracle's
-business); an arm that crashes is rebuilt and the statement skipped
-(crashes are the crash oracle's).
+an impure call legitimately draws differently.  A statement that raises an
+SQL error on the oracle's server is skipped (strictness is the conformance
+oracle's business); a server that crashes is rebuilt and the statement
+skipped (crashes are the crash oracle's).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from ...dialects.base import Dialect
 from ...dialects.bugs import LogicFlaw, find_predicate_flaw
@@ -73,8 +81,8 @@ _LABELS = {"cardinality": "WRONGCARD", "type": "WRONGTYPE", "value": "WRONG"}
 #: the select head shared by the base query and every partition variant
 _HEAD = BASE_QUERY[:-1]  # "SELECT k, i, s, d FROM fuzz_t"
 
-#: ``optimizer_passes`` value that turns optimization off (the NoREC
-#: reference arm)
+#: ``optimizer_passes`` value that turns optimization off (NoREC's
+#: reference side)
 SUPPRESS_PASSES = "none"
 
 
@@ -84,8 +92,8 @@ def tlp_partition_statement(head: str, predicate: str) -> str:
     ``head`` is a complete ``SELECT ... FROM ...`` without a WHERE clause;
     the statement unions the IS-TRUE, IS-FALSE, and IS-NULL camps with
     ``UNION ALL`` so multiset cardinality survives.  It parses to
-    :func:`tlp_union`'s tree, which is what the arms execute; the text only
-    keys the arm's per-statement RNG.
+    :func:`tlp_union`'s tree, which is what TLP's server executes; the text
+    only keys that server's per-statement RNG.
     """
     return (
         f"{head} WHERE ({predicate}) "
@@ -132,8 +140,8 @@ class MetamorphicFinding(Finding):
     pattern: str                 # generation pattern of the statement
     sql: str
     query_index: int             # 1-based global statement position
-    own_digest: str              # base query (TLP) / optimized arm (NoREC)
-    variant_digest: str          # partition union (TLP) / suppressed arm
+    own_digest: str              # base query (TLP) / the runner's run (NoREC)
+    variant_digest: str          # partition union (TLP) / suppressed run
     flaw: Optional[LogicFlaw] = field(default=None, compare=False)
 
     @property
@@ -163,19 +171,22 @@ class MetamorphicFinding(Finding):
 
 
 class _MetamorphicOracle(Oracle):
-    """Shared harness: arm servers and FP guards."""
+    """Shared harness: the oracle's own server and FP guards."""
 
     finding_class = MetamorphicFinding
     counters = DIAGNOSTICS
     #: finding discriminator and PREDICATE_KINDS entry ("tlp" | "norec")
     oracle_kind = ""
+    #: ``optimizer_passes`` of the oracle's server; ``None`` keeps the
+    #: dialect's optimizer on
+    optimizer_passes: Optional[str] = None
 
     def __init__(self, dialect: Dialect) -> None:
         super().__init__(dialect.name)
         self.dialect = dialect
-        # arm key -> (server, connection); built on first use so a campaign
-        # that never emits a predicate statement pays nothing
-        self._arms: Dict[str, Tuple] = {}
+        # (server, connection); built on first use so a campaign that never
+        # emits a predicate statement pays nothing
+        self._server: Optional[Tuple] = None
 
     # ------------------------------------------------------------------
     def observe(
@@ -217,35 +228,32 @@ class _MetamorphicOracle(Oracle):
     def _check(
         self, outcome: Outcome
     ) -> Optional[Tuple[ResultFingerprint, ResultFingerprint]]:
-        """Both arms of the law for ``outcome.sql``, or ``None`` to skip."""
+        """Both sides of the law for ``outcome.sql``, or ``None`` to skip."""
         raise NotImplementedError
 
-    # -- arm lifecycle ------------------------------------------------------
-    def _arm(self, key: str) -> Tuple:
-        arm = self._arms.get(key)
-        if arm is None:
+    # -- server lifecycle ---------------------------------------------------
+    def _connect(self) -> Tuple:
+        if self._server is None:
             server = self.dialect.create_server()
-            if key == "ref":
-                server.ctx.set_config("optimizer_passes", SUPPRESS_PASSES)
+            if self.optimizer_passes is not None:
+                server.ctx.set_config("optimizer_passes", self.optimizer_passes)
             conn = server.connect()
             for ddl in TABLE_SETUP:
                 conn.execute(ddl)
-            self._arms[key] = arm = (server, conn)
-        return arm
+            self._server = (server, conn)
+        return self._server
 
     def _fingerprint(
-        self,
-        key: str,
-        sql: str,
-        statements: Optional[Sequence[Statement]] = None,
+        self, sql: str, statements: Optional[Sequence[Statement]] = None
     ) -> Optional[ResultFingerprint]:
-        """Fingerprint of *sql* on arm *key*; ``None`` when the arm cannot
-        answer.  *statements*, when given, are *sql*'s parse: the arm runs
-        them as they are (shared trees are only read) instead of parsing."""
+        """Fingerprint of *sql* on the oracle's server; ``None`` when it
+        cannot answer.  *statements*, when given, are *sql*'s parse: the
+        server runs them as they are (shared trees are only read) instead
+        of parsing."""
         try:
-            server, conn = self._arm(key)
+            server, conn = self._connect()
         except (SQLError, ServerCrashed, RecursionError):
-            self._arms.pop(key, None)
+            self._server = None
             return None
         server.ctx.clear_sequence_state()
         try:
@@ -255,13 +263,10 @@ class _MetamorphicOracle(Oracle):
             # an erroring variant says nothing about the law — strictness
             # bugs are the conformance oracle's department
             return None
-        except ServerCrashed:
-            # dropped arms are rebuilt (tables and knobs included) on next
+        except (ServerCrashed, RecursionError):
+            # a dropped server is rebuilt (table and knob included) on next
             # use; the crash itself belongs to the crash oracle
-            self._arms.pop(key, None)
-            return None
-        except RecursionError:
-            self._arms.pop(key, None)
+            self._server = None
             return None
 
 
@@ -285,11 +290,11 @@ class TLPOracle(_MetamorphicOracle):
         if len(statements) != 1 or not _partitionable(statements[0]):
             return None
         union = tlp_union(statements[0])
-        # the arm still gets the union's text: it keys the statement RNG
+        # the server still gets the union's text: it keys the statement RNG
         sql = outcome.sql
         predicate = sql[len(PREDICATE_PREFIX):].strip().rstrip(";").rstrip()
         union_fp = self._fingerprint(
-            "opt", tlp_partition_statement(_HEAD, predicate), [union]
+            tlp_partition_statement(_HEAD, predicate), [union]
         )
         if union_fp is None:
             return None
@@ -299,32 +304,36 @@ class TLPOracle(_MetamorphicOracle):
         # campaign statements never mutate fuzz_t, so the unfiltered side
         # of the law is one execution per oracle lifetime
         if self._base_fp is None:
-            self._base_fp = self._fingerprint("opt", BASE_QUERY)
+            self._base_fp = self._fingerprint(BASE_QUERY)
         return self._base_fp
 
 
 class NoRECOracle(_MetamorphicOracle):
-    """Checks the optimized plan against an optimization-suppressed run."""
+    """Checks the runner's optimized run against an optimization-suppressed
+    run of the same statement."""
 
     name = "norec"
     oracle_kind = "norec"
+    needs_fingerprints = True
+    optimizer_passes = SUPPRESS_PASSES
 
     def _check(
         self, outcome: Outcome
     ) -> Optional[Tuple[ResultFingerprint, ResultFingerprint]]:
-        # both arms run the one parse: the optimized arm runs the
-        # optimizer's copy-on-write rewrite of it (optimize_statement never
-        # changes its input), the reference arm executes the tree as parsed
+        # the optimized side is the runner's own execution of the statement
+        own_fp = outcome.fingerprint
+        if own_fp is None:
+            return None
+        # the suppressed side executes the runner's tree as it is: the
+        # runner's optimizer rewrote a copy of it (optimize_statement never
+        # changes its input)
         statements = parsed_statements(outcome)
         if not statements:
             return None
-        opt_fp = self._fingerprint("opt", outcome.sql, statements)
-        if opt_fp is None:
-            return None
-        ref_fp = self._fingerprint("ref", outcome.sql, statements)
+        ref_fp = self._fingerprint(outcome.sql, statements)
         if ref_fp is None:
             return None
-        return opt_fp, ref_fp
+        return own_fp, ref_fp
 
 
 # ---------------------------------------------------------------------------

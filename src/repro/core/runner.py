@@ -86,10 +86,6 @@ class Outcome:
     #: use — None until then
     statements: Optional[Sequence[Statement]] = None
 
-    @property
-    def is_crash(self) -> bool:
-        return self.kind == "crash"
-
 
 #: the exceptions one execution attempt may raise, classified by
 #: :meth:`Runner._classify`; anything else propagates to the campaign
@@ -275,9 +271,15 @@ class Runner:
         result_type = None
         if result.rows and result.rows[0]:
             result_type = result.rows[0][0].type_name
-        fingerprint = (
-            fingerprint_result(result) if self.capture_fingerprints else None
-        )
+        fingerprint = None
+        if self.capture_fingerprints:
+            try:
+                fingerprint = fingerprint_result(result)
+            except SQLError:
+                # a result that cannot be rendered (an integer past the
+                # digit limit): the statement still ran fine, and the
+                # oracles that compare fingerprints skip it
+                pass
         # an in-process run has sql's tree already; it is the oracles' too
         statements = (
             self.connection.last_statements if self.sandbox is None else None

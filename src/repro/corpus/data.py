@@ -113,10 +113,6 @@ class StudiedBug:
     def bug_inducing_statement(self) -> str:
         return self.poc[-1]
 
-    @property
-    def prerequisite_statements(self) -> Tuple[str, ...]:
-        return self.poc[:-1]
-
 
 # ---------------------------------------------------------------------------
 # function-name pools per type (distinct counts per Figure 1)

@@ -155,9 +155,6 @@ class Dialect:
             for d in self.registry
         ]
 
-    def function_names(self) -> List[str]:
-        return self.registry.names()
-
     def test_suite(self) -> List[str]:
         """The dialect's regression suite — SOFT's second seed source.
 

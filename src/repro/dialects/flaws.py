@@ -275,13 +275,6 @@ def trig_array_of_arrays(index: int = 0) -> Trigger:
     return trigger
 
 
-def trig_any(*triggers: Trigger) -> Trigger:
-    def trigger(ctx: ExecutionContext, args: List[SQLValue]) -> bool:
-        return any(t(ctx, args) for t in triggers)
-
-    return trigger
-
-
 # ---------------------------------------------------------------------------
 # crash actions: defective code paths over the memory model
 # ---------------------------------------------------------------------------

@@ -102,12 +102,6 @@ def need_double(value: SQLValue, name: str) -> float:
     return float(need_decimal(value, name))
 
 
-def need_bool(value: SQLValue, name: str) -> bool:
-    if value.is_null:
-        raise TypeError_(f"{name.upper()}: NULL where a boolean is expected")
-    return value.as_bool()
-
-
 def need_json(ctx: ExecutionContext, value: SQLValue, name: str):
     """Return the parsed JSON document for a JSON or string argument."""
     from ..json_impl import json_parse

@@ -130,9 +130,6 @@ class FunctionRegistry:
     def names(self) -> List[str]:
         return sorted(self._functions)
 
-    def by_family(self, family: str) -> List[FunctionDef]:
-        return [d for d in self._functions.values() if d.family == family]
-
     def __len__(self) -> int:
         return len(self._functions)
 

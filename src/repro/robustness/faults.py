@@ -228,10 +228,6 @@ class FaultInjector(FaultHook):
         finally:
             self._quiet_depth -= 1
 
-    @property
-    def is_quiet(self) -> bool:
-        return self._quiet_depth > 0
-
     def set_position(self, position: int) -> None:
         """Re-key the fault stream to global statement *position*.
 

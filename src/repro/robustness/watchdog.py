@@ -58,9 +58,6 @@ class RealDeadline:
         self.seconds = seconds
         self._armed = time.monotonic()
 
-    def rearm(self) -> None:
-        self._armed = time.monotonic()
-
     def remaining(self) -> float:
         """Seconds left (never negative; suitable for socket timeouts)."""
         return max(0.0, self.seconds - (time.monotonic() - self._armed))

@@ -462,10 +462,6 @@ class Job:
         """Another failed attempt turns the job ``failed``."""
         return self.retries >= self.max_retries
 
-    def lease_valid(self, lease_seq: int) -> bool:
-        with self._lock:
-            return self.state == "running" and self.lease_seq == lease_seq
-
     def mark_done(
         self, summary: Optional[Dict[str, Any]] = None, lease_seq: Optional[int] = None
     ) -> bool:

@@ -216,13 +216,19 @@ class BugService:
         pool — running campaigns are interrupted at their next progress
         beat and journaled back to ``queued``, to resume from their
         checkpoints, (3) stop the HTTP listener, (4) close the journal.
+
+        Safe and idempotent from every state: built but never started,
+        started, or already stopped.
         """
         self._draining.set()
         self.pool.stop(timeout=timeout, drain=drain)
-        self._httpd.shutdown()
-        self._httpd.server_close()
         if self._serve_thread is not None:
+            # shutdown() waits for the serve_forever loop to exit, so only
+            # a started service may call it; once that loop has exited,
+            # it returns at once
+            self._httpd.shutdown()
             self._serve_thread.join(timeout=5.0)
+        self._httpd.server_close()
         self.journal.close()
 
     def serve_forever(self) -> None:

@@ -29,11 +29,13 @@ from hypothesis import strategies as st
 from repro.core.campaign import Campaign
 from repro.core.collect import SeedCollector
 from repro.core.config import CampaignConfig
+from repro.core.runner import Runner
 from repro.dialects import all_dialect_classes, dialect_by_name
 from repro.engine import ServerCrashed
 from repro.engine.context import ExecutionContext
 from repro.engine.errors import SQLError
 from repro.engine.evaluator import compare_values
+from repro.engine.executor import Result
 from repro.engine.fingerprint import fingerprint_result
 from repro.engine.functions import build_base_registry
 from repro.engine.values import (
@@ -446,6 +448,24 @@ def test_unrenderable_integers_are_handled_errors(cls):
     ):
         with pytest.raises(SQLError):
             fingerprint_result(conn.execute(sql))
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="this interpreter renders integers of any length",
+)
+@pytest.mark.parametrize("capture", [False, True])
+def test_unrenderable_result_stays_ok_when_fingerprinting(capture, monkeypatch):
+    # a statement that ran fine is ``ok`` whether or not an oracle asked
+    # for fingerprints; one whose result cannot be rendered has none
+    runner = Runner(dialect_by_name("duckdb"))
+    runner.capture_fingerprints = capture
+    stub = Result(columns=["x"], rows=[[SQLInteger(10 ** 5000)]])
+    monkeypatch.setattr(runner.connection, "execute", lambda sql: stub)
+    outcome = runner.run("SELECT 1;")
+    assert outcome.kind == "ok", outcome.message
+    assert outcome.result_type == "integer"
+    assert outcome.fingerprint is None
 
 
 # ---------------------------------------------------------------------------

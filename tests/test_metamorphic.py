@@ -231,10 +231,17 @@ def _flawed_oracle(kind, dbms="duckdb"):
     return (TLPOracle if kind == "tlp" else NoRECOracle)(dialect)
 
 
+def _fingerprinting_runner(dialect):
+    """A runner over the seeded table that captures fingerprints, as a
+    campaign with NoREC registered builds it."""
+    runner = Runner(dialect, bootstrap_sql=TABLE_SETUP)
+    runner.capture_fingerprints = True
+    return runner
+
+
 def _observe(oracle, sql, index=7):
-    return oracle.observe(
-        Outcome("ok", sql), CaseInfo("P1.1", "abs", "numeric"), index
-    )
+    outcome = _fingerprinting_runner(oracle.dialect).run(sql)
+    return oracle.observe(outcome, CaseInfo("P1.1", "abs", "numeric"), index)
 
 
 class TestMetamorphicOracleProtocol:
@@ -316,9 +323,9 @@ class TestMetamorphicOracleProtocol:
         dialect = dialect_by_name("duckdb")
         pipeline = build_pipeline(dialect, METAMORPHIC)
         assert pipeline.names == ("crash", "tlp", "norec")
-        # the metamorphic oracles run their own arms — they never need
-        # the campaign runner to capture fingerprints
-        assert not pipeline.needs_fingerprints
+        # NoREC's optimized side is the runner's own execution, so the
+        # campaign runner must capture fingerprints
+        assert pipeline.needs_fingerprints
         # requesting the metamorphic oracles installs the predicate flaws
         assert dialect._predicate_flaws_installed == {"tlp", "norec"}
 
@@ -369,15 +376,17 @@ class TestSharedParse:
         assert built > 250
 
     def test_shared_tree_survives_both_oracles(self):
-        # the NoREC flaw folds NULL comparisons in the optimized arm, and
-        # the TLP union executes the parse's own nodes: every rewrite must
-        # happen on a copy, never on the shared parse
+        # the NoREC flaw folds NULL comparisons in the runner's optimized
+        # run, the suppressed server then executes the runner's tree, and
+        # the TLP union executes its nodes: every rewrite must happen on a
+        # copy, never on the shared parse
         dialect = dialect_by_name("duckdb")
         dialect.install_logic_flaws(predicate_kinds=("tlp", "norec"))
         pipeline = OraclePipeline([TLPOracle(dialect), NoRECOracle(dialect)])
+        runner = _fingerprinting_runner(dialect)
         statements = list(CLEAN_STATEMENTS) + _predicate_statements(dialect, 60)
         for index, sql in enumerate(statements):
-            outcome = Outcome("ok", sql)
+            outcome = runner.run(sql)
             pipeline.observe(outcome, CaseInfo("P1.1"), index)
             if outcome.statements is not None:
                 assert outcome.statements == parse_statements(sql), sql
@@ -395,7 +404,7 @@ class TestSharedParse:
 
         monkeypatch.setattr(connection, "parse_statements", counting_parse)
         dialect = dialect_by_name("duckdb")
-        runner = Runner(dialect, bootstrap_sql=TABLE_SETUP)
+        runner = _fingerprinting_runner(dialect)
         tlp, norec = TLPOracle(dialect), NoRECOracle(dialect)
         pipeline = OraclePipeline([tlp, norec])
         statements = _predicate_statements(dialect, 150)
@@ -406,7 +415,7 @@ class TestSharedParse:
             if outcome.kind == "ok":
                 assert outcome.statements is not None
                 checked.append(sql)
-        # arms (re)building run the bootstrap and the TLP base query;
+        # servers (re)building run the bootstrap and the TLP base query;
         # everything else parsed is a statement the runner ran, once a run
         bootstrap = set(TABLE_SETUP) | {BASE_QUERY}
         assert Counter(sql for sql in parsed if sql not in bootstrap) == \
@@ -437,13 +446,14 @@ class TestSharedParse:
         assert pipeline.get("differential").compared > 100
 
     def test_norec_reference_arm_still_diverges(self):
-        # with only the fold flaw installed, the reference arm must still
-        # see the unfolded tree after the optimized arm ran on the same one
+        # with only the fold flaw installed, the suppressed server must
+        # still see the unfolded tree after the runner's optimized run of
+        # the same one
         dialect = dialect_by_name("duckdb")
         dialect.install_logic_flaws(predicate_kinds=("norec",))
         oracle = NoRECOracle(dialect)
         sql = PREDICATE_PREFIX + "(i) > 0 AND NOT (NULL = 1);"
-        outcome = Outcome("ok", sql)
+        outcome = _fingerprinting_runner(dialect).run(sql)
         finding = oracle.observe(outcome, CaseInfo("P1.1"), 0)
         assert finding is not None and finding.divergence == "cardinality"
         assert outcome.statements == parse_statements(sql)
@@ -459,6 +469,81 @@ class TestSharedParse:
         assert metamorphic.parsed_statements(outcome) == []
         assert metamorphic.parsed_statements(outcome) == []
         assert calls == [outcome.sql]
+
+
+# ---------------------------------------------------------------------------
+# NoREC's optimized side is the runner's own execution
+# ---------------------------------------------------------------------------
+class TestNoRECReusesTheRunnersRun:
+    def test_one_execution_per_checked_statement(self, monkeypatch):
+        # the runner's run is the optimized side: NoREC's own server runs
+        # each checked statement at most once, each compared one exactly
+        # once, and each metamorphic oracle builds one server
+        executed = []
+        execute_parsed = connection.Connection.execute_parsed
+
+        def counting_execute_parsed(self, sql, statements):
+            executed.append((self, sql))
+            return execute_parsed(self, sql, statements)
+
+        monkeypatch.setattr(
+            connection.Connection, "execute_parsed", counting_execute_parsed
+        )
+        dialect = dialect_by_name("duckdb")
+        dialect.install_logic_flaws(predicate_kinds=("tlp", "norec"))
+        runner = _fingerprinting_runner(dialect)
+        built = []
+        create_server = dialect.create_server
+        monkeypatch.setattr(
+            dialect, "create_server",
+            lambda: built.append(1) or create_server(),
+        )
+        tlp, norec = TLPOracle(dialect), NoRECOracle(dialect)
+        for index, sql in enumerate(_predicate_statements(dialect, 150)):
+            outcome = runner.run(sql)
+            start, compared = len(executed), norec.compared
+            norec.observe(outcome, CaseInfo("P1.1"), index)
+            runs = [conn for conn, text in executed[start:]
+                    if conn is not runner.connection and text not in TABLE_SETUP]
+            assert len(runs) <= 1, sql
+            if norec.compared > compared:
+                assert len(runs) == 1, sql
+            tlp.observe(outcome, CaseInfo("P1.1"), index)
+        assert norec.compared > 50 and tlp.compared > 50
+        assert len(built) == 2  # one server per oracle
+
+    @pytest.mark.parametrize("faults", [None, "default"])
+    @pytest.mark.parametrize(
+        "dialect_cls", all_dialect_classes(), ids=lambda cls: cls.name
+    )
+    def test_runner_fingerprint_equals_an_optimized_server(
+        self, dialect_cls, faults, monkeypatch
+    ):
+        # the premise of reusing the runner's run: on every compared
+        # statement, clean or under injected faults, its fingerprint is
+        # what a fresh optimized server over the seeded table returns
+        compared = []
+        fresh = {}
+        check = NoRECOracle._check
+
+        def checking(self, outcome):
+            pair = check(self, outcome)
+            if pair is not None:
+                server = fresh.setdefault(id(self), TLPOracle(self.dialect))
+                optimized = server._fingerprint(outcome.sql, outcome.statements)
+                if optimized is not None:
+                    compared.append((outcome.sql, pair[0] == optimized))
+            return pair
+
+        monkeypatch.setattr(NoRECOracle, "_check", checking)
+        seeds = SeedCollector(dialect_cls()).collect()
+        run_campaign(config=CampaignConfig(
+            dialect=dialect_cls.name, budget=len(seeds) + 200,
+            oracles=("crash", "tlp", "norec"), statement_family="predicate",
+            faults=faults, fault_seed=1,
+        ))
+        assert [sql for sql, same in compared if not same] == []
+        assert len(compared) > 50
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +578,7 @@ class TestMetamorphicCampaign:
         engine = PatternEngine(
             seeds, statement_family="predicate"
         )
-        runner = Runner(dialect, bootstrap_sql=TABLE_SETUP)
-        compared = 0
+        runner = _fingerprinting_runner(dialect)
         for index, case in enumerate(engine.generate_all()):
             if index >= 400:
                 break
@@ -503,8 +587,8 @@ class TestMetamorphicCampaign:
             assert pipeline.observe(outcome, info, index) == []
         for oracle in pipeline.oracles:
             assert oracle.findings() == []
-            compared += oracle.compared
-        assert compared > 0  # the guard must not skip everything
+            # the guard must not skip everything, for either law
+            assert oracle.compared > 0, oracle.name
 
     def test_checkpoint_resume_reproduces_findings(self, tmp_path):
         path = str(tmp_path / "cp.json")

@@ -15,6 +15,7 @@ import functools
 import http.client
 import json
 import os
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -247,6 +248,32 @@ WIRE_CASES = [
          "message": "", "query_index": 40},
     ),
 ]
+
+
+def _stops_within(svc, seconds):
+    """True when ``svc.stop()`` returns within *seconds*: run in a thread
+    so that a hang fails the test instead of hanging it."""
+    stopper = threading.Thread(target=svc.stop, daemon=True)
+    stopper.start()
+    stopper.join(timeout=seconds)
+    return not stopper.is_alive()
+
+
+class TestServiceStop:
+    def test_unstarted_service_stops_within_a_second(self, tmp_path):
+        svc = BugService(str(tmp_path / "data"), workers=1)
+        assert _stops_within(svc, 1.0)
+        assert svc.journal.closed
+        # and again, from the stopped state
+        assert _stops_within(svc, 1.0)
+
+    def test_started_service_stops_twice(self, tmp_path):
+        svc = BugService(str(tmp_path / "data"), workers=1).start()
+        status, _ = _request(svc, "GET", "/health")
+        assert status == 200
+        assert _stops_within(svc, 10.0)
+        assert not svc.pool.alive and svc.journal.closed
+        assert _stops_within(svc, 1.0)
 
 
 class TestFindingWireForm:
