@@ -90,8 +90,6 @@ def main() -> None:
         SeedCollector(dialect).collect(), statement_family="predicate",
     )
     runner = Runner(dialect, bootstrap_sql=TABLE_SETUP)
-    # as a campaign does: NoREC's optimized side is the runner's fingerprint
-    runner.capture_fingerprints = pipeline.needs_fingerprints
     for index, case in enumerate(engine.generate_all()):
         if index >= CLEAN_ARM_STATEMENTS:
             break
@@ -105,7 +103,11 @@ def main() -> None:
         if not oracle.compared:
             fail(f"duckdb clean arm: {oracle.name} compared nothing — no teeth")
     compared = sum(oracle.compared for oracle in pipeline.oracles)
-    print(f"      duckdb clean arm: zero findings over {compared} laws")
+    per_oracle = ", ".join(
+        f"{oracle.name} {oracle.compared}" for oracle in pipeline.oracles
+    )
+    print(f"      duckdb clean arm: zero findings over {compared} laws "
+          f"({per_oracle})")
 
     print("OK: zero false positives")
 

@@ -192,15 +192,14 @@ class CampaignResult:
 def build_runner(
     dialect: Dialect,
     config: CampaignConfig,
-    pipeline: OraclePipeline,
     injector: Optional[FaultInjector],
     clock: Clock,
     retry_policy: Optional[RetryPolicy] = None,
 ) -> Runner:
-    """The runner *config* asks for.  Build *pipeline* first: non-crash
-    oracles install the dialect's logic flaws, which must be patched in
-    before the server is built."""
-    runner = Runner(
+    """The runner *config* asks for.  Build the oracle pipeline first:
+    non-crash oracles install the dialect's logic flaws, which must be
+    patched in before the server is built."""
+    return Runner(
         dialect,
         enable_coverage=config.enable_coverage,
         faults=injector,
@@ -211,8 +210,6 @@ def build_runner(
         sandbox=config.sandbox,
         bootstrap_sql=TABLE_SETUP if config.statement_family == "predicate" else (),
     )
-    runner.capture_fingerprints = pipeline.needs_fingerprints
-    return runner
 
 
 def run_contained(
@@ -506,7 +503,7 @@ class Stream:
         self.clock = campaign.clock
         self.pipeline = build_pipeline(campaign.dialect, config.oracles)
         self.runner = build_runner(
-            campaign.dialect, config, self.pipeline, campaign.injector,
+            campaign.dialect, config, campaign.injector,
             campaign.clock, campaign.retry_policy,
         )
         self.containment = campaign.containment
@@ -719,6 +716,8 @@ class Campaign:
                         return_types.setdefault(
                             case.seed_function, outcome.result_type
                         )
+                    # the run's rows are not held while the next one runs
+                    del outcome
                     stream.position += 1
                     # a save due here lands before the beat, so a hook that
                     # stops the run (drain, preempt) loses nothing

@@ -176,9 +176,6 @@ class Oracle:
 
     #: registry name, also the key inside pipeline checkpoint state
     name = "oracle"
-    #: set when observe() reads ``outcome.fingerprint`` — the runner only
-    #: computes fingerprints when some registered oracle asks for them
-    needs_fingerprints = False
     #: the :class:`Finding` subclass this oracle reports
     finding_class: Type[Finding] = Finding
     #: checkpoint schema version of :meth:`export_state`
@@ -287,10 +284,6 @@ class OraclePipeline:
     @property
     def names(self) -> Tuple[str, ...]:
         return tuple(oracle.name for oracle in self.oracles)
-
-    @property
-    def needs_fingerprints(self) -> bool:
-        return any(oracle.needs_fingerprints for oracle in self.oracles)
 
     def get(self, name: str) -> Optional[Oracle]:
         for oracle in self.oracles:

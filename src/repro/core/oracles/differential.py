@@ -98,7 +98,6 @@ class DifferentialOracle(Oracle):
     """Replays successful statements on peer dialects and compares."""
 
     name = "differential"
-    needs_fingerprints = True
     finding_class = DivergenceFinding
     counters = DIAGNOSTICS
 

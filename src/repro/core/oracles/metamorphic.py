@@ -21,18 +21,16 @@ fuzz_t WHERE <p>``) and check one law each:
 
 Each oracle owns **one server** built from the campaign dialect, with the
 ``fuzz_t`` table seeded, and one optimizer configuration for its whole life:
-TLP's server optimizes (it runs the partition reunion and the base query),
-NoREC's suppresses optimization (it runs the reference side).  NoREC's
-optimized side is no second execution: it is the campaign runner's own run
-of the statement, whose result fingerprint the runner hands over
-(``Outcome.fingerprint``, captured because NoREC sets
-``needs_fingerprints``).  That run *is* the original query the law speaks
-about.  It is interference-free even under ``--faults``: the fault
-injector either raises (hang, drop, flaky crash), which makes the outcome
-something other than ``ok``, or only advances the simulated clock (slow),
-so it never alters rows, and an ``ok`` result is a clean one.  A statement
-whose result the runner could not fingerprint (``fingerprint`` is
-``None``) is skipped.
+TLP's server optimizes (it runs the base query and the IS-FALSE and IS-NULL
+camps), NoREC's suppresses optimization (it runs the reference side).
+Neither re-executes the statement itself: the campaign runner's own run
+of it, on a server with the same dialect, flaw knobs and optimizer, is
+TLP's IS-TRUE camp (``Outcome.rows``) and NoREC's optimized side
+(``Outcome.fingerprint``).  It is interference-free even under
+``--faults``: the fault injector either raises (hang, drop, flaky crash),
+which makes the outcome something other than ``ok``, or only advances
+the simulated clock (slow), so an ``ok`` result is a clean one.  A result
+that cannot be fingerprinted (an unrenderable value) is skipped.
 
 False-positive discipline comes from :mod:`.guards`: statements calling
 impure or ``system``/``sequence`` functions are skipped — the
@@ -46,19 +44,19 @@ skipped (crashes are the crash oracle's).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ...dialects.base import Dialect
 from ...dialects.bugs import LogicFlaw, find_predicate_flaw
 from ...engine.connection import ServerCrashed
 from ...engine.errors import SQLError
+from ...engine.executor import Result
 from ...engine.fingerprint import (
     ResultFingerprint,
     divergence_class,
     fingerprint_result,
 )
 from ...sqlast import (
-    Expr,
     IsNullExpr,
     Select,
     SetOp,
@@ -86,42 +84,47 @@ _HEAD = BASE_QUERY[:-1]  # "SELECT k, i, s, d FROM fuzz_t"
 SUPPRESS_PASSES = "none"
 
 
-def tlp_partition_statement(head: str, predicate: str) -> str:
-    """The text of the three-way partition reunion for *predicate*.
-
-    ``head`` is a complete ``SELECT ... FROM ...`` without a WHERE clause;
-    the statement unions the IS-TRUE, IS-FALSE, and IS-NULL camps with
-    ``UNION ALL`` so multiset cardinality survives.  It parses to
-    :func:`tlp_union`'s tree, which is what TLP's server executes; the text
-    only keys that server's per-statement RNG.
-    """
+def tlp_camps_statement(head: str, predicate: str) -> str:
+    """The IS-FALSE and IS-NULL camps of *predicate* under *head* (a
+    ``SELECT ... FROM ...`` without WHERE), joined by ``UNION ALL``.  It
+    parses to :func:`tlp_camps`'s tree, which TLP's server executes; the
+    text only keys that server's per-statement RNG."""
     return (
-        f"{head} WHERE ({predicate}) "
-        f"UNION ALL {head} WHERE NOT ({predicate}) "
+        f"{head} WHERE NOT ({predicate}) "
         f"UNION ALL {head} WHERE ({predicate}) IS NULL;"
     )
 
 
-def tlp_union(stmt: Select) -> SetOp:
-    """The three-way partition reunion of *stmt*, built as a tree.
-
-    Equal to the parse of ``tlp_partition_statement(head, predicate)``
-    for *stmt*'s head and WHERE, without lexing text that repeats the
-    predicate three times.  The camps share *stmt*'s head and predicate
-    nodes instead of copying them, and keep sharing them through
-    optimization: the optimizer rewrites copy-on-write and never modifies
-    its input, and execution only reads a tree, so running the union never
-    changes *stmt*.
-    """
-    predicate = stmt.where
-
-    def camp(where: Expr) -> Select:
-        return replace(stmt, where=where)
-
-    true_or_false = SetOp(
-        "UNION", camp(predicate), camp(UnaryOp("NOT", predicate)), all=True
+def tlp_partition_statement(head: str, predicate: str) -> str:
+    """The three-way partition reunion for *predicate*, the text of
+    :func:`tlp_union`'s tree."""
+    return (
+        f"{head} WHERE ({predicate}) "
+        f"UNION ALL {tlp_camps_statement(head, predicate)}"
     )
-    return SetOp("UNION", true_or_false, camp(IsNullExpr(predicate)), all=True)
+
+
+def tlp_camps(stmt: Select) -> SetOp:
+    """*stmt*'s IS-FALSE and IS-NULL camps (*stmt* is the IS-TRUE one) as
+    one ``UNION ALL``, built around *stmt*'s own head and predicate nodes.
+    They stay shared through optimization (the optimizer rewrites
+    copy-on-write) and execution only reads a tree, so running the camps
+    never changes *stmt*."""
+    predicate = stmt.where
+    return SetOp(
+        "UNION",
+        replace(stmt, where=UnaryOp("NOT", predicate)),
+        replace(stmt, where=IsNullExpr(predicate)),
+        all=True,
+    )
+
+
+def tlp_union(stmt: Select) -> SetOp:
+    """The three-way partition reunion of *stmt*: *stmt*, then the
+    :func:`tlp_camps`, left-associated as the parse of its text is."""
+    camps = tlp_camps(stmt)
+    true_or_false = SetOp("UNION", stmt, camps.left, all=True)
+    return SetOp("UNION", true_or_false, camps.right, all=True)
 
 
 def _partitionable(stmt: Statement) -> bool:
@@ -141,7 +144,7 @@ class MetamorphicFinding(Finding):
     sql: str
     query_index: int             # 1-based global statement position
     own_digest: str              # base query (TLP) / the runner's run (NoREC)
-    variant_digest: str          # partition union (TLP) / suppressed run
+    variant_digest: str          # runner's rows + camps / suppressed run
     flaw: Optional[LogicFlaw] = field(default=None, compare=False)
 
     @property
@@ -244,12 +247,13 @@ class _MetamorphicOracle(Oracle):
         return self._server
 
     def _fingerprint(
-        self, sql: str, statements: Optional[Sequence[Statement]] = None
+        self, sql: str, statements: Optional[Sequence[Statement]] = None,
+        rows: Sequence[List] = (),
     ) -> Optional[ResultFingerprint]:
-        """Fingerprint of *sql* on the oracle's server; ``None`` when it
-        cannot answer.  *statements*, when given, are *sql*'s parse: the
-        server runs them as they are (shared trees are only read) instead
-        of parsing."""
+        """Fingerprint of *rows* plus those of *sql* on the oracle's server;
+        ``None`` when it cannot answer.  *statements*, when given, are
+        *sql*'s parse: the server runs them as they are (shared trees are
+        only read) instead of parsing."""
         try:
             server, conn = self._connect()
         except (SQLError, ServerCrashed, RecursionError):
@@ -257,8 +261,11 @@ class _MetamorphicOracle(Oracle):
             return None
         server.ctx.clear_sequence_state()
         try:
+            result = conn.execute_parsed(sql, statements)
+            if rows:
+                result = Result(rows=[*rows, *result.rows])
             # rendering is inside: a result can be too large to render
-            return fingerprint_result(conn.execute_parsed(sql, statements))
+            return fingerprint_result(result)
         except SQLError:
             # an erroring variant says nothing about the law — strictness
             # bugs are the conformance oracle's department
@@ -271,41 +278,45 @@ class _MetamorphicOracle(Oracle):
 
 
 class TLPOracle(_MetamorphicOracle):
-    """Checks that the three-way predicate partition reunites the table."""
+    """Checks that the three-way predicate partition reunites the table.
+
+    The runner's rows plus those of :func:`tlp_camps` on the oracle's
+    server fingerprint like :func:`tlp_union`: on the family's fixed head
+    ``SELECT k, i, s, d FROM fuzz_t`` the union's cast of each branch onto
+    the first row's types (``Executor._unify_setop_rows``) is the identity,
+    as each column has one declared type and NULLs and numeric pairs are
+    never cast."""
 
     name = "tlp"
     oracle_kind = "tlp"
-
-    def __init__(self, dialect: Dialect) -> None:
-        super().__init__(dialect)
-        self._base_fp: Optional[ResultFingerprint] = None
+    #: the base query's fingerprint: campaign statements never mutate
+    #: fuzz_t, so it is one execution per oracle lifetime
+    _base_fp: Optional[ResultFingerprint] = None
 
     def _check(
         self, outcome: Outcome
     ) -> Optional[Tuple[ResultFingerprint, ResultFingerprint]]:
-        base_fp = self._base_fingerprint()
-        if base_fp is None:
+        rows = outcome.rows
+        if rows is None:
             return None
+        if self._base_fp is None:
+            self._base_fp = self._fingerprint(BASE_QUERY)
+            if self._base_fp is None:
+                return None
         statements = parsed_statements(outcome)
         if len(statements) != 1 or not _partitionable(statements[0]):
             return None
-        union = tlp_union(statements[0])
-        # the server still gets the union's text: it keys the statement RNG
+        # the server still gets the camps' text: it keys the statement RNG
         sql = outcome.sql
         predicate = sql[len(PREDICATE_PREFIX):].strip().rstrip(";").rstrip()
         union_fp = self._fingerprint(
-            tlp_partition_statement(_HEAD, predicate), [union]
+            tlp_camps_statement(_HEAD, predicate),
+            [tlp_camps(statements[0])],
+            rows,
         )
         if union_fp is None:
             return None
-        return base_fp, union_fp
-
-    def _base_fingerprint(self) -> Optional[ResultFingerprint]:
-        # campaign statements never mutate fuzz_t, so the unfiltered side
-        # of the law is one execution per oracle lifetime
-        if self._base_fp is None:
-            self._base_fp = self._fingerprint(BASE_QUERY)
-        return self._base_fp
+        return self._base_fp, union_fp
 
 
 class NoRECOracle(_MetamorphicOracle):
@@ -314,7 +325,6 @@ class NoRECOracle(_MetamorphicOracle):
 
     name = "norec"
     oracle_kind = "norec"
-    needs_fingerprints = True
     optimizer_passes = SUPPRESS_PASSES
 
     def _check(

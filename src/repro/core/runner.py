@@ -40,7 +40,8 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from functools import cached_property
+from typing import List, Optional, Sequence, Tuple
 
 from ..dialects.base import Dialect
 from ..engine.connection import (
@@ -52,7 +53,9 @@ from ..engine.connection import (
 )
 from ..engine.coverage import CoverageTracker
 from ..engine.errors import CrashSignal, ResourceError, ResourceExhausted, SQLError
+from ..engine.executor import Result
 from ..engine.fingerprint import ResultFingerprint, fingerprint_result
+from ..engine.values import SQLValue
 from ..robustness.faults import FaultInjector
 from ..robustness.governor import ResourceBudgets, make_governor
 from ..robustness.policy import CircuitBreaker, RetryPolicy
@@ -76,15 +79,27 @@ class Outcome:
     message: str = ""
     crash: Optional[CrashSignal] = None
     result_type: Optional[str] = None  # type of the first result cell
-    #: result-set fingerprint, computed only when an oracle asks for it
-    #: (Runner.capture_fingerprints) — None otherwise
-    fingerprint: Optional["ResultFingerprint"] = None
+    #: the result rows of an ``ok`` run — None otherwise
+    rows: Optional[List[List[SQLValue]]] = None
     #: the tree of ``sql``, shared by the oracles that re-execute the
     #: statement: the tree an in-process run executed (a generated
     #: statement's own tree, or the parse the run made of other text), or
     #: (sandboxed runs) the parse guards.parsed_statements makes on first
     #: use — None until then
     statements: Optional[Sequence[Statement]] = None
+
+    @cached_property
+    def fingerprint(self) -> Optional[ResultFingerprint]:
+        """The fingerprint of :attr:`rows`, computed on first read; ``None``
+        without rows, or for a result that cannot be rendered (an integer
+        past the digit limit): the statement still ran fine, and the
+        oracles that compare fingerprints skip it."""
+        if self.rows is None:
+            return None
+        try:
+            return fingerprint_result(Result(rows=self.rows))
+        except SQLError:
+            return None
 
 
 #: the exceptions one execution attempt may raise, classified by
@@ -175,9 +190,6 @@ class Runner:
             (faults is not None) if reconfirm_crashes is None else reconfirm_crashes
         )
         self.restarts = 0
-        #: set by the campaign when a registered oracle needs result-set
-        #: fingerprints (OraclePipeline.needs_fingerprints)
-        self.capture_fingerprints = False
         self._timed_out = False
         self._reconnects = 0
         #: (text, tree) handed over by prepare()
@@ -271,21 +283,12 @@ class Runner:
         result_type = None
         if result.rows and result.rows[0]:
             result_type = result.rows[0][0].type_name
-        fingerprint = None
-        if self.capture_fingerprints:
-            try:
-                fingerprint = fingerprint_result(result)
-            except SQLError:
-                # a result that cannot be rendered (an integer past the
-                # digit limit): the statement still ran fine, and the
-                # oracles that compare fingerprints skip it
-                pass
         # an in-process run has sql's tree already; it is the oracles' too
         statements = (
             self.connection.last_statements if self.sandbox is None else None
         )
         return Outcome(
-            "ok", sql, result_type=result_type, fingerprint=fingerprint,
+            "ok", sql, result_type=result_type, rows=result.rows,
             statements=statements,
         )
 

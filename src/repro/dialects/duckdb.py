@@ -137,6 +137,7 @@ class DuckDBDialect(Dialect):
         return TypeLimits(
             decimal_max_digits=38,
             decimal_max_scale=38,
+            decimal_default=(18, 3),
             json_max_depth=None,   # yyjson parses iteratively, no guard
             xml_max_depth=64,
         )

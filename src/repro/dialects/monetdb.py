@@ -100,6 +100,7 @@ class MonetDBDialect(Dialect):
         return TypeLimits(
             decimal_max_digits=38,   # hugeint-backed decimals
             decimal_max_scale=38,
+            decimal_default=(18, 3),
             json_max_depth=64,
             xml_max_depth=64,
         )

@@ -39,6 +39,7 @@ class PostgreSQLDialect(Dialect):
         return TypeLimits(
             decimal_max_digits=131072,  # PostgreSQL numeric is effectively unbounded
             decimal_max_scale=16383,
+            decimal_default=None,       # a bare NUMERIC is unconstrained
             json_max_depth=64,          # the CVE-2015-5289 fix
             xml_max_depth=64,
         )

@@ -194,6 +194,7 @@ class VirtuosoDialect(Dialect):
         return TypeLimits(
             decimal_max_digits=40,
             decimal_max_scale=15,
+            decimal_default=(40, 15),
             json_max_depth=None,
             xml_max_depth=None,   # Virtuoso's XML stack had no guard
         )

@@ -15,7 +15,7 @@ from __future__ import annotations
 import decimal
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 from ..sqlast import TypeName
 from .errors import TypeError_, ValueError_
@@ -65,6 +65,10 @@ class TypeLimits:
 
     decimal_max_digits: int = 65
     decimal_max_scale: int = 30
+    #: (precision, scale) of a bare DECIMAL/NUMERIC (MySQL's and
+    #: ClickHouse's by default); None leaves it unconstrained: the value
+    #: keeps its own scale, within the maxima
+    decimal_default: Optional[Tuple[int, int]] = (10, 0)
     varchar_default_length: int = 65535
     max_string_length: int = 16 * 1024 * 1024
     json_max_depth: Optional[int] = 128
@@ -199,9 +203,15 @@ def _to_decimal(ctx: "ExecutionContext", value: SQLValue, tn: TypeName) -> SQLVa
         # ClickHouse-style DecimalN(S): precision fixed by width, param = scale
         precision = fixed_precision
         scale = tn.params[0] if tn.params else 0
-    else:
-        precision = tn.params[0] if tn.params else ctx.limits.decimal_max_digits
+    elif tn.params:
+        precision = tn.params[0]
         scale = tn.params[1] if len(tn.params) > 1 else min(ctx.limits.decimal_max_scale, precision)
+    elif ctx.limits.decimal_default is not None:
+        precision, scale = ctx.limits.decimal_default
+    else:
+        precision = ctx.limits.decimal_max_digits
+        own_scale = -dec.as_tuple().exponent if dec.is_finite() else 0
+        scale = min(max(own_scale, 0), ctx.limits.decimal_max_scale)
     if precision > ctx.limits.decimal_max_digits:
         raise ValueError_(
             f"decimal precision {precision} exceeds maximum "

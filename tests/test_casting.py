@@ -4,6 +4,7 @@ import decimal
 
 import pytest
 
+from repro.dialects import dialect_by_name
 from repro.engine.casting import (
     TypeLimits,
     cast_value,
@@ -99,6 +100,40 @@ class TestDecimalCasts:
 
     def test_string_garbage_becomes_zero(self, ctx):
         assert cast(ctx, SQLString("xyz"), "DECIMAL", (5, 1)).render() == "0.0"
+
+
+#: a bare DECIMAL/NUMERIC per dialect: PostgreSQL's is unconstrained,
+#: MySQL/MariaDB/ClickHouse default to (10,0), DuckDB/MonetDB to (18,3)
+BARE_DECIMAL_CASTS = {
+    "postgresql": ("123", "1.2345", "-7.5", "100000"),
+    "mysql": ("123", "1", "-8", "100000"),
+    "mariadb": ("123", "1", "-8", "100000"),
+    "clickhouse": ("123", "1", "-8", "100000"),
+    "duckdb": ("123.000", "1.234", "-7.500", "100000.000"),
+    "monetdb": ("123.000", "1.234", "-7.500", "100000.000"),
+    "virtuoso": ("123.000000000000000", "1.234500000000000",
+                 "-7.500000000000000", "100000.000000000000000"),
+}
+
+
+@pytest.mark.parametrize("dialect_name", sorted(BARE_DECIMAL_CASTS))
+def test_bare_decimal_cast_follows_the_dialect_default(dialect_name):
+    conn = dialect_by_name(dialect_name).create_server().connect()
+    casts = (
+        "CAST('123' AS NUMERIC)", "CAST('1.2345' AS DECIMAL)",
+        "CAST('-7.5' AS DEC)", "CAST('1E+5' AS NUMERIC)",
+    )
+    rendered = tuple(
+        conn.execute(f"SELECT {sql};").scalar().render() for sql in casts
+    )
+    assert rendered == BARE_DECIMAL_CASTS[dialect_name]
+    # the default bounds the integer digits too, except unconstrained
+    wide = "CAST(REPEAT('9', 30) AS DECIMAL)"
+    if dialect_name == "postgresql":
+        assert conn.execute(f"SELECT {wide};").scalar().render() == "9" * 30
+    else:
+        with pytest.raises(ValueError_, match="does not fit"):
+            conn.execute(f"SELECT {wide};")
 
 
 class TestStringCasts:

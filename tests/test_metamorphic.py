@@ -31,6 +31,8 @@ from repro.core.oracles import (
 )
 from repro.core.oracles import metamorphic
 from repro.core.oracles.metamorphic import (
+    tlp_camps,
+    tlp_camps_statement,
     tlp_divergence,
     tlp_partition_statement,
     tlp_union,
@@ -51,7 +53,16 @@ from repro.engine.executor import Result
 from repro.engine.fingerprint import divergence_class, fingerprint_result
 from repro.engine import connection
 from repro.engine.values import NULL, SQLDecimal, SQLInteger, SQLString
-from repro.sqlast import LexError, ParseError, parse_statements, to_sql
+from repro.sqlast import (
+    IsNullExpr,
+    LexError,
+    ParseError,
+    Select,
+    SetOp,
+    UnaryOp,
+    parse_statements,
+    to_sql,
+)
 from repro.service import BugRepository
 
 METAMORPHIC = "crash,tlp,norec"
@@ -165,6 +176,13 @@ class TestMetamorphicLaws:
             tlp_partition_statement("SELECT k, i, s, d FROM fuzz_t", predicate)
         )
         assert tlp_union(stmt) == expected
+        # the IS-FALSE and IS-NULL camps, TLP's server's whole statement,
+        # are the union's and parse from their own text
+        (camps,) = parse_statements(
+            tlp_camps_statement("SELECT k, i, s, d FROM fuzz_t", predicate)
+        )
+        assert tlp_camps(stmt) == camps
+        assert (expected.left.right, expected.right) == (camps.left, camps.right)
         # no WHERE, nothing to partition: the probe never touches a server
         assert tlp_divergence(None, "SELECT 1;") is None
 
@@ -231,16 +249,14 @@ def _flawed_oracle(kind, dbms="duckdb"):
     return (TLPOracle if kind == "tlp" else NoRECOracle)(dialect)
 
 
-def _fingerprinting_runner(dialect):
-    """A runner over the seeded table that captures fingerprints, as a
-    campaign with NoREC registered builds it."""
-    runner = Runner(dialect, bootstrap_sql=TABLE_SETUP)
-    runner.capture_fingerprints = True
-    return runner
+def _table_runner(dialect):
+    """A runner over the seeded table, as a predicate-family campaign
+    builds it."""
+    return Runner(dialect, bootstrap_sql=TABLE_SETUP)
 
 
 def _observe(oracle, sql, index=7):
-    outcome = _fingerprinting_runner(oracle.dialect).run(sql)
+    outcome = _table_runner(oracle.dialect).run(sql)
     return oracle.observe(outcome, CaseInfo("P1.1", "abs", "numeric"), index)
 
 
@@ -323,9 +339,14 @@ class TestMetamorphicOracleProtocol:
         dialect = dialect_by_name("duckdb")
         pipeline = build_pipeline(dialect, METAMORPHIC)
         assert pipeline.names == ("crash", "tlp", "norec")
-        # NoREC's optimized side is the runner's own execution, so the
-        # campaign runner must capture fingerprints
-        assert pipeline.needs_fingerprints
+        # NoREC's optimized side and TLP's IS-TRUE camp are the runner's
+        # own execution: an ok outcome carries its rows, fingerprinted on
+        # first read
+        outcome = _table_runner(dialect).run(NULL_SENSITIVE)
+        assert outcome.fingerprint is not None
+        assert outcome.fingerprint == fingerprint_result(
+            Result(rows=outcome.rows)
+        )
         # requesting the metamorphic oracles installs the predicate flaws
         assert dialect._predicate_flaws_installed == {"tlp", "norec"}
 
@@ -366,12 +387,18 @@ class TestSharedParse:
             )
             union = tlp_union(stmt)
             assert union == expected, sql
+            (expected_camps,) = parse_statements(
+                tlp_camps_statement(BASE_QUERY[:-1], predicate)
+            )
+            assert tlp_camps(stmt) == expected_camps, sql
             # the camps share the statement's nodes rather than copy them;
             # test_shared_tree_survives_both_oracles checks nothing writes
             # through them
             camps = (union.left.left, union.left.right, union.right)
             assert all(camp.from_ is stmt.from_ for camp in camps)
             assert camps[0].where is stmt.where
+            assert camps[1].where.operand is stmt.where
+            assert camps[2].where.expr is stmt.where
             built += 1
         assert built > 250
 
@@ -383,7 +410,7 @@ class TestSharedParse:
         dialect = dialect_by_name("duckdb")
         dialect.install_logic_flaws(predicate_kinds=("tlp", "norec"))
         pipeline = OraclePipeline([TLPOracle(dialect), NoRECOracle(dialect)])
-        runner = _fingerprinting_runner(dialect)
+        runner = _table_runner(dialect)
         statements = list(CLEAN_STATEMENTS) + _predicate_statements(dialect, 60)
         for index, sql in enumerate(statements):
             outcome = runner.run(sql)
@@ -404,7 +431,7 @@ class TestSharedParse:
 
         monkeypatch.setattr(connection, "parse_statements", counting_parse)
         dialect = dialect_by_name("duckdb")
-        runner = _fingerprinting_runner(dialect)
+        runner = _table_runner(dialect)
         tlp, norec = TLPOracle(dialect), NoRECOracle(dialect)
         pipeline = OraclePipeline([tlp, norec])
         statements = _predicate_statements(dialect, 150)
@@ -437,7 +464,6 @@ class TestSharedParse:
         dialect = dialect_by_name("duckdb")
         pipeline = build_pipeline(dialect, "differential")
         runner = Runner(dialect)
-        runner.capture_fingerprints = True
         engine = PatternEngine(SeedCollector(dialect).collect())
         statements = [case.sql for case in islice(engine.generate_all(), 400)]
         for index, sql in enumerate(statements):
@@ -453,7 +479,7 @@ class TestSharedParse:
         dialect.install_logic_flaws(predicate_kinds=("norec",))
         oracle = NoRECOracle(dialect)
         sql = PREDICATE_PREFIX + "(i) > 0 AND NOT (NULL = 1);"
-        outcome = _fingerprinting_runner(dialect).run(sql)
+        outcome = _table_runner(dialect).run(sql)
         finding = oracle.observe(outcome, CaseInfo("P1.1"), 0)
         assert finding is not None and finding.divergence == "cardinality"
         assert outcome.statements == parse_statements(sql)
@@ -491,7 +517,7 @@ class TestNoRECReusesTheRunnersRun:
         )
         dialect = dialect_by_name("duckdb")
         dialect.install_logic_flaws(predicate_kinds=("tlp", "norec"))
-        runner = _fingerprinting_runner(dialect)
+        runner = _table_runner(dialect)
         built = []
         create_server = dialect.create_server
         monkeypatch.setattr(
@@ -547,6 +573,108 @@ class TestNoRECReusesTheRunnersRun:
 
 
 # ---------------------------------------------------------------------------
+# TLP's IS-TRUE camp is the runner's own execution
+# ---------------------------------------------------------------------------
+class TestTLPReusesTheRunnersRun:
+    def test_one_two_camp_execution_per_compared_statement(self, monkeypatch):
+        # the runner's rows are the IS-TRUE camp: TLP's server runs each
+        # compared statement's IS-FALSE and IS-NULL camps as one union,
+        # never the IS-TRUE camp, and the base query once
+        executed = []
+        execute_parsed = connection.Connection.execute_parsed
+
+        def counting_execute_parsed(self, sql, statements):
+            executed.append((self, sql, statements))
+            return execute_parsed(self, sql, statements)
+
+        monkeypatch.setattr(
+            connection.Connection, "execute_parsed", counting_execute_parsed
+        )
+        dialect = dialect_by_name("duckdb")
+        dialect.install_logic_flaws(predicate_kinds=("tlp", "norec"))
+        runner = _table_runner(dialect)
+        built = []
+        create_server = dialect.create_server
+        monkeypatch.setattr(
+            dialect, "create_server",
+            lambda: built.append(1) or create_server(),
+        )
+        tlp = TLPOracle(dialect)
+        bases = 0
+        for index, sql in enumerate(_predicate_statements(dialect, 150)):
+            outcome = runner.run(sql)
+            start, compared = len(executed), tlp.compared
+            tlp.observe(outcome, CaseInfo("P1.1"), index)
+            runs = [
+                (text, statements) for conn, text, statements in executed[start:]
+                if conn is not runner.connection and text not in TABLE_SETUP
+            ]
+            bases += sum(text == BASE_QUERY for text, _ in runs)
+            runs = [run for run in runs if run[0] != BASE_QUERY]
+            assert len(runs) <= 1, sql
+            if tlp.compared == compared:
+                continue
+            assert len(runs) == 1, sql
+            ((text, (union,)),) = runs
+            (stmt,) = outcome.statements
+            assert isinstance(union, SetOp) and union.op == "UNION", sql
+            assert union.all, sql
+            false_camp, null_camp = union.left, union.right
+            assert isinstance(false_camp, Select), sql
+            assert isinstance(null_camp, Select), sql
+            assert false_camp.where == UnaryOp("NOT", stmt.where), sql
+            assert null_camp.where == IsNullExpr(stmt.where), sql
+            assert stmt.where not in (false_camp.where, null_camp.where), sql
+            assert text == tlp_camps_statement(
+                BASE_QUERY[:-1],
+                sql[len(PREDICATE_PREFIX):].strip().rstrip(";").rstrip(),
+            )
+        assert tlp.compared > 50
+        assert len(built) == 1 and bases == 1  # one server, one base run
+
+    @pytest.mark.parametrize("faults", [None, "default"])
+    @pytest.mark.parametrize(
+        "dialect_cls", all_dialect_classes(), ids=lambda cls: cls.name
+    )
+    def test_partition_equals_the_three_camp_union(
+        self, dialect_cls, faults, monkeypatch
+    ):
+        # the premise of reusing the runner's rows: on every compared
+        # statement, clean or under injected faults, the runner's rows
+        # plus the two-camp union fingerprint like the three-camp union
+        # on a fresh optimizing server
+        compared = []
+        fresh = {}
+        check = TLPOracle._check
+
+        def checking(self, outcome):
+            pair = check(self, outcome)
+            if pair is not None:
+                server = fresh.setdefault(id(self), TLPOracle(self.dialect))
+                (stmt,) = outcome.statements
+                predicate = outcome.sql[len(PREDICATE_PREFIX):]
+                predicate = predicate.strip().rstrip(";").rstrip()
+                three = server._fingerprint(
+                    tlp_partition_statement(BASE_QUERY[:-1], predicate),
+                    [tlp_union(stmt)],
+                )
+                compared.append((outcome.sql, pair[1] == three))
+            return pair
+
+        monkeypatch.setattr(TLPOracle, "_check", checking)
+        seeds = SeedCollector(dialect_cls()).collect()
+        run_campaign(config=CampaignConfig(
+            dialect=dialect_cls.name, budget=len(seeds) + 500,
+            oracles=("crash", "tlp", "norec"), statement_family="predicate",
+            faults=faults, fault_seed=1,
+        ))
+        print(f"{dialect_cls.name} faults={faults}: "
+              f"{len(compared)} partitions compared")
+        assert [sql for sql, same in compared if not same] == []
+        assert len(compared) >= 200
+
+
+# ---------------------------------------------------------------------------
 # campaign-level recall and the zero-false-positive guard
 # ---------------------------------------------------------------------------
 class TestMetamorphicCampaign:
@@ -578,7 +706,7 @@ class TestMetamorphicCampaign:
         engine = PatternEngine(
             seeds, statement_family="predicate"
         )
-        runner = _fingerprinting_runner(dialect)
+        runner = _table_runner(dialect)
         for index, case in enumerate(engine.generate_all()):
             if index >= 400:
                 break

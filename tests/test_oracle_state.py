@@ -62,7 +62,6 @@ def _stream(family):
     runner = Runner(
         dialect, bootstrap_sql=TABLE_SETUP if family == "predicate" else ()
     )
-    runner.capture_fingerprints = True
     seeds = SeedCollector(dialect).collect()
     cases = [
         (f"SELECT {seed.sql};", CaseInfo("seed", seed.function, seed.family))

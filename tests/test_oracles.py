@@ -21,7 +21,7 @@ from repro.core.oracles import (
     build_pipeline,
     parse_oracle_names,
 )
-from repro.core.runner import Outcome
+from repro.core.runner import Outcome, Runner
 from repro.dialects import dialect_by_name
 from repro.dialects.bugs import logic_flaws_for
 from repro.engine.errors import SegmentationViolation
@@ -69,7 +69,13 @@ class TestOracleSpec:
         pipeline = build_pipeline(wanted, ALL_ORACLES)
         assert wanted._logic_flaws_installed
         assert pipeline.names == ("crash", "differential", "conformance")
-        assert pipeline.needs_fingerprints
+        # the differential oracle compares fingerprints, which every ok
+        # outcome computes from its rows on first read
+        outcome = Runner(wanted).run("SELECT 1;")
+        assert outcome.fingerprint is not None
+        assert outcome.fingerprint == fingerprint_result(
+            Result(rows=outcome.rows)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +143,6 @@ class TestCrashOracleState:
 # pipeline fan-out and state
 # ---------------------------------------------------------------------------
 class _RecordingOracle(Oracle):
-    needs_fingerprints = False
-
     def __init__(self, name, journal):
         self.name = name
         self.journal = journal

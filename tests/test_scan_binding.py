@@ -16,7 +16,12 @@ from itertools import islice
 import pytest
 
 from repro.core.collect import SeedCollector
-from repro.core.oracles.metamorphic import tlp_partition_statement, tlp_union
+from repro.core.oracles.metamorphic import (
+    tlp_camps,
+    tlp_camps_statement,
+    tlp_partition_statement,
+    tlp_union,
+)
 from repro.core.patterns import PatternEngine
 from repro.core.tables import PREDICATE_PREFIX, TABLE_SETUP
 from repro.dialects import dialect_by_name, dialect_names
@@ -225,8 +230,8 @@ def _outcome(run):
 
 
 class _Arms:
-    """The optimized, optimization-suppressed and TLP-union executions of
-    each statement, on servers rebuilt after every crash."""
+    """The optimized, optimization-suppressed, TLP-union and TLP-camps
+    executions of each statement, on servers rebuilt after every crash."""
 
     def __init__(self, dialect):
         self.dialect = dialect
@@ -261,6 +266,12 @@ class _Arms:
             union = tlp_union(stmt)
             lines.append(_outcome(
                 lambda: self.conn("opt").execute_parsed(union_sql, [union])
+            ))
+            # what TLP's server runs: the IS-FALSE and IS-NULL camps
+            camps_sql = tlp_camps_statement(head, predicate)
+            camps = tlp_camps(stmt)
+            lines.append(_outcome(
+                lambda: self.conn("opt").execute_parsed(camps_sql, [camps])
             ))
         return lines
 

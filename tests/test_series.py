@@ -107,7 +107,6 @@ def _series_statements():
 def _series_transcript(dialect_name):
     """Yield one line per statement: kind, message, type, fingerprint."""
     runner = Runner(dialect_by_name(dialect_name))
-    runner.capture_fingerprints = True
     for sql in _series_statements():
         outcome = runner.run(sql)
         fingerprint = outcome.fingerprint
