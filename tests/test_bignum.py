@@ -454,13 +454,18 @@ def test_unrenderable_integers_are_handled_errors(cls):
     not hasattr(sys, "get_int_max_str_digits"),
     reason="this interpreter renders integers of any length",
 )
-def test_unrenderable_result_stays_ok_when_fingerprinting(monkeypatch):
-    # a statement that ran fine is ``ok`` whether or not an oracle reads
-    # its fingerprint; one whose result cannot be rendered has none
+@pytest.mark.parametrize("fingerprint_read_first", [False, True])
+def test_unrenderable_result_stays_ok_when_fingerprinting(
+    monkeypatch, fingerprint_read_first
+):
+    # a statement that ran fine is ``ok`` whether or not an oracle has read
+    # its fingerprint yet; one whose result cannot be rendered has none
     runner = Runner(dialect_by_name("duckdb"))
     stub = Result(columns=["x"], rows=[[SQLInteger(10 ** 5000)]])
     monkeypatch.setattr(runner.connection, "execute", lambda sql: stub)
     outcome = runner.run("SELECT 1;")
+    if fingerprint_read_first:
+        assert outcome.fingerprint is None
     assert outcome.kind == "ok", outcome.message
     assert outcome.result_type == "integer"
     assert outcome.fingerprint is None
