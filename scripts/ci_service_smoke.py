@@ -8,7 +8,8 @@
    arrive through the stream before the job reports done;
 3. assert the persistent repository deduplicated the findings (one
    record per minimized statement), and that resubmitting the identical
-   campaign creates zero new records;
+   campaign creates zero new records and runs the minimizer zero times
+   (every trigger reuses the repository's memoized canonical statement);
 4. run one replay job: every stored trigger must still fire against the
    seeded ground truth, with zero status flips;
 5. exercise triage over HTTP, then shut the service down cleanly (the
@@ -125,6 +126,9 @@ def smoke(data_dir: str) -> None:
         fail(f"identical campaign must fully dedup: {rerun_final['ingest']}")
     if rerun_final["ingest"]["duplicates"] != bug_count:
         fail(f"expected {bug_count} duplicates: {rerun_final['ingest']}")
+    if rerun_final["ingest"]["minimized"] != 0:
+        fail(f"an identical rerun must reuse every minimized trigger: "
+             f"{rerun_final['ingest']}")
 
     print("[4/5] replay job: every stored trigger still fires")
     status, replay = request(

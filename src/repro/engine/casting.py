@@ -205,7 +205,7 @@ def _to_decimal(ctx: "ExecutionContext", value: SQLValue, tn: TypeName) -> SQLVa
         scale = tn.params[0] if tn.params else 0
     elif tn.params:
         precision = tn.params[0]
-        scale = tn.params[1] if len(tn.params) > 1 else min(ctx.limits.decimal_max_scale, precision)
+        scale = tn.params[1] if len(tn.params) > 1 else 0
     elif ctx.limits.decimal_default is not None:
         precision, scale = ctx.limits.decimal_default
     else:
@@ -220,8 +220,10 @@ def _to_decimal(ctx: "ExecutionContext", value: SQLValue, tn: TypeName) -> SQLVa
     if scale > precision:
         raise ValueError_(f"decimal scale {scale} exceeds precision {precision}")
     try:
+        # half away from zero, as ROUND does
         quantized = dec.quantize(
-            decimal.Decimal(1).scaleb(-scale), context=DECIMAL_CONTEXT
+            decimal.Decimal(1).scaleb(-scale),
+            rounding=decimal.ROUND_HALF_UP, context=DECIMAL_CONTEXT,
         )
     except decimal.InvalidOperation:  # more digits than the context holds
         raise ValueError_(f"value does not fit DECIMAL({precision},{scale})") from None

@@ -19,7 +19,7 @@ classifies the same way the paper classifies real backtraces.
 
 from __future__ import annotations
 
-import traceback
+import sys
 from typing import List, Optional
 
 
@@ -134,14 +134,21 @@ class CrashSignal(BaseException):
     @staticmethod
     def _capture_backtrace() -> List[str]:
         """Record the engine-side call chain (innermost last), mimicking the
-        symbolised backtraces bug reports carry."""
-        frames = traceback.extract_stack()[:-2]
-        names = [
-            f.name
-            for f in frames
-            if "/repro/" in (f.filename or "").replace("\\", "/")
-        ]
-        return names[-25:]
+        symbolised backtraces bug reports carry: the innermost 25
+        functions under ``/repro/``, below this method and ``__init__``.
+
+        Walks the frame objects directly; ``traceback.extract_stack``
+        would also look up every frame's source line.
+        """
+        names: List[str] = []
+        frame = sys._getframe(2)
+        while frame is not None and len(names) < 25:
+            code = frame.f_code
+            if "/repro/" in code.co_filename.replace("\\", "/"):
+                names.append(code.co_name)
+            frame = frame.f_back
+        names.reverse()
+        return names
 
     def describe(self) -> str:
         where = f" in {self.function}" if self.function else ""

@@ -17,6 +17,13 @@ free.  This module is that repository:
   is still one defect, so record rows accumulate the set of ``kinds`` and
   report ``labels`` instead of splitting.  Distinct dialects never
   collapse — a bug is a property of one DBMS's implementation.
+  Minimization is a pure function of ``(dialect, kind, peer, sql,
+  minimize_attempts)`` (no clock, no RNG, fresh servers per probe), so
+  each repository memoizes the canonical statement under that key: a
+  trigger that recurs (every campaign over a dialect replays the same
+  seed phase) runs the minimizer once per process.  The memo is a plain
+  dict shared by every thread using the repository; it is not persisted
+  and never evicts (one short statement per distinct finding).
 * **Triage.**  Every record carries a workflow status
   (``new``/``confirmed``/``reported``/``fixed``/``wontfix``/``invalid``)
   mutable through :meth:`BugRepository.set_triage`.
@@ -244,6 +251,9 @@ class BugRepository:
         self.path = path
         self.minimize = minimize
         self.minimize_attempts = minimize_attempts
+        #: canonical statements already minimized in this process, keyed
+        #: by every input of the minimization (see ``_canonicalize``)
+        self._canonical: Dict[Tuple[str, str, str, str, int], str] = {}
         self.storage = SqliteStorage(self.SUBSYSTEM, path, chaos=chaos)
         parent = os.path.dirname(os.path.abspath(path))
         os.makedirs(parent, exist_ok=True)
@@ -355,9 +365,16 @@ class BugRepository:
         ``created`` is False when the finding deduplicated onto an
         existing record.
         """
+        record_id, created, _ = self._ingest(finding, campaign_id, minimize)
+        return record_id, created
+
+    def _ingest(
+        self, finding: Any, campaign_id: str, minimize: Optional[bool]
+    ) -> Tuple[int, bool, bool]:
+        """:meth:`record_finding`, plus whether the minimizer ran."""
         info = _finding_info(finding)
         do_minimize = self.minimize if minimize is None else minimize
-        statement = self._canonicalize(info, do_minimize)
+        statement, minimized = self._canonicalize(info, do_minimize)
         now = time.time()
         with self.storage.write("ingest") as db:
             row = db.execute(
@@ -379,7 +396,7 @@ class BugRepository:
                         now, now,
                     ),
                 )
-                return int(cursor.lastrowid), True
+                return int(cursor.lastrowid), True, minimized
             _fold(db, row, [{
                 "kinds": [info["kind"]],
                 "labels": [info["label"]],
@@ -387,7 +404,7 @@ class BugRepository:
                 "occurrences": 1,
                 "peer": info["peer"],
             }], now)
-            return int(row["id"]), False
+            return int(row["id"]), False, minimized
 
     def record_result(
         self,
@@ -395,23 +412,47 @@ class BugRepository:
         campaign_id: str = "",
         minimize: Optional[bool] = None,
     ) -> Dict[str, int]:
-        """Fold a whole :class:`CampaignResult` (bugs + findings) in."""
+        """Fold a whole :class:`CampaignResult` (bugs + findings) in.
+
+        ``minimized`` counts the findings that ran the minimizer (the
+        rest were stored raw or reused a memoized canonical statement).
+        """
         new = 0
         duplicates = 0
+        minimized = 0
         for finding in list(result.bugs) + list(result.findings):
-            _, created = self.record_finding(
-                finding, campaign_id=campaign_id, minimize=minimize
-            )
+            _, created, ran = self._ingest(finding, campaign_id, minimize)
             if created:
                 new += 1
             else:
                 duplicates += 1
-        return {"new_records": new, "duplicates": duplicates}
+            minimized += ran
+        return {
+            "new_records": new, "duplicates": duplicates,
+            "minimized": minimized,
+        }
 
-    def _canonicalize(self, info: Dict[str, str], do_minimize: bool) -> str:
-        """Minimize the trigger with the oracle-appropriate probe."""
+    def _canonicalize(
+        self, info: Dict[str, str], do_minimize: bool
+    ) -> Tuple[str, bool]:
+        """Minimize the trigger with the oracle-appropriate probe.
+
+        Returns the canonical statement and whether the minimizer ran.
+        A trigger this repository already minimized under the same
+        ``(dialect, kind, peer, sql, minimize_attempts)`` reuses its
+        memoized statement without building a probe.  Threads share the
+        memo without a lock: two that miss on one key both minimize it
+        and store the same statement.
+        """
         sql = info["sql"]
         if do_minimize:
+            key = (
+                info["dialect"], info["kind"], info["peer"], sql,
+                self.minimize_attempts,
+            )
+            memo = self._canonical.get(key)
+            if memo is not None:
+                return memo, False
             probe = None
             try:
                 if info["kind"] == "crash":
@@ -440,7 +481,10 @@ class BugRepository:
                     # the finding no longer reproduces on a fresh server
                     # (flaky, or context-dependent); keep the raw statement
                     sql = info["sql"]
-        return canonical_statement(sql)
+                statement = canonical_statement(sql)
+                self._canonical[key] = statement
+                return statement, True
+        return canonical_statement(sql), False
 
     # ------------------------------------------------------------------
     # browse / triage

@@ -218,7 +218,10 @@ class SchedulerWorker:
             # the findings live on in the job's summary/stream, only the
             # cross-campaign dedup record is lost (counted)
             self.repo.storage.health.note_lost_write()
-            ingest = {"new_records": 0, "duplicates": 0, "error": str(exc)}
+            ingest = {
+                "new_records": 0, "duplicates": 0, "minimized": 0,
+                "error": str(exc),
+            }
         job.set_ingest(ingest)
         job.mark_done(dict(result_to_summary(result), resumed=resumed), lease_seq)
 

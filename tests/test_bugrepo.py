@@ -12,13 +12,16 @@ flaws fire once the target dialect's flaws are installed, and a record
 whose trigger stops reproducing is reported as a status flip.
 """
 
+import sys
+import threading
+
 import pytest
 
 from repro.core import run_campaign
 from repro.dialects import dialect_by_name
 from repro.dialects.bugs import bugs_for, logic_flaws_for
 from repro.engine.connection import ServerCrashed
-from repro.service import BugRepository
+from repro.service import BugRepository, bugrepo
 from repro.service.bugrepo import TRIAGE_STATES, canonical_statement
 
 
@@ -61,6 +64,98 @@ class TestCanonicalization:
         record = repo.get(record_id)
         assert record.statement == "SELECT CHR(1000000)"
         assert record.occurrences == 2
+
+
+class TestMinimizeMemo:
+    """Ingest minimizes each distinct trigger once per repository."""
+
+    @pytest.mark.parametrize("options", [
+        {},
+        {"statement_family": "predicate", "oracles": "crash,tlp,norec"},
+        {"oracles": "crash,differential"},
+    ], ids=["expression", "predicate", "differential"])
+    def test_repeat_ingest_reuses_the_canonical_statement(
+        self, tmp_path, monkeypatch, options
+    ):
+        result = run_campaign("duckdb", budget=700, **options)
+        findings = list(result.bugs) + list(result.findings)
+        assert findings  # the test premise: this budget finds something
+        keys = {
+            (info["dialect"], info["kind"], info["peer"], info["sql"])
+            for info in map(bugrepo._finding_info, findings)
+        }
+        calls = []
+        minimize_poc = bugrepo.minimize_poc
+
+        def counting(dialect, sql, **kwargs):
+            calls.append(sql)
+            return minimize_poc(dialect, sql, **kwargs)
+
+        monkeypatch.setattr(bugrepo, "minimize_poc", counting)
+        memo = BugRepository(str(tmp_path / "memo.sqlite"))
+        first = memo.record_result(result, campaign_id="c1")
+        second = memo.record_result(result, campaign_id="c2")
+        assert len(calls) == len(keys)
+        assert (first["minimized"], second["minimized"]) == (len(keys), 0)
+
+        # the same two ingests with the second through a fresh repository
+        # object (empty memo) over the same file
+        fresh_path = str(tmp_path / "fresh.sqlite")
+        BugRepository(fresh_path).record_result(result, campaign_id="c1")
+        fresh = BugRepository(fresh_path)
+        fresh_second = fresh.record_result(result, campaign_id="c2")
+        assert len(calls) == 3 * len(keys)
+        assert fresh_second == dict(second, minimized=len(keys))
+
+        def rows(repo):
+            return [
+                {k: v for k, v in record.to_dict().items()
+                 if k not in ("created_at", "updated_at")}
+                for record in repo.list()
+            ]
+
+        assert rows(memo) == rows(fresh)
+        assert second == {
+            "new_records": 0, "duplicates": len(findings), "minimized": 0,
+        }
+
+    def test_threads_share_one_memo(self, tmp_path):
+        # scheduler workers and HTTP handlers share the repository: a
+        # thread racing another on the same trigger at worst minimizes it
+        # again, and every thread reads the serial canonical statement
+        result = run_campaign("duckdb", budget=700)
+        infos = [
+            bugrepo._finding_info(f)
+            for f in list(result.bugs) + list(result.findings)
+        ]
+        serial = BugRepository(str(tmp_path / "serial.sqlite"))
+        expected = [serial._canonicalize(info, True)[0] for info in infos]
+        shared = BugRepository(str(tmp_path / "shared.sqlite"))
+        seen, errors = [], []
+
+        def worker():
+            try:
+                for _ in range(20):
+                    seen.append(
+                        [shared._canonicalize(info, True)[0] for info in infos]
+                    )
+            except BaseException as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert seen == [expected] * 120
+        assert shared._canonical == serial._canonical
 
 
 class TestDedupIdentity:

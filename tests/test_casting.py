@@ -109,8 +109,8 @@ BARE_DECIMAL_CASTS = {
     "mysql": ("123", "1", "-8", "100000"),
     "mariadb": ("123", "1", "-8", "100000"),
     "clickhouse": ("123", "1", "-8", "100000"),
-    "duckdb": ("123.000", "1.234", "-7.500", "100000.000"),
-    "monetdb": ("123.000", "1.234", "-7.500", "100000.000"),
+    "duckdb": ("123.000", "1.235", "-7.500", "100000.000"),
+    "monetdb": ("123.000", "1.235", "-7.500", "100000.000"),
     "virtuoso": ("123.000000000000000", "1.234500000000000",
                  "-7.500000000000000", "100000.000000000000000"),
 }
@@ -134,6 +134,34 @@ def test_bare_decimal_cast_follows_the_dialect_default(dialect_name):
     else:
         with pytest.raises(ValueError_, match="does not fit"):
             conn.execute(f"SELECT {wide};")
+
+
+#: DECIMAL(p) means DECIMAL(p,0), and casts round half away from zero,
+#: as ROUND does
+DECIMAL_CAST_CASES = [
+    ("CAST(1.5 AS DECIMAL(5))", "2"),
+    ("CAST(-1.5 AS NUMERIC(5))", "-2"),
+    ("CAST('12345' AS DECIMAL(5))", "12345"),
+    ("CAST(2.5 AS DECIMAL(5,0))", "3"),
+    ("CAST(-2.5 AS DECIMAL(5,0))", "-3"),
+    ("CAST(3.5 AS DECIMAL(5,0))", "4"),
+    ("CAST('0.125' AS DECIMAL(5,2))", "0.13"),
+    ("CAST(-0.125 AS DECIMAL(5,2))", "-0.13"),
+    ("CAST(0.124 AS DECIMAL(5,2))", "0.12"),
+]
+
+
+@pytest.mark.parametrize("dialect_name", ["mysql", "postgresql", "duckdb"])
+@pytest.mark.parametrize("sql, expected", DECIMAL_CAST_CASES)
+def test_decimal_cast_scale_and_rounding(dialect_name, sql, expected):
+    conn = dialect_by_name(dialect_name).create_server().connect()
+    assert conn.execute(f"SELECT {sql};").scalar().render() == expected
+
+
+def test_one_parameter_decimal_bounds_the_integer_digits():
+    conn = dialect_by_name("mysql").create_server().connect()
+    with pytest.raises(ValueError_, match=r"does not fit DECIMAL\(5,0\)"):
+        conn.execute("SELECT CAST(123456 AS DECIMAL(5));")
 
 
 class TestStringCasts:
